@@ -36,7 +36,7 @@ from .surfaces import (EquiaffineFrame, FrameBatch, ParametricPatch, PointFrame,
                        graph_surface, hyperplane, line, linear_image,
                        normal_field, position_field, product_rule_residual,
                        shape_products_asymmetry, sphere, sqrtm_spd,
-                       surface_divergence, surface_gradient,
+                       surface_divergence,
                        tangential_derivative_residuals, transformed_catenoid)
 from .quadrature import (ClippedRegionRule, ClippedResult, ParamQuadrature,
                          integrate, integrate_clipped, integrate_with_estimate,

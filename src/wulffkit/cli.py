@@ -19,7 +19,9 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -54,6 +56,8 @@ SURFACE_KINDS = {
     "enneper": "scale, extent",
 }
 
+DEFAULT_CONSTANT_XI = (0.3, -0.7, 0.55)
+
 CHECK_KINDS = (
     "norm-identities", "condition-s", "lemmas", "monotonicity",
     "equiaffine", "corollary", "minkowski", "symfunc",
@@ -72,62 +76,77 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _square_matrix(entries) -> np.ndarray:
+    """A matrix given as nested rows or as a row-major flat list."""
+    matrix = np.asarray(entries, dtype=float)
+    if matrix.ndim == 1:
+        d = int(round(matrix.size ** 0.5))
+        matrix = matrix.reshape(d, d)
+    return matrix
+
+
+@contextmanager
+def _config_errors(what: str, name: str):
+    """Report a missing or invalid parameter of a norm or surface as a ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:  # e.g. a matrix that is not SPD
+        raise ConfigError(f"{what} {name!r}: missing or invalid parameter: {exc}") from exc
+
+
 def build_norm(spec: dict, name: str) -> MinkowskiNorm:
-    family = spec.get("family")
-    if family == "euclidean":
-        return MinkowskiNorm.euclidean(int(spec.get("dim", 3)))
-    if family == "quadratic":
-        matrix = np.asarray(spec["matrix"], dtype=float)
-        if matrix.ndim == 1:
-            d = int(round(matrix.size ** 0.5))
-            matrix = matrix.reshape(d, d)
-        norm = MinkowskiNorm.quadratic(matrix)
-        norm.label = name
-        return norm
-    if family == "quartic-regularized":
-        norm = MinkowskiNorm.quartic(int(spec.get("dim", 2)),
-                                     eps=float(spec.get("eps", 0.05)))
-        norm.label = name
-        return norm
-    raise ConfigError(f"norm {name!r}: unknown family {family!r}")
+    with _config_errors("norm", name):
+        family = spec.get("family")
+        if family == "euclidean":
+            return MinkowskiNorm.euclidean(int(spec.get("dim", 3)))
+        if family == "quadratic":
+            norm = MinkowskiNorm.quadratic(_square_matrix(spec["matrix"]))
+            norm.label = name
+            return norm
+        if family == "quartic-regularized":
+            norm = MinkowskiNorm.quartic(int(spec.get("dim", 2)),
+                                         eps=float(spec.get("eps", 0.05)))
+            norm.label = name
+            return norm
+        raise ConfigError(f"norm {name!r}: unknown family {family!r}")
 
 
 def build_surface(spec: dict, name: str) -> sf.ParametricPatch:
-    kind = spec.get("kind")
-    if kind == "hyperplane":
-        return sf.hyperplane(normal=spec.get("normal", (0, 0, 1)),
-                             origin=spec.get("origin", (0, 0, 0)),
-                             extent=float(spec.get("extent", 2.0)))
-    if kind == "sphere":
-        return sf.sphere(radius=float(spec.get("radius", 1.0)),
-                         center=spec.get("center", (0, 0, 0)))
-    if kind == "ellipsoid":
-        return sf.ellipsoid(spec.get("semiaxes", (1.0, 1.3, 1.7)))
-    if kind == "catenoid":
-        return sf.catenoid(v_max=float(spec.get("v_max", 1.2)))
-    if kind == "transformed-catenoid":
-        matrix = np.asarray(spec["matrix"], dtype=float)
-        if matrix.ndim == 1:
-            d = int(round(matrix.size ** 0.5))
-            matrix = matrix.reshape(d, d)
-        return sf.transformed_catenoid(matrix, v_max=float(spec.get("v_max", 1.2)))
-    if kind == "line":
-        return sf.line(offset=float(spec.get("offset", 0.5)),
-                       extent=float(spec.get("extent", 4.0)))
-    if kind == "circle":
-        return sf.circle(radius=float(spec.get("radius", 1.0)),
-                         center=spec.get("center", (0.0, 0.0)))
-    if kind == "graph":
-        coeffs = spec.get("coeffs", [0.0])
-        arr = np.asarray(coeffs, dtype=float)
-        extent = float(spec.get("extent", 1.0))
-        if arr.ndim <= 1:
-            return sf.graph_curve(arr, extent=extent)
-        return sf.graph_surface(arr, extent=extent)
-    if kind == "enneper":
-        return sf.enneper(scale=float(spec.get("scale", 0.8)),
-                          extent=float(spec.get("extent", 1.5)))
-    raise ConfigError(f"surface {name!r}: unknown kind {kind!r}")
+    with _config_errors("surface", name):
+        kind = spec.get("kind")
+        if kind == "hyperplane":
+            return sf.hyperplane(normal=spec.get("normal", (0, 0, 1)),
+                                 origin=spec.get("origin", (0, 0, 0)),
+                                 extent=float(spec.get("extent", 2.0)))
+        if kind == "sphere":
+            return sf.sphere(radius=float(spec.get("radius", 1.0)),
+                             center=spec.get("center", (0, 0, 0)))
+        if kind == "ellipsoid":
+            return sf.ellipsoid(spec.get("semiaxes", (1.0, 1.3, 1.7)))
+        if kind == "catenoid":
+            return sf.catenoid(v_max=float(spec.get("v_max", 1.2)))
+        if kind == "transformed-catenoid":
+            return sf.transformed_catenoid(_square_matrix(spec["matrix"]),
+                                           v_max=float(spec.get("v_max", 1.2)))
+        if kind == "line":
+            return sf.line(offset=float(spec.get("offset", 0.5)),
+                           extent=float(spec.get("extent", 4.0)))
+        if kind == "circle":
+            return sf.circle(radius=float(spec.get("radius", 1.0)),
+                             center=spec.get("center", (0.0, 0.0)))
+        if kind == "graph":
+            coeffs = spec.get("coeffs", [0.0])
+            arr = np.asarray(coeffs, dtype=float)
+            extent = float(spec.get("extent", 1.0))
+            if arr.ndim <= 1:
+                return sf.graph_curve(arr, extent=extent)
+            return sf.graph_surface(arr, extent=extent)
+        if kind == "enneper":
+            return sf.enneper(scale=float(spec.get("scale", 0.8)),
+                              extent=float(spec.get("extent", 1.5)))
+        raise ConfigError(f"surface {name!r}: unknown kind {kind!r}")
 
 
 @dataclass
@@ -180,6 +199,16 @@ class Scenario:
             if "xi" in chk and chk["xi"] not in ("normal", "constant") \
                     and chk["xi"] not in self.norms:
                 raise ConfigError(f"check {name!r}: unresolved xi field {chk['xi']!r}")
+            if "surface" in chk:   # gauges and fields live in the surface's space
+                dim = self.surfaces[chk["surface"]].dim
+                dims = {key: self.norms[chk[key]].dim for key in ("norm", "gauge", "xi")
+                        if chk.get(key) in self.norms}
+                if chk.get("xi") == "constant":
+                    dims["xi"] = np.size(chk.get("constant", DEFAULT_CONSTANT_XI))
+                for key, d in dims.items():
+                    if d != dim:
+                        raise ConfigError(f"check {name!r}: {key} {chk[key]!r} has dim {d}, "
+                                          f"surface {chk['surface']!r} has dim {dim}")
             s, r = chk.get("s"), chk.get("r")
             if s is not None and r is not None and not float(s) < float(r):
                 raise ConfigError(f"check {name!r}: radii must satisfy s < r "
@@ -197,7 +226,7 @@ def _xi_field(scn: Scenario, chk: dict) -> sf.TransversalField:
     if xi == "normal":
         return sf.normal_field()
     if xi == "constant":
-        vec = chk.get("constant", (0.3, -0.7, 0.55))
+        vec = chk.get("constant", DEFAULT_CONSTANT_XI)
         return sf.constant_field(vec)
     return sf.anisotropic_normal_field(scn.norms[xi])
 
@@ -450,12 +479,16 @@ def run_scenario(scn: Scenario, out_dir: Path, jobs: int = 1,
                  stream=None) -> int:
     stream = stream if stream is not None else sys.stdout
     def work(item):
+        # one bad check never aborts the suite: any exception becomes an
+        # error outcome, and the other checks still run and write their CSVs
         name, kind, chk = item
         try:
             return _run_check(scn, name, kind, chk)
-        except WulffkitError as exc:
-            return CheckOutcome(name, kind, "error",
-                                f"{type(exc).__name__}: {exc}", [])
+        except Exception as exc:
+            if not isinstance(exc, (WulffkitError, ValueError)):
+                # not an input the library rejected: a fault, so show where it is
+                traceback.print_exc(file=sys.stderr)
+            return CheckOutcome(name, kind, "error", f"{type(exc).__name__}: {exc}", [])
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

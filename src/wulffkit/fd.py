@@ -23,16 +23,3 @@ def central_diff(f: Callable[[float], np.ndarray | float], t0: float, h: float,
     d2 = d(0.5 * h)
     return (4.0 * d2 - d1) / 3.0
 
-
-def second_diff(f: Callable[[float], np.ndarray | float], t0: float, h: float,
-                richardson: bool = True):
-    """Central second difference d^2/dt^2 f(t) at t0."""
-    def d(step: float):
-        return (np.asarray(f(t0 + step)) - 2.0 * np.asarray(f(t0))
-                + np.asarray(f(t0 - step))) / (step * step)
-
-    d1 = d(h)
-    if not richardson:
-        return d1
-    d2 = d(0.5 * h)
-    return (4.0 * d2 - d1) / 3.0

@@ -16,6 +16,7 @@ maximizer u* normalized to F(u*) = 1, which is exactly grad F°(v).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -23,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonConvergence, ZeroDirection
-from .fd import central_diff, second_diff
+from .fd import central_diff
 
 ZERO_FLOOR = 1e-12
 
@@ -199,13 +200,12 @@ class MinkowskiNorm:
     def _custom_grad(self, u: np.ndarray) -> np.ndarray:
         if self._grad_fn is not None:
             return np.asarray(self._grad_fn(u), dtype=float)
+        # central differences at steps h and h/2 along each axis, one Richardson level
         h = _FD_GRAD_STEP * max(1.0, float(np.linalg.norm(u)))
-        out = np.empty(self.dim)
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = 1.0
-            out[i] = central_diff(lambda t: float(self._value_fn(u + t * e)), 0.0, h)
-        return out
+        f = self._stencil_values(u, np.eye(self.dim), h)
+        d1 = (f[0] - f[1]) / (2.0 * h)
+        d2 = (f[2] - f[3]) / (2.0 * (0.5 * h))
+        return (4.0 * d2 - d1) / 3.0
 
     def _custom_hess(self, u: np.ndarray) -> np.ndarray:
         if self._hess_fn is not None:
@@ -221,20 +221,27 @@ class MinkowskiNorm:
                     lambda t: np.asarray(self._grad_fn(u + t * e), dtype=float), 0.0, h))
             H = np.array(cols)
             return 0.5 * (H + H.T)
-        # second differences of the value; a larger step balances roundoff
+        # second differences of the value along each axis and each diagonal
+        # (e_i + e_j)/sqrt(2), one Richardson level; a larger step balances
+        # roundoff
         h = _FD_HESS_VALUE_STEP * max(1.0, float(np.linalg.norm(u)))
-        basis = np.eye(self.dim)
-        diag = np.array([
-            second_diff(lambda t: float(self._value_fn(u + t * basis[i])), 0.0, h)
-            for i in range(self.dim)])
+        dirs, iu, ju = _hessian_directions(self.dim)
+        f = self._stencil_values(u, dirs, h)
+        f0 = float(self._value_fn(u))
+        d1 = (f[0] - 2.0 * f0 + f[1]) / (h * h)
+        d2 = (f[2] - 2.0 * f0 + f[3]) / ((0.5 * h) * (0.5 * h))
+        dd = (4.0 * d2 - d1) / 3.0
+        diag = dd[:self.dim]
         H = np.diag(diag)
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                direction = (basis[i] + basis[j]) / math.sqrt(2.0)
-                # second derivative along the diagonal is (H_ii + 2 H_ij + H_jj)/2
-                d = second_diff(lambda t: float(self._value_fn(u + t * direction)), 0.0, h)
-                H[i, j] = H[j, i] = d - 0.5 * (diag[i] + diag[j])
+        # second derivative along a diagonal is (H_ii + 2 H_ij + H_jj)/2
+        H[iu, ju] = H[ju, iu] = dd[self.dim:] - 0.5 * (diag[iu] + diag[ju])
         return H
+
+    def _stencil_values(self, u: np.ndarray, dirs: np.ndarray, h: float) -> np.ndarray:
+        """F(u + t c) for t in (h, -h, h/2, -h/2) and each row c of dirs: (4, k)."""
+        Q = u + np.multiply.outer((h, -h, 0.5 * h, -0.5 * h), dirs)
+        return np.array([float(self._value_fn(q)) for q in Q.reshape(-1, self.dim)]
+                        ).reshape(4, len(dirs))
 
     # ----------------------------------------------------------------- diagnostics
 
@@ -268,6 +275,18 @@ class MinkowskiNorm:
 
     def dual(self, mode: str = "auto", options: "NumericDualOptions | None" = None) -> "DualNorm":
         return DualNorm(self, mode=mode, options=options)
+
+
+@functools.lru_cache(maxsize=None)
+def _hessian_directions(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Axes e_i, then diagonals (e_i + e_j)/sqrt(2) for each pair i < j (iu, ju);
+    read-only, because every call for this dimension shares them."""
+    basis = np.eye(dim)
+    iu, ju = np.triu_indices(dim, 1)
+    dirs = np.vstack([basis, (basis[iu] + basis[ju]) / math.sqrt(2.0)])
+    for arr in (dirs, iu, ju):
+        arr.flags.writeable = False
+    return dirs, iu, ju
 
 
 def _orthonormal_complement(uh: np.ndarray) -> np.ndarray:
@@ -451,32 +470,3 @@ class DualNorm:
             return None
         return un / nn
 
-
-# convenience wrappers mirroring the one-shot operations
-
-def eval_norm(norm: MinkowskiNorm, u) -> float:
-    return norm.value(u)
-
-
-def grad_norm(norm: MinkowskiNorm, u) -> np.ndarray:
-    return norm.grad(u)
-
-
-def hess_norm(norm: MinkowskiNorm, u) -> np.ndarray:
-    return norm.hess(u)
-
-
-def check_ellipticity(norm: MinkowskiNorm, u) -> float:
-    return norm.restricted_hessian_min_eig(u)
-
-
-def dual_eval(dual: DualNorm, v) -> tuple[float, np.ndarray]:
-    return dual.eval_with_maximizer(v)
-
-
-def dual_grad(dual: DualNorm, v) -> np.ndarray:
-    return dual.grad(v)
-
-
-def wulff_point(norm: MinkowskiNorm, u) -> WulffPoint:
-    return norm.wulff_point(u)

@@ -24,7 +24,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateChart, NotTransversal
-from .fd import central_diff
 from .norms import MinkowskiNorm
 
 GRAM_FLOOR = 1e-12
@@ -80,26 +79,14 @@ class ParametricPatch:
         P = np.atleast_2d(np.asarray(P, dtype=float))
         if self._dchart_fn is not None:
             return np.asarray(self._dchart_fn(P), dtype=float)
-        h = self._fd_step
-        cols = []
-        for i in range(self.n):
-            dP = np.zeros_like(P)
-            dP[:, i] = h
-            cols.append((self.chart(P + dP) - self.chart(P - dP)) / (2.0 * h))
-        return np.stack(cols, axis=1)
+        return _central_diffs(self.chart, P, _coordinate_axes(P), (self._fd_step,))[0]
 
     def d2chart(self, P) -> np.ndarray:
         P = np.atleast_2d(np.asarray(P, dtype=float))
         if self._d2chart_fn is not None:
             return np.asarray(self._d2chart_fn(P), dtype=float)
         if self._dchart_fn is not None:
-            h = self._fd_step
-            rows = []
-            for i in range(self.n):
-                dP = np.zeros_like(P)
-                dP[:, i] = h
-                rows.append((self.dchart(P + dP) - self.dchart(P - dP)) / (2.0 * h))
-            out = np.stack(rows, axis=1)  # (m, i, j, d)
+            out = _central_diffs(self.dchart, P, _coordinate_axes(P), (self._fd_step,))[0]
         else:
             h = 1e-4  # second differences of the chart value
             m = P.shape[0]
@@ -714,54 +701,65 @@ def anisotropic_mean_curvature_fd(norm: MinkowskiNorm, patch: ParametricPatch, p
 
 
 # --------------------------------------------------------------------------
-# finite-difference surface calculus
+# finite-difference surface calculus: each check takes one parameter point
+# (n,) or a batch (m, n) and evaluates every stencil in one call of the field
 
 
-def _dirderivs(patch: ParametricPatch, frame: PointFrame, fld, step: float,
-               richardson: bool = False) -> np.ndarray:
-    """D_{e_a}(fld) for a batch-callable field fld(P) -> (m, ...)."""
-    p0 = frame.p
-    outs = []
-    for a in range(patch.n):
-        ca = frame.param_dirs[:, a]
-
-        def g(t, ca=ca):
-            return np.asarray(fld((p0 + t * ca)[None, :]))[0]
-
-        outs.append(central_diff(g, 0.0, step, richardson=richardson))
-    return np.asarray(outs)
+def _as_batch(p) -> tuple[np.ndarray, bool]:
+    """p as an (m, n) batch of parameter points, and whether it was one point."""
+    p = np.asarray(p, dtype=float)
+    return np.atleast_2d(p), p.ndim == 1
 
 
-def surface_divergence(patch: ParametricPatch, W, p, step: float = PARAM_STEP) -> float:
+def _unbatch(values: np.ndarray, single: bool):
+    return float(values[0]) if single else values
+
+
+def _central_diffs(fld, P, dirs, steps) -> np.ndarray:
+    """(fld(P + h c) - fld(P - h c)) / 2h for each step h and direction c.
+
+    dirs is (m, n, k): column a of dirs[i] is the parameter direction of
+    derivative a at point P[i].  fld maps parameter batches (M, n) to
+    (M, ...); all 2 * len(steps) * k * m stencil points go to it in one
+    call.  Returns (len(steps), m, k, ...).
+    """
+    n = P.shape[1]
+    hD = np.asarray(steps, dtype=float)[:, None, None, None] * np.moveaxis(dirs, 2, 0)
+    Q = np.stack([P + hD, P - hD])                      # (2, steps, k, m, n)
+    vals = np.asarray(fld(Q.reshape(-1, n)))
+    vals = vals.reshape(Q.shape[:4] + vals.shape[1:])
+    return np.stack([np.moveaxis((vals[0, s] - vals[1, s]) / (2.0 * h), 0, 1)
+                     for s, h in enumerate(steps)])
+
+
+def _coordinate_axes(P) -> np.ndarray:
+    """The parameter axes at every point of P, as _central_diffs takes directions."""
+    m, n = P.shape
+    return np.broadcast_to(np.eye(n), (m, n, n))
+
+
+def _frame_derivs(fld, fb: FrameBatch, step: float) -> np.ndarray:
+    """D_{e_a} fld at every point of fb by central differences: (m, n, ...)."""
+    return _central_diffs(fld, fb.P, fb.param_dirs, (step,))[0]
+
+
+def _divergence(dF: np.ndarray, fb: FrameBatch) -> np.ndarray:
+    """sum_a <D_{e_a} F, e_a> from the frame derivatives dF (m, n, d)."""
+    return np.einsum("mad,mad->m", dF, fb.e)
+
+
+def surface_divergence(patch: ParametricPatch, W, p, step: float = PARAM_STEP):
     """div_M W = sum_a <D_{e_a} W, e_a> with FD derivatives along the chart."""
-    frame = patch.frame_at(p)
-    dW = _dirderivs(patch, frame, lambda P: W(patch, P), step)
-    return float(np.einsum("ad,ad->", dW, frame.e))
-
-
-def surface_gradient(patch: ParametricPatch, f, p, step: float = PARAM_STEP) -> np.ndarray:
-    """Ambient representative of the tangential gradient of a scalar field."""
-    frame = patch.frame_at(p)
-    df = _dirderivs(patch, frame, lambda P: f(patch, P), step)
-    return np.einsum("a,ad->d", df, frame.e)
-
-
-def _tangential_field(patch: ParametricPatch, xi_field: TransversalField,
-                      X_field: TransversalField):
-    def Y(P):
-        P = np.atleast_2d(P)
-        fb = patch.frames(P)
-        xi = xi_field(patch, P)
-        X = X_field(patch, P)
-        return affine_tangential(X, xi, fb.nu)
-    return Y
+    P, single = _as_batch(p)
+    fb = patch.frames(P)
+    return _unbatch(_divergence(_frame_derivs(lambda Q: W(patch, Q), fb, step), fb), single)
 
 
 @dataclass
 class DerivativeIdentityResult:
     """Residuals of the frame identity for D(X^{top_xi}) and its trace form."""
-    frame_residual: float
-    divergence_residual: float
+    frame_residual: float | np.ndarray
+    divergence_residual: float | np.ndarray
 
 
 def tangential_derivative_residuals(patch: ParametricPatch, xi_field: TransversalField,
@@ -775,99 +773,119 @@ def tangential_derivative_residuals(patch: ParametricPatch, xi_field: Transversa
     and its trace,
       div_M X^{top_xi} = <xi,nu> div_M X + <X,nu> H_xi - <II(X^T) + grad_M <X,nu>, xi>.
     """
-    eq = equiaffine_frame(patch, xi_field, p, step=step)
-    fr = eq.frame
-    n = patch.n
-    nu, xi0 = fr.nu, eq.xi
-    supp = eq.support
+    P, single = _as_batch(p)
+    frame_res, div_res = _tangential_derivative(
+        patch, xi_field, X_field, equiaffine_batch(patch, xi_field, P, step=step), step)
+    return DerivativeIdentityResult(frame_residual=_unbatch(frame_res, single),
+                                    divergence_residual=_unbatch(div_res, single))
 
-    dY = _dirderivs(patch, fr, _tangential_field(patch, xi_field, X_field), step)
-    lhs = np.einsum("jd,id->ij", dY, fr.e)
 
-    dX = _dirderivs(patch, fr, lambda P: X_field(patch, P), step)
-    X0 = X_field(patch, fr.p[None, :])[0]
-    X_nu = float(np.dot(X0, nu))
-    X_tan = fr.e @ X0            # components <X, e_i>
-    xi_tan = fr.e @ xi0
-    sff_xi = fr.sec_form @ xi_tan   # II(xi^T, e_j) over j
+def _tangential_derivative(patch: ParametricPatch, xi_field: TransversalField,
+                           X_field: TransversalField, eb: EquiaffineBatch,
+                           step: float) -> tuple[np.ndarray, np.ndarray]:
+    fb, d = eb.frames, patch.dim
 
-    def xnu_scalar(P):
-        P = np.atleast_2d(P)
-        return np.einsum("md,md->m", X_field(patch, P), patch.frames(P).nu)
+    def fields(Q):  # X^{top_xi}, X and <X, nu> side by side
+        nu = patch.frames(Q).nu
+        X = X_field(patch, Q)
+        return np.column_stack([affine_tangential(X, xi_field(patch, Q), nu), X,
+                                np.einsum("md,md->m", X, nu)])
 
-    grad_xnu = _dirderivs(patch, fr, xnu_scalar, step)  # (n,)
+    dF = _frame_derivs(fields, fb, step)
+    dY, dX, grad_xnu = dF[..., :d], dF[..., d:2 * d], dF[..., 2 * d]
+    lhs = np.einsum("mjd,mid->mij", dY, fb.e)
 
-    rhs = (supp * np.einsum("jd,id->ij", dX, fr.e)
-           - np.outer(X_tan, sff_xi)
-           - np.outer(xi_tan, grad_xnu)
-           + X_nu * eq.shape_op)
-    frame_residual = float(np.max(np.abs(lhs - rhs)))
+    X0 = X_field(patch, fb.P)
+    X_nu = np.einsum("md,md->m", X0, fb.nu)
+    X_tan = np.einsum("mid,md->mi", fb.e, X0)              # components <X, e_i>
+    xi_tan = np.einsum("mid,md->mi", fb.e, eb.xi)
+    sff_xi = np.einsum("mij,mj->mi", fb.sec_form, xi_tan)   # II(xi^T, e_j) over j
 
-    div_lhs = float(np.trace(lhs))
-    div_X = float(np.einsum("ad,ad->", dX, fr.e))
-    sff_Xtop = np.einsum("ab,a,bd->d", fr.sec_form, X_tan, fr.e)
-    grad_xnu_amb = np.einsum("a,ad->d", grad_xnu, fr.e)
-    div_rhs = (supp * div_X + X_nu * eq.affine_mean
-               - float(np.dot(sff_Xtop + grad_xnu_amb, xi0)))
-    return DerivativeIdentityResult(frame_residual=frame_residual,
-                                    divergence_residual=abs(div_lhs - div_rhs))
+    rhs = (eb.support[:, None, None] * np.einsum("mjd,mid->mij", dX, fb.e)
+           - X_tan[:, :, None] * sff_xi[:, None, :]
+           - xi_tan[:, :, None] * grad_xnu[:, None, :]
+           + X_nu[:, None, None] * eb.shape_op)
+    frame_res = np.max(np.abs(lhs - rhs), axis=(1, 2))
+
+    div_lhs = np.trace(lhs, axis1=1, axis2=2)
+    sff_Xtop = np.einsum("mab,ma,mbd->md", fb.sec_form, X_tan, fb.e)
+    grad_xnu_amb = np.einsum("ma,mad->md", grad_xnu, fb.e)
+    div_rhs = (eb.support * _divergence(dX, fb) + X_nu * eb.affine_mean
+               - np.einsum("md,md->m", sff_Xtop + grad_xnu_amb, eb.xi))
+    return frame_res, np.abs(div_lhs - div_rhs)
 
 
 def divergence_residuals_constant_position(patch: ParametricPatch,
                                            xi_field: TransversalField, p,
                                            b=(0.3, -0.7, 0.55),
-                                           step: float = PARAM_STEP) -> tuple[float, float]:
+                                           step: float = PARAM_STEP):
     """Residuals of div_M b^{top_xi} = <b,nu> H_xi and
     div_M x^{top_xi} = n <xi,nu> + <x,nu> H_xi."""
-    eq = equiaffine_frame(patch, xi_field, p, step=step)
-    fr = eq.frame
-    b = np.asarray(b, dtype=float)[: patch.dim]
+    P, single = _as_batch(p)
+    res_b, res_x = _divergence_constant_position(
+        patch, xi_field, equiaffine_batch(patch, xi_field, P, step=step), b, step)
+    return _unbatch(res_b, single), _unbatch(res_x, single)
 
-    div_b = _fd_div(patch, fr, _tangential_field(patch, xi_field, constant_field(b)), step)
-    res_b = abs(div_b - float(np.dot(b, fr.nu)) * eq.affine_mean)
 
-    div_x = _fd_div(patch, fr, _tangential_field(patch, xi_field, position_field()), step)
-    res_x = abs(div_x - patch.n * eq.support
-                - float(np.dot(fr.x, fr.nu)) * eq.affine_mean)
+def _divergence_constant_position(patch: ParametricPatch, xi_field: TransversalField,
+                                  eb: EquiaffineBatch, b,
+                                  step: float) -> tuple[np.ndarray, np.ndarray]:
+    fb, d = eb.frames, patch.dim
+    b = np.asarray(b, dtype=float)[:d]
+    X_b, X_x = constant_field(b), position_field()
+
+    def fields(Q):  # b^{top_xi} and x^{top_xi} side by side
+        nu, xi = patch.frames(Q).nu, xi_field(patch, Q)
+        return np.column_stack([affine_tangential(X_b(patch, Q), xi, nu),
+                                affine_tangential(X_x(patch, Q), xi, nu)])
+
+    dF = _frame_derivs(fields, fb, step)
+    res_b = np.abs(_divergence(dF[..., :d], fb) - (fb.nu @ b) * eb.affine_mean)
+    res_x = np.abs(_divergence(dF[..., d:], fb) - patch.n * eb.support
+                   - np.einsum("md,md->m", fb.x, fb.nu) * eb.affine_mean)
     return res_b, res_x
 
 
 def product_rule_residual(patch: ParametricPatch, xi_field: TransversalField,
                           f_field, X_field: TransversalField, p,
-                          step: float = PARAM_STEP) -> float:
+                          step: float = PARAM_STEP):
     """Residual of div_M(f X^{top_xi}) = f div_M X^{top_xi}
     + <xi,nu><grad_M f, X> - <X,nu><grad_M f, xi>."""
-    eq = equiaffine_frame(patch, xi_field, p, step=step)
-    fr = eq.frame
-    Y = _tangential_field(patch, xi_field, X_field)
-
-    def fY(P):
-        P = np.atleast_2d(P)
-        return np.asarray(f_field(patch, P))[:, None] * Y(P)
-
-    div_fY = _fd_div(patch, fr, fY, step)
-    f0 = float(np.asarray(f_field(patch, fr.p[None, :]))[0])
-    div_Y = _fd_div(patch, fr, Y, step)
-    grad_f = np.einsum(
-        "a,ad->d", _dirderivs(patch, fr, lambda P: np.asarray(f_field(patch, P)), step),
-        fr.e)
-    X0 = X_field(patch, fr.p[None, :])[0]
-    rhs = (f0 * div_Y + eq.support * float(np.dot(grad_f, X0))
-           - float(np.dot(X0, fr.nu)) * float(np.dot(grad_f, eq.xi)))
-    return abs(div_fY - rhs)
+    P, single = _as_batch(p)
+    eb = equiaffine_batch(patch, xi_field, P, step=step)
+    return _unbatch(_product_rule(patch, xi_field, f_field, X_field, eb, step), single)
 
 
-def _fd_div(patch: ParametricPatch, frame: PointFrame, fld, step: float) -> float:
-    dF = _dirderivs(patch, frame, fld, step)
-    return float(np.einsum("ad,ad->", dF, frame.e))
+def _product_rule(patch: ParametricPatch, xi_field: TransversalField, f_field,
+                  X_field: TransversalField, eb: EquiaffineBatch,
+                  step: float) -> np.ndarray:
+    fb, d = eb.frames, patch.dim
+
+    def fields(Q):  # f X^{top_xi}, X^{top_xi} and f side by side
+        f = np.asarray(f_field(patch, Q))
+        Y = affine_tangential(X_field(patch, Q), xi_field(patch, Q), patch.frames(Q).nu)
+        return np.column_stack([f[:, None] * Y, Y, f])
+
+    dF = _frame_derivs(fields, fb, step)
+    grad_f = np.einsum("ma,mad->md", dF[..., 2 * d], fb.e)
+    f0 = np.asarray(f_field(patch, fb.P))
+    X0 = X_field(patch, fb.P)
+    rhs = (f0 * _divergence(dF[..., d:2 * d], fb)
+           + eb.support * np.einsum("md,md->m", grad_f, X0)
+           - np.einsum("md,md->m", X0, fb.nu) * np.einsum("md,md->m", grad_f, eb.xi))
+    return np.abs(_divergence(dF[..., :d], fb) - rhs)
 
 
-def shape_products_asymmetry(eq: EquiaffineFrame) -> tuple[float, float]:
-    """Asymmetry of II*S and II*S^2; both vanish for equiaffine fields."""
-    II = eq.frame.sec_form
-    M1 = II @ eq.shape_op
+def shape_products_asymmetry(eq: EquiaffineFrame | EquiaffineBatch):
+    """Asymmetry of II*S and II*S^2; both vanish for equiaffine fields.
+
+    Floats for an EquiaffineFrame, (m,) arrays for an EquiaffineBatch.
+    """
+    single = isinstance(eq, EquiaffineFrame)
+    M1 = (eq.frame.sec_form if single else eq.frames.sec_form) @ eq.shape_op
     M2 = M1 @ eq.shape_op
-    return (float(np.max(np.abs(M1 - M1.T))), float(np.max(np.abs(M2 - M2.T))))
+    asym = (np.max(np.abs(M - np.swapaxes(M, -1, -2)), axis=(-2, -1)) for M in (M1, M2))
+    return tuple(float(a) if single else a for a in asym)
 
 
 # --------------------------------------------------------------------------
@@ -877,69 +895,51 @@ def shape_products_asymmetry(eq: EquiaffineFrame) -> tuple[float, float]:
 def _shape_op_coord(patch: ParametricPatch, xi_field: TransversalField, P,
                     step: float) -> np.ndarray:
     """Affine shape operator components S^i_j in the coordinate basis."""
-    P = np.atleast_2d(P)
     fb = patch.frames(P)
     xi = xi_field(patch, P)
     support = np.einsum("md,md->m", xi, fb.nu)
-    n = patch.n
-    S = np.empty((P.shape[0], n, n))
-    for j in range(n):
-        dP = np.zeros_like(P)
-        dP[:, j] = step
-        W = (xi_field(patch, P + dP) - xi_field(patch, P - dP)) / (2 * step)
-        tau_j = np.einsum("md,md->m", W, fb.nu) / support
-        S_Xj = tau_j[:, None] * xi - W
-        # solve <S(X_j), X_k> = sum_i S^i_j g_ik
-        rhs = np.einsum("md,mkd->mk", S_Xj, fb.tangents)
-        S[:, :, j] = np.einsum("mik,mk->mi", fb.metric_inv, rhs)
-    return S
+    # W[:, j] = d_j xi
+    W = _central_diffs(lambda Q: xi_field(patch, Q), P, _coordinate_axes(P), (step,))[0]
+    tau = np.einsum("mjd,md->mj", W, fb.nu) / support[:, None]
+    S_X = tau[:, :, None] * xi[:, None, :] - W
+    # solve <S(X_j), X_k> = sum_i S^i_j g_ik
+    rhs = np.einsum("mjd,mkd->mjk", S_X, fb.tangents)
+    return np.einsum("mik,mjk->mij", fb.metric_inv, rhs)
 
 
 def codazzi_residual(patch: ParametricPatch, xi_field: TransversalField, p,
-                     inner_step: float = PARAM_STEP, outer_step: float = 1e-4) -> float:
+                     inner_step: float = PARAM_STEP, outer_step: float = 1e-4):
     """Norm of [D^M_{e_1} S](e_2) - [D^M_{e_2} S](e_1) for the affine shape operator.
 
     Covariant derivatives are assembled in the coordinate frame from
     finite-differenced Christoffel symbols and a Richardson-extrapolated
     derivative of the shape-operator components.
     """
-    if patch.n == 1:
-        return 0.0
-    p = np.asarray(p, dtype=float)
-    frame = patch.frame_at(p)
-    n = patch.n
+    P, single = _as_batch(p)
+    m, n = P.shape
+    if n == 1:
+        return _unbatch(np.zeros(m), single)
+    fb = patch.frames(P)
 
-    def metric(q):
-        return patch.frames(np.atleast_2d(q)).metric[0]
+    def d_coord(fld):  # d_k fld at every point, one Richardson level: (m, k, ...)
+        d1, d2 = _central_diffs(fld, P, _coordinate_axes(P), (outer_step, 0.5 * outer_step))
+        return (4.0 * d2 - d1) / 3.0
 
-    dg = np.array([
-        central_diff(lambda t, k=k: metric(p + t * _unit(n, k)), 0.0, outer_step,
-                     richardson=True)
-        for k in range(n)])  # dg[k][m,l] = d_k g_{ml}
-    ginv = frame.metric_inv
-    # Gamma[i,k,l] = 1/2 g^{im} (d_k g_{ml} + d_l g_{mk} - d_m g_{kl})
-    Gamma = 0.5 * np.einsum("im,kml->ikl", ginv, dg + np.transpose(dg, (2, 1, 0))
-                            - np.transpose(dg, (1, 0, 2)))
+    dg = d_coord(lambda Q: patch.frames(Q).metric)  # dg[p, k, m, l] = d_k g_{ml}
+    # Gamma[p, i, k, l] = 1/2 g^{im} (d_k g_{ml} + d_l g_{mk} - d_m g_{kl})
+    Gamma = 0.5 * np.einsum("pim,pkml->pikl", fb.metric_inv,
+                            dg + np.transpose(dg, (0, 3, 2, 1))
+                            - np.transpose(dg, (0, 2, 1, 3)))
 
-    S0 = _shape_op_coord(patch, xi_field, p[None, :], inner_step)[0]
-    dS = np.array([
-        central_diff(
-            lambda t, k=k: _shape_op_coord(patch, xi_field,
-                                           (p + t * _unit(n, k))[None, :], inner_step)[0],
-            0.0, outer_step, richardson=True)
-        for k in range(n)])  # dS[k][i,j] = d_k S^i_j
+    S0 = _shape_op_coord(patch, xi_field, P, inner_step)
+    dS = d_coord(lambda Q: _shape_op_coord(patch, xi_field, Q, inner_step))
+    # dS[p, k, i, j] = d_k S^i_j
 
     def cov(k, j):  # components of [D^M_{X_k} S](X_j)
-        return (dS[k][:, j] + Gamma[:, k, :] @ S0[:, j]
-                - S0 @ Gamma[:, k, j])
+        return (dS[:, k, :, j] + np.einsum("pil,pl->pi", Gamma[:, :, k, :], S0[:, :, j])
+                - np.einsum("pil,pl->pi", S0, Gamma[:, :, k, j]))
 
-    res_coord = cov(0, 1) - cov(1, 0)               # components in X_i basis
-    res_amb = np.einsum("i,id->d", res_coord, frame.tangents)
-    det_C = np.linalg.det(frame.param_dirs)         # rescale (X_1, X_2) -> (e_1, e_2)
-    return float(np.linalg.norm(res_amb) * abs(det_C))
-
-
-def _unit(n: int, k: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[k] = 1.0
-    return e
+    res_coord = cov(0, 1) - cov(1, 0)                # components in X_i basis
+    res_amb = np.einsum("pi,pid->pd", res_coord, fb.tangents)
+    det_C = np.linalg.det(fb.param_dirs)             # rescale (X_1, X_2) -> (e_1, e_2)
+    return _unbatch(np.linalg.norm(res_amb, axis=1) * np.abs(det_C), single)

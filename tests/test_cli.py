@@ -181,3 +181,65 @@ def test_bundled_scenarios_load():
         doc = cli.load_config(name)
         scn = cli.Scenario(doc)
         assert scn.checks
+
+
+def test_non_spd_matrix_is_config_error(tmp_path, monkeypatch, capsys):
+    bad = {"family": "quadratic",
+           "matrix": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]]}
+    with pytest.raises(ConfigError, match="positive definite"):
+        cli.build_norm(bad, "bad")
+    cfg = write_config(tmp_path, {"norms": {"bad": bad}, "checks": []})
+    assert run_cli(["run", "--config", cfg], monkeypatch) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
+def test_dim_mismatch_is_config_error(tmp_path, monkeypatch, capsys):
+    doc = minimal_scenario(tmp_path / "out")
+    doc["norms"]["e2"] = {"family": "euclidean", "dim": 2}
+    doc["checks"][0]["norm"] = "e2"
+    with pytest.raises(ConfigError, match="has dim 2"):
+        cli.Scenario(doc)
+    cfg = write_config(tmp_path, doc)
+    assert run_cli(["run", "--config", cfg], monkeypatch) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    # a constant transversal field must live in the surface's space too
+    doc["checks"] = [{"kind": "lemmas", "name": "x", "surface": "plane",
+                      "xi": "constant", "constant": [0.0, 1.0]}]
+    with pytest.raises(ConfigError, match="has dim 2"):
+        cli.Scenario(doc)
+
+
+def test_rejected_argument_does_not_abort_suite(tmp_path, monkeypatch, capsys):
+    doc = minimal_scenario(tmp_path / "out")
+    # a radius <= 0 is rejected when the check runs; the other check still
+    # runs and writes its CSV row
+    doc["checks"] = [
+        {"kind": "monotonicity", "name": "ok", "surface": "plane",
+         "norm": "euclid", "radii": [0.4, 0.8]},
+        {"kind": "monotonicity", "name": "bad", "surface": "plane",
+         "norm": "euclid", "radii": [-0.5, 0.5]},
+    ]
+    cfg = write_config(tmp_path, doc)
+    assert run_cli(["run", "--config", cfg], monkeypatch) == 1
+    captured = capsys.readouterr()
+    assert "[ERROR] bad (monotonicity): ValueError" in captured.out
+    assert "Traceback" not in captured.err
+    rows = (tmp_path / "out" / "monotonicity.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[2:]] == ["ok"]
+
+
+def test_program_fault_recorded_with_traceback(tmp_path, monkeypatch, capsys):
+    def broken(scn, name, chk):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(cli, "_check_symfunc", broken)
+    doc = minimal_scenario(tmp_path / "out")
+    doc["checks"].append({"kind": "symfunc", "name": "broken"})
+    cfg = write_config(tmp_path, doc)
+    assert run_cli(["run", "--config", cfg], monkeypatch) == 1
+    captured = capsys.readouterr()
+    assert "[ERROR] broken (symfunc): ZeroDivisionError: boom" in captured.out
+    assert "Traceback" in captured.err
+    assert (tmp_path / "out" / "monotonicity.csv").exists()
