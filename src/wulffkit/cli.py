@@ -278,12 +278,11 @@ def _check_condition_s(scn, name, chk) -> CheckOutcome:
     samples = int(chk.get("samples", 10_000))
     k = int(chk.get("worst_k", 10))
     dual = norm.dual()
-    verdict = cs.check_condition_s(norm, samples, seed=scn.seed, dual=dual)
-    pairs = cs.worst_pairs(norm, samples, k=k, seed=scn.seed, dual=dual)
+    verdict = cs.check_condition_s(norm, samples, seed=scn.seed, dual=dual, worst_k=k)
     rows = [{"name": name, "norm": chk["norm"], "rank": i,
              "u": rep.u, "v": rep.v, "lhs": rep.lhs, "rhs": rep.rhs_sign_ref,
              "fk_residual": rep.fk_residual, "margin": rep.margin}
-            for i, rep in enumerate(pairs)]
+            for i, rep in enumerate(verdict.worst_pairs)]
     expect = chk.get("expect", "pass")
     ok = verdict.passed if expect == "pass" else not verdict.passed
     line = (f"{'sign condition holds' if verdict.passed else 'VIOLATED'} on "

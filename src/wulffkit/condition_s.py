@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.stats import qmc
 
 from .errors import ZeroDirection
 from .norms import DualNorm, MinkowskiNorm, ZERO_FLOOR
@@ -70,11 +68,13 @@ class ConditionSVerdict:
     max_fk_residual: float
     min_margin: float
     deadband_pairs: int
+    worst_pairs: list[PairReport] = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
 
 def unit_pair_samples(dim: int, count: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Low-discrepancy (Halton) direction pairs on S^{dim-1} x S^{dim-1}."""
+    from scipy.stats import qmc   # deferred: SciPy dominates the import time
     if dim == 2:
         pts = qmc.Halton(d=2, scramble=True, seed=seed).random(count)
         a, b = 2 * np.pi * pts[:, 0], 2 * np.pi * pts[:, 1]
@@ -114,50 +114,63 @@ def pair_report(norm: MinkowskiNorm, u, v, dual: DualNorm | None = None,
                       eps_sign=eps_sign)
 
 
-def _pair_arrays(norm: MinkowskiNorm, dual: DualNorm, U: np.ndarray, V: np.ndarray):
-    """lhs, rhs, fk arrays for sample batches (vectorized for closed duals)."""
+def _scan(norm: MinkowskiNorm, dual: DualNorm, U: np.ndarray, V: np.ndarray,
+          eps_sign: float, delta_zero: float):
+    """Pairing diagnostics of the sample pairs (U[i], V[i]): lhs, rhs, fk and
+    margin arrays, and the dual-ascent counts (empty for a closed dual).
+
+    The margin is positive when the pair is compatible with condition S."""
     GU = np.asarray(norm.grad(U))
     if dual.mode == "closed":
-        GV = np.asarray(dual.grad(V))
-        FV = np.asarray(dual.value(V))
+        GV, FV = np.asarray(dual.grad(V)), np.asarray(dual.value(V))
+        counts = {}
     else:
-        pairs = [dual.eval_with_maximizer(row) for row in V]
-        FV = np.array([p[0] for p in pairs])
-        GV = np.array([p[1] for p in pairs])
+        FV, GV, iterations, fallbacks = dual._ascend(V)
+        counts = {"dual_iterations": iterations, "dual_fallbacks": fallbacks}
     lhs = np.einsum("mi,mi->m", GU, GV)
     rhs = np.einsum("mi,mi->m", U, V)
     fk = lhs - rhs / (np.asarray(norm.value(U)) * FV)
-    return lhs, rhs, fk
+    margin = np.where(np.abs(rhs) >= eps_sign, lhs * np.where(rhs > 0, 1.0, -1.0),
+                      delta_zero - np.abs(lhs))
+    return lhs, rhs, fk, margin, counts
+
+
+def _ranked(U, V, lhs, rhs, fk, margin, k: int, eps_sign: float) -> list[PairReport]:
+    """The k pairs with the smallest margin, smallest first."""
+    return [PairReport(u=U[i], v=V[i], lhs=float(lhs[i]), rhs_sign_ref=float(rhs[i]),
+                       fk_residual=float(fk[i]), eps_sign=eps_sign)
+            for i in np.argsort(margin)[:k]]
 
 
 def check_condition_s(norm: MinkowskiNorm, sample_count: int = 10_000,
                       eps_sign: float = EPS_SIGN, delta_zero: float = DELTA_ZERO,
-                      seed: int = 0, dual: DualNorm | None = None) -> ConditionSVerdict:
+                      seed: int = 0, dual: DualNorm | None = None,
+                      worst_k: int = 0) -> ConditionSVerdict:
     """Scan quasi-random unit pairs for sign-condition violations.
 
     A pair with |<u,v>| >= eps_sign must have <grad F(u), grad F°(v)> of the
     same strict sign; a near-orthogonal pair must have |pairing| < delta_zero.
+    The verdict lists the worst_k pairs of smallest margin in `worst_pairs`,
+    as :func:`worst_pairs` would, from the same scan.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     dual = dual or norm.dual()
     U, V = unit_pair_samples(norm.dim, sample_count, seed=seed)
-    lhs, rhs, fk = _pair_arrays(norm, dual, U, V)
-
-    sgn = np.where(rhs > 0, 1.0, -1.0)
-    decisive = np.abs(rhs) >= eps_sign
-    margin = np.where(decisive, lhs * sgn, delta_zero - np.abs(lhs))
+    lhs, rhs, fk, margin, counts = _scan(norm, dual, U, V, eps_sign, delta_zero)
     worst_i = int(np.argmin(margin))
     worst = PairReport(u=U[worst_i], v=V[worst_i], lhs=float(lhs[worst_i]),
                        rhs_sign_ref=float(rhs[worst_i]),
                        fk_residual=float(fk[worst_i]), eps_sign=eps_sign)
-    passed = bool(np.all(margin > 0.0))
     return ConditionSVerdict(
-        passed=passed, worst=worst, samples=sample_count, eps_sign=eps_sign,
-        delta_zero=delta_zero, max_fk_residual=float(np.max(fk)),
-        min_margin=float(np.min(margin)), deadband_pairs=int(np.sum(~decisive)),
+        passed=bool(np.all(margin > 0.0)), worst=worst, samples=sample_count,
+        eps_sign=eps_sign, delta_zero=delta_zero, max_fk_residual=float(np.max(fk)),
+        min_margin=float(np.min(margin)),
+        deadband_pairs=int(np.sum(np.abs(rhs) < eps_sign)),
+        worst_pairs=_ranked(U, V, lhs, rhs, fk, margin, worst_k, eps_sign),
         metadata={"seed": seed, "norm": norm.label,
-                  "sign_semantics": "dead-band classification, see module docstring"})
+                  "sign_semantics": "dead-band classification, see module docstring",
+                  **counts})
 
 
 def worst_pairs(norm: MinkowskiNorm, sample_count: int = 10_000, k: int = 10,
@@ -166,13 +179,8 @@ def worst_pairs(norm: MinkowskiNorm, sample_count: int = 10_000, k: int = 10,
     """The k sampled pairs with the smallest sign-condition margin."""
     dual = dual or norm.dual()
     U, V = unit_pair_samples(norm.dim, sample_count, seed=seed)
-    lhs, rhs, fk = _pair_arrays(norm, dual, U, V)
-    sgn = np.where(rhs > 0, 1.0, -1.0)
-    decisive = np.abs(rhs) >= eps_sign
-    margin = np.where(decisive, lhs * sgn, DELTA_ZERO - np.abs(lhs))
-    order = np.argsort(margin)[:k]
-    return [PairReport(u=U[i], v=V[i], lhs=float(lhs[i]), rhs_sign_ref=float(rhs[i]),
-                       fk_residual=float(fk[i]), eps_sign=eps_sign) for i in order]
+    lhs, rhs, fk, margin, _ = _scan(norm, dual, U, V, eps_sign, DELTA_ZERO)
+    return _ranked(U, V, lhs, rhs, fk, margin, k, eps_sign)
 
 
 @dataclass
@@ -200,6 +208,7 @@ def search_violation(norm: MinkowskiNorm, n_starts: int = 12, seed: int = 0,
     A negative optimum certifies a sign-condition violation; the search is
     local, so a non-negative optimum is evidence, not proof.
     """
+    from scipy.optimize import minimize   # deferred: SciPy dominates the import time
     if norm.dim not in (2, 3):
         raise ValueError("violation search is implemented for d in {2, 3}")
     dual = dual or norm.dual()

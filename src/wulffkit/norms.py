@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,6 +28,10 @@ from .fd import central_diff
 
 ZERO_FLOOR = 1e-12
 
+# entries of the (rows x grid) block the numeric dual's grid scan forms at
+# once: 256 KiB stays in cache (4 MiB blocks made the scan 3-4x slower)
+_SCAN_ENTRIES = 1 << 15
+
 # finite-difference steps for the custom-norm fallback
 _FD_GRAD_STEP = 1e-5
 _FD_HESS_VALUE_STEP = 1e-4
@@ -35,8 +39,7 @@ _FD_HESS_VALUE_STEP = 1e-4
 
 def _check_direction(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
-    norms = np.linalg.norm(u, axis=-1)
-    if np.any(norms < ZERO_FLOOR):
+    if (np.einsum("...i,...i->...", u, u) < ZERO_FLOOR * ZERO_FLOOR).any():
         raise ZeroDirection(f"direction norm below floor {ZERO_FLOOR:g}")
     return u
 
@@ -129,66 +132,85 @@ class MinkowskiNorm:
     def value(self, u):
         """F(u) for a single direction (d,) or a batch (m, d)."""
         u = _check_direction(u)
-        single = u.ndim == 1
-        U = u[None, :] if single else u
-        if self.family == "euclidean":
-            out = np.linalg.norm(U, axis=1)
-        elif self.family == "quadratic":
-            out = np.sqrt(np.einsum("mi,ij,mj->m", U, self.matrix, U))
-        elif self.family == "quartic":
-            out = self._quartic_G(U) ** 0.25
-        else:
-            out = np.array([float(self._value_fn(row)) for row in U])
-        return float(out[0]) if single else out
+        out = self._value(u[None, :] if u.ndim == 1 else u)
+        return float(out[0]) if u.ndim == 1 else out
 
     def grad(self, u):
         """grad F(u); 0-homogeneous in u."""
         u = _check_direction(u)
-        single = u.ndim == 1
-        U = u[None, :] if single else u
-        if self.family == "euclidean":
-            out = U / np.linalg.norm(U, axis=1, keepdims=True)
-        elif self.family == "quadratic":
-            Au = U @ self.matrix
-            F = np.sqrt(np.einsum("mi,mi->m", Au, U))
-            out = Au / F[:, None]
-        elif self.family == "quartic":
-            G = self._quartic_G(U)
-            out = (U ** 3 + self.quartic_eps
-                   * np.sum(U * U, axis=1)[:, None] * U) / (G ** 0.75)[:, None]
-        else:
-            out = np.array([self._custom_grad(row) for row in U])
-        return out[0] if single else out
+        out = self._grad(u[None, :] if u.ndim == 1 else u)
+        return out[0] if u.ndim == 1 else out
 
     def hess(self, u):
         """D^2 F(u); (-1)-homogeneous, with u in its kernel."""
         u = _check_direction(u)
-        single = u.ndim == 1
-        U = u[None, :] if single else u
+        out = self._hess(u[None, :] if u.ndim == 1 else u)
+        return out[0] if u.ndim == 1 else out
+
+    # Unchecked evaluation of a batch U (m, d) of nonzero rows.
+
+    def _value(self, U: np.ndarray) -> np.ndarray:
+        if self.family == "euclidean":
+            return np.linalg.norm(U, axis=1)
+        if self.family == "quadratic":
+            return np.sqrt(np.einsum("mi,ij,mj->m", U, self.matrix, U))
+        if self.family == "quartic":
+            return self._quartic_G(U, np.sum(U * U, axis=1)) ** 0.25
+        return np.array([float(self._value_fn(row)) for row in U])
+
+    def _grad(self, U: np.ndarray) -> np.ndarray:
+        if self.family == "euclidean":
+            return U / np.linalg.norm(U, axis=1, keepdims=True)
+        if self.family == "quadratic":
+            Au = U @ self.matrix
+            return Au / np.sqrt(np.einsum("mi,mi->m", Au, U))[:, None]
+        if self.family == "quartic":
+            G, _, P = self._quartic_parts(U)
+            return P / (G ** 0.75)[:, None]
+        return np.array([self._custom_grad(row) for row in U])
+
+    def _hess(self, U: np.ndarray) -> np.ndarray:
         if self.family == "euclidean":
             nrm = np.linalg.norm(U, axis=1)
             uh = U / nrm[:, None]
             eye = np.eye(self.dim)[None, :, :]
-            out = (eye - uh[:, :, None] * uh[:, None, :]) / nrm[:, None, None]
-        elif self.family == "quadratic":
+            return (eye - uh[:, :, None] * uh[:, None, :]) / nrm[:, None, None]
+        if self.family == "quadratic":
+            Au = U @ self.matrix
+            return self._quadratic_hess(Au, np.sqrt(np.einsum("mi,mi->m", Au, U)))
+        if self.family == "quartic":
+            return self._quartic_hess(U, *self._quartic_parts(U))
+        return np.array([self._custom_hess(row) for row in U])
+
+    def _jet(self, U: np.ndarray):
+        """F(U), grad F(U) and a function evaluating D^2 F on the rows U[keep];
+        the closed forms share their intermediates among the three."""
+        if self.family == "quadratic":
             Au = U @ self.matrix
             F = np.sqrt(np.einsum("mi,mi->m", Au, U))
-            out = (self.matrix[None, :, :] / F[:, None, None]
-                   - Au[:, :, None] * Au[:, None, :] / (F ** 3)[:, None, None])
-        elif self.family == "quartic":
-            out = self._quartic_hess(U)
-        else:
-            out = np.array([self._custom_hess(row) for row in U])
-        return out[0] if single else out
+            return F, Au / F[:, None], lambda keep: self._quadratic_hess(Au[keep], F[keep])
+        if self.family == "quartic":
+            G, r2, P = self._quartic_parts(U)
+            return (G ** 0.25, P / (G ** 0.75)[:, None],
+                    lambda keep: self._quartic_hess(U[keep], G[keep], r2[keep], P[keep]))
+        return self._value(U), self._grad(U), lambda keep: self._hess(U[keep])
 
-    def _quartic_G(self, U: np.ndarray) -> np.ndarray:
-        return np.sum(U ** 4, axis=1) + self.quartic_eps * np.sum(U * U, axis=1) ** 2
+    def _quadratic_hess(self, Au: np.ndarray, F: np.ndarray) -> np.ndarray:
+        return (self.matrix[None, :, :] / F[:, None, None]
+                - Au[:, :, None] * Au[:, None, :] / (F ** 3)[:, None, None])
 
-    def _quartic_hess(self, U: np.ndarray) -> np.ndarray:
-        eps = self.quartic_eps
-        G = self._quartic_G(U)
+    def _quartic_G(self, U: np.ndarray, r2: np.ndarray) -> np.ndarray:
+        """G = F^4, given r2 = |u|^2."""
+        return np.sum(U ** 4, axis=1) + self.quartic_eps * r2 ** 2
+
+    def _quartic_parts(self, U: np.ndarray):
+        """G, |u|^2 and P = grad G / 4, shared by the quartic's derivatives."""
         r2 = np.sum(U * U, axis=1)
-        dG = 4.0 * (U ** 3 + eps * r2[:, None] * U)
+        return self._quartic_G(U, r2), r2, U ** 3 + self.quartic_eps * r2[:, None] * U
+
+    def _quartic_hess(self, U, G, r2, P) -> np.ndarray:
+        eps = self.quartic_eps
+        dG = 4.0 * P
         eye = np.eye(self.dim)[None, :, :]
         hessG = (12.0 * U[:, :, None] ** 2 * eye
                  + 8.0 * eps * U[:, :, None] * U[:, None, :]
@@ -253,7 +275,7 @@ class MinkowskiNorm:
         """
         u = _check_direction(np.asarray(u, dtype=float))
         uh = u / np.linalg.norm(u)
-        Q = _orthonormal_complement(uh)
+        Q = _orthonormal_complement(uh[None, :])[0]
         B = Q.T @ self.hess(uh) @ Q
         return float(np.linalg.eigvalsh(0.5 * (B + B.T))[0])
 
@@ -289,20 +311,16 @@ def _hessian_directions(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return dirs, iu, ju
 
 
-def _orthonormal_complement(uh: np.ndarray) -> np.ndarray:
-    """Columns form an orthonormal basis of uh^perp (Householder frame)."""
-    d = uh.shape[0]
-    e0 = np.zeros(d)
-    e0[0] = 1.0
-    w = uh - e0 if uh[0] >= 0 else uh + e0
-    wn = np.linalg.norm(w)
-    if wn < 1e-14:
-        H = np.eye(d)
-    else:
-        w = w / wn
-        H = np.eye(d) - 2.0 * np.outer(w, w)
-    # column 0 of H is ±uh; the rest span the complement
-    return H[:, 1:]
+def _orthonormal_complement(Uh: np.ndarray) -> np.ndarray:
+    """(m, d, d-1): the columns of slice i are an orthonormal basis of
+    Uh[i]^perp, for unit rows Uh (m, d) (Householder frame)."""
+    W = Uh.copy()
+    W[:, 0] -= np.where(Uh[:, 0] >= 0, 1.0, -1.0)     # uh - e0, or uh + e0
+    wn2 = np.einsum("md,md->m", W, W)
+    # w = 0 (the identity frame) where uh = e0
+    W /= np.sqrt(np.where(wn2 < 1e-28, np.inf, wn2))[:, None]
+    # column 0 of H = I - 2 w w^T is ±uh; the rest span the complement
+    return np.eye(Uh.shape[1])[None, :, 1:] - (2.0 * W)[:, :, None] * W[:, None, 1:]
 
 
 @dataclass(frozen=True)
@@ -322,13 +340,28 @@ class NumericDualOptions:
     initial_step: float = 1.0
 
 
+class Ascent(NamedTuple):
+    """Result of one lockstep dual ascent over a batch of m directions."""
+    value: np.ndarray       # F°(v), (m,)
+    maximizer: np.ndarray   # u* with F(u*) = 1 and <u*, v> = F°(v), (m, d)
+    iterations: int         # the most loop iterations any row took
+    fallbacks: int          # rows that took at least one Armijo step
+
+
 class DualNorm:
     """Dual gauge F°(v) = sup_{u != 0} <u, v>/F(u).
 
     mode "closed" uses the quadratic/Euclidean formulas; mode "numeric"
-    maximizes over the unit sphere (coarse grid scan, then projected
-    gradient ascent with Armijo backtracking).  "auto" picks closed form
-    when one exists.
+    maximizes over the unit sphere (coarse grid scan, then safeguarded
+    spherical Newton with an Armijo gradient fallback).  "auto" picks
+    closed form when one exists.
+
+    The numeric ascent runs a whole batch (m, d) in lockstep: every
+    iteration evaluates F, grad F and D^2 F of the base gauge once for all
+    rows still iterating, solves their Newton systems in one batched call,
+    backtracks only the rows whose Newton step is rejected, and retires
+    each row when its projected gradient falls below grad_tol.  A single
+    direction is a batch of one.
     """
 
     def __init__(self, base: MinkowskiNorm, mode: str = "auto",
@@ -362,7 +395,7 @@ class DualNorm:
             else:
                 out = np.sqrt(np.einsum("mi,ij,mj->m", V, self.base.matrix_inv, V))
         else:
-            out = np.array([self._ascend(row)[0] for row in V])
+            out = self._ascend(V).value
         return float(out[0]) if single else out
 
     def grad(self, v):
@@ -377,15 +410,18 @@ class DualNorm:
                 Bv = V @ self.base.matrix_inv
                 out = Bv / np.sqrt(np.einsum("mi,mi->m", Bv, V))[:, None]
         else:
-            out = np.array([self._ascend(row)[1] for row in V])
+            out = self._ascend(V).maximizer
         return out[0] if single else out
 
-    def eval_with_maximizer(self, v) -> tuple[float, np.ndarray]:
-        """(F°(v), u*) with F(u*) = 1 and <u*, v> = F°(v)."""
-        v = _check_direction(np.asarray(v, dtype=float))
+    def eval_with_maximizer(self, v):
+        """(F°(v), u*) with F(u*) = 1 and <u*, v> = F°(v); for a batch (m, d),
+        the arrays (m,) and (m, d)."""
+        v = _check_direction(v)
         if self.mode == "closed":
-            return float(self.value(v)), np.asarray(self.grad(v))
-        return self._ascend(v)
+            return self.value(v), self.grad(v)
+        single = v.ndim == 1
+        q, U = self._ascend(v[None, :] if single else v)[:2]
+        return (float(q[0]), U[0]) if single else (q, U)
 
     def as_norm(self, label: str | None = None) -> MinkowskiNorm:
         """Wrap the dual as a gauge usable wherever a MinkowskiNorm is."""
@@ -397,76 +433,134 @@ class DualNorm:
 
     # -- numeric path -------------------------------------------------------
 
-    def _ascend(self, v: np.ndarray) -> tuple[float, np.ndarray]:
-        """Maximize <u, v>/F(u) on the sphere: grid scan, then safeguarded
-        spherical Newton with an Armijo gradient fallback."""
+    def _ascend(self, V: np.ndarray) -> Ascent:
+        """Maximize <u, v>/F(u) on the unit sphere for every row v of V (m, d):
+        grid scan, then safeguarded spherical Newton with an Armijo gradient
+        fallback, all rows in lockstep."""
         opt = self.options
         base = self.base
-        q_grid = (self._grid @ v) / self._grid_F
-        u = self._grid[int(np.argmax(q_grid))].copy()
-
-        def q_of(w):
-            return float(np.dot(w, v)) / base.value(w)
-
-        q = q_of(u)
-        step = opt.initial_step
-        for _ in range(opt.max_iter):
-            F = base.value(u)
-            gF = np.asarray(base.grad(u))
-            g = v / F - (q / F) * gF
-            gt = g - np.dot(g, u) * u
-            gn = float(np.linalg.norm(gt))
-            if gn < opt.grad_tol:
-                return q, u / F
-            un = self._newton_step(u, v, q, F, gF, g)
-            if un is not None:
-                qn = q_of(un)
-                # near convergence the Newton step shrinks the gradient even
-                # when the objective gain is below one ulp; accept those too
-                tiny = float(np.linalg.norm(un - u)) < 1e-6
-                if qn > q or (tiny and qn >= q - 8e-16 * max(1.0, abs(q))):
-                    u, q = un, qn
+        m, d = V.shape
+        grid = self._grid
+        U = np.empty((m, d))
+        chunk = max(1, _SCAN_ENTRIES // len(grid))
+        for s in range(0, m, chunk):
+            U[s:s + chunk] = grid[np.argmax((V[s:s + chunk] @ grid.T) / self._grid_F, axis=1)]
+        q = np.einsum("md,md->m", U, V) / base._value(U)
+        q_out, U_out = np.empty(m), np.empty((m, d))
+        rows = np.arange(m)                   # input row of each active row
+        step = np.full(m, opt.initial_step)   # Armijo step memory per row
+        fell_back = np.zeros(m, dtype=bool)
+        for it in range(opt.max_iter):
+            # the iterates are unit rows, so the base gauge skips its checks
+            F, gF, hess = base._jet(U)
+            g = V / F[:, None] - (q / F)[:, None] * gF
+            gu = np.einsum("md,md->m", g, U)
+            gt = g - gu[:, None] * U
+            gn = np.sqrt(np.einsum("md,md->m", gt, gt))
+            done = gn < opt.grad_tol
+            keep = slice(None)
+            if len(rows) == m and done.all():    # no row retired before
+                return Ascent(q, U / F[:, None], it + 1, int(fell_back.sum()))
+            if done.any():
+                q_out[rows[done]], U_out[rows[done]] = q[done], U[done] / F[done, None]
+                if done.all():
+                    return Ascent(q_out, U_out, it + 1, int(fell_back.sum()))
+                keep = ~done
+                rows, U, V, q, step, F, gF, g, gu, gt, gn = (
+                    x[keep] for x in (rows, U, V, q, step, F, gF, g, gu, gt, gn))
+            try:
+                HF = hess(keep)
+            except Exception:   # no Hessian: these rows take the Armijo step
+                HF = None
+            if HF is None:
+                accept = np.zeros(len(U), dtype=bool)
+            else:
+                un, ok = _spherical_newton(U, q, F, gF, HF, g, gu)
+                qn = np.einsum("md,md->m", un, V) / base._value(un)
+                accept = ok & (qn > q)
+                if not accept.all():
+                    # near convergence the Newton step shrinks the gradient even
+                    # when the objective gain is below one ulp; accept those too
+                    dn = un - U
+                    tiny = np.sqrt(np.einsum("md,md->m", dn, dn)) < 1e-6
+                    accept |= ok & tiny & (qn >= q - 8e-16 * np.maximum(1.0, np.abs(q)))
+                if accept.all():
+                    U, q = un, qn
                     continue
-            # Armijo gradient ascent fallback with step memory
-            t = step
-            improved = False
-            while t > 1e-18:
-                cand = u + t * gt
-                cand = cand / np.linalg.norm(cand)
-                qc = q_of(cand)
-                if qc > q and qc >= q + opt.armijo_c * t * gn * gn:
-                    u, q = cand, qc
-                    step = min(2.0 * t, opt.initial_step)
-                    improved = True
-                    break
-                t *= opt.backtrack
-            if not improved:
-                if gn < 1e4 * opt.grad_tol:  # stagnated at floating-point floor
-                    return q, u / base.value(u)
-                raise NonConvergence("dual ascent line search stalled")
+                U, q = np.where(accept[:, None], un, U), np.where(accept, qn, q)
+            rejected = np.flatnonzero(~accept)
+            fell_back[rows[rejected]] = True
+            stalled = self._armijo(U, V, q, step, gt, gn, rejected)
+            if stalled.size:
+                if np.any(gn[stalled] >= 1e4 * opt.grad_tol):
+                    raise NonConvergence("dual ascent line search stalled")
+                # stagnated at the floating-point floor: these rows are done
+                q_out[rows[stalled]], U_out[rows[stalled]] = q[stalled], U[stalled] / F[stalled, None]
+                keep = np.ones(len(U), dtype=bool)
+                keep[stalled] = False
+                if not keep.any():
+                    return Ascent(q_out, U_out, it + 1, int(fell_back.sum()))
+                rows, U, V, q, step = (x[keep] for x in (rows, U, V, q, step))
         raise NonConvergence(
             f"dual ascent did not reach tol {opt.grad_tol:g} in {opt.max_iter} iters")
 
-    def _newton_step(self, u, v, q, F, gF, g) -> np.ndarray | None:
-        """One Newton step for the spherical optimality system, or None."""
-        try:
-            HF = np.asarray(self.base.hess(u))
-        except Exception:
-            return None
-        D2q = (-(np.outer(v, gF) + np.outer(gF, v)) / F**2
-               + 2.0 * q / F**2 * np.outer(gF, gF) - (q / F) * HF)
-        Q = _orthonormal_complement(u / np.linalg.norm(u))
-        Hs = Q.T @ D2q @ Q - float(np.dot(g, u)) * np.eye(Q.shape[1])
-        rhs = -(Q.T @ g)
-        try:
-            delta = np.linalg.solve(Hs, rhs)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(delta)) or np.linalg.norm(delta) > 0.5:
-            return None
-        un = u + Q @ delta
-        nn = np.linalg.norm(un)
-        if nn < 1e-12:
-            return None
-        return un / nn
+    def _armijo(self, U, V, q, step, gt, gn, rows) -> np.ndarray:
+        """Armijo backtracking along the projected gradient gt for the active
+        rows `rows`, updating U, q and the step memory in place; returns the
+        rows that found no ascent step."""
+        opt = self.options
+        t = step[rows]
+        stalled = []
+        while rows.size:
+            live = t > 1e-18
+            if not live.all():
+                stalled.append(rows[~live])
+                rows, t = rows[live], t[live]
+                continue
+            cand = U[rows] + t[:, None] * gt[rows]
+            cand /= np.sqrt(np.einsum("md,md->m", cand, cand))[:, None]
+            qc = np.einsum("md,md->m", cand, V[rows]) / self.base._value(cand)
+            qr = q[rows]
+            up = (qc > qr) & (qc >= qr + opt.armijo_c * t * gn[rows] * gn[rows])
+            moved = rows[up]
+            U[moved], q[moved] = cand[up], qc[up]
+            step[moved] = np.minimum(2.0 * t[up], opt.initial_step)
+            rows, t = rows[~up], t[~up] * opt.backtrack
+        return np.concatenate(stalled) if stalled else rows
 
+
+def _spherical_newton(U, q, F, gF, HF, g, gu):
+    """One batched Newton step for the optimality system of <u, v>/F(u) on the
+    unit sphere, in the tangent frame of each row: (new rows, ok).  A row
+    whose step is singular, non-finite, longer than 0.5 or degenerate gets
+    ok False, and the caller keeps its iterate."""
+    Q = _orthonormal_complement(U)                   # (k, d, d-1)
+    r = np.einsum("kd,kdj->kj", g, Q)                # Q^T grad q
+    b = np.einsum("kd,kdj->kj", gF, Q)               # Q^T grad F
+    # Q^T D^2 q Q - <g, u> I, with D^2 q = -(g gF^T + gF g^T)/F - (q/F) D^2 F
+    rb = r[:, :, None] * b[:, None, :]
+    Hs = (-(rb + np.swapaxes(rb, 1, 2)) / F[:, None, None]
+          - (q / F)[:, None, None] * (np.swapaxes(Q, 1, 2) @ HF @ Q)
+          - gu[:, None, None] * np.eye(Q.shape[2]))
+    delta = _solve_rows(Hs, -r)
+    ok = np.sqrt(np.einsum("kj,kj->k", delta, delta)) <= 0.5   # False if non-finite
+    un = U + np.einsum("kdj,kj->kd", Q, np.where(ok[:, None], delta, 0.0))
+    # un = u + Q delta with Q delta orthogonal to the unit row u, so |un| >= 1
+    nn = np.sqrt(np.einsum("kd,kd->k", un, un))
+    ok &= nn >= 1e-12
+    return un / nn[:, None], ok
+
+
+def _solve_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x[i] with A[i] x[i] = b[i] for A (k, n, n), b (k, n); NaN where A[i] is
+    singular."""
+    if A.shape[1] == 1:    # LU of a 1x1 system is one division
+        return np.divide(b, A[:, 0], out=np.full_like(b, np.nan), where=A[:, 0] != 0.0)
+    try:
+        return np.linalg.solve(A, b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        singular = ~(np.abs(np.linalg.det(A)) > 0.0)
+        x = np.linalg.solve(np.where(singular[:, None, None], np.eye(A.shape[1]), A),
+                            b[:, :, None])[:, :, 0]
+        x[singular] = np.nan
+        return x

@@ -417,7 +417,7 @@ def hyperplane(normal=(0.0, 0.0, 1.0), origin=(0.0, 0.0, 0.0),
     origin = np.asarray(origin, dtype=float)
     # orthonormal in-plane basis with a x b = normal
     from .norms import _orthonormal_complement
-    Q = _orthonormal_complement(nrm)
+    Q = _orthonormal_complement(nrm[None, :])[0]
     a, bvec = Q[:, 0], Q[:, 1]
     if np.dot(np.cross(a, bvec), nrm) < 0:
         a, bvec = bvec, a

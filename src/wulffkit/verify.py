@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (BoundaryInsideRegion, GaugeZero, NotClosed, NotEquiaffine,
                      OriginNotOnSurface)
@@ -227,6 +226,7 @@ def _locate_origin(patch: ParametricPatch, origin_param, grid: int) -> np.ndarra
         G = patch.sample_grid(max(grid, 17))
         d2 = np.sum(patch.chart(G) ** 2, axis=1)
         p0 = G[int(np.argmin(d2))]
+        from scipy.optimize import minimize   # deferred: SciPy dominates the import time
         res = minimize(lambda q: float(np.sum(patch.chart(q[None, :])[0] ** 2)),
                        p0, method="Nelder-Mead",
                        options={"xatol": 1e-14, "fatol": 1e-28, "maxiter": 4000})
