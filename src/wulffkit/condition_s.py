@@ -136,10 +136,11 @@ def _scan(norm: MinkowskiNorm, dual: DualNorm, U: np.ndarray, V: np.ndarray,
 
 
 def _ranked(U, V, lhs, rhs, fk, margin, k: int, eps_sign: float) -> list[PairReport]:
-    """The k pairs with the smallest margin, smallest first."""
+    """The k pairs with the smallest margin, smallest first (ties in sample
+    order, so the first is the one np.argmin picks)."""
     return [PairReport(u=U[i], v=V[i], lhs=float(lhs[i]), rhs_sign_ref=float(rhs[i]),
                        fk_residual=float(fk[i]), eps_sign=eps_sign)
-            for i in np.argsort(margin)[:k]]
+            for i in np.argsort(margin, kind="stable")[:k]]
 
 
 def check_condition_s(norm: MinkowskiNorm, sample_count: int = 10_000,
@@ -151,23 +152,20 @@ def check_condition_s(norm: MinkowskiNorm, sample_count: int = 10_000,
     A pair with |<u,v>| >= eps_sign must have <grad F(u), grad F°(v)> of the
     same strict sign; a near-orthogonal pair must have |pairing| < delta_zero.
     The verdict lists the worst_k pairs of smallest margin in `worst_pairs`,
-    as :func:`worst_pairs` would, from the same scan.
+    from the same scan.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     dual = dual or norm.dual()
     U, V = unit_pair_samples(norm.dim, sample_count, seed=seed)
     lhs, rhs, fk, margin, counts = _scan(norm, dual, U, V, eps_sign, delta_zero)
-    worst_i = int(np.argmin(margin))
-    worst = PairReport(u=U[worst_i], v=V[worst_i], lhs=float(lhs[worst_i]),
-                       rhs_sign_ref=float(rhs[worst_i]),
-                       fk_residual=float(fk[worst_i]), eps_sign=eps_sign)
+    ranked = _ranked(U, V, lhs, rhs, fk, margin, max(worst_k, 1), eps_sign)
     return ConditionSVerdict(
-        passed=bool(np.all(margin > 0.0)), worst=worst, samples=sample_count,
+        passed=bool(np.all(margin > 0.0)), worst=ranked[0], samples=sample_count,
         eps_sign=eps_sign, delta_zero=delta_zero, max_fk_residual=float(np.max(fk)),
         min_margin=float(np.min(margin)),
         deadband_pairs=int(np.sum(np.abs(rhs) < eps_sign)),
-        worst_pairs=_ranked(U, V, lhs, rhs, fk, margin, worst_k, eps_sign),
+        worst_pairs=ranked[:worst_k],
         metadata={"seed": seed, "norm": norm.label,
                   "sign_semantics": "dead-band classification, see module docstring",
                   **counts})
@@ -177,10 +175,8 @@ def worst_pairs(norm: MinkowskiNorm, sample_count: int = 10_000, k: int = 10,
                 seed: int = 0, dual: DualNorm | None = None,
                 eps_sign: float = EPS_SIGN) -> list[PairReport]:
     """The k sampled pairs with the smallest sign-condition margin."""
-    dual = dual or norm.dual()
-    U, V = unit_pair_samples(norm.dim, sample_count, seed=seed)
-    lhs, rhs, fk, margin, _ = _scan(norm, dual, U, V, eps_sign, DELTA_ZERO)
-    return _ranked(U, V, lhs, rhs, fk, margin, k, eps_sign)
+    return check_condition_s(norm, sample_count, eps_sign=eps_sign, seed=seed,
+                             dual=dual, worst_k=k).worst_pairs
 
 
 @dataclass

@@ -155,7 +155,7 @@ class MinkowskiNorm:
         if self.family == "quadratic":
             return np.sqrt(np.einsum("mi,ij,mj->m", U, self.matrix, U))
         if self.family == "quartic":
-            return self._quartic_G(U, np.sum(U * U, axis=1)) ** 0.25
+            return self._quartic_G(U) ** 0.25
         return np.array([float(self._value_fn(row)) for row in U])
 
     def _grad(self, U: np.ndarray) -> np.ndarray:
@@ -163,10 +163,12 @@ class MinkowskiNorm:
             return U / np.linalg.norm(U, axis=1, keepdims=True)
         if self.family == "quadratic":
             Au = U @ self.matrix
-            return Au / np.sqrt(np.einsum("mi,mi->m", Au, U))[:, None]
+            F = np.sqrt(np.einsum("mi,mi->m", Au, U))
+            return Au / F[:, None]
         if self.family == "quartic":
-            G, _, P = self._quartic_parts(U)
-            return P / (G ** 0.75)[:, None]
+            G = self._quartic_G(U)
+            return (U ** 3 + self.quartic_eps
+                    * np.sum(U * U, axis=1)[:, None] * U) / (G ** 0.75)[:, None]
         return np.array([self._custom_grad(row) for row in U])
 
     def _hess(self, U: np.ndarray) -> np.ndarray:
@@ -177,40 +179,21 @@ class MinkowskiNorm:
             return (eye - uh[:, :, None] * uh[:, None, :]) / nrm[:, None, None]
         if self.family == "quadratic":
             Au = U @ self.matrix
-            return self._quadratic_hess(Au, np.sqrt(np.einsum("mi,mi->m", Au, U)))
+            F = np.sqrt(np.einsum("mi,mi->m", Au, U))
+            return (self.matrix[None, :, :] / F[:, None, None]
+                    - Au[:, :, None] * Au[:, None, :] / (F ** 3)[:, None, None])
         if self.family == "quartic":
-            return self._quartic_hess(U, *self._quartic_parts(U))
+            return self._quartic_hess(U)
         return np.array([self._custom_hess(row) for row in U])
 
-    def _jet(self, U: np.ndarray):
-        """F(U), grad F(U) and a function evaluating D^2 F on the rows U[keep];
-        the closed forms share their intermediates among the three."""
-        if self.family == "quadratic":
-            Au = U @ self.matrix
-            F = np.sqrt(np.einsum("mi,mi->m", Au, U))
-            return F, Au / F[:, None], lambda keep: self._quadratic_hess(Au[keep], F[keep])
-        if self.family == "quartic":
-            G, r2, P = self._quartic_parts(U)
-            return (G ** 0.25, P / (G ** 0.75)[:, None],
-                    lambda keep: self._quartic_hess(U[keep], G[keep], r2[keep], P[keep]))
-        return self._value(U), self._grad(U), lambda keep: self._hess(U[keep])
+    def _quartic_G(self, U: np.ndarray) -> np.ndarray:
+        return np.sum(U ** 4, axis=1) + self.quartic_eps * np.sum(U * U, axis=1) ** 2
 
-    def _quadratic_hess(self, Au: np.ndarray, F: np.ndarray) -> np.ndarray:
-        return (self.matrix[None, :, :] / F[:, None, None]
-                - Au[:, :, None] * Au[:, None, :] / (F ** 3)[:, None, None])
-
-    def _quartic_G(self, U: np.ndarray, r2: np.ndarray) -> np.ndarray:
-        """G = F^4, given r2 = |u|^2."""
-        return np.sum(U ** 4, axis=1) + self.quartic_eps * r2 ** 2
-
-    def _quartic_parts(self, U: np.ndarray):
-        """G, |u|^2 and P = grad G / 4, shared by the quartic's derivatives."""
-        r2 = np.sum(U * U, axis=1)
-        return self._quartic_G(U, r2), r2, U ** 3 + self.quartic_eps * r2[:, None] * U
-
-    def _quartic_hess(self, U, G, r2, P) -> np.ndarray:
+    def _quartic_hess(self, U: np.ndarray) -> np.ndarray:
         eps = self.quartic_eps
-        dG = 4.0 * P
+        G = self._quartic_G(U)
+        r2 = np.sum(U * U, axis=1)
+        dG = 4.0 * (U ** 3 + eps * r2[:, None] * U)
         eye = np.eye(self.dim)[None, :, :]
         hessG = (12.0 * U[:, :, None] ** 2 * eye
                  + 8.0 * eps * U[:, :, None] * U[:, None, :]
@@ -359,9 +342,10 @@ class DualNorm:
     The numeric ascent runs a whole batch (m, d) in lockstep: every
     iteration evaluates F, grad F and D^2 F of the base gauge once for all
     rows still iterating, solves their Newton systems in one batched call,
-    backtracks only the rows whose Newton step is rejected, and retires
-    each row when its projected gradient falls below grad_tol.  A single
-    direction is a batch of one.
+    backtracks only the rows whose Newton step is rejected (a row whose
+    Hessian raises rejects its step alone), and retires each row when its
+    projected gradient falls below grad_tol.  A single direction is a batch
+    of one.
     """
 
     def __init__(self, base: MinkowskiNorm, mode: str = "auto",
@@ -452,15 +436,12 @@ class DualNorm:
         fell_back = np.zeros(m, dtype=bool)
         for it in range(opt.max_iter):
             # the iterates are unit rows, so the base gauge skips its checks
-            F, gF, hess = base._jet(U)
+            F, gF = base._value(U), base._grad(U)
             g = V / F[:, None] - (q / F)[:, None] * gF
             gu = np.einsum("md,md->m", g, U)
             gt = g - gu[:, None] * U
             gn = np.sqrt(np.einsum("md,md->m", gt, gt))
             done = gn < opt.grad_tol
-            keep = slice(None)
-            if len(rows) == m and done.all():    # no row retired before
-                return Ascent(q, U / F[:, None], it + 1, int(fell_back.sum()))
             if done.any():
                 q_out[rows[done]], U_out[rows[done]] = q[done], U[done] / F[done, None]
                 if done.all():
@@ -468,26 +449,19 @@ class DualNorm:
                 keep = ~done
                 rows, U, V, q, step, F, gF, g, gu, gt, gn = (
                     x[keep] for x in (rows, U, V, q, step, F, gF, g, gu, gt, gn))
-            try:
-                HF = hess(keep)
-            except Exception:   # no Hessian: these rows take the Armijo step
-                HF = None
-            if HF is None:
-                accept = np.zeros(len(U), dtype=bool)
-            else:
-                un, ok = _spherical_newton(U, q, F, gF, HF, g, gu)
-                qn = np.einsum("md,md->m", un, V) / base._value(un)
-                accept = ok & (qn > q)
-                if not accept.all():
-                    # near convergence the Newton step shrinks the gradient even
-                    # when the objective gain is below one ulp; accept those too
-                    dn = un - U
-                    tiny = np.sqrt(np.einsum("md,md->m", dn, dn)) < 1e-6
-                    accept |= ok & tiny & (qn >= q - 8e-16 * np.maximum(1.0, np.abs(q)))
-                if accept.all():
-                    U, q = un, qn
-                    continue
-                U, q = np.where(accept[:, None], un, U), np.where(accept, qn, q)
+            un, ok = _spherical_newton(U, q, F, gF, _hess_rows(base, U), g, gu)
+            qn = np.einsum("md,md->m", un, V) / base._value(un)
+            accept = ok & (qn > q)
+            if not accept.all():
+                # near convergence the Newton step shrinks the gradient even
+                # when the objective gain is below one ulp; accept those too
+                dn = un - U
+                tiny = np.sqrt(np.einsum("md,md->m", dn, dn)) < 1e-6
+                accept |= ok & tiny & (qn >= q - 8e-16 * np.maximum(1.0, np.abs(q)))
+            if accept.all():
+                U, q = un, qn
+                continue
+            U, q = np.where(accept[:, None], un, U), np.where(accept, qn, q)
             rejected = np.flatnonzero(~accept)
             fell_back[rows[rejected]] = True
             stalled = self._armijo(U, V, q, step, gt, gn, rejected)
@@ -529,6 +503,22 @@ class DualNorm:
         return np.concatenate(stalled) if stalled else rows
 
 
+def _hess_rows(base: MinkowskiNorm, U: np.ndarray) -> np.ndarray:
+    """D^2 F of the unit rows U (m, d); a row whose Hessian raises (say, an
+    inner ascent of a custom gauge that does not converge) gets NaN, so that
+    row alone rejects its Newton step."""
+    try:
+        return base._hess(U)
+    except Exception:
+        HF = np.full((len(U), base.dim, base.dim), np.nan)
+        for i in range(len(U)):
+            try:
+                HF[i] = base._hess(U[i:i + 1])[0]
+            except Exception:
+                pass
+        return HF
+
+
 def _spherical_newton(U, q, F, gF, HF, g, gu):
     """One batched Newton step for the optimality system of <u, v>/F(u) on the
     unit sphere, in the tangent frame of each row: (new rows, ok).  A row
@@ -554,8 +544,6 @@ def _spherical_newton(U, q, F, gF, HF, g, gu):
 def _solve_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x[i] with A[i] x[i] = b[i] for A (k, n, n), b (k, n); NaN where A[i] is
     singular."""
-    if A.shape[1] == 1:    # LU of a 1x1 system is one division
-        return np.divide(b, A[:, 0], out=np.full_like(b, np.nan), where=A[:, 0] != 0.0)
     try:
         return np.linalg.solve(A, b[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:

@@ -75,14 +75,15 @@ def _ascend_row(dual, v):
 
     q = q_of(u)
     step = opt.initial_step
-    for _ in range(opt.max_iter):
+    fell_back = False
+    for it in range(opt.max_iter):
         F = base.value(u)
         gF = np.asarray(base.grad(u))
         g = v / F - (q / F) * gF
         gt = g - np.dot(g, u) * u
         gn = float(np.linalg.norm(gt))
         if gn < opt.grad_tol:
-            return q, u / F
+            return q, u / F, it + 1, fell_back
         un = _newton_step(base, u, v, q, F, gF, g)
         if un is not None:
             qn = q_of(un)
@@ -90,6 +91,7 @@ def _ascend_row(dual, v):
             if qn > q or (tiny and qn >= q - 8e-16 * max(1.0, abs(q))):
                 u, q = un, qn
                 continue
+        fell_back = True
         t = step
         improved = False
         while t > 1e-18:
@@ -104,7 +106,7 @@ def _ascend_row(dual, v):
             t *= opt.backtrack
         if not improved:
             if gn < 1e4 * opt.grad_tol:
-                return q, u / base.value(u)
+                return q, u / base.value(u), it + 1, fell_back
             raise NonConvergence("dual ascent line search stalled")
     raise NonConvergence("dual ascent did not converge")
 
@@ -155,6 +157,29 @@ def test_batch_matches_per_row_reference(label, dual):
     assert isinstance(q0, float)
     assert abs(q0 - q[0]) <= AGREE * q[0]
     assert np.max(np.abs(u0 - U[0])) <= AGREE
+
+
+def test_hessian_that_raises_rejects_only_its_rows():
+    # a custom gauge whose Hessian raises on a cap of the sphere: only the rows
+    # iterating there take the Armijo fallback, the others keep their Newton steps
+    Q = wk.MinkowskiNorm.quartic(2, eps=0.05)
+
+    def hessian(u):
+        if u[0] > 0.8 * np.linalg.norm(u):
+            raise NonConvergence("no Hessian on this cap")
+        return Q.hess(u)
+
+    F = wk.MinkowskiNorm.custom(2, Q.value, Q.grad, hessian, label="capped")
+    dual = wk.DualNorm(F, mode="numeric")
+    ang = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False) + 0.1
+    V = np.column_stack([np.cos(ang), np.sin(ang)])
+    ascent = dual._ascend(V)
+    ref = [_ascend_row(dual, v) for v in V]
+    assert 0 < sum(r[3] for r in ref) < len(V)
+    assert ascent.fallbacks == sum(r[3] for r in ref)
+    assert ascent.iterations == max(r[2] for r in ref)
+    assert np.max(np.abs(ascent.value - [r[0] for r in ref])) <= AGREE
+    assert np.max(np.abs(ascent.maximizer - np.array([r[1] for r in ref]))) <= AGREE
 
 
 def test_batch_beyond_one_scan_chunk_equals_its_pieces():
@@ -208,6 +233,7 @@ def test_worst_pairs_of_verdict_match_worst_pairs():
         assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
         assert (a.lhs, a.rhs_sign_ref, a.fk_residual) == (b.lhs, b.rhs_sign_ref, b.fk_residual)
     assert verdict.worst_pairs[0].margin == verdict.min_margin
+    assert np.array_equal(verdict.worst.u, verdict.worst_pairs[0].u)
 
 
 def test_cli_import_does_not_load_scipy():
