@@ -13,9 +13,9 @@ from wulffkit import surfaces as sf
 F = wk.MinkowskiNorm.quadratic(np.diag([1.0, 1.0, 4.0]))
 
 print("shape operators on the unit sphere (outward normal):")
-eq = sf.equiaffine_frame(sf.sphere(), sf.normal_field(), [1.1, 0.7])
-print(f"  S =\n{np.round(eq.shape_op, 8)}")
-print(f"  tau = {np.round(eq.tau, 10)}   trace S = {eq.affine_mean:.8f}")
+eq = sf.equiaffine_batch(sf.sphere(), sf.normal_field(), [[1.1, 0.7]])
+print(f"  S =\n{np.round(eq.shape_op[0], 8)}")
+print(f"  tau = {np.round(eq.tau[0], 10)}   trace S = {eq.affine_mean[0]:.8f}")
 
 print("\ngauge-gradient normal is equiaffine (tau vanishes):")
 for patch in (sf.sphere(), sf.ellipsoid((1.0, 1.3, 1.7)), sf.catenoid()):
@@ -46,20 +46,19 @@ print(f"  div of b^(top_xi) vs <b,nu> tr S      : {rb:.2e}")
 print(f"  div of x^(top_xi) vs n<xi,nu> + ...   : {rx:.2e}")
 
 
-def linear_weight(pt, P):
-    return pt.chart(P) @ np.array([0.2, 0.5, -0.4])
+def linear_weight(fb):
+    return fb.x @ np.array([0.2, 0.5, -0.4])
 
 
 pr = sf.product_rule_residual(patch, xi, linear_weight, sf.position_field(), p)
 print(f"  product rule for f x^(top_xi)         : {pr:.2e}")
-eqp = sf.equiaffine_frame(patch, xi, p)
-s1, s2 = sf.shape_products_asymmetry(eqp)
-print(f"  self-adjointness of II*S, II*S^2      : {s1:.2e}, {s2:.2e}")
+s1, s2 = sf.shape_products_asymmetry(sf.equiaffine_batch(patch, xi, [p]))
+print(f"  self-adjointness of II*S, II*S^2      : {s1[0]:.2e}, {s2[0]:.2e}")
 cz = sf.codazzi_residual(patch, xi, p)
 print(f"  symmetry of the covariant dS          : {cz:.2e}")
 
 print("\nsurface divergence sanity (position field has div = n):")
 for patch, p in ((sf.sphere(), [1.0, 0.4]), (sf.catenoid(), [2.0, 0.5]),
                  (sf.circle(), [0.9])):
-    div = sf.surface_divergence(patch, lambda pt, P: pt.chart(P), p)
+    div = sf.surface_divergence(patch, lambda fb: fb.x, p)
     print(f"  {patch.name:24s} div_M x = {div:.8f}  (n = {patch.n})")

@@ -26,17 +26,15 @@ from .symfunc import (generalized_kronecker, gradient_relation_residual,
                       newton_entries_oracle, newton_tensor, newton_tensors,
                       normalized_k_curvature, sigma_k, sigma_k_eigen_oracle,
                       sigma_k_minors_oracle, trace_identity_residuals)
-from .surfaces import (EquiaffineFrame, FrameBatch, ParametricPatch, PointFrame,
-                       TransversalField, affine_tangential,
-                       anisotropic_mean_curvature, anisotropic_mean_curvature_fd,
-                       anisotropic_normal, anisotropic_normal_field, catenoid,
-                       circle, codazzi_residual, constant_field,
+from .surfaces import (EquiaffineBatch, FrameBatch, ParametricPatch, TransversalField,
+                       affine_tangential, anisotropic_mean_curvature_batch,
+                       anisotropic_mean_curvature_fd, anisotropic_normal_field,
+                       catenoid, circle, codazzi_residual, constant_field,
                        divergence_residuals_constant_position, ellipsoid, enneper,
-                       equiaffine_batch, equiaffine_frame, graph_curve,
-                       graph_surface, hyperplane, line, linear_image,
-                       normal_field, position_field, product_rule_residual,
-                       shape_products_asymmetry, sphere, sqrtm_spd,
-                       surface_divergence,
+                       equiaffine_batch, graph_curve, graph_surface, hyperplane,
+                       line, linear_image, normal_field, position_field,
+                       product_rule_residual, shape_products_asymmetry, sphere,
+                       sqrtm_spd, surface_divergence,
                        tangential_derivative_residuals, transformed_catenoid)
 from .quadrature import (ClippedRegionRule, ClippedResult, ParamQuadrature,
                          integrate, integrate_clipped, integrate_with_estimate,

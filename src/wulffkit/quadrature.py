@@ -56,10 +56,6 @@ class ClippedResult:
     inside_cells: int
     leaf_cells: int
 
-    def __iter__(self):  # allow "value, estimate = result"
-        yield self.value
-        yield self.error_estimate
-
 
 _ORIGIN_FLOOR = 1e-12
 

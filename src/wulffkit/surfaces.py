@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -113,9 +114,9 @@ class ParametricPatch:
         T = self.dchart(P)
         return _build_frames(self, P, X, T)
 
-    def frame_at(self, p) -> "PointFrame":
-        fb = self.frames(np.asarray(p, dtype=float)[None, :])
-        return fb.point(0)
+    def frame_at(self, p) -> "FrameBatch":
+        """Frames at one parameter point (n,): a FrameBatch of one row."""
+        return self.frames(np.asarray(p, dtype=float)[None, :])
 
     # -- sampling -------------------------------------------------------------
 
@@ -172,82 +173,73 @@ class ParametricPatch:
 class FrameBatch:
     """Vectorized frame data at parameter points.
 
-    First-order data (positions, tangents, orthonormal basis, normal,
-    metric) is built eagerly; second-order data (chart second derivatives,
-    second fundamental form, mean curvature) and the metric inverse are
-    computed lazily on first access, so cheap integrands do not pay for
-    them.
+    Positions, tangents, normal, metric and area element are built eagerly.
+    The orthonormal basis, the metric inverse and second-order data (chart
+    second derivatives, second fundamental form, mean curvature) are
+    computed on first access, so finite-difference stencils, which read
+    positions and normals, and cheap integrands do not pay for them.
     """
 
-    def __init__(self, patch: ParametricPatch, P, x, tangents, e, nu,
-                 param_dirs, metric, sqrt_g, second=None):
+    def __init__(self, patch: ParametricPatch, P, x, tangents, nu, metric, sqrt_g):
         self.patch = patch
         self.P = P               # (m, n)
         self.x = x               # (m, d)
         self.tangents = tangents  # (m, n, d)
-        self.e = e               # (m, n, d)
         self.nu = nu             # (m, d)
-        self.param_dirs = param_dirs  # (m, n, n); e_a = sum_i C[:, i, a] T_i
         self.metric = metric     # (m, n, n)
         self.sqrt_g = sqrt_g     # (m,)
-        self._second = second
-        self._metric_inv = None
-        self._sec_form = None
-        self._mean = None
+
+    @cached_property
+    def _orthonormal(self) -> tuple[np.ndarray, np.ndarray]:
+        # Gram-Schmidt with fixed ordering; C holds e-basis coefficients in the
+        # coordinate-tangent basis, so C[:, i, a] is also the parameter-space
+        # direction realizing e_a.
+        T, g = self.tangents, self.metric
+        m, n, d = T.shape
+        C = np.zeros((m, n, n))
+        E = np.zeros((m, n, d))
+        t0n = np.sqrt(g[:, 0, 0])
+        E[:, 0] = T[:, 0] / t0n[:, None]
+        C[:, 0, 0] = 1.0 / t0n
+        if n == 2:
+            proj = np.einsum("ma,ma->m", T[:, 1], E[:, 0])
+            w = T[:, 1] - proj[:, None] * E[:, 0]
+            wn = np.linalg.norm(w, axis=1)
+            E[:, 1] = w / wn[:, None]
+            C[:, 0, 1] = -proj / (t0n * wn)
+            C[:, 1, 1] = 1.0 / wn
+        return E, C
 
     @property
+    def e(self) -> np.ndarray:
+        """Orthonormal tangent basis (m, n, d)."""
+        return self._orthonormal[0]
+
+    @property
+    def param_dirs(self) -> np.ndarray:
+        """(m, n, n); e_a = sum_i C[:, i, a] T_i."""
+        return self._orthonormal[1]
+
+    @cached_property
     def second(self) -> np.ndarray:
-        if self._second is None:
-            self._second = self.patch.d2chart(self.P)
-        return self._second
+        return self.patch.d2chart(self.P)
 
-    @property
+    @cached_property
     def metric_inv(self) -> np.ndarray:
-        if self._metric_inv is None:
-            self._metric_inv = np.linalg.inv(self.metric)
-        return self._metric_inv
+        return np.linalg.inv(self.metric)
 
-    @property
+    @cached_property
     def sec_form(self) -> np.ndarray:
-        if self._sec_form is None:
-            b = np.einsum("mija,ma->mij", self.second, self.nu)
-            self._sec_form = np.einsum("mia,mij,mjb->mab",
-                                       self.param_dirs, b, self.param_dirs)
-        return self._sec_form
+        b = np.einsum("mija,ma->mij", self.second, self.nu)
+        return np.einsum("mia,mij,mjb->mab", self.param_dirs, b, self.param_dirs)
 
-    @property
+    @cached_property
     def mean_curvature(self) -> np.ndarray:
-        if self._mean is None:
-            self._mean = np.trace(self.sec_form, axis1=1, axis2=2)
-        return self._mean
-
-    def point(self, i: int) -> "PointFrame":
-        return PointFrame(
-            patch=self.patch, p=self.P[i], x=self.x[i], tangents=self.tangents[i],
-            e=self.e[i], nu=self.nu[i], param_dirs=self.param_dirs[i],
-            metric=self.metric[i], metric_inv=self.metric_inv[i],
-            sqrt_g=float(self.sqrt_g[i]), sec_form=self.sec_form[i],
-            mean_curvature=float(self.mean_curvature[i]))
-
-
-@dataclass
-class PointFrame:
-    patch: ParametricPatch
-    p: np.ndarray
-    x: np.ndarray
-    tangents: np.ndarray
-    e: np.ndarray
-    nu: np.ndarray
-    param_dirs: np.ndarray
-    metric: np.ndarray
-    metric_inv: np.ndarray
-    sqrt_g: float
-    sec_form: np.ndarray
-    mean_curvature: float
+        return np.trace(self.sec_form, axis1=1, axis2=2)
 
 
 def _build_frames(patch: ParametricPatch, P, X, T) -> FrameBatch:
-    n, d = patch.n, patch.dim
+    n = patch.n
     g = np.einsum("mia,mja->mij", T, T)
     if n == 1:
         det_g = g[:, 0, 0]
@@ -256,7 +248,6 @@ def _build_frames(patch: ParametricPatch, P, X, T) -> FrameBatch:
     if np.any(det_g <= GRAM_FLOOR):
         raise DegenerateChart(
             f"Gram determinant underflow on {patch.name} (min {det_g.min():.3e})")
-    sqrt_g = np.sqrt(det_g)
 
     if n == 1:
         t = T[:, 0, :]
@@ -265,25 +256,7 @@ def _build_frames(patch: ParametricPatch, P, X, T) -> FrameBatch:
     else:
         c = np.cross(T[:, 0, :], T[:, 1, :])
         nu = c / np.linalg.norm(c, axis=1, keepdims=True)
-    nu = patch.orientation * nu
-
-    # Gram-Schmidt with fixed ordering; C holds e-basis coefficients in the
-    # coordinate-tangent basis, so C[:, i, a] is also the parameter-space
-    # direction realizing e_a.
-    C = np.zeros((P.shape[0], n, n))
-    E = np.zeros((P.shape[0], n, d))
-    t0n = np.sqrt(g[:, 0, 0])
-    E[:, 0] = T[:, 0] / t0n[:, None]
-    C[:, 0, 0] = 1.0 / t0n
-    if n == 2:
-        proj = np.einsum("ma,ma->m", T[:, 1], E[:, 0])
-        w = T[:, 1] - proj[:, None] * E[:, 0]
-        wn = np.linalg.norm(w, axis=1)
-        E[:, 1] = w / wn[:, None]
-        C[:, 0, 1] = -proj / (t0n * wn)
-        C[:, 1, 1] = 1.0 / wn
-
-    return FrameBatch(patch, P, X, T, E, nu, C, g, sqrt_g)
+    return FrameBatch(patch, P, X, T, patch.orientation * nu, g, np.sqrt(det_g))
 
 
 # --------------------------------------------------------------------------
@@ -570,35 +543,42 @@ def enneper(scale: float = 0.8, extent: float = 1.5) -> ParametricPatch:
 
 
 class TransversalField:
-    """Named ambient vector field along a patch, batch-evaluated on parameters."""
+    """Named ambient vector field along a patch, a function of frames.
 
-    def __init__(self, fn: Callable[[ParametricPatch, np.ndarray], np.ndarray], name: str):
+    fn maps a FrameBatch of m points to the (m, d) field values there, so a
+    field built from frame data (position, normal, gauge-gradient normal)
+    reads it from the batch instead of framing the points again.
+    """
+
+    def __init__(self, fn: Callable[[FrameBatch], np.ndarray], name: str):
         self._fn = fn
         self.name = name
 
+    def at(self, fb: FrameBatch) -> np.ndarray:
+        """The field at the points of fb: (m, d)."""
+        return np.asarray(self._fn(fb), dtype=float)
+
     def __call__(self, patch: ParametricPatch, P: np.ndarray) -> np.ndarray:
-        return np.asarray(self._fn(patch, np.atleast_2d(P)), dtype=float)
+        """The field at parameter points P (m, n), framed here: (m, d)."""
+        return self.at(patch.frames(P))
 
 
 def normal_field() -> TransversalField:
-    return TransversalField(lambda patch, P: patch.frames(P).nu, "normal")
+    return TransversalField(lambda fb: fb.nu, "normal")
 
 
 def anisotropic_normal_field(norm: MinkowskiNorm) -> TransversalField:
-    return TransversalField(
-        lambda patch, P: np.atleast_2d(norm.grad(patch.frames(P).nu)),
-        f"anisotropic[{norm.label}]")
+    return TransversalField(lambda fb: norm.grad(fb.nu), f"anisotropic[{norm.label}]")
 
 
 def constant_field(vec) -> TransversalField:
     vec = np.asarray(vec, dtype=float)
-    return TransversalField(
-        lambda patch, P: np.broadcast_to(vec, (P.shape[0], vec.shape[0])).copy(),
-        f"constant{tuple(np.round(vec, 3))}")
+    return TransversalField(lambda fb: np.broadcast_to(vec, fb.x.shape),
+                            f"constant{tuple(np.round(vec, 3))}")
 
 
 def position_field() -> TransversalField:
-    return TransversalField(lambda patch, P: patch.chart(P), "position")
+    return TransversalField(lambda fb: fb.x, "position")
 
 
 def affine_tangential(V, xi, nu) -> np.ndarray:
@@ -616,13 +596,17 @@ def affine_tangential(V, xi, nu) -> np.ndarray:
 
 
 class EquiaffineBatch:
-    def __init__(self, xi, support, shape_op, tau, affine_mean, frames):
+    def __init__(self, xi, support, shape_op, tau, affine_mean, frames, stencil, step):
         self.xi = xi                 # (m, d)
         self.support = support       # (m,)  <xi, nu>
         self.shape_op = shape_op     # (m, n, n), column a = components of S(e_a)
         self.tau = tau               # (m, n)
         self.affine_mean = affine_mean  # (m,) trace of the shape operator
         self.frames = frames
+        # frames at the stencil P +- step * c_a of the derivatives D_{e_a};
+        # the pointwise identity checks difference their fields on it too
+        self.stencil = stencil
+        self.step = step
 
     @property
     def fundamental(self) -> np.ndarray:
@@ -630,79 +614,47 @@ class EquiaffineBatch:
         return self.frames.sec_form / self.support[:, None, None]
 
 
-@dataclass
-class EquiaffineFrame:
-    xi: np.ndarray
-    support: float
-    shape_op: np.ndarray
-    fundamental: np.ndarray
-    tau: np.ndarray
-    affine_mean: float
-    frame: PointFrame
-
-
 def equiaffine_batch(patch: ParametricPatch, xi_field: TransversalField, P,
                      step: float = PARAM_STEP) -> EquiaffineBatch:
     """Decompose D xi along the patch into -S + tau (x) xi at each point."""
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    fb = patch.frames(P)
-    xi = xi_field(patch, P)
+    return _equiaffine(xi_field, patch.frames(P), step)
+
+
+def _equiaffine(xi_field: TransversalField, fb: FrameBatch,
+                step: float = PARAM_STEP) -> EquiaffineBatch:
+    """equiaffine_batch at the points of fb."""
+    xi = xi_field.at(fb)
     support = np.einsum("md,md->m", xi, fb.nu)
     if np.any(np.abs(support) < TRANSVERSAL_FLOOR):
         raise NotTransversal(
             f"|<xi, nu>| below {TRANSVERSAL_FLOOR:g} for field {xi_field.name}")
-    n = patch.n
-    S = np.empty((P.shape[0], n, n))
-    tau = np.empty((P.shape[0], n))
-    for a in range(n):
-        ca = fb.param_dirs[:, :, a]
-        W = (xi_field(patch, P + step * ca) - xi_field(patch, P - step * ca)) / (2 * step)
-        tau_a = np.einsum("md,md->m", W, fb.nu) / support
-        S_ea = tau_a[:, None] * xi - W
-        S[:, :, a] = np.einsum("mid,md->mi", fb.e, S_ea)
-        tau[:, a] = tau_a
+    stencil = _frame_stencil(fb, step)
+    W = _frame_derivs(xi_field.at(stencil), fb, step)      # W[:, a] = D_{e_a} xi
+    tau = np.einsum("mad,md->ma", W, fb.nu) / support[:, None]
+    S = np.einsum("mid,mad->mia", fb.e, tau[:, :, None] * xi[:, None, :] - W)
     return EquiaffineBatch(xi=xi, support=support, shape_op=S, tau=tau,
-                           affine_mean=np.trace(S, axis1=1, axis2=2), frames=fb)
-
-
-def equiaffine_frame(patch: ParametricPatch, xi_field: TransversalField, p,
-                     step: float = PARAM_STEP) -> EquiaffineFrame:
-    eb = equiaffine_batch(patch, xi_field, np.asarray(p, dtype=float)[None, :], step=step)
-    return EquiaffineFrame(xi=eb.xi[0], support=float(eb.support[0]),
-                           shape_op=eb.shape_op[0], fundamental=eb.fundamental[0],
-                           tau=eb.tau[0], affine_mean=float(eb.affine_mean[0]),
-                           frame=eb.frames.point(0))
-
-
-def anisotropic_normal(norm: MinkowskiNorm, frame: PointFrame) -> np.ndarray:
-    return np.asarray(norm.grad(frame.nu))
+                           affine_mean=np.trace(S, axis1=1, axis2=2), frames=fb,
+                           stencil=stencil, step=step)
 
 
 def anisotropic_mean_curvature_batch(norm: MinkowskiNorm, patch: ParametricPatch,
                                      P) -> np.ndarray:
     """trace of X -> -D_X(grad F(nu)) via the chain rule on the normal."""
-    fb = patch.frames(np.atleast_2d(np.asarray(P, dtype=float)))
-    Hf = np.asarray(norm.hess(fb.nu))
-    if Hf.ndim == 2:
-        Hf = Hf[None, :, :]
-    M = np.einsum("mad,mde,mbe->mab", fb.e, Hf, fb.e)
+    fb = patch.frames(P)
+    M = np.einsum("mad,mde,mbe->mab", fb.e, norm.hess(fb.nu), fb.e)
     return np.einsum("mab,mab->m", fb.sec_form, M)
-
-
-def anisotropic_mean_curvature(norm: MinkowskiNorm, patch: ParametricPatch, p) -> float:
-    return float(anisotropic_mean_curvature_batch(norm, patch,
-                                                  np.asarray(p, dtype=float)[None, :])[0])
 
 
 def anisotropic_mean_curvature_fd(norm: MinkowskiNorm, patch: ParametricPatch, p,
                                   step: float = PARAM_STEP) -> float:
     """Cross-check: -div_M grad F(nu) by finite-difference surface divergence."""
-    return -surface_divergence(patch, anisotropic_normal_field(norm), p, step=step)
+    return -surface_divergence(patch, anisotropic_normal_field(norm).at, p, step=step)
 
 
 # --------------------------------------------------------------------------
 # finite-difference surface calculus: each check takes one parameter point
-# (n,) or a batch (m, n) and evaluates every stencil in one call of the field
+# (n,) or a batch (m, n), frames each stencil once for all points and
+# evaluates its fields on that one batch
 
 
 def _as_batch(p) -> tuple[np.ndarray, bool]:
@@ -715,32 +667,48 @@ def _unbatch(values: np.ndarray, single: bool):
     return float(values[0]) if single else values
 
 
-def _central_diffs(fld, P, dirs, steps) -> np.ndarray:
-    """(fld(P + h c) - fld(P - h c)) / 2h for each step h and direction c.
+def _stencil(P, dirs, steps) -> np.ndarray:
+    """The central-difference points P +- h c for each step h and direction c.
 
     dirs is (m, n, k): column a of dirs[i] is the parameter direction of
-    derivative a at point P[i].  fld maps parameter batches (M, n) to
-    (M, ...); all 2 * len(steps) * k * m stencil points go to it in one
-    call.  Returns (len(steps), m, k, ...).
+    derivative a at point P[i].  Returns all 2 * len(steps) * k * m points
+    as one (M, n) batch, in the order _differences reads them.
     """
-    n = P.shape[1]
     hD = np.asarray(steps, dtype=float)[:, None, None, None] * np.moveaxis(dirs, 2, 0)
-    Q = np.stack([P + hD, P - hD])                      # (2, steps, k, m, n)
-    vals = np.asarray(fld(Q.reshape(-1, n)))
-    vals = vals.reshape(Q.shape[:4] + vals.shape[1:])
+    return np.stack([P + hD, P - hD]).reshape(-1, P.shape[1])
+
+
+def _differences(vals, dirs, steps) -> np.ndarray:
+    """(f(P + h c) - f(P - h c)) / 2h from vals = f(_stencil(P, dirs, steps)).
+
+    Returns (len(steps), m, k, ...).
+    """
+    m, _, k = dirs.shape
+    vals = np.asarray(vals)
+    vals = vals.reshape((2, len(steps), k, m) + vals.shape[1:])
     return np.stack([np.moveaxis((vals[0, s] - vals[1, s]) / (2.0 * h), 0, 1)
                      for s, h in enumerate(steps)])
 
 
+def _central_diffs(fld, P, dirs, steps) -> np.ndarray:
+    """Central differences of fld, which maps parameter batches (M, n) to (M, ...)."""
+    return _differences(fld(_stencil(P, dirs, steps)), dirs, steps)
+
+
 def _coordinate_axes(P) -> np.ndarray:
-    """The parameter axes at every point of P, as _central_diffs takes directions."""
+    """The parameter axes at every point of P, as _stencil takes directions."""
     m, n = P.shape
     return np.broadcast_to(np.eye(n), (m, n, n))
 
 
-def _frame_derivs(fld, fb: FrameBatch, step: float) -> np.ndarray:
-    """D_{e_a} fld at every point of fb by central differences: (m, n, ...)."""
-    return _central_diffs(fld, fb.P, fb.param_dirs, (step,))[0]
+def _frame_stencil(fb: FrameBatch, step: float) -> FrameBatch:
+    """Frames at P +- step * c_a, the stencil of D_{e_a} at every point of fb."""
+    return fb.patch.frames(_stencil(fb.P, fb.param_dirs, (step,)))
+
+
+def _frame_derivs(vals, fb: FrameBatch, step: float) -> np.ndarray:
+    """D_{e_a} at every point of fb from values on _frame_stencil(fb, step): (m, n, ...)."""
+    return _differences(vals, fb.param_dirs, (step,))[0]
 
 
 def _divergence(dF: np.ndarray, fb: FrameBatch) -> np.ndarray:
@@ -749,10 +717,14 @@ def _divergence(dF: np.ndarray, fb: FrameBatch) -> np.ndarray:
 
 
 def surface_divergence(patch: ParametricPatch, W, p, step: float = PARAM_STEP):
-    """div_M W = sum_a <D_{e_a} W, e_a> with FD derivatives along the chart."""
+    """div_M W = sum_a <D_{e_a} W, e_a> with FD derivatives along the chart.
+
+    W maps a FrameBatch of m points to (m, d) vectors.
+    """
     P, single = _as_batch(p)
     fb = patch.frames(P)
-    return _unbatch(_divergence(_frame_derivs(lambda Q: W(patch, Q), fb, step), fb), single)
+    dW = _frame_derivs(W(_frame_stencil(fb, step)), fb, step)
+    return _unbatch(_divergence(dW, fb), single)
 
 
 @dataclass
@@ -775,27 +747,21 @@ def tangential_derivative_residuals(patch: ParametricPatch, xi_field: Transversa
     """
     P, single = _as_batch(p)
     frame_res, div_res = _tangential_derivative(
-        patch, xi_field, X_field, equiaffine_batch(patch, xi_field, P, step=step), step)
+        xi_field, X_field, equiaffine_batch(patch, xi_field, P, step=step))
     return DerivativeIdentityResult(frame_residual=_unbatch(frame_res, single),
                                     divergence_residual=_unbatch(div_res, single))
 
 
-def _tangential_derivative(patch: ParametricPatch, xi_field: TransversalField,
-                           X_field: TransversalField, eb: EquiaffineBatch,
-                           step: float) -> tuple[np.ndarray, np.ndarray]:
-    fb, d = eb.frames, patch.dim
-
-    def fields(Q):  # X^{top_xi}, X and <X, nu> side by side
-        nu = patch.frames(Q).nu
-        X = X_field(patch, Q)
-        return np.column_stack([affine_tangential(X, xi_field(patch, Q), nu), X,
-                                np.einsum("md,md->m", X, nu)])
-
-    dF = _frame_derivs(fields, fb, step)
+def _tangential_derivative(xi_field: TransversalField, X_field: TransversalField,
+                           eb: EquiaffineBatch) -> tuple[np.ndarray, np.ndarray]:
+    fb, st, d = eb.frames, eb.stencil, eb.xi.shape[1]
+    X = X_field.at(st)   # X^{top_xi}, X and <X, nu> side by side on the stencil
+    dF = _frame_derivs(np.column_stack([affine_tangential(X, xi_field.at(st), st.nu), X,
+                                        np.einsum("md,md->m", X, st.nu)]), fb, eb.step)
     dY, dX, grad_xnu = dF[..., :d], dF[..., d:2 * d], dF[..., 2 * d]
     lhs = np.einsum("mjd,mid->mij", dY, fb.e)
 
-    X0 = X_field(patch, fb.P)
+    X0 = X_field.at(fb)
     X_nu = np.einsum("md,md->m", X0, fb.nu)
     X_tan = np.einsum("mid,md->mi", fb.e, X0)              # components <X, e_i>
     xi_tan = np.einsum("mid,md->mi", fb.e, eb.xi)
@@ -823,25 +789,19 @@ def divergence_residuals_constant_position(patch: ParametricPatch,
     div_M x^{top_xi} = n <xi,nu> + <x,nu> H_xi."""
     P, single = _as_batch(p)
     res_b, res_x = _divergence_constant_position(
-        patch, xi_field, equiaffine_batch(patch, xi_field, P, step=step), b, step)
+        xi_field, equiaffine_batch(patch, xi_field, P, step=step), b)
     return _unbatch(res_b, single), _unbatch(res_x, single)
 
 
-def _divergence_constant_position(patch: ParametricPatch, xi_field: TransversalField,
-                                  eb: EquiaffineBatch, b,
-                                  step: float) -> tuple[np.ndarray, np.ndarray]:
-    fb, d = eb.frames, patch.dim
+def _divergence_constant_position(xi_field: TransversalField, eb: EquiaffineBatch,
+                                  b) -> tuple[np.ndarray, np.ndarray]:
+    fb, st, d = eb.frames, eb.stencil, eb.xi.shape[1]
     b = np.asarray(b, dtype=float)[:d]
-    X_b, X_x = constant_field(b), position_field()
-
-    def fields(Q):  # b^{top_xi} and x^{top_xi} side by side
-        nu, xi = patch.frames(Q).nu, xi_field(patch, Q)
-        return np.column_stack([affine_tangential(X_b(patch, Q), xi, nu),
-                                affine_tangential(X_x(patch, Q), xi, nu)])
-
-    dF = _frame_derivs(fields, fb, step)
+    xi = xi_field.at(st)   # b^{top_xi} and x^{top_xi} side by side on the stencil
+    dF = _frame_derivs(np.column_stack([affine_tangential(b, xi, st.nu),
+                                        affine_tangential(st.x, xi, st.nu)]), fb, eb.step)
     res_b = np.abs(_divergence(dF[..., :d], fb) - (fb.nu @ b) * eb.affine_mean)
-    res_x = np.abs(_divergence(dF[..., d:], fb) - patch.n * eb.support
+    res_x = np.abs(_divergence(dF[..., d:], fb) - fb.patch.n * eb.support
                    - np.einsum("md,md->m", fb.x, fb.nu) * eb.affine_mean)
     return res_b, res_x
 
@@ -850,56 +810,51 @@ def product_rule_residual(patch: ParametricPatch, xi_field: TransversalField,
                           f_field, X_field: TransversalField, p,
                           step: float = PARAM_STEP):
     """Residual of div_M(f X^{top_xi}) = f div_M X^{top_xi}
-    + <xi,nu><grad_M f, X> - <X,nu><grad_M f, xi>."""
+    + <xi,nu><grad_M f, X> - <X,nu><grad_M f, xi>.
+
+    f_field maps a FrameBatch of m points to (m,) values.
+    """
     P, single = _as_batch(p)
     eb = equiaffine_batch(patch, xi_field, P, step=step)
-    return _unbatch(_product_rule(patch, xi_field, f_field, X_field, eb, step), single)
+    return _unbatch(_product_rule(xi_field, f_field, X_field, eb), single)
 
 
-def _product_rule(patch: ParametricPatch, xi_field: TransversalField, f_field,
-                  X_field: TransversalField, eb: EquiaffineBatch,
-                  step: float) -> np.ndarray:
-    fb, d = eb.frames, patch.dim
-
-    def fields(Q):  # f X^{top_xi}, X^{top_xi} and f side by side
-        f = np.asarray(f_field(patch, Q))
-        Y = affine_tangential(X_field(patch, Q), xi_field(patch, Q), patch.frames(Q).nu)
-        return np.column_stack([f[:, None] * Y, Y, f])
-
-    dF = _frame_derivs(fields, fb, step)
+def _product_rule(xi_field: TransversalField, f_field, X_field: TransversalField,
+                  eb: EquiaffineBatch) -> np.ndarray:
+    fb, st, d = eb.frames, eb.stencil, eb.xi.shape[1]
+    f = np.asarray(f_field(st))   # f X^{top_xi}, X^{top_xi} and f side by side
+    Y = affine_tangential(X_field.at(st), xi_field.at(st), st.nu)
+    dF = _frame_derivs(np.column_stack([f[:, None] * Y, Y, f]), fb, eb.step)
     grad_f = np.einsum("ma,mad->md", dF[..., 2 * d], fb.e)
-    f0 = np.asarray(f_field(patch, fb.P))
-    X0 = X_field(patch, fb.P)
+    f0 = np.asarray(f_field(fb))
+    X0 = X_field.at(fb)
     rhs = (f0 * _divergence(dF[..., d:2 * d], fb)
            + eb.support * np.einsum("md,md->m", grad_f, X0)
            - np.einsum("md,md->m", X0, fb.nu) * np.einsum("md,md->m", grad_f, eb.xi))
     return np.abs(_divergence(dF[..., :d], fb) - rhs)
 
 
-def shape_products_asymmetry(eq: EquiaffineFrame | EquiaffineBatch):
-    """Asymmetry of II*S and II*S^2; both vanish for equiaffine fields.
-
-    Floats for an EquiaffineFrame, (m,) arrays for an EquiaffineBatch.
-    """
-    single = isinstance(eq, EquiaffineFrame)
-    M1 = (eq.frame.sec_form if single else eq.frames.sec_form) @ eq.shape_op
-    M2 = M1 @ eq.shape_op
-    asym = (np.max(np.abs(M - np.swapaxes(M, -1, -2)), axis=(-2, -1)) for M in (M1, M2))
-    return tuple(float(a) if single else a for a in asym)
+def shape_products_asymmetry(eb: EquiaffineBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Asymmetry of II*S and II*S^2 at each point; both vanish for equiaffine fields."""
+    M1 = eb.frames.sec_form @ eb.shape_op
+    M2 = M1 @ eb.shape_op
+    return tuple(np.max(np.abs(M - np.swapaxes(M, -1, -2)), axis=(-2, -1))
+                 for M in (M1, M2))
 
 
 # --------------------------------------------------------------------------
 # Codazzi check for the affine shape operator
 
 
-def _shape_op_coord(patch: ParametricPatch, xi_field: TransversalField, P,
+def _shape_op_coord(xi_field: TransversalField, fb: FrameBatch,
                     step: float) -> np.ndarray:
     """Affine shape operator components S^i_j in the coordinate basis."""
-    fb = patch.frames(P)
-    xi = xi_field(patch, P)
+    xi = xi_field.at(fb)
     support = np.einsum("md,md->m", xi, fb.nu)
+    axes = _coordinate_axes(fb.P)
     # W[:, j] = d_j xi
-    W = _central_diffs(lambda Q: xi_field(patch, Q), P, _coordinate_axes(P), (step,))[0]
+    W = _differences(xi_field.at(fb.patch.frames(_stencil(fb.P, axes, (step,)))),
+                     axes, (step,))[0]
     tau = np.einsum("mjd,md->mj", W, fb.nu) / support[:, None]
     S_X = tau[:, :, None] * xi[:, None, :] - W
     # solve <S(X_j), X_k> = sum_i S^i_j g_ik
@@ -920,19 +875,21 @@ def codazzi_residual(patch: ParametricPatch, xi_field: TransversalField, p,
     if n == 1:
         return _unbatch(np.zeros(m), single)
     fb = patch.frames(P)
+    axes, steps = _coordinate_axes(P), (outer_step, 0.5 * outer_step)
+    outer = patch.frames(_stencil(P, axes, steps))   # both Richardson levels
 
-    def d_coord(fld):  # d_k fld at every point, one Richardson level: (m, k, ...)
-        d1, d2 = _central_diffs(fld, P, _coordinate_axes(P), (outer_step, 0.5 * outer_step))
+    def d_coord(vals):  # d_k of values on the outer stencil: (m, k, ...)
+        d1, d2 = _differences(vals, axes, steps)
         return (4.0 * d2 - d1) / 3.0
 
-    dg = d_coord(lambda Q: patch.frames(Q).metric)  # dg[p, k, m, l] = d_k g_{ml}
+    dg = d_coord(outer.metric)  # dg[p, k, m, l] = d_k g_{ml}
     # Gamma[p, i, k, l] = 1/2 g^{im} (d_k g_{ml} + d_l g_{mk} - d_m g_{kl})
     Gamma = 0.5 * np.einsum("pim,pkml->pikl", fb.metric_inv,
                             dg + np.transpose(dg, (0, 3, 2, 1))
                             - np.transpose(dg, (0, 2, 1, 3)))
 
-    S0 = _shape_op_coord(patch, xi_field, P, inner_step)
-    dS = d_coord(lambda Q: _shape_op_coord(patch, xi_field, Q, inner_step))
+    S0 = _shape_op_coord(xi_field, fb, inner_step)
+    dS = d_coord(_shape_op_coord(xi_field, outer, inner_step))
     # dS[p, k, i, j] = d_k S^i_j
 
     def cov(k, j):  # components of [D^M_{X_k} S](X_j)

@@ -20,11 +20,12 @@ from .errors import (BoundaryInsideRegion, GaugeZero, NotClosed, NotEquiaffine,
 from .norms import DualNorm, MinkowskiNorm
 from .quadrature import (ClippedRegionRule, ParamQuadrature, integrate_clipped,
                          integrate_with_estimate, sublevel_energy)
-from .surfaces import (ParametricPatch, TransversalField, _divergence_constant_position,
+from .surfaces import (ParametricPatch, TransversalField, _divergence,
+                       _divergence_constant_position, _equiaffine, _frame_derivs,
                        _product_rule, _tangential_derivative, affine_tangential,
                        anisotropic_mean_curvature_batch, codazzi_residual,
                        constant_field, equiaffine_batch, hyperplane, position_field,
-                       shape_products_asymmetry, surface_divergence)
+                       shape_products_asymmetry)
 from .symfunc import normalized_curvature_batch
 
 PASS_FACTOR = 3.0
@@ -83,22 +84,33 @@ def monotonicity_identity(patch: ParametricPatch, norm: MinkowskiNorm,
         raise ValueError("need 0 < s < r")
     dual = dual or norm.dual()
     _require_boundary_outside(patch, dual, r)
-
-    flags = []
-    maxH = float(np.max(np.abs(
-        anisotropic_mean_curvature_batch(norm, patch, patch.sample_grid(grid)))))
-    if maxH > minimality_tol:
-        flags.append(f"not-minimal(max|H|={maxH:.3g})")
-
-    n = patch.n
+    maxH = _max_abs_mean_curvature(patch, norm, grid)
     Er = sublevel_energy(patch, norm, r, dual=dual, rule=rule, max_depth=max_depth)
     Es = sublevel_energy(patch, norm, s, dual=dual, rule=rule, max_depth=max_depth)
+    return _annulus_report(patch, norm, dual, s, r, Es, Er, maxH, rule=rule,
+                           max_depth=max_depth, minimality_tol=minimality_tol)
+
+
+def _max_abs_mean_curvature(patch: ParametricPatch, norm: MinkowskiNorm,
+                            grid: int) -> float:
+    """max |H_F| over the sample grid: the sampled minimality of the patch."""
+    return float(np.max(np.abs(
+        anisotropic_mean_curvature_batch(norm, patch, patch.sample_grid(grid)))))
+
+
+def _annulus_report(patch: ParametricPatch, norm: MinkowskiNorm, dual: DualNorm,
+                    s: float, r: float, Es, Er, maxH: float, *, rule: ParamQuadrature,
+                    max_depth: int, minimality_tol: float) -> IdentityReport:
+    """The annulus identity on {s < F° < r} from the energies Es, Er inside
+    radii s and r and the sampled max |H_F|."""
+    flags = [f"not-minimal(max|H|={maxH:.3g})"] if maxH > minimality_tol else []
+    n = patch.n
     lhs = Er.value / r**n - Es.value / s**n
     tol = Er.error_estimate / r**n + Es.error_estimate / s**n
 
     def kernel(fb):
-        gx = np.atleast_2d(dual.grad(fb.x))
-        gn = np.atleast_2d(norm.grad(fb.nu))
+        gx = dual.grad(fb.x)
+        gn = norm.grad(fb.nu)
         xn = np.einsum("md,md->m", fb.x, fb.nu)
         phi = np.asarray(dual.value(fb.x))
         return np.einsum("md,md->m", gx, gn) * xn / phi ** (n + 1)
@@ -138,8 +150,7 @@ def equiaffine_identity(patch: ParametricPatch, xi_field: TransversalField,
     n = patch.n
 
     def density(fb):
-        xi = xi_field(patch, fb.P)
-        return np.einsum("md,md->m", xi, fb.nu)
+        return np.einsum("md,md->m", xi_field.at(fb), fb.nu)
 
     def weighted(t: float):
         return integrate_clipped(
@@ -151,11 +162,9 @@ def equiaffine_identity(patch: ParametricPatch, xi_field: TransversalField,
     tol = Ir.error_estimate / r**n + Is.error_estimate / s**n
 
     def kernel(fb):
-        xi = xi_field(patch, fb.P)
-        gx = np.atleast_2d(gauge.grad(fb.x))
         xn = np.einsum("md,md->m", fb.x, fb.nu)
         phi = np.asarray(gauge.value(fb.x))
-        return xn * np.einsum("md,md->m", gx, xi) / phi ** (n + 1)
+        return xn * np.einsum("md,md->m", gauge.grad(fb.x), xi_field.at(fb)) / phi**(n + 1)
 
     rhs_res = integrate_clipped(
         patch, kernel, ClippedRegionRule(gauge=gauge, s=s, r=r, max_depth=max_depth),
@@ -177,21 +186,17 @@ def pointwise_divergence_residual(patch: ParametricPatch, xi_field: TransversalF
     parameter point (float result) or a batch (m,).
     """
     p = np.asarray(p, dtype=float)
-    P = np.atleast_2d(p)
-    eb = equiaffine_batch(patch, xi_field, P, step=step)
-    fb = eb.frames
+    eb = equiaffine_batch(patch, xi_field, np.atleast_2d(p), step=step)
+    fb, st = eb.frames, eb.stencil
     n = patch.n
     phi0 = np.asarray(gauge.value(fb.x))
     if np.any(phi0 <= 1e-12):
         raise GaugeZero("gauge vanishes at the evaluation point")
 
-    def V(patch_, Q):
-        fbq = patch_.frames(Q)
-        xt = affine_tangential(fbq.x, xi_field(patch_, Q), fbq.nu)
-        phi = np.asarray(gauge.value(fbq.x))
-        return xt / (n * phi**n)[:, None]
-
-    lhs = surface_divergence(patch, V, P, step=step)
+    # the field x^{top_xi} / (n phi^n) on the decomposition's stencil
+    V = (affine_tangential(st.x, xi_field.at(st), st.nu)
+         / (n * np.asarray(gauge.value(st.x))**n)[:, None])
+    lhs = _divergence(_frame_derivs(V, fb, step), fb)
     xn = np.einsum("md,md->m", fb.x, fb.nu)
     gp = gauge.grad(fb.x)
     rhs = (xn * np.einsum("md,md->m", gp, eb.xi) / phi0 ** (n + 1)
@@ -257,19 +262,17 @@ def corollary_lower_bound(patch: ParametricPatch, norm: MinkowskiNorm, *,
         raise BoundaryInsideRegion(
             f"patch boundary enters the unit gauge ball (min gauge {bnd:.6g})")
 
-    flags = []
-    maxH = float(np.max(np.abs(
-        anisotropic_mean_curvature_batch(norm, patch, patch.sample_grid(grid)))))
-    if maxH > minimality_tol:
-        flags.append(f"not-minimal(max|H|={maxH:.3g})")
+    maxH = _max_abs_mean_curvature(patch, norm, grid)
+    flags = [f"not-minimal(max|H|={maxH:.3g})"] if maxH > minimality_tol else []
 
     energy = integrate_clipped(
         patch, lambda fb: np.asarray(norm.value(fb.nu)),
         ClippedRegionRule(gauge=dual, s=0.0, r=1.0, max_depth=max_depth), rule)
 
-    fr0 = patch.frame_at(p0)
-    F0 = float(norm.value(fr0.nu))
-    section_patch = _tangent_section_patch(patch, fr0, dual)
+    fb0 = patch.frames(p0[None])
+    nu0 = fb0.nu[0]
+    F0 = float(norm.value(nu0))
+    section_patch = _tangent_section_patch(patch, nu0, fb0.e[0, 0], dual)
     section = integrate_clipped(
         section_patch, lambda fb: np.ones(fb.x.shape[0]),
         ClippedRegionRule(gauge=dual, s=0.0, r=1.0, max_depth=max_depth), rule)
@@ -281,21 +284,23 @@ def corollary_lower_bound(patch: ParametricPatch, norm: MinkowskiNorm, *,
         energy=energy.value, bound=bound, section_measure=section.value,
         ratio=ratio, tolerance=rel_tol, flags=flags,
         metadata={"surface": patch.name, "norm": norm.label, "origin_param": p0,
-                  "max_abs_H": maxH, "normal_at_origin": fr0.nu})
+                  "max_abs_H": maxH, "normal_at_origin": nu0})
 
 
-def _tangent_section_patch(patch: ParametricPatch, fr0, dual) -> ParametricPatch:
-    """Flat patch spanning T_0 M, sized to contain the unit dual ball section."""
+def _tangent_section_patch(patch: ParametricPatch, nu0, t, dual) -> ParametricPatch:
+    """Flat patch spanning T_0 M, sized to contain the unit dual ball section.
+
+    nu0 is the unit normal at the origin and t its first frame vector.
+    """
     if patch.n == 2:
-        plane = hyperplane(normal=fr0.nu, origin=np.zeros(3), extent=1.0)
+        plane = hyperplane(normal=nu0, origin=np.zeros(3), extent=1.0)
         ang = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
         T = plane.dchart(np.zeros((1, 2)))[0]
         dirs = np.outer(np.cos(ang), T[0]) + np.outer(np.sin(ang), T[1])
         rho = 1.0 / np.asarray(dual.value(dirs))
         extent = 1.05 * float(np.max(rho))
-        return hyperplane(normal=fr0.nu, origin=np.zeros(3), extent=extent)
+        return hyperplane(normal=nu0, origin=np.zeros(3), extent=extent)
     # n == 1: the tangent line through the origin
-    t = fr0.e[0]
     rho = max(1.0 / float(dual.value(t)), 1.0 / float(dual.value(-t)))
     extent = 1.05 * rho
 
@@ -332,11 +337,11 @@ def minkowski_formula(patch: ParametricPatch, xi_field: TransversalField, k: int
         raise NotEquiaffine(f"max |tau| = {max_tau:.3g} exceeds {tau_tol:g}")
 
     def lhs_f(fb):
-        e = equiaffine_batch(patch, xi_field, fb.P)
+        e = _equiaffine(xi_field, fb)
         return e.support * normalized_curvature_batch(e.shape_op, k)
 
     def rhs_f(fb):
-        e = equiaffine_batch(patch, xi_field, fb.P)
+        e = _equiaffine(xi_field, fb)
         xn = np.einsum("md,md->m", fb.x, fb.nu)
         return -xn * normalized_curvature_batch(e.shape_op, k + 1)
 
@@ -376,17 +381,21 @@ def monotonicity_scan(patch: ParametricPatch, norm: MinkowskiNorm, radii, *,
     if radii.ndim != 1 or radii.size < 2 or np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be strictly increasing with length >= 2")
     dual = dual or norm.dual()
+    _require_boundary_outside(patch, dual, float(radii[-1]))
+    maxH = _max_abs_mean_curvature(patch, norm, grid)
     n = patch.n
-    energies, estimates = [], []
+    results, energies, estimates = [], [], []
     for r in radii:
         res = sublevel_energy(patch, norm, float(r), dual=dual, rule=rule,
                               max_depth=max_depth)
+        results.append(res)
         energies.append(res.value / r**n)
         estimates.append(res.error_estimate / r**n)
+    # each energy serves the two annuli it bounds
     reports = [
-        monotonicity_identity(patch, norm, float(radii[i]), float(radii[i + 1]),
-                              dual=dual, rule=rule, max_depth=max_depth,
-                              minimality_tol=minimality_tol, grid=grid)
+        _annulus_report(patch, norm, dual, float(radii[i]), float(radii[i + 1]),
+                        results[i], results[i + 1], maxH, rule=rule,
+                        max_depth=max_depth, minimality_tol=minimality_tol)
         for i in range(radii.size - 1)]
     return MonotonicityScan(radii=radii, normalized=np.asarray(energies),
                             estimates=np.asarray(estimates), reports=reports)
@@ -418,8 +427,7 @@ def frame_identity_suite(patch: ParametricPatch, xi_field: TransversalField, *,
     """
     P = patch.sample_grid(grid)
     fb = patch.frames(P)
-    xi = xi_field(patch, P)
-    supp = np.einsum("md,md->m", xi, fb.nu)
+    supp = np.einsum("md,md->m", xi_field.at(fb), fb.nu)
     kept = P[np.abs(supp) >= min_support]
     if kept.shape[0] == 0:
         raise NotEquiaffine("no grid point is safely transversal")
@@ -427,14 +435,13 @@ def frame_identity_suite(patch: ParametricPatch, xi_field: TransversalField, *,
     b = np.asarray(test_vector, dtype=float)[: patch.dim]
     c = np.asarray(test_covector, dtype=float)[: patch.dim]
 
-    # one decomposition for every kept point; each check below evaluates its
-    # finite-difference stencil for all of them in one call
+    # one decomposition for every kept point; the checks below difference
+    # their fields on its stencil, framed once for all of them
     eb = equiaffine_batch(patch, xi_field, kept, step=step)
-    pos = _tangential_derivative(patch, xi_field, position_field(), eb, step)
-    const = _tangential_derivative(patch, xi_field, constant_field(b), eb, step)
-    div_b, div_x = _divergence_constant_position(patch, xi_field, eb, b, step)
-    product = _product_rule(patch, xi_field, lambda pt, Q: pt.chart(Q) @ c,
-                            position_field(), eb, step)
+    pos = _tangential_derivative(xi_field, position_field(), eb)
+    const = _tangential_derivative(xi_field, constant_field(b), eb)
+    div_b, div_x = _divergence_constant_position(xi_field, eb, b)
+    product = _product_rule(xi_field, lambda f: f.x @ c, position_field(), eb)
     sym_1, sym_2 = shape_products_asymmetry(eb)
     codazzi = codazzi_residual(patch, xi_field, kept, inner_step=step)
     residuals = {"tangential_derivative": (pos[0], const[0]),

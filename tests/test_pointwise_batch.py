@@ -7,6 +7,8 @@ steps and formulas, so the two agree up to round-off amplified by the
 1e-5 stencil (eps / h ~ 2e-11); 1e-10 absolute is set from that.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,20 @@ def _field(name, dim):
 # ------------------------------------------------------- per-point reference
 
 
+def _frame(fb):
+    """Row 0 of a one-point FrameBatch: the frame the reference works with."""
+    return SimpleNamespace(p=fb.P[0], x=fb.x[0], e=fb.e[0], nu=fb.nu[0],
+                           tangents=fb.tangents[0], param_dirs=fb.param_dirs[0],
+                           metric_inv=fb.metric_inv[0], sec_form=fb.sec_form[0])
+
+
+def _decomposition(patch, xi_field, p, step):
+    """Row 0 of equiaffine_batch at the one point p."""
+    eb = sf.equiaffine_batch(patch, xi_field, p[None, :], step=step)
+    return SimpleNamespace(frame=_frame(eb.frames), xi=eb.xi[0], support=eb.support[0],
+                           shape_op=eb.shape_op[0], affine_mean=eb.affine_mean[0])
+
+
 def _dirderivs(patch, frame, fld, step, richardson=False):
     outs = []
     for a in range(patch.n):
@@ -63,7 +79,7 @@ def _tangential_field(patch, xi_field, X_field):
 
 
 def _tangential_derivative(patch, xi_field, X_field, p, step):
-    eq = sf.equiaffine_frame(patch, xi_field, p, step=step)
+    eq = _decomposition(patch, xi_field, p, step)
     fr, xi0, supp = eq.frame, eq.xi, eq.support
     dY = _dirderivs(patch, fr, _tangential_field(patch, xi_field, X_field), step)
     lhs = np.einsum("jd,id->ij", dY, fr.e)
@@ -85,7 +101,7 @@ def _tangential_derivative(patch, xi_field, X_field, p, step):
 
 
 def _divergence_constant_position(patch, xi_field, p, b, step):
-    eq = sf.equiaffine_frame(patch, xi_field, p, step=step)
+    eq = _decomposition(patch, xi_field, p, step)
     fr = eq.frame
     div_b = _fd_div(patch, fr, _tangential_field(patch, xi_field, sf.constant_field(b)), step)
     div_x = _fd_div(patch, fr, _tangential_field(patch, xi_field, sf.position_field()), step)
@@ -94,7 +110,7 @@ def _divergence_constant_position(patch, xi_field, p, b, step):
 
 
 def _product_rule(patch, xi_field, f_field, X_field, p, step):
-    eq = sf.equiaffine_frame(patch, xi_field, p, step=step)
+    eq = _decomposition(patch, xi_field, p, step)
     fr = eq.frame
     Y = _tangential_field(patch, xi_field, X_field)
     div_fY = _fd_div(patch, fr, lambda P: np.asarray(f_field(patch, P))[:, None] * Y(P), step)
@@ -131,7 +147,7 @@ def _shape_op_coord(patch, xi_field, P, step):
 def _codazzi(patch, xi_field, p, inner_step, outer_step=1e-4):
     if patch.n == 1:
         return 0.0
-    frame, n = patch.frame_at(p), patch.n
+    frame, n = _frame(patch.frame_at(p)), patch.n
     dg = np.array([central_diff(lambda t, k=k: patch.frames((p + t * _unit(n, k))[None, :])
                                 .metric[0], 0.0, outer_step) for k in range(n)])
     Gamma = 0.5 * np.einsum("im,kml->ikl", frame.metric_inv,
@@ -172,7 +188,7 @@ def reference_suite(patch, xi_field, grid, min_support=0.05, step=1e-5,
         out["div_position"] = max(out["div_position"], rx)
         out["product_rule"] = max(out["product_rule"], _product_rule(
             patch, xi_field, lambda pt, Q: pt.chart(Q) @ c, sf.position_field(), p, step))
-        eq = sf.equiaffine_frame(patch, xi_field, p, step=step)
+        eq = _decomposition(patch, xi_field, p, step)
         M1 = eq.frame.sec_form @ eq.shape_op
         M2 = M1 @ eq.shape_op
         out["shape_sym_1"] = max(out["shape_sym_1"], float(np.max(np.abs(M1 - M1.T))))
@@ -206,7 +222,7 @@ def test_batch_matches_single_points(surface):
     P = patch.sample_grid(3)[:4]
     checks = (lambda p: sf.codazzi_residual(patch, xi, p),
               lambda p: vf.pointwise_divergence_residual(patch, xi, gauge, p),
-              lambda p: sf.surface_divergence(patch, lambda pt, Q: pt.chart(Q), p))
+              lambda p: sf.surface_divergence(patch, lambda fb: fb.x, p))
     for check in checks:
         batch = check(P)
         assert batch.shape == (len(P),)

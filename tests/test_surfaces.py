@@ -14,8 +14,8 @@ F_MIX = wk.MinkowskiNorm.quadratic(A_MIX)
 
 def test_sphere_frame_second_form():
     fr = sf.sphere().frame_at([1.1, 0.7])
-    assert np.allclose(fr.sec_form, -np.eye(2), atol=1e-9)
-    assert fr.mean_curvature == pytest.approx(-2.0, abs=1e-9)
+    assert np.allclose(fr.sec_form[0], -np.eye(2), atol=1e-9)
+    assert fr.mean_curvature[0] == pytest.approx(-2.0, abs=1e-9)
 
 
 def test_frame_orthonormality():
@@ -23,7 +23,7 @@ def test_frame_orthonormality():
                      (sf.ellipsoid((1.0, 1.3, 1.7)), [1.4, 0.3]),
                      (sf.circle(), [1.234]), (sf.line(), [0.8])):
         fr = patch.frame_at(p)
-        B = np.vstack([fr.e, fr.nu[None, :]])
+        B = np.vstack([fr.e[0], fr.nu])
         assert np.max(np.abs(B @ B.T - np.eye(patch.dim))) < 1e-12
 
 
@@ -42,7 +42,7 @@ def test_circle_curvature_and_normal():
     fr = sf.circle(radius=2.0).frame_at([0.7])
     # outward normal, shape operator -D nu has curvature -1/R
     assert np.allclose(fr.nu, fr.x / 2.0, atol=1e-14)
-    assert fr.sec_form[0, 0] == pytest.approx(-0.5, abs=1e-10)
+    assert fr.sec_form[0, 0, 0] == pytest.approx(-0.5, abs=1e-10)
 
 
 def test_enneper_minimal_and_through_origin():
@@ -82,15 +82,15 @@ def test_transformed_catenoid_is_linear_image():
 
 
 def test_sphere_normal_field_shape_operator():
-    eq = sf.equiaffine_frame(sf.sphere(), sf.normal_field(), [1.1, 0.7])
-    assert np.allclose(eq.shape_op, -np.eye(2), atol=1e-9)
+    eq = sf.equiaffine_batch(sf.sphere(), sf.normal_field(), [[1.1, 0.7]])
+    assert np.allclose(eq.shape_op[0], -np.eye(2), atol=1e-9)
     assert np.max(np.abs(eq.tau)) < 1e-10
-    assert eq.affine_mean == pytest.approx(-2.0, abs=1e-9)
+    assert eq.affine_mean[0] == pytest.approx(-2.0, abs=1e-9)
 
 
 def test_constant_field_has_zero_shape_operator():
-    eq = sf.equiaffine_frame(sf.sphere(), sf.constant_field([0.2, 0.1, 1.4]),
-                             [1.1, 0.7])
+    eq = sf.equiaffine_batch(sf.sphere(), sf.constant_field([0.2, 0.1, 1.4]),
+                             [[1.1, 0.7]])
     assert np.max(np.abs(eq.shape_op)) < 1e-12
     assert np.max(np.abs(eq.tau)) < 1e-12
 
@@ -105,14 +105,14 @@ def test_anisotropic_normal_is_equiaffine():
 def test_transversality_guard():
     # constant field tangent to the sphere at the equator point
     with pytest.raises(NotTransversal):
-        sf.equiaffine_frame(sf.sphere(), sf.constant_field([0.0, 0.0, 1.0]),
-                            [np.pi / 2, 0.0])
+        sf.equiaffine_batch(sf.sphere(), sf.constant_field([0.0, 0.0, 1.0]),
+                            [[np.pi / 2, 0.0]])
 
 
 def test_fundamental_form_support_relation():
     patch = sf.ellipsoid((1.0, 1.3, 1.7))
-    eq = sf.equiaffine_frame(patch, sf.anisotropic_normal_field(F_MIX), [1.2, 0.6])
-    assert np.max(np.abs(eq.fundamental * eq.support - eq.frame.sec_form)) < 1e-8
+    eq = sf.equiaffine_batch(patch, sf.anisotropic_normal_field(F_MIX), [[1.2, 0.6]])
+    assert np.max(np.abs(eq.fundamental[0] * eq.support[0] - eq.frames.sec_form[0])) < 1e-8
 
 
 def test_weingarten_reconstruction():
@@ -120,31 +120,32 @@ def test_weingarten_reconstruction():
     patch = sf.ellipsoid((1.0, 1.3, 1.7))
     xi = sf.anisotropic_normal_field(F_MIX)
     p = np.array([1.2, 0.6])
-    eq = sf.equiaffine_frame(patch, xi, p)
+    eq = sf.equiaffine_batch(patch, xi, p[None, :])
     h = 1e-5
     for a in range(2):
-        ca = eq.frame.param_dirs[:, a]
+        ca = eq.frames.param_dirs[0][:, a]
         W = (xi(patch, (p + h * ca)[None, :])[0]
              - xi(patch, (p - h * ca)[None, :])[0]) / (2 * h)
-        S_ea = eq.frame.e.T @ eq.shape_op[:, a]
-        recon = W + S_ea - eq.tau[a] * eq.xi
+        S_ea = eq.frames.e[0].T @ eq.shape_op[0][:, a]
+        recon = W + S_ea - eq.tau[0][a] * eq.xi[0]
         assert np.max(np.abs(recon)) < 1e-6
 
 
 def test_anisotropic_normal_support_euler():
     patch = sf.catenoid()
     fr = patch.frame_at([0.9, 0.4])
-    nuF = sf.anisotropic_normal(F_MIX, fr)
-    assert float(np.dot(nuF, fr.nu)) == pytest.approx(F_MIX.value(fr.nu), abs=1e-10)
+    nuF = sf.anisotropic_normal_field(F_MIX).at(fr)[0]
+    assert float(np.dot(nuF, fr.nu[0])) == pytest.approx(F_MIX.value(fr.nu[0]), abs=1e-10)
     E = wk.MinkowskiNorm.euclidean(3)
-    assert np.allclose(sf.anisotropic_normal(E, fr), fr.nu, atol=1e-14)
+    assert np.allclose(sf.anisotropic_normal_field(E).at(fr), fr.nu, atol=1e-14)
 
 
 def test_anisotropic_normal_component_example():
     # quadratic diag(1,1,4) maps the vertical normal to (0,0,2)
     plane = sf.hyperplane(normal=(0, 0, 1))
     fr = plane.frame_at([0.0, 0.0])
-    assert np.allclose(sf.anisotropic_normal(F_MIX, fr), [0.0, 0.0, 2.0], atol=1e-13)
+    assert np.allclose(sf.anisotropic_normal_field(F_MIX).at(fr), [0.0, 0.0, 2.0],
+                       atol=1e-13)
 
 
 # ------------------------------------------------------ mean curvatures
@@ -152,7 +153,7 @@ def test_anisotropic_normal_component_example():
 
 def test_anisotropic_mean_curvature_hyperplane_zero():
     plane = sf.hyperplane()
-    val = sf.anisotropic_mean_curvature(F_MIX, plane, [0.3, 0.1])
+    val = sf.anisotropic_mean_curvature_batch(F_MIX, plane, [[0.3, 0.1]])[0]
     assert abs(val) < 1e-14
 
 
@@ -172,7 +173,7 @@ def test_transformed_catenoid_is_anisotropically_minimal():
 def test_mean_curvature_chain_rule_vs_divergence():
     patch = sf.ellipsoid((1.0, 1.3, 1.7))
     p = [1.2, 0.6]
-    a = sf.anisotropic_mean_curvature(F_MIX, patch, p)
+    a = sf.anisotropic_mean_curvature_batch(F_MIX, patch, [p])[0]
     b = sf.anisotropic_mean_curvature_fd(F_MIX, patch, p)
     assert a == pytest.approx(b, abs=1e-7)
 
@@ -183,20 +184,19 @@ def test_mean_curvature_chain_rule_vs_divergence():
 def test_surface_divergence_constant_field():
     C = sf.catenoid()
     div = sf.surface_divergence(
-        C, lambda pt, P: np.tile([1.0, 2.0, 3.0], (P.shape[0], 1)), [1.0, 0.4])
+        C, lambda fb: np.tile([1.0, 2.0, 3.0], (fb.x.shape[0], 1)), [1.0, 0.4])
     assert abs(div) < 1e-8
 
 
 def test_surface_divergence_position_field():
     for patch, p in ((sf.sphere(), [1.0, 0.4]), (sf.catenoid(), [2.0, 0.5]),
                      (sf.circle(), [0.9])):
-        div = sf.surface_divergence(patch, lambda pt, P: pt.chart(P), p)
+        div = sf.surface_divergence(patch, lambda fb: fb.x, p)
         assert div == pytest.approx(patch.n, abs=1e-6)
 
 
 def test_surface_divergence_normal_on_sphere():
-    div = sf.surface_divergence(sf.sphere(),
-                                lambda pt, P: pt.frames(P).nu, [1.0, 0.4])
+    div = sf.surface_divergence(sf.sphere(), lambda fb: fb.nu, [1.0, 0.4])
     assert div == pytest.approx(2.0, abs=1e-6)
 
 
@@ -274,8 +274,8 @@ def test_divergence_identities_sphere_arithmetic():
 def test_product_rule(xi_name, xi_maker):
     c = np.array([0.2, 0.5, -0.4])
 
-    def f_linear(patch, P):
-        return patch.chart(P) @ c
+    def f_linear(fb):
+        return fb.x @ c
 
     for patch in (sf.sphere(), sf.ellipsoid((1.0, 1.3, 1.7)), sf.catenoid()):
         xi = xi_maker()
@@ -288,8 +288,8 @@ def test_product_rule(xi_name, xi_maker):
 def test_product_rule_with_gauge_weight():
     D = F_MIX.dual()
 
-    def f_gauge(patch, P):
-        return np.asarray(D.value(patch.chart(P)))
+    def f_gauge(fb):
+        return np.asarray(D.value(fb.x))
 
     E = sf.ellipsoid((1.0, 1.3, 1.7))
     res = sf.product_rule_residual(E, sf.anisotropic_normal_field(F_MIX),
@@ -300,11 +300,10 @@ def test_product_rule_with_gauge_weight():
 def test_shape_products_selfadjointness():
     for patch in (sf.sphere(), sf.ellipsoid((1.0, 1.3, 1.7)), sf.catenoid()):
         xi = sf.anisotropic_normal_field(F_MIX)
-        for p in _transversal_points(patch, xi)[:3]:
-            eq = sf.equiaffine_frame(patch, xi, p)
-            s1, s2 = sf.shape_products_asymmetry(eq)
-            assert s1 < 1e-6
-            assert s2 < 1e-5
+        eq = sf.equiaffine_batch(patch, xi, _transversal_points(patch, xi)[:3])
+        s1, s2 = sf.shape_products_asymmetry(eq)
+        assert np.max(s1) < 1e-6
+        assert np.max(s2) < 1e-5
 
 
 def test_codazzi_residual_small_for_equiaffine():
@@ -315,7 +314,6 @@ def test_codazzi_residual_small_for_equiaffine():
 
 def test_codazzi_detects_non_equiaffine_field():
     wobble = sf.TransversalField(
-        lambda pt, P: pt.frames(P).nu
-        * (1.0 + 0.3 * np.sin(pt.chart(P)[:, 0]))[:, None], "wobble")
+        lambda fb: fb.nu * (1.0 + 0.3 * np.sin(fb.x[:, 0]))[:, None], "wobble")
     assert sf.codazzi_residual(sf.ellipsoid((1.0, 1.3, 1.7)), wobble,
                                [0.8, 1.3]) > 1e-2

@@ -164,11 +164,11 @@ def test_pointwise_divergence_curvature_term_matters():
     xi = sf.anisotropic_normal_field(F_MIX)
     gauge = F_MIX.dual()
     p = [1.05, 0.8]
-    eq = sf.equiaffine_frame(patch, xi, p)
-    fr = eq.frame
-    phi0 = float(gauge.value(fr.x))
-    xn = float(np.dot(fr.x, fr.nu))
-    curvature_term = xn * eq.affine_mean / (patch.n * phi0**patch.n)
+    eq = sf.equiaffine_batch(patch, xi, [p])
+    fr = eq.frames
+    phi0 = float(gauge.value(fr.x[0]))
+    xn = float(np.dot(fr.x[0], fr.nu[0]))
+    curvature_term = xn * eq.affine_mean[0] / (patch.n * phi0**patch.n)
     assert abs(curvature_term) > 1e-3
 
 
@@ -232,8 +232,7 @@ def test_minkowski_formula_guards():
     with pytest.raises(NotClosed):
         vf.minkowski_formula(sf.catenoid(), sf.normal_field(), 0, rule=Q12)
     wobble = sf.TransversalField(
-        lambda pt, P: pt.frames(P).nu
-        * (1.0 + 0.3 * np.sin(pt.chart(P)[:, 0]))[:, None], "wobble")
+        lambda fb: fb.nu * (1.0 + 0.3 * np.sin(fb.x[:, 0]))[:, None], "wobble")
     with pytest.raises(NotEquiaffine):
         vf.minkowski_formula(sf.sphere(), wobble, 0, rule=Q12)
     with pytest.raises(ValueError):
@@ -256,3 +255,42 @@ def test_geometric_radii_bounds():
     assert radii[0] > 1.0  # neck gauge distance
     assert radii[-1] < C.boundary_gauge_radius(E3.dual())
     assert np.all(np.diff(radii) > 0)
+
+
+@pytest.mark.parametrize("xi", [sf.normal_field(), sf.anisotropic_normal_field(F_MIX),
+                                sf.constant_field([0.3, -0.7, 0.55])],
+                         ids=["normal", "anisotropic", "constant"])
+def test_frame_identity_suite_frames_each_stencil_once(monkeypatch, xi):
+    calls = []
+    frames = sf.ParametricPatch.frames
+
+    def counted(patch, P):
+        calls.append(P)
+        return frames(patch, P)
+
+    monkeypatch.setattr(sf.ParametricPatch, "frames", counted)
+    vf.frame_identity_suite(sf.ellipsoid((1, 1.3, 1.7)), xi, grid=3)
+    assert len(calls) <= 9
+
+
+def test_monotonicity_scan_reuses_energies(monkeypatch):
+    import wulffkit.quadrature as qd
+    C = sf.catenoid(v_max=1.2)
+    radii = vf.geometric_radii(C, F_MIX.dual(), count=8)
+    rule = ParamQuadrature(order=4, base_grid=8)
+    calls = []
+    clipped = qd.integrate_clipped
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return clipped(*args, **kwargs)
+
+    monkeypatch.setattr(qd, "integrate_clipped", counted)
+    monkeypatch.setattr(vf, "integrate_clipped", counted)
+    scan = vf.monotonicity_scan(C, F_MIX, radii, rule=rule, max_depth=5)
+    assert len(calls) == 2 * len(radii) - 1
+    single = [vf.monotonicity_identity(C, F_MIX, float(s), float(r), rule=rule,
+                                       max_depth=5)
+              for s, r in zip(radii[:-1], radii[1:])]
+    assert scan.reports == single
+    assert all(rep.flags for rep in single)   # F_MIX does not make C critical
