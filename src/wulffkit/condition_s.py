@@ -15,6 +15,7 @@ toolkit and is recorded in the verdict metadata).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,17 +73,48 @@ class ConditionSVerdict:
     metadata: dict = field(default_factory=dict)
 
 
+_HALTON_BASES = (2, 3, 5, 7)
+
+
+def _scrambled_halton(d: int, count: int, seed: int = 0) -> np.ndarray:
+    """The first `count` points (count, d) of the scrambled Halton sequence in
+    [0, 1)^d: per axis, the radical inverse in the next prime base with each
+    digit position permuted at random (A. B. Owen, "A randomized Halton
+    algorithm in R", 2017).  The same points, bit for bit, as
+    scipy.stats.qmc.Halton(d, scramble=True, seed=seed).random(count)."""
+    if d > len(_HALTON_BASES):
+        raise ValueError(f"Halton points need d <= {len(_HALTON_BASES)}")
+    rng = np.random.default_rng(seed)
+    out = np.empty((count, d))
+    for axis, b in enumerate(_HALTON_BASES[:d]):
+        # one permutation per digit position that a double resolves: b^-k > 2^-54
+        perms = np.repeat(np.arange(b)[None], math.ceil(54 / math.log2(b)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        # add perm_k[digit k of i] * b^-(k+1) digit by digit, in SciPy's order;
+        # once b^k >= count, digit k of every index is 0
+        q, scale, v = np.arange(count), 1.0 / b, np.zeros(count)
+        for k, perm in enumerate(perms):
+            if b ** k < count:
+                v += perm[q % b] * scale
+                q //= b
+            else:
+                v += perm[0] * scale
+            scale /= b
+        out[:, axis] = v
+    return out
+
+
 def unit_pair_samples(dim: int, count: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Low-discrepancy (Halton) direction pairs on S^{dim-1} x S^{dim-1}."""
-    from scipy.stats import qmc   # deferred: SciPy dominates the import time
     if dim == 2:
-        pts = qmc.Halton(d=2, scramble=True, seed=seed).random(count)
+        pts = _scrambled_halton(2, count, seed)
         a, b = 2 * np.pi * pts[:, 0], 2 * np.pi * pts[:, 1]
         U = np.column_stack([np.cos(a), np.sin(a)])
         V = np.column_stack([np.cos(b), np.sin(b)])
         return U, V
     if dim == 3:
-        pts = qmc.Halton(d=4, scramble=True, seed=seed).random(count)
+        pts = _scrambled_halton(4, count, seed)
 
         def sphere(z01, phi01):
             z = 1.0 - 2.0 * z01

@@ -153,7 +153,9 @@ class MinkowskiNorm:
         if self.family == "euclidean":
             return np.linalg.norm(U, axis=1)
         if self.family == "quadratic":
-            return np.sqrt(np.einsum("mi,ij,mj->m", U, self.matrix, U))
+            # U.dot(A): the same product as U @ A, with less overhead on the
+            # single rows of the numeric dual's ascent
+            return np.sqrt(np.einsum("mi,mi->m", U.dot(self.matrix), U))
         if self.family == "quartic":
             return self._quartic_G(U) ** 0.25
         return np.array([float(self._value_fn(row)) for row in U])
@@ -377,7 +379,7 @@ class DualNorm:
             if self.base.family == "euclidean":
                 out = np.linalg.norm(V, axis=1)
             else:
-                out = np.sqrt(np.einsum("mi,ij,mj->m", V, self.base.matrix_inv, V))
+                out = np.sqrt(np.einsum("mi,mi->m", V.dot(self.base.matrix_inv), V))
         else:
             out = self._ascend(V).value
         return float(out[0]) if single else out

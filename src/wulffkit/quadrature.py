@@ -62,8 +62,7 @@ _ORIGIN_FLOOR = 1e-12
 
 def _gauge_values_safe(gauge, X: np.ndarray) -> np.ndarray:
     """Gauge values with phi(0) = 0 filled in (1-homogeneous extension)."""
-    nrm = np.linalg.norm(X, axis=1)
-    small = nrm < _ORIGIN_FLOOR
+    small = np.einsum("md,md->m", X, X) < _ORIGIN_FLOOR * _ORIGIN_FLOOR
     if not np.any(small):
         return np.asarray(gauge.value(X), dtype=float)
     out = np.zeros(X.shape[0])
@@ -75,8 +74,7 @@ def _gauge_values_safe(gauge, X: np.ndarray) -> np.ndarray:
 def _gauge_grads_safe(gauge, X: np.ndarray) -> np.ndarray:
     """Gauge gradients with rows at the origin zeroed (used only for
     variation bounds; neighboring samples dominate there)."""
-    nrm = np.linalg.norm(X, axis=1)
-    small = nrm < _ORIGIN_FLOOR
+    small = np.einsum("md,md->m", X, X) < _ORIGIN_FLOOR * _ORIGIN_FLOOR
     if not np.any(small):
         return np.atleast_2d(np.asarray(gauge.grad(X), dtype=float))
     out = np.zeros_like(X)
@@ -114,14 +112,14 @@ def _gl_sum(patch: ParametricPatch, f, lo: np.ndarray, hi: np.ndarray,
             absolute: bool = False):
     """Gauss-Legendre sum over a batch of cells; optional region indicator.
 
-    Returns (signed sum, absolute-mass sum).
+    f returns (m,) values, or (m, j) for j integrands on the same nodes.
+    Returns (signed sum, absolute-mass sum): floats, or (j,) arrays.
     """
     if lo.shape[0] == 0:
         return 0.0, 0.0
     tn, tw = _unit_nodes(order, patch.n)
     q = tn.shape[0]
-    total = 0.0
-    mass = 0.0
+    total = mass = np.zeros(1)       # (j,) from the first chunk on
     chunk = max(1, 200_000 // q)
     for start in range(0, lo.shape[0], chunk):
         cl, ch = lo[start:start + chunk], hi[start:start + chunk]
@@ -129,21 +127,36 @@ def _gl_sum(patch: ParametricPatch, f, lo: np.ndarray, hi: np.ndarray,
         vol = np.prod(ch - cl, axis=1)
         W = (tw[None, :] * vol[:, None]).reshape(-1)
         fb = patch.frames(P.reshape(-1, patch.n))
-        vals = np.asarray(f(fb), dtype=float) * fb.sqrt_g
+        vals = np.asarray(f(fb), dtype=float)
+        # (j, m): one contiguous row per integrand, so each integral is the
+        # same dot product, bit for bit, as for that integrand alone
+        rows = np.ascontiguousarray(vals.T).reshape(-1, len(W)) * fb.sqrt_g
         if region is not None:
             phi = _gauge_values_safe(region.gauge, fb.x)
             mask = ((phi > region.s) if region.s > 0.0 else (phi > 0.0)) \
                 & (phi < region.r)
-            total += float(np.dot(W, np.where(mask, vals, 0.0)))
+            total = total + _row_dots(W, np.where(mask, rows, 0.0))
         else:
-            total += float(np.dot(W, vals))
+            total = total + _row_dots(W, rows)
         if absolute:
-            mass += float(np.dot(W, np.abs(vals)))
+            mass = mass + _row_dots(W, np.abs(rows))
+    if vals.ndim == 1:
+        return float(total[0]), float(mass[0])
     return total, mass
 
 
-def integrate(patch: ParametricPatch, f, rule: ParamQuadrature = ParamQuadrature()) -> float:
-    """Integral of f against the surface measure over the whole patch."""
+def _row_dots(W: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """np.dot(W, row) for each row of rows (j, m)."""
+    return np.array([np.dot(W, row) for row in rows])
+
+
+def integrate(patch: ParametricPatch, f, rule: ParamQuadrature = ParamQuadrature()):
+    """Integral of f against the surface measure over the whole patch.
+
+    f maps a FrameBatch of m nodes to (m,) values, or to (m, j) for j
+    integrands sharing the nodes (and their frames); the result is a float,
+    or a (j,) array.
+    """
     lo, hi = _base_cells(patch, rule.base_grid)
     total, _ = _gl_sum(patch, f, lo, hi, rule.order)
     return total
@@ -151,8 +164,9 @@ def integrate(patch: ParametricPatch, f, rule: ParamQuadrature = ParamQuadrature
 
 def integrate_with_estimate(patch: ParametricPatch, f,
                             rule: ParamQuadrature = ParamQuadrature(),
-                            factor: int = 2) -> tuple[float, float]:
-    """Integral plus a two-resolution error estimate."""
+                            factor: int = 2):
+    """Integral plus a two-resolution error estimate (each a float, or a
+    (j,) array for an (m, j) integrand, as in integrate)."""
     coarse = integrate(patch, f, rule)
     fine = integrate(patch, f, rule.refined(factor))
     return fine, abs(fine - coarse) + 1e-15 * (abs(fine) + 1.0)

@@ -239,23 +239,34 @@ class FrameBatch:
 
 
 def _build_frames(patch: ParametricPatch, P, X, T) -> FrameBatch:
+    # the Gram entries, cross product and norms are written out per component:
+    # NumPy's generic einsum, np.cross and np.linalg.norm are several times
+    # slower on (m, 2, 3) stacks than the few row-wise products they stand
+    # for, which give the same bits
     n = patch.n
-    g = np.einsum("mia,mja->mij", T, T)
+    g = np.empty((len(T), n, n))
+    t0, g00 = T[:, 0], g[:, 0, 0]
+    np.einsum("md,md->m", t0, t0, out=g00)
     if n == 1:
-        det_g = g[:, 0, 0]
+        det_g = g00
     else:
-        det_g = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
+        t1, g01, g11 = T[:, 1], g[:, 0, 1], g[:, 1, 1]
+        np.einsum("md,md->m", t0, t1, out=g01)
+        np.einsum("md,md->m", t1, t1, out=g11)
+        g[:, 1, 0] = g01
+        det_g = g00 * g11 - g01 * g01
     if np.any(det_g <= GRAM_FLOOR):
         raise DegenerateChart(
             f"Gram determinant underflow on {patch.name} (min {det_g.min():.3e})")
 
     if n == 1:
-        t = T[:, 0, :]
-        tn = np.linalg.norm(t, axis=1)
-        nu = np.column_stack([t[:, 1], -t[:, 0]]) / tn[:, None]
+        nu = np.column_stack([t0[:, 1], -t0[:, 0]]) / np.sqrt(g00)[:, None]
     else:
-        c = np.cross(T[:, 0, :], T[:, 1, :])
-        nu = c / np.linalg.norm(c, axis=1, keepdims=True)
+        c = np.empty_like(t0)
+        c[:, 0] = t0[:, 1] * t1[:, 2] - t0[:, 2] * t1[:, 1]
+        c[:, 1] = t0[:, 2] * t1[:, 0] - t0[:, 0] * t1[:, 2]
+        c[:, 2] = t0[:, 0] * t1[:, 1] - t0[:, 1] * t1[:, 0]
+        nu = c / np.sqrt(c[:, 0] * c[:, 0] + c[:, 1] * c[:, 1] + c[:, 2] * c[:, 2])[:, None]
     return FrameBatch(patch, P, X, T, patch.orientation * nu, g, np.sqrt(det_g))
 
 
@@ -308,14 +319,19 @@ def linear_image(patch: ParametricPatch, L, name: str | None = None) -> Parametr
     if np.linalg.det(L) <= 0:
         raise ValueError("linear_image expects det L > 0")
 
+    def apply(Y):
+        # one (rows, d) product: NumPy's stacked matmul on (m, n, d) and
+        # (m, n, n, d) arrays is several times slower
+        return (Y.reshape(-1, Y.shape[-1]) @ L.T).reshape(Y.shape)
+
     def chart(P):
-        return patch.chart(P) @ L.T
+        return apply(patch.chart(P))
 
     def dchart(P):
-        return patch.dchart(P) @ L.T
+        return apply(patch.dchart(P))
 
     def d2chart(P):
-        return patch.d2chart(P) @ L.T
+        return apply(patch.d2chart(P))
 
     return ParametricPatch(
         patch.n, chart, patch.domain, dchart_fn=dchart, d2chart_fn=d2chart,
@@ -394,16 +410,13 @@ def hyperplane(normal=(0.0, 0.0, 1.0), origin=(0.0, 0.0, 0.0),
     a, bvec = Q[:, 0], Q[:, 1]
     if np.dot(np.cross(a, bvec), nrm) < 0:
         a, bvec = bvec, a
+    basis = np.array([a, bvec])
 
     def chart(P):
-        return origin[None, :] + P[:, 0:1] * a[None, :] + P[:, 1:2] * bvec[None, :]
+        return P @ basis + origin
 
     def dchart(P):
-        m = P.shape[0]
-        out = np.empty((m, 2, 3))
-        out[:, 0] = a
-        out[:, 1] = bvec
-        return out
+        return np.broadcast_to(basis, (P.shape[0], 2, 3)).copy()
 
     def d2chart(P):
         return np.zeros((P.shape[0], 2, 2, 3))

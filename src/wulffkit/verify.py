@@ -336,17 +336,15 @@ def minkowski_formula(patch: ParametricPatch, xi_field: TransversalField, k: int
     if max_tau > tau_tol:
         raise NotEquiaffine(f"max |tau| = {max_tau:.3g} exceeds {tau_tol:g}")
 
-    def lhs_f(fb):
-        e = _equiaffine(xi_field, fb)
-        return e.support * normalized_curvature_batch(e.shape_op, k)
-
-    def rhs_f(fb):
+    def sides(fb):
+        # both sides from one decomposition of the nodes
         e = _equiaffine(xi_field, fb)
         xn = np.einsum("md,md->m", fb.x, fb.nu)
-        return -xn * normalized_curvature_batch(e.shape_op, k + 1)
+        return np.column_stack([e.support * normalized_curvature_batch(e.shape_op, k),
+                                -xn * normalized_curvature_batch(e.shape_op, k + 1)])
 
-    lhs, est_l = integrate_with_estimate(patch, lhs_f, rule)
-    rhs, est_r = integrate_with_estimate(patch, rhs_f, rule)
+    (lhs, rhs), (est_l, est_r) = (
+        a.tolist() for a in integrate_with_estimate(patch, sides, rule))
     # grid refinement cannot see the finite-difference bias of the shape
     # operator (~1e-10 relative); give the tolerance that floor
     tol = est_l + est_r + 1e-9 * (abs(lhs) + abs(rhs) + 1.0)

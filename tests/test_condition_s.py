@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -132,3 +137,23 @@ def test_worst_pairs_sorted_by_margin():
 def test_sample_count_validation():
     with pytest.raises(ValueError):
         cs.check_condition_s(wk.MinkowskiNorm.euclidean(2), 0)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_halton_matches_scipy_bit_for_bit(d, seed):
+    qmc = pytest.importorskip("scipy.stats.qmc")
+    for count in (1, 2000, 5000, 10_000):
+        assert np.array_equal(cs._scrambled_halton(d, count, seed),
+                              qmc.Halton(d=d, scramble=True, seed=seed).random(count))
+
+
+def test_condition_s_scan_imports_no_scipy_stats():
+    code = ("import sys, wulffkit as wk, wulffkit.condition_s as cs; "
+            "cs.check_condition_s(wk.MinkowskiNorm.quadratic([[1, 0], [0, 4]]), 100); "
+            "cs.unit_pair_samples(3, 100); "
+            "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'")
+    env = dict(os.environ, PYTHONPATH=str(Path(cs.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

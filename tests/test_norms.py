@@ -261,3 +261,17 @@ def test_invalid_quadratic_matrices_rejected():
         wk.MinkowskiNorm.quadratic(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         wk.MinkowskiNorm.quadratic(np.diag([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_quadratic_values_match_three_operand_einsum(seed):
+    # F and the closed-form dual evaluate <A u, u> as (U @ A) . U; the
+    # three-operand einsum they replace is the reference
+    rng = np.random.default_rng(seed)
+    for d in (2, 3, 4):
+        B = rng.standard_normal((d, d))
+        F = wk.MinkowskiNorm.quadratic(B @ B.T + 0.5 * np.eye(d))
+        U = rng.standard_normal((3000, d))
+        for got, M in ((F.value(U), F.matrix), (F.dual().value(U), F.matrix_inv)):
+            ref = np.sqrt(np.einsum("mi,ij,mj->m", U, M, U))
+            assert np.max(np.abs(got - ref) / ref) <= 1e-14

@@ -162,3 +162,30 @@ def test_sublevel_energy_offset_line_chords():
 def test_sublevel_energy_rejects_nonpositive_radius():
     with pytest.raises(ValueError):
         sublevel_energy(sf.hyperplane(), wk.MinkowskiNorm.euclidean(3), 0.0)
+
+
+def test_vector_integrand_equals_separate_integrals():
+    # an (m, j) integrand gives the j integrals of its columns, bit for bit
+    E = sf.ellipsoid((1.0, 1.3, 1.7))
+    cols = (one, lambda fb: fb.x[:, 2] ** 2, lambda fb: fb.nu[:, 0] * fb.x[:, 1])
+    q = ParamQuadrature(order=4, base_grid=6)
+    vals, est = integrate_with_estimate(E, lambda fb: np.column_stack([c(fb) for c in cols]), q)
+    assert vals.shape == est.shape == (3,)
+    for j, c in enumerate(cols):
+        assert (vals[j], est[j]) == integrate_with_estimate(E, c, q)
+    assert isinstance(integrate(E, one, q), float)
+
+
+def test_origin_floor_compares_squared_norms():
+    # rows below the origin floor get phi = 0 and a zero gradient; the floor
+    # is the one np.linalg.norm(X) < 1e-12 drew
+    from wulffkit.quadrature import _gauge_grads_safe, _gauge_values_safe
+    dual = wk.MinkowskiNorm.quadratic(np.diag([1.0, 2.0, 3.0])).dual()
+    X = np.array([[0.0, 0.0, 0.0], [9e-13, 0.0, 0.0], [6e-13, 6e-13, 6e-13],
+                  [1.1e-12, 0.0, 0.0], [0.3, -0.2, 0.5]])
+    small = np.linalg.norm(X, axis=1) < 1e-12
+    assert small.tolist() == [True, True, False, False, False]
+    phi, grad = _gauge_values_safe(dual, X), _gauge_grads_safe(dual, X)
+    assert np.all(phi[small] == 0.0) and np.all(grad[small] == 0.0)
+    assert np.array_equal(phi[~small], dual.value(X[~small]))
+    assert np.array_equal(grad[~small], dual.grad(X[~small]))

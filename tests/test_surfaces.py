@@ -78,6 +78,86 @@ def test_transformed_catenoid_is_linear_image():
     assert np.allclose(T.chart(P), C.chart(P) @ L.T, atol=1e-14)
 
 
+# ---------------------------------------------------------------- frame kernels
+# _build_frames, linear_image and hyperplane write their kernels out per
+# component; the generic NumPy formulas they replace are the references
+
+KERNEL_RTOL = 1e-14
+
+
+def _rel_err(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def _rotation(rng, d=3):
+    Q, R = np.linalg.qr(rng.standard_normal((d, d)))
+    Q = Q * np.sign(np.diag(R))
+    return Q if np.linalg.det(Q) > 0 else Q[:, ::-1]
+
+
+def _spd(rng, d=3):
+    B = rng.standard_normal((d, d))
+    return B @ B.T + 0.5 * np.eye(d)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("orientation", [1.0, -1.0])
+def test_build_frames_matches_generic_formulas(seed, orientation):
+    rng = np.random.default_rng(seed)
+    for n in (1, 2):
+        d = n + 1
+        patch = sf.ParametricPatch(n, lambda P: np.zeros((len(P), d)), [(0, 1)] * n,
+                                   orientation=orientation)
+        T = rng.standard_normal((4000, n, d))
+        P, X = rng.random((4000, n)), rng.standard_normal((4000, d))
+        fb = sf._build_frames(patch, P, X, T)
+        g = np.einsum("mia,mja->mij", T, T)
+        if n == 1:
+            c = np.column_stack([T[:, 0, 1], -T[:, 0, 0]])
+            det_g = g[:, 0, 0]
+        else:
+            c = np.cross(T[:, 0], T[:, 1])
+            det_g = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
+        nu = orientation * c / np.linalg.norm(c, axis=1, keepdims=True)
+        assert _rel_err(fb.metric, g) <= KERNEL_RTOL
+        assert _rel_err(fb.nu, nu) <= KERNEL_RTOL
+        assert _rel_err(fb.sqrt_g, np.sqrt(det_g)) <= KERNEL_RTOL
+
+
+def test_build_frames_degenerate_row_raises():
+    rng = np.random.default_rng(4)
+    T = rng.standard_normal((50, 2, 3))
+    T[17, 1] = 2.5 * T[17, 0]                  # one collapsed row in the batch
+    with pytest.raises(DegenerateChart):
+        sf._build_frames(sf.sphere(), rng.random((50, 2)), np.zeros((50, 3)), T)
+    line = sf.ParametricPatch(1, lambda P: np.zeros((len(P), 2)), [(0, 1)], name="point")
+    with pytest.raises(DegenerateChart):
+        line.frame_at([0.5])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_linear_image_matches_stacked_matmul(seed):
+    rng = np.random.default_rng(seed)
+    base = sf.ellipsoid((1.0, 1.3, 1.7))
+    P = base.domain[:, 0] + rng.random((3000, 2)) * np.ptp(base.domain, axis=1)
+    for L in (_rotation(rng), _spd(rng)):
+        img = sf.linear_image(base, L)
+        assert _rel_err(img.chart(P), base.chart(P) @ L.T) <= KERNEL_RTOL
+        assert _rel_err(img.dchart(P), base.dchart(P) @ L.T) <= KERNEL_RTOL
+        assert _rel_err(img.d2chart(P), base.d2chart(P) @ L.T) <= KERNEL_RTOL
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_hyperplane_chart_matches_sum_of_basis_rows(seed):
+    rng = np.random.default_rng(seed)
+    plane = sf.hyperplane(normal=rng.standard_normal(3), origin=rng.standard_normal(3))
+    P = rng.uniform(-2.0, 2.0, (3000, 2))
+    a, b = plane.dchart(P[:1])[0]
+    ref = plane.chart(np.zeros((1, 2)))[0] + P[:, 0:1] * a + P[:, 1:2] * b
+    assert _rel_err(plane.chart(P), ref) <= KERNEL_RTOL
+    assert np.array_equal(plane.dchart(P), np.broadcast_to([a, b], (3000, 2, 3)))
+
+
 # ------------------------------------------------- transversal decompositions
 
 

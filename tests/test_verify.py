@@ -294,3 +294,21 @@ def test_monotonicity_scan_reuses_energies(monkeypatch):
               for s, r in zip(radii[:-1], radii[1:])]
     assert scan.reports == single
     assert all(rep.flags for rep in single)   # F_MIX does not make C critical
+
+
+def test_minkowski_formula_decomposes_each_node_set_once(monkeypatch):
+    # both sides come from one decomposition of each quadrature node set
+    # (coarse and fine): 2 per call, where each side decomposing the nodes
+    # on its own made 4 per call
+    calls = []
+    equiaffine = vf._equiaffine
+
+    def counted(xi, fb, *args):
+        calls.append(fb.x.shape[0])
+        return equiaffine(xi, fb, *args)
+
+    monkeypatch.setattr(vf, "_equiaffine", counted)
+    for k in (0, 1):
+        rep = vf.minkowski_formula(sf.sphere(), sf.normal_field(), k, rule=Q12)
+        assert rep.status == "pass"
+    assert calls == [144 * 36, 576 * 36] * 2
