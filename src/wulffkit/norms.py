@@ -44,6 +44,17 @@ def _check_direction(u: np.ndarray) -> np.ndarray:
     return u
 
 
+def _per_direction(method):
+    """Lift a diagnostic on a batch U (m, d) of nonzero rows, returning (m,),
+    to one direction (d,), giving a float, or a batch (m, d), giving (m,)."""
+    @functools.wraps(method)
+    def lifted(self, u):
+        u = _check_direction(u)
+        out = method(self, u[None, :] if u.ndim == 1 else u)
+        return float(out[0]) if u.ndim == 1 else out
+    return lifted
+
+
 def _hypersphere_grid(dim: int, count: int) -> np.ndarray:
     """Deterministic, roughly uniform direction grid on S^{dim-1}."""
     if dim == 2:
@@ -252,27 +263,28 @@ class MinkowskiNorm:
 
     # ----------------------------------------------------------------- diagnostics
 
-    def restricted_hessian_min_eig(self, u) -> float:
+    @_per_direction
+    def restricted_hessian_min_eig(self, U: np.ndarray) -> np.ndarray:
         """Smallest eigenvalue of D^2 F(u) restricted to the hyperplane u^perp.
 
         Positive exactly when the gauge is elliptic at u; for the Euclidean
         norm the restricted operator is the identity, so the value is 1.
         """
-        u = _check_direction(np.asarray(u, dtype=float))
-        uh = u / np.linalg.norm(u)
-        Q = _orthonormal_complement(uh[None, :])[0]
-        B = Q.T @ self.hess(uh) @ Q
-        return float(np.linalg.eigvalsh(0.5 * (B + B.T))[0])
+        Uh = U / np.linalg.norm(U, axis=1, keepdims=True)
+        Q = _orthonormal_complement(Uh)
+        B = np.swapaxes(Q, 1, 2) @ self._hess(Uh) @ Q
+        return np.linalg.eigvalsh(0.5 * (B + np.swapaxes(B, 1, 2)))[:, 0]
 
-    def euler_residual(self, u) -> float:
+    @_per_direction
+    def euler_residual(self, U: np.ndarray) -> np.ndarray:
         """|<grad F(u), u> - F(u)|, zero for exact 1-homogeneity."""
-        u = np.asarray(u, dtype=float)
-        return abs(float(np.dot(self.grad(u), u)) - self.value(u))
+        # row-wise matmul: the same dot products, bit for bit, as for one row
+        return np.abs((self._grad(U)[:, None, :] @ U[:, :, None])[:, 0, 0] - self._value(U))
 
-    def radial_kernel_residual(self, u) -> float:
+    @_per_direction
+    def radial_kernel_residual(self, U: np.ndarray) -> np.ndarray:
         """max |D^2 F(u) u|, zero because the Hessian kills the radial direction."""
-        u = np.asarray(u, dtype=float)
-        return float(np.max(np.abs(self.hess(u) @ u)))
+        return np.max(np.abs(self._hess(U) @ U[:, :, None]), axis=(1, 2))
 
     def wulff_point(self, u) -> "WulffPoint":
         """Point grad F(u) of the unit dual level set, for |u| = 1."""

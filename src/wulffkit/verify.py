@@ -326,31 +326,48 @@ def minkowski_formula(patch: ParametricPatch, xi_field: TransversalField, k: int
 
         integral <xi, nu> Hk~  =  - integral <x, nu> H(k+1)~.
     """
+    return minkowski_formulas(patch, xi_field, (k,), rule=rule, tau_tol=tau_tol,
+                              grid=grid)[0]
+
+
+def minkowski_formulas(patch: ParametricPatch, xi_field: TransversalField, ks, *,
+                       rule: ParamQuadrature = ParamQuadrature(),
+                       tau_tol: float = 1e-5, grid: int = 9) -> list[IdentityReport]:
+    """minkowski_formula for each order k of ks, all from one decomposition of
+    each quadrature node set (the 2 len(ks) sides are columns of one integral)."""
     if not patch.closed:
         raise NotClosed(f"{patch.name} is not closed")
     n = patch.n
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"k must lie in 0..{n - 1}")
+    ks = [int(k) for k in ks]
+    if not ks:
+        raise ValueError("no order k given")
+    for k in ks:
+        if not 0 <= k <= n - 1:
+            raise ValueError(f"k must lie in 0..{n - 1}")
     eb = equiaffine_batch(patch, xi_field, patch.sample_grid(grid))
     max_tau = float(np.max(np.abs(eb.tau)))
     if max_tau > tau_tol:
         raise NotEquiaffine(f"max |tau| = {max_tau:.3g} exceeds {tau_tol:g}")
 
     def sides(fb):
-        # both sides from one decomposition of the nodes
         e = _equiaffine(xi_field, fb)
         xn = np.einsum("md,md->m", fb.x, fb.nu)
-        return np.column_stack([e.support * normalized_curvature_batch(e.shape_op, k),
-                                -xn * normalized_curvature_batch(e.shape_op, k + 1)])
+        h = {j: normalized_curvature_batch(e.shape_op, j)
+             for j in {*ks, *(k + 1 for k in ks)}}
+        return np.column_stack([col for k in ks
+                                for col in (e.support * h[k], -xn * h[k + 1])])
 
-    (lhs, rhs), (est_l, est_r) = (
-        a.tolist() for a in integrate_with_estimate(patch, sides, rule))
-    # grid refinement cannot see the finite-difference bias of the shape
-    # operator (~1e-10 relative); give the tolerance that floor
-    tol = est_l + est_r + 1e-9 * (abs(lhs) + abs(rhs) + 1.0)
-    return _finish_report(
-        f"minkowski-k{k}", lhs, rhs, tol, [],
-        {"surface": patch.name, "xi": xi_field.name, "k": k, "max_tau": max_tau})
+    values, estimates = (a.tolist() for a in integrate_with_estimate(patch, sides, rule))
+    reports = []
+    for i, k in enumerate(ks):
+        (lhs, rhs), (est_l, est_r) = values[2 * i:2 * i + 2], estimates[2 * i:2 * i + 2]
+        # grid refinement cannot see the finite-difference bias of the shape
+        # operator (~1e-10 relative); give the tolerance that floor
+        tol = est_l + est_r + 1e-9 * (abs(lhs) + abs(rhs) + 1.0)
+        reports.append(_finish_report(
+            f"minkowski-k{k}", lhs, rhs, tol, [],
+            {"surface": patch.name, "xi": xi_field.name, "k": k, "max_tau": max_tau}))
+    return reports
 
 
 @dataclass

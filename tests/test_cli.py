@@ -243,3 +243,88 @@ def test_program_fault_recorded_with_traceback(tmp_path, monkeypatch, capsys):
     assert "[ERROR] broken (symfunc): ZeroDivisionError: boom" in captured.out
     assert "Traceback" in captured.err
     assert (tmp_path / "out" / "monotonicity.csv").exists()
+
+
+def _with_checks(doc, checks):
+    return {**doc, "checks": checks}
+
+
+MONO = {"kind": "monotonicity", "name": "m", "surface": "plane", "norm": "euclid",
+        "radii": [0.4, 0.8]}
+
+CONFIG_FAULTS = {
+    "missing-surface": (lambda d: _with_checks(d, [
+        {"kind": "monotonicity", "name": "nosurf", "norm": "euclid"}]), "nosurf"),
+    "missing-s": (lambda d: _with_checks(d, [
+        {"kind": "equiaffine", "name": "nos", "surface": "plane", "gauge": "euclid",
+         "r": 0.8}]), "nos"),
+    "missing-norm": (lambda d: _with_checks(d, [
+        {"kind": "condition-s", "name": "nonorm"}]), "nonorm"),
+    "checks-not-list": (lambda d: {**d, "checks": {"kind": "symfunc"}}, "checks"),
+    "check-not-object": (lambda d: _with_checks(d, [MONO, "symfunc"]), "check-1"),
+    "norms-not-object": (lambda d: {**d, "norms": ["euclid"]}, "norms"),
+    "slash-in-name": (lambda d: _with_checks(d, [{**MONO, "name": "a/b"}]), "a/b"),
+    "dot-name": (lambda d: _with_checks(d, [{**MONO, "name": ".."}]), ".."),
+    "duplicate-name": (lambda d: _with_checks(d, [MONO, MONO]), "'m'"),
+    "comma-in-check": (lambda d: _with_checks(d, [{**MONO, "name": "a,b"}]), "a,b"),
+    "newline-in-norm": (lambda d: {**d, "norms": {"e\nf": {"family": "euclidean"}}},
+                        "e\\nf"),
+    "comma-in-surface": (lambda d: {**d, "surfaces": {"p,q": {"kind": "sphere"}}},
+                         "p,q"),
+    "radii-not-list": (lambda d: _with_checks(d, [{**MONO, "radii": "0.4"}]), "'m'"),
+    "seed-not-int": (lambda d: {**d, "seed": "abc"}, "seed"),
+    "quadrature-order": (lambda d: {**d, "quadrature": {"order": 0}}, "quadrature"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CONFIG_FAULTS))
+def test_config_fault_exits_2(fault, tmp_path, monkeypatch, capsys):
+    make, named = CONFIG_FAULTS[fault]
+    cfg = write_config(tmp_path, make(minimal_scenario(tmp_path / "out")))
+    assert run_cli(["run", "--config", cfg], monkeypatch) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_kind_dispatches(tmp_path, monkeypatch, capsys):
+    doc = {
+        "seed": 0, "out": str(tmp_path / "out"), "quadrature": FAST_QUAD,
+        "norms": {"e3": {"family": "euclidean", "dim": 3},
+                  "q2": {"family": "quadratic", "matrix": [[1.0, 0.0], [0.0, 4.0]]}},
+        "surfaces": {"plane": {"kind": "hyperplane", "extent": 2.0},
+                     "sph": {"kind": "sphere"}, "cat": {"kind": "catenoid", "v_max": 1.3}},
+        "checks": [
+            {"kind": "norm-identities", "name": "ni", "norm": "e3", "samples": 50},
+            {"kind": "condition-s", "name": "cs", "norm": "q2", "samples": 200},
+            {"kind": "lemmas", "name": "lm", "surface": "sph", "grid": 3},
+            {"kind": "monotonicity", "name": "mono", "surface": "plane", "norm": "e3",
+             "radii": [0.4, 0.8]},
+            {"kind": "equiaffine", "name": "aff", "surface": "cat", "gauge": "e3",
+             "s": 1.2, "r": 1.6},
+            {"kind": "corollary", "name": "co", "surface": "plane", "norm": "e3",
+             "origin_param": [0.0, 0.0]},
+            {"kind": "minkowski", "name": "mk", "surface": "sph", "k": [0, 1]},
+            {"kind": "symfunc", "name": "sy", "sizes": [3], "count": 2},
+        ],
+    }
+    assert sorted(c["kind"] for c in doc["checks"]) == sorted(cli.CHECKS)
+    cfg = write_config(tmp_path, doc)
+    assert run_cli(["run", "--config", cfg], monkeypatch) == 0, capsys.readouterr().out
+    written = sorted(p.name for p in (tmp_path / "out").glob("*.csv"))
+    assert written == sorted(f"{kind.replace('-', '_')}.csv" for kind in cli.CHECKS)
+
+
+def test_nan_lemma_residual_fails_the_check(monkeypatch):
+    suite = cli.vf.frame_identity_suite
+
+    def with_nan(*args, **kwargs):
+        res = suite(*args, **kwargs)
+        res["codazzi"] = float("nan")
+        return res
+
+    monkeypatch.setattr(cli.vf, "frame_identity_suite", with_nan)
+    scn = cli.Scenario({"surfaces": {"s": {"kind": "sphere"}},
+                        "checks": [{"kind": "lemmas", "name": "l", "surface": "s",
+                                    "grid": 3}]})
+    assert cli._check_lemmas(scn, "l", scn.checks[0][2]).status == "fail"

@@ -75,6 +75,27 @@ def test_hessian_kills_radial_direction():
         assert max(F.radial_kernel_residual(u) for u in U) < 1e-8
 
 
+def test_identity_diagnostics_take_one_direction_or_a_batch():
+    # a batch (m, d) gives (m,) values, each the float a single direction gives
+    rng = np.random.default_rng(3)
+    for F in (wk.MinkowskiNorm.euclidean(3), wk.MinkowskiNorm.quadratic(A_FULL),
+              wk.MinkowskiNorm.quartic(2, eps=0.05),
+              wk.MinkowskiNorm.custom(3, value=lambda u: float(np.sqrt(u @ A_FULL @ u)))):
+        U = rng.standard_normal((20, F.dim))
+        for diag in (F.euler_residual, F.radial_kernel_residual,
+                     F.restricted_hessian_min_eig):
+            batch = diag(U)
+            assert batch.shape == (20,)
+            single = [diag(u) for u in U]
+            assert all(isinstance(x, float) for x in single)
+            if diag is F.restricted_hessian_min_eig:
+                np.testing.assert_allclose(batch, single, rtol=1e-13, atol=1e-14)
+            else:
+                assert np.array_equal(batch, single)
+    with pytest.raises(ZeroDirection):
+        wk.MinkowskiNorm.euclidean(2).euler_residual(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
 def test_euclidean_hessian_explicit():
     F = wk.MinkowskiNorm.euclidean(2)
     H = F.hess([1.0, 0.0])

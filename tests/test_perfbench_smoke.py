@@ -1,15 +1,19 @@
-"""The benchmark's traced annulus run ends in one strictly valid result line.
+"""Benchmark runs end in one strictly valid result line.
 
 `perfbench/run.py` promises one JSON object on the last line of standard
 output.  The traced run alone prints the per-layer ratios and the quadrature
 cell counts, and `json.dumps` writes a non-finite float as NaN or Infinity,
 which is not JSON; so the line is parsed with non-finite constants rejected.
+The pointwise workload calls the CLI's lemma check directly, so it runs with
+and without the tracer.
 """
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -18,12 +22,21 @@ def _reject(constant):
     raise ValueError(f"non-finite constant {constant} in the result line")
 
 
-def test_traced_annulus_run_prints_strict_json():
+def _assert_strict_result(workload: str, trace: int) -> None:
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "annulus", "--seed", "1",
-         "--seconds", "0", "--trace", "1"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "0", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1], parse_constant=_reject)
     assert result["correct"] is True, proc.stderr
     assert result["failed"] == 0
+
+
+def test_traced_annulus_run_prints_strict_json():
+    _assert_strict_result("annulus", 1)
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_pointwise_run_prints_strict_json(trace):
+    _assert_strict_result("pointwise", trace)

@@ -312,3 +312,23 @@ def test_minkowski_formula_decomposes_each_node_set_once(monkeypatch):
         rep = vf.minkowski_formula(sf.sphere(), sf.normal_field(), k, rule=Q12)
         assert rep.status == "pass"
     assert calls == [144 * 36, 576 * 36] * 2
+
+
+def test_minkowski_formulas_decompose_each_node_set_once_for_all_orders(monkeypatch):
+    # k = 0 and k = 1 are four columns of one integral: 2 decompositions
+    # (coarse and fine), where one call per order made 4
+    single = [vf.minkowski_formula(sf.sphere(), sf.normal_field(), k, rule=Q12)
+              for k in (0, 1)]
+    calls = []
+    equiaffine = vf._equiaffine
+
+    def counted(xi, fb, *args):
+        calls.append(fb.x.shape[0])
+        return equiaffine(xi, fb, *args)
+
+    monkeypatch.setattr(vf, "_equiaffine", counted)
+    both = vf.minkowski_formulas(sf.sphere(), sf.normal_field(), [0, 1], rule=Q12)
+    assert calls == [144 * 36, 576 * 36]
+    for one, rep in zip(single, both):
+        assert (rep.name, rep.lhs, rep.rhs, rep.tolerance, rep.status, rep.metadata) == (
+            one.name, one.lhs, one.rhs, one.tolerance, one.status, one.metadata)
