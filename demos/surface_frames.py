@@ -38,21 +38,22 @@ print("\npointwise identity residuals at a generic ellipsoid point:")
 patch = sf.ellipsoid((1.0, 1.3, 1.7))
 xi = sf.anisotropic_normal_field(F)
 p = np.array([1.05, 0.8])
-res = sf.tangential_derivative_residuals(patch, xi, sf.position_field(), p)
-print(f"  derivative of x^(top_xi), frame form : {res.frame_residual:.2e}")
-print(f"  same identity, divergence form       : {res.divergence_residual:.2e}")
-rb, rx = sf.divergence_residuals_constant_position(patch, xi, p)
-print(f"  div of b^(top_xi) vs <b,nu> tr S      : {rb:.2e}")
-print(f"  div of x^(top_xi) vs n<xi,nu> + ...   : {rx:.2e}")
+eb = sf.equiaffine_batch(patch, xi, [p])   # the decomposition at one point
+frame, div = sf.tangential_derivative_residuals(xi, sf.position_field(), eb)
+print(f"  derivative of x^(top_xi), frame form : {frame[0]:.2e}")
+print(f"  same identity, divergence form       : {div[0]:.2e}")
+rb, rx = sf.divergence_residuals_constant_position(xi, eb)
+print(f"  div of b^(top_xi) vs <b,nu> tr S      : {rb[0]:.2e}")
+print(f"  div of x^(top_xi) vs n<xi,nu> + ...   : {rx[0]:.2e}")
 
 
 def linear_weight(fb):
     return fb.x @ np.array([0.2, 0.5, -0.4])
 
 
-pr = sf.product_rule_residual(patch, xi, linear_weight, sf.position_field(), p)
-print(f"  product rule for f x^(top_xi)         : {pr:.2e}")
-s1, s2 = sf.shape_products_asymmetry(sf.equiaffine_batch(patch, xi, [p]))
+pr = sf.product_rule_residual(xi, linear_weight, sf.position_field(), eb)
+print(f"  product rule for f x^(top_xi)         : {pr[0]:.2e}")
+s1, s2 = sf.shape_products_asymmetry(eb)
 print(f"  self-adjointness of II*S, II*S^2      : {s1[0]:.2e}, {s2[0]:.2e}")
 cz = sf.codazzi_residual(patch, xi, p)
 print(f"  symmetry of the covariant dS          : {cz:.2e}")

@@ -70,18 +70,33 @@ SURFACE_KINDS = {   # kind: (parameters, builder)
 
 DEFAULT_CONSTANT_XI = (0.3, -0.7, 0.55)
 
-# check kind: the fields a check of that kind must name; it runs as the
-# module function _check_<kind>
+
+def _int_list(value) -> list[int]:
+    """A list of integers, or one integer as a list of one."""
+    return [int(x) for x in (value if isinstance(value, list) else [value])]
+
+
+# check kind: (the fields a check of that kind must name, its optional
+# parameters as {key: (parse, default)}); it runs as the module function
+# _check_<kind>, which reads its parameters through _options
 CHECKS = {
-    "norm-identities": ("norm",),
-    "condition-s": ("norm",),
-    "lemmas": ("surface",),
-    "monotonicity": ("surface", "norm"),
-    "equiaffine": ("surface", "gauge", "s", "r"),
-    "corollary": ("surface", "norm"),
-    "minkowski": ("surface",),
-    "symfunc": (),
+    "norm-identities": (("norm",), {"samples": (int, 1000), "tolerance": (float, 1e-8)}),
+    "condition-s": (("norm",), {"samples": (int, 10_000), "worst_k": (int, 10)}),
+    "lemmas": (("surface",), {"tolerance": (float, 1e-4), "grid": (int, 9),
+                              "min_support": (float, 0.05)}),
+    "monotonicity": (("surface", "norm"), {"count": (int, 8),
+                                           "assert_constant_rel": (float, None)}),
+    "equiaffine": (("surface", "gauge", "s", "r"), {}),
+    "corollary": (("surface", "norm"), {"rel_tol": (float, 1e-4)}),
+    "minkowski": (("surface",), {"k": (_int_list, [0])}),
+    "symfunc": ((), {"sizes": (_int_list, [3, 4, 5]), "count": (int, 20)}),
 }
+
+
+def _options(kind: str, chk: dict) -> dict:
+    """The optional parameters of a check of this kind: parsed, or their defaults."""
+    return {key: parse(chk[key]) if key in chk else default
+            for key, (parse, default) in CHECKS[kind][1].items()}
 
 
 def _fmt(x) -> str:
@@ -202,9 +217,10 @@ class Scenario:
         kind = chk.get("kind")
         if kind not in CHECKS:
             raise ConfigError(f"check {name!r}: unknown kind {kind!r}")
-        missing = [key for key in CHECKS[kind] if key not in chk]
+        missing = [key for key in CHECKS[kind][0] if key not in chk]
         if missing:
             raise ConfigError(f"check {name!r}: a {kind} check needs {', '.join(missing)}")
+        _options(kind, chk)   # a parameter that does not parse fails here, not in the run
         for key in ("norm", "gauge"):
             if key in chk and chk[key] not in self.norms:
                 raise ConfigError(f"check {name!r}: unresolved norm {chk[key]!r}")
@@ -245,7 +261,8 @@ def _xi_field(scn: Scenario, chk: dict) -> sf.TransversalField:
 
 def _check_norm_identities(scn, name, chk) -> CheckOutcome:
     norm = scn.norms[chk["norm"]]
-    samples = int(chk.get("samples", 1000))
+    opt = _options("norm-identities", chk)
+    samples = opt["samples"]
     rng = np.random.default_rng(scn.seed)
     U = rng.standard_normal((samples, norm.dim))
     U = U[np.linalg.norm(U, axis=1) > 1e-6]
@@ -255,7 +272,7 @@ def _check_norm_identities(scn, name, chk) -> CheckOutcome:
     homog = max(float(np.max(np.abs(norm.value(t * U) - t * vals) / (t * vals)))
                 for t in (0.5, 2.0, 10.0))
     min_eig = float(np.min(norm.restricted_hessian_min_eig(U[:64])))
-    tol = float(chk.get("tolerance", 1e-8))
+    tol = opt["tolerance"]
     ok = euler < tol and radial < 10 * tol and homog < 1e-10 and min_eig > 0
     row = {"name": name, "norm": chk["norm"], "samples": samples,
            "euler_max": euler, "radial_max": radial, "homogeneity_max": homog,
@@ -267,10 +284,11 @@ def _check_norm_identities(scn, name, chk) -> CheckOutcome:
 
 def _check_condition_s(scn, name, chk) -> CheckOutcome:
     norm = scn.norms[chk["norm"]]
-    samples = int(chk.get("samples", 10_000))
-    k = int(chk.get("worst_k", 10))
+    opt = _options("condition-s", chk)
+    samples = opt["samples"]
     dual = norm.dual()
-    verdict = cs.check_condition_s(norm, samples, seed=scn.seed, dual=dual, worst_k=k)
+    verdict = cs.check_condition_s(norm, samples, seed=scn.seed, dual=dual,
+                                   worst_k=opt["worst_k"])
     rows = [{"name": name, "norm": chk["norm"], "rank": i,
              "u": rep.u, "v": rep.v, "lhs": rep.lhs, "rhs": rep.rhs_sign_ref,
              "fk_residual": rep.fk_residual, "margin": rep.margin}
@@ -286,9 +304,10 @@ def _check_condition_s(scn, name, chk) -> CheckOutcome:
 def _check_lemmas(scn, name, chk) -> CheckOutcome:
     patch = scn.surfaces[chk["surface"]]
     xi = _xi_field(scn, chk)
-    tol = float(chk.get("tolerance", 1e-4))
-    suite = vf.frame_identity_suite(patch, xi, grid=int(chk.get("grid", 9)),
-                                    min_support=float(chk.get("min_support", 0.05)))
+    opt = _options("lemmas", chk)
+    tol = opt["tolerance"]
+    suite = vf.frame_identity_suite(patch, xi, grid=opt["grid"],
+                                    min_support=opt["min_support"])
     residuals = {key: val for key, val in suite.items()
                  if key not in ("grid_points", "kept_points")}
     rows = [{"name": name, "surface": chk["surface"], "xi": xi.name, "check": key,
@@ -304,9 +323,10 @@ def _check_lemmas(scn, name, chk) -> CheckOutcome:
 def _check_monotonicity(scn, name, chk) -> CheckOutcome:
     patch = scn.surfaces[chk["surface"]]
     norm = scn.norms[chk["norm"]]
+    opt = _options("monotonicity", chk)
     dual = norm.dual()
     radii = (np.asarray([float(x) for x in chk["radii"]]) if "radii" in chk
-             else vf.geometric_radii(patch, dual, count=int(chk.get("count", 8))))
+             else vf.geometric_radii(patch, dual, count=opt["count"]))
     scan = vf.monotonicity_scan(patch, norm, radii, dual=dual, rule=scn.rule,
                                 max_depth=scn.max_depth)
     rows = [{"name": name, "surface": chk["surface"], "norm": chk["norm"],
@@ -319,9 +339,9 @@ def _check_monotonicity(scn, name, chk) -> CheckOutcome:
         mono = scan.non_decreasing()
         ok = ok and mono
         detail += f", non-decreasing={mono}"
-    if "assert_constant_rel" in chk:
+    if opt["assert_constant_rel"] is not None:
         dev = scan.max_relative_deviation()
-        ok = ok and dev <= float(chk["assert_constant_rel"])
+        ok = ok and dev <= opt["assert_constant_rel"]
         detail += f", flatness={dev:.2e}"
     plot = (f"{name}.gnuplot", _gnuplot_script(name, patch.n, radii, scan.normalized))
     return CheckOutcome(name, "monotonicity", "pass" if ok else "fail", detail,
@@ -351,7 +371,7 @@ def _check_corollary(scn, name, chk) -> CheckOutcome:
                                    origin_param=chk.get("origin_param"))
     expect = chk.get("expect", "bound")
     if expect == "equality":
-        ok = rep.equality_within <= float(chk.get("rel_tol", 1e-4))
+        ok = rep.equality_within <= _options("corollary", chk)["rel_tol"]
     elif expect == "strict":
         ok = rep.strictly_above
     else:
@@ -367,8 +387,7 @@ def _check_corollary(scn, name, chk) -> CheckOutcome:
 def _check_minkowski(scn, name, chk) -> CheckOutcome:
     patch = scn.surfaces[chk["surface"]]
     xi = _xi_field(scn, chk)
-    ks = chk.get("k", [0])
-    ks = ks if isinstance(ks, list) else [ks]
+    ks = _options("minkowski", chk)["k"]
     reps = vf.minkowski_formulas(patch, xi, ks, rule=scn.rule)
     rows = [{"name": name, "surface": chk["surface"], "xi": xi.name,
              "k": rep.metadata["k"], "lhs": rep.lhs, "rhs": rep.rhs,
@@ -381,35 +400,32 @@ def _check_minkowski(scn, name, chk) -> CheckOutcome:
 
 def _check_symfunc(scn, name, chk) -> CheckOutcome:
     rng = np.random.default_rng(scn.seed)
-    sizes = chk.get("sizes", [3, 4, 5])
-    count = int(chk.get("count", 20))
+    opt = _options("symfunc", chk)
+    sizes, count = opt["sizes"], opt["count"]
     tols = {"recursion_vs_minors": 1e-8, "entries_oracle": 1e-10,
             "gradient_relation": 1e-6, "trace_euler": 1e-9,
             "trace_recursion": 1e-9, "cayley_hamilton": 1e-8}
-    worst = dict.fromkeys(tols, 0.0)
+    found = {key: [] for key in tols}
     for n in sizes:
         for _ in range(count):
             A = rng.standard_normal((n, n))
             for k in range(1, n + 1):
-                worst["recursion_vs_minors"] = max(
-                    worst["recursion_vs_minors"],
-                    abs(sym.sigma_k(A, k) - sym.sigma_k_minors_oracle(A, k))
-                    / max(1.0, abs(sym.sigma_k(A, k))))
+                s_k = sym.sigma_k(A, k)
+                found["recursion_vs_minors"].append(
+                    abs(s_k - sym.sigma_k_minors_oracle(A, k)) / max(1.0, abs(s_k)))
                 e, t = sym.trace_identity_residuals(A, k)
-                worst["trace_euler"] = max(worst["trace_euler"], e)
-                worst["trace_recursion"] = max(worst["trace_recursion"], t)
+                found["trace_euler"].append(e)
+                found["trace_recursion"].append(t)
             if n <= 4:
-                for k in range(0, min(3, n) + 1):
-                    worst["entries_oracle"] = max(
-                        worst["entries_oracle"],
-                        float(np.max(np.abs(sym.newton_tensor(A, k)
-                                            - sym.newton_entries_oracle(A, k)))))
-            for k in (1, min(2, n)):
-                worst["gradient_relation"] = max(
-                    worst["gradient_relation"], sym.gradient_relation_residual(A, k))
-            worst["cayley_hamilton"] = max(
-                worst["cayley_hamilton"],
-                float(np.max(np.abs(sym.newton_tensor(A, n)))))
+                found["entries_oracle"] += [
+                    float(np.max(np.abs(sym.newton_tensor(A, k)
+                                        - sym.newton_entries_oracle(A, k))))
+                    for k in range(0, min(3, n) + 1)]
+            found["gradient_relation"] += [sym.gradient_relation_residual(A, k)
+                                           for k in (1, min(2, n))]
+            found["cayley_hamilton"].append(float(np.max(np.abs(sym.newton_tensor(A, n)))))
+    # np.max keeps a NaN residual, so that it fails its row
+    worst = {key: float(np.max(vals, initial=0.0)) for key, vals in found.items()}
     rows = [{"name": name, "check": key, "sizes": " ".join(map(str, sizes)),
              "residual": val, "tolerance": tols[key], "pass": val < tols[key]}
             for key, val in worst.items()]
@@ -501,8 +517,9 @@ def list_builtins(stream=None) -> None:
         for key, (params, _) in table.items():
             print(f"  {key:22s} params: {params}", file=stream)
     print("checks:", file=stream)
-    for kind, fields in CHECKS.items():
-        print(f"  {kind:22s} needs: {', '.join(fields) or '-'}", file=stream)
+    for kind, (fields, optional) in CHECKS.items():
+        print(f"  {kind:22s} needs: {', '.join(fields) or '-'}; "
+              f"optional: {', '.join(optional) or '-'}", file=stream)
     bundled = sorted(
         p.name[:-5] for p in resources.files("wulffkit").joinpath("scenarios").iterdir()
         if p.name.endswith(".json"))

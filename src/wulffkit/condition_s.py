@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ZeroDirection
-from .norms import DualNorm, MinkowskiNorm, ZERO_FLOOR
+from .norms import DualNorm, MinkowskiNorm, _check_direction
 
 EPS_SIGN = 1e-8
 DELTA_ZERO = 1e-6
@@ -54,9 +53,7 @@ class PairReport:
     @property
     def margin(self) -> float:
         """Positive when the pair is compatible with the sign condition."""
-        if abs(self.rhs_sign_ref) >= self.eps_sign:
-            return self.lhs * (1.0 if self.rhs_sign_ref > 0 else -1.0)
-        return DELTA_ZERO - abs(self.lhs)
+        return float(_margin(self.lhs, self.rhs_sign_ref, self.eps_sign, DELTA_ZERO))
 
 
 @dataclass
@@ -132,39 +129,34 @@ def unit_pair_samples(dim: int, count: int, seed: int = 0) -> tuple[np.ndarray, 
 
 def pair_report(norm: MinkowskiNorm, u, v, dual: DualNorm | None = None,
                 eps_sign: float = EPS_SIGN) -> PairReport:
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if min(np.linalg.norm(u), np.linalg.norm(v)) < ZERO_FLOOR:
-        raise ZeroDirection("pair contains a zero direction")
-    dual = dual or norm.dual()
-    gu = norm.grad(u)
-    gv = dual.grad(v)
-    lhs = float(np.dot(gu, gv))
-    rhs = float(np.dot(u, v))
-    fk = lhs - rhs / (norm.value(u) * dual.value(v))
-    return PairReport(u=u, v=v, lhs=lhs, rhs_sign_ref=rhs, fk_residual=fk,
-                      eps_sign=eps_sign)
+    """Pairing diagnostics of one pair (u, v): the scan of a batch of one."""
+    U, V = (np.asarray(x, dtype=float)[None, :] for x in (u, v))
+    lhs, rhs, fk, margin, _ = _scan(norm, dual or norm.dual(), U, V, eps_sign, DELTA_ZERO)
+    return _ranked(U, V, lhs, rhs, fk, margin, 1, eps_sign)[0]
+
+
+def _margin(lhs, rhs, eps_sign: float, delta_zero: float):
+    """Positive when the pair is compatible with condition S: lhs * sgn(rhs)
+    away from orthogonality, delta_zero - |lhs| within the dead band."""
+    return np.where(np.abs(rhs) >= eps_sign, lhs * np.where(rhs > 0, 1.0, -1.0),
+                    delta_zero - np.abs(lhs))
 
 
 def _scan(norm: MinkowskiNorm, dual: DualNorm, U: np.ndarray, V: np.ndarray,
           eps_sign: float, delta_zero: float):
     """Pairing diagnostics of the sample pairs (U[i], V[i]): lhs, rhs, fk and
-    margin arrays, and the dual-ascent counts (empty for a closed dual).
-
-    The margin is positive when the pair is compatible with condition S."""
-    GU = np.asarray(norm.grad(U))
+    margin arrays, and the dual-ascent counts (empty for a closed dual)."""
+    GU = norm.grad(U)
     if dual.mode == "closed":
-        GV, FV = np.asarray(dual.grad(V)), np.asarray(dual.value(V))
+        FV, GV = dual.eval_with_maximizer(V)
         counts = {}
     else:
-        FV, GV, iterations, fallbacks = dual._ascend(V)
+        FV, GV, iterations, fallbacks = dual._ascend(_check_direction(V))
         counts = {"dual_iterations": iterations, "dual_fallbacks": fallbacks}
     lhs = np.einsum("mi,mi->m", GU, GV)
     rhs = np.einsum("mi,mi->m", U, V)
-    fk = lhs - rhs / (np.asarray(norm.value(U)) * FV)
-    margin = np.where(np.abs(rhs) >= eps_sign, lhs * np.where(rhs > 0, 1.0, -1.0),
-                      delta_zero - np.abs(lhs))
-    return lhs, rhs, fk, margin, counts
+    fk = lhs - rhs / (norm.value(U) * FV)
+    return lhs, rhs, fk, _margin(lhs, rhs, eps_sign, delta_zero), counts
 
 
 def _ranked(U, V, lhs, rhs, fk, margin, k: int, eps_sign: float) -> list[PairReport]:

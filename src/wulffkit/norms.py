@@ -45,14 +45,21 @@ def _check_direction(u: np.ndarray) -> np.ndarray:
 
 
 def _per_direction(method):
-    """Lift a diagnostic on a batch U (m, d) of nonzero rows, returning (m,),
-    to one direction (d,), giving a float, or a batch (m, d), giving (m,)."""
+    """Lift a method on a batch U (m, d) of nonzero rows to one direction (d,)
+    or a batch (m, d).  For one direction, each (m,) output becomes a float and
+    each (m, ...) output its row; a tuple of outputs is lifted item by item."""
     @functools.wraps(method)
     def lifted(self, u):
         u = _check_direction(u)
-        out = method(self, u[None, :] if u.ndim == 1 else u)
-        return float(out[0]) if u.ndim == 1 else out
+        if u.ndim != 1:
+            return method(self, u)
+        out = method(self, u[None, :])
+        return tuple(map(_row, out)) if isinstance(out, tuple) else _row(out)
     return lifted
+
+
+def _row(out: np.ndarray):
+    return float(out[0]) if out.ndim == 1 else out[0]
 
 
 def _hypersphere_grid(dim: int, count: int) -> np.ndarray:
@@ -93,20 +100,8 @@ class MinkowskiNorm:
         self._hess_fn = hess_fn
         self.quartic_eps = quartic_eps
         self.label = label or family
-        if matrix is not None:
-            matrix = np.asarray(matrix, dtype=float)
-            if matrix.shape != (self.dim, self.dim):
-                raise ValueError("matrix shape does not match dim")
-            if not np.allclose(matrix, matrix.T, atol=1e-12):
-                raise ValueError("quadratic matrix must be symmetric")
-            eig = np.linalg.eigvalsh(matrix)
-            if eig[0] <= 0:
-                raise ValueError("quadratic matrix must be positive definite")
-            self.matrix = matrix
-            self.matrix_inv = np.linalg.inv(matrix)
-        else:
-            self.matrix = None
-            self.matrix_inv = None
+        self.matrix = matrix
+        self.matrix_inv = None if matrix is None else np.linalg.inv(matrix)
 
     # ----------------------------------------------------------------- factories
 
@@ -116,7 +111,14 @@ class MinkowskiNorm:
 
     @classmethod
     def quadratic(cls, matrix) -> "MinkowskiNorm":
+        """sqrt(<A u, u>) for a symmetric positive definite matrix A."""
         matrix = np.asarray(matrix, dtype=float)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ValueError("quadratic matrix must be square")
+        if not np.allclose(matrix, matrix.T, atol=1e-12):
+            raise ValueError("quadratic matrix must be symmetric")
+        if np.linalg.eigvalsh(matrix)[0] <= 0:
+            raise ValueError("quadratic matrix must be positive definite")
         return cls(matrix.shape[0], "quadratic", matrix=matrix)
 
     @classmethod
@@ -140,27 +142,11 @@ class MinkowskiNorm:
 
     # ----------------------------------------------------------------- evaluation
 
-    def value(self, u):
-        """F(u) for a single direction (d,) or a batch (m, d)."""
-        u = _check_direction(u)
-        out = self._value(u[None, :] if u.ndim == 1 else u)
-        return float(out[0]) if u.ndim == 1 else out
-
-    def grad(self, u):
-        """grad F(u); 0-homogeneous in u."""
-        u = _check_direction(u)
-        out = self._grad(u[None, :] if u.ndim == 1 else u)
-        return out[0] if u.ndim == 1 else out
-
-    def hess(self, u):
-        """D^2 F(u); (-1)-homogeneous, with u in its kernel."""
-        u = _check_direction(u)
-        out = self._hess(u[None, :] if u.ndim == 1 else u)
-        return out[0] if u.ndim == 1 else out
-
-    # Unchecked evaluation of a batch U (m, d) of nonzero rows.
+    # Unchecked evaluation of a batch U (m, d) of nonzero rows; value, grad and
+    # hess check their input and take one direction (d,) or a batch (m, d).
 
     def _value(self, U: np.ndarray) -> np.ndarray:
+        """F(u)."""
         if self.family == "euclidean":
             return np.linalg.norm(U, axis=1)
         if self.family == "quadratic":
@@ -172,6 +158,7 @@ class MinkowskiNorm:
         return np.array([float(self._value_fn(row)) for row in U])
 
     def _grad(self, U: np.ndarray) -> np.ndarray:
+        """grad F(u); 0-homogeneous in u."""
         if self.family == "euclidean":
             return U / np.linalg.norm(U, axis=1, keepdims=True)
         if self.family == "quadratic":
@@ -185,6 +172,7 @@ class MinkowskiNorm:
         return np.array([self._custom_grad(row) for row in U])
 
     def _hess(self, U: np.ndarray) -> np.ndarray:
+        """D^2 F(u); (-1)-homogeneous, with u in its kernel."""
         if self.family == "euclidean":
             nrm = np.linalg.norm(U, axis=1)
             uh = U / nrm[:, None]
@@ -198,6 +186,10 @@ class MinkowskiNorm:
         if self.family == "quartic":
             return self._quartic_hess(U)
         return np.array([self._custom_hess(row) for row in U])
+
+    value = _per_direction(_value)
+    grad = _per_direction(_grad)
+    hess = _per_direction(_hess)
 
     def _quartic_G(self, U: np.ndarray) -> np.ndarray:
         return np.sum(U ** 4, axis=1) + self.quartic_eps * np.sum(U * U, axis=1) ** 2
@@ -348,7 +340,8 @@ class Ascent(NamedTuple):
 class DualNorm:
     """Dual gauge F°(v) = sup_{u != 0} <u, v>/F(u).
 
-    mode "closed" uses the quadratic/Euclidean formulas; mode "numeric"
+    mode "closed" evaluates the Euclidean gauge, or for a quadratic base
+    sqrt(<A u, u>) the quadratic gauge of A^-1; mode "numeric"
     maximizes over the unit sphere (coarse grid scan, then safeguarded
     spherical Newton with an Armijo gradient fallback).  "auto" picks
     closed form when one exists.
@@ -374,52 +367,36 @@ class DualNorm:
         self.mode = mode
         self.dim = base.dim
         self.options = options or NumericDualOptions()
-        if self.mode == "numeric":
+        # the dual of the Euclidean norm is itself; of sqrt(<A u, u>), it is
+        # sqrt(<A^-1 v, v>): a closed dual evaluates that gauge (A^-1 is SPD
+        # because A is, so it skips the factory's checks)
+        self._closed = None
+        if self.mode == "closed":
+            self._closed = MinkowskiNorm(self.dim, base.family, matrix=base.matrix_inv)
+        else:
             n = self.options.grid_size or (1 << 10 if self.dim == 2 else 1 << 12)
             self._grid = _hypersphere_grid(self.dim, n)
             self._grid_F = np.asarray(base.value(self._grid))
-        else:
-            self._grid = None
 
     # -- evaluation ---------------------------------------------------------
 
-    def value(self, v):
-        v = _check_direction(v)
-        single = v.ndim == 1
-        V = v[None, :] if single else v
-        if self.mode == "closed":
-            if self.base.family == "euclidean":
-                out = np.linalg.norm(V, axis=1)
-            else:
-                out = np.sqrt(np.einsum("mi,mi->m", V.dot(self.base.matrix_inv), V))
-        else:
-            out = self._ascend(V).value
-        return float(out[0]) if single else out
+    @_per_direction
+    def value(self, V):
+        """F°(v)."""
+        return self._closed._value(V) if self._closed else self._ascend(V).value
 
-    def grad(self, v):
+    @_per_direction
+    def grad(self, V):
         """grad F°(v): the maximizer u* with F(u*) = 1 (envelope theorem)."""
-        v = _check_direction(v)
-        single = v.ndim == 1
-        V = v[None, :] if single else v
-        if self.mode == "closed":
-            if self.base.family == "euclidean":
-                out = V / np.linalg.norm(V, axis=1, keepdims=True)
-            else:
-                Bv = V @ self.base.matrix_inv
-                out = Bv / np.sqrt(np.einsum("mi,mi->m", Bv, V))[:, None]
-        else:
-            out = self._ascend(V).maximizer
-        return out[0] if single else out
+        return self._closed._grad(V) if self._closed else self._ascend(V).maximizer
 
-    def eval_with_maximizer(self, v):
+    @_per_direction
+    def eval_with_maximizer(self, V):
         """(F°(v), u*) with F(u*) = 1 and <u*, v> = F°(v); for a batch (m, d),
         the arrays (m,) and (m, d)."""
-        v = _check_direction(v)
-        if self.mode == "closed":
-            return self.value(v), self.grad(v)
-        single = v.ndim == 1
-        q, U = self._ascend(v[None, :] if single else v)[:2]
-        return (float(q[0]), U[0]) if single else (q, U)
+        if self._closed:
+            return self._closed._value(V), self._closed._grad(V)
+        return self._ascend(V)[:2]
 
     def as_norm(self, label: str | None = None) -> MinkowskiNorm:
         """Wrap the dual as a gauge usable wherever a MinkowskiNorm is."""

@@ -18,7 +18,6 @@ routes stay independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -665,9 +664,10 @@ def anisotropic_mean_curvature_fd(norm: MinkowskiNorm, patch: ParametricPatch, p
 
 
 # --------------------------------------------------------------------------
-# finite-difference surface calculus: each check takes one parameter point
-# (n,) or a batch (m, n), frames each stencil once for all points and
-# evaluates its fields on that one batch
+# finite-difference surface calculus: surface_divergence and codazzi_residual
+# take one parameter point (n,) or a batch (m, n); the checks of a transversal
+# decomposition take its EquiaffineBatch.  Each frames a stencil once for all
+# points and evaluates its fields on that one batch
 
 
 def _as_batch(p) -> tuple[np.ndarray, bool]:
@@ -740,17 +740,11 @@ def surface_divergence(patch: ParametricPatch, W, p, step: float = PARAM_STEP):
     return _unbatch(_divergence(dW, fb), single)
 
 
-@dataclass
-class DerivativeIdentityResult:
-    """Residuals of the frame identity for D(X^{top_xi}) and its trace form."""
-    frame_residual: float | np.ndarray
-    divergence_residual: float | np.ndarray
-
-
-def tangential_derivative_residuals(patch: ParametricPatch, xi_field: TransversalField,
-                                    X_field: TransversalField, p,
-                                    step: float = PARAM_STEP) -> DerivativeIdentityResult:
-    """Compare FD derivatives of X^{top_xi} with the frame-side expansion.
+def tangential_derivative_residuals(xi_field: TransversalField, X_field: TransversalField,
+                                    eb: EquiaffineBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Compare FD derivatives of X^{top_xi} with the frame-side expansion at
+    the points of eb = equiaffine_batch(patch, xi_field, P): the residuals
+    (m,) of the frame identity and of its trace.
 
     Frame identity, for an equiaffine xi:
       <D_{e_j} X^{top_xi}, e_i> = <xi,nu> <D_{e_j}X, e_i> - <X,e_i> II(xi^T, e_j)
@@ -758,15 +752,6 @@ def tangential_derivative_residuals(patch: ParametricPatch, xi_field: Transversa
     and its trace,
       div_M X^{top_xi} = <xi,nu> div_M X + <X,nu> H_xi - <II(X^T) + grad_M <X,nu>, xi>.
     """
-    P, single = _as_batch(p)
-    frame_res, div_res = _tangential_derivative(
-        xi_field, X_field, equiaffine_batch(patch, xi_field, P, step=step))
-    return DerivativeIdentityResult(frame_residual=_unbatch(frame_res, single),
-                                    divergence_residual=_unbatch(div_res, single))
-
-
-def _tangential_derivative(xi_field: TransversalField, X_field: TransversalField,
-                           eb: EquiaffineBatch) -> tuple[np.ndarray, np.ndarray]:
     fb, st, d = eb.frames, eb.stencil, eb.xi.shape[1]
     X = X_field.at(st)   # X^{top_xi}, X and <X, nu> side by side on the stencil
     dF = _frame_derivs(np.column_stack([affine_tangential(X, xi_field.at(st), st.nu), X,
@@ -794,20 +779,11 @@ def _tangential_derivative(xi_field: TransversalField, X_field: TransversalField
     return frame_res, np.abs(div_lhs - div_rhs)
 
 
-def divergence_residuals_constant_position(patch: ParametricPatch,
-                                           xi_field: TransversalField, p,
-                                           b=(0.3, -0.7, 0.55),
-                                           step: float = PARAM_STEP):
-    """Residuals of div_M b^{top_xi} = <b,nu> H_xi and
-    div_M x^{top_xi} = n <xi,nu> + <x,nu> H_xi."""
-    P, single = _as_batch(p)
-    res_b, res_x = _divergence_constant_position(
-        xi_field, equiaffine_batch(patch, xi_field, P, step=step), b)
-    return _unbatch(res_b, single), _unbatch(res_x, single)
-
-
-def _divergence_constant_position(xi_field: TransversalField, eb: EquiaffineBatch,
-                                  b) -> tuple[np.ndarray, np.ndarray]:
+def divergence_residuals_constant_position(xi_field: TransversalField, eb: EquiaffineBatch,
+                                           b=(0.3, -0.7, 0.55)
+                                           ) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals (m,) of div_M b^{top_xi} = <b,nu> H_xi and
+    div_M x^{top_xi} = n <xi,nu> + <x,nu> H_xi at the points of eb."""
     fb, st, d = eb.frames, eb.stencil, eb.xi.shape[1]
     b = np.asarray(b, dtype=float)[:d]
     xi = xi_field.at(st)   # b^{top_xi} and x^{top_xi} side by side on the stencil
@@ -819,21 +795,13 @@ def _divergence_constant_position(xi_field: TransversalField, eb: EquiaffineBatc
     return res_b, res_x
 
 
-def product_rule_residual(patch: ParametricPatch, xi_field: TransversalField,
-                          f_field, X_field: TransversalField, p,
-                          step: float = PARAM_STEP):
-    """Residual of div_M(f X^{top_xi}) = f div_M X^{top_xi}
-    + <xi,nu><grad_M f, X> - <X,nu><grad_M f, xi>.
+def product_rule_residual(xi_field: TransversalField, f_field, X_field: TransversalField,
+                          eb: EquiaffineBatch) -> np.ndarray:
+    """Residuals (m,) of div_M(f X^{top_xi}) = f div_M X^{top_xi}
+    + <xi,nu><grad_M f, X> - <X,nu><grad_M f, xi> at the points of eb.
 
     f_field maps a FrameBatch of m points to (m,) values.
     """
-    P, single = _as_batch(p)
-    eb = equiaffine_batch(patch, xi_field, P, step=step)
-    return _unbatch(_product_rule(xi_field, f_field, X_field, eb), single)
-
-
-def _product_rule(xi_field: TransversalField, f_field, X_field: TransversalField,
-                  eb: EquiaffineBatch) -> np.ndarray:
     fb, st, d = eb.frames, eb.stencil, eb.xi.shape[1]
     f = np.asarray(f_field(st))   # f X^{top_xi}, X^{top_xi} and f side by side
     Y = affine_tangential(X_field.at(st), xi_field.at(st), st.nu)

@@ -20,12 +20,13 @@ from .errors import (BoundaryInsideRegion, GaugeZero, NotClosed, NotEquiaffine,
 from .norms import DualNorm, MinkowskiNorm
 from .quadrature import (ClippedRegionRule, ParamQuadrature, integrate_clipped,
                          integrate_with_estimate, sublevel_energy)
-from .surfaces import (ParametricPatch, TransversalField, _divergence,
-                       _divergence_constant_position, _equiaffine, _frame_derivs,
-                       _product_rule, _tangential_derivative, affine_tangential,
+from .surfaces import (ParametricPatch, TransversalField, _as_batch, _divergence,
+                       _equiaffine, _frame_derivs, _unbatch, affine_tangential,
                        anisotropic_mean_curvature_batch, codazzi_residual,
-                       constant_field, equiaffine_batch, hyperplane, position_field,
-                       shape_products_asymmetry)
+                       constant_field, divergence_residuals_constant_position,
+                       equiaffine_batch, hyperplane, position_field,
+                       product_rule_residual, shape_products_asymmetry,
+                       tangential_derivative_residuals)
 from .symfunc import normalized_curvature_batch
 
 PASS_FACTOR = 3.0
@@ -109,10 +110,9 @@ def _annulus_report(patch: ParametricPatch, norm: MinkowskiNorm, dual: DualNorm,
     tol = Er.error_estimate / r**n + Es.error_estimate / s**n
 
     def kernel(fb):
-        gx = dual.grad(fb.x)
         gn = norm.grad(fb.nu)
+        phi, gx = dual.eval_with_maximizer(fb.x)   # one ascent for a numeric dual
         xn = np.einsum("md,md->m", fb.x, fb.nu)
-        phi = np.asarray(dual.value(fb.x))
         return np.einsum("md,md->m", gx, gn) * xn / phi ** (n + 1)
 
     rhs_res = integrate_clipped(
@@ -183,10 +183,10 @@ def pointwise_divergence_residual(patch: ParametricPatch, xi_field: TransversalF
     The closed form keeps the affine-mean-curvature term,
       <x,nu><grad phi(x), xi>/phi^{n+1} + <x,nu> H_xi / (n phi^n),
     so the check is valid on non-minimal surfaces as well.  Takes one
-    parameter point (float result) or a batch (m,).
+    parameter point (n,), giving a float, or a batch (m, n), giving (m,).
     """
-    p = np.asarray(p, dtype=float)
-    eb = equiaffine_batch(patch, xi_field, np.atleast_2d(p), step=step)
+    P, single = _as_batch(p)
+    eb = equiaffine_batch(patch, xi_field, P, step=step)
     fb, st = eb.frames, eb.stencil
     n = patch.n
     phi0 = np.asarray(gauge.value(fb.x))
@@ -201,8 +201,7 @@ def pointwise_divergence_residual(patch: ParametricPatch, xi_field: TransversalF
     gp = gauge.grad(fb.x)
     rhs = (xn * np.einsum("md,md->m", gp, eb.xi) / phi0 ** (n + 1)
            + xn * eb.affine_mean / (n * phi0**n))
-    res = np.abs(lhs - rhs)
-    return float(res[0]) if p.ndim == 1 else res
+    return _unbatch(np.abs(lhs - rhs), single)
 
 
 @dataclass
@@ -453,10 +452,10 @@ def frame_identity_suite(patch: ParametricPatch, xi_field: TransversalField, *,
     # one decomposition for every kept point; the checks below difference
     # their fields on its stencil, framed once for all of them
     eb = equiaffine_batch(patch, xi_field, kept, step=step)
-    pos = _tangential_derivative(xi_field, position_field(), eb)
-    const = _tangential_derivative(xi_field, constant_field(b), eb)
-    div_b, div_x = _divergence_constant_position(xi_field, eb, b)
-    product = _product_rule(xi_field, lambda f: f.x @ c, position_field(), eb)
+    pos = tangential_derivative_residuals(xi_field, position_field(), eb)
+    const = tangential_derivative_residuals(xi_field, constant_field(b), eb)
+    div_b, div_x = divergence_residuals_constant_position(xi_field, eb, b)
+    product = product_rule_residual(xi_field, lambda f: f.x @ c, position_field(), eb)
     sym_1, sym_2 = shape_products_asymmetry(eb)
     codazzi = codazzi_residual(patch, xi_field, kept, inner_step=step)
     residuals = {"tangential_derivative": (pos[0], const[0]),

@@ -274,6 +274,32 @@ CONFIG_FAULTS = {
     "radii-not-list": (lambda d: _with_checks(d, [{**MONO, "radii": "0.4"}]), "'m'"),
     "seed-not-int": (lambda d: {**d, "seed": "abc"}, "seed"),
     "quadrature-order": (lambda d: {**d, "quadrature": {"order": 0}}, "quadrature"),
+    # optional parameters are parsed before any check runs
+    "samples-not-int": (lambda d: _with_checks(d, [
+        {"kind": "condition-s", "name": "cs", "norm": "euclid", "samples": "many"}]), "'cs'"),
+    "worst-k-not-int": (lambda d: _with_checks(d, [
+        {"kind": "condition-s", "name": "cs", "norm": "euclid", "samples": 50,
+         "worst_k": "ten"}]), "'cs'"),
+    "tolerance-not-float": (lambda d: _with_checks(d, [
+        {"kind": "norm-identities", "name": "ni", "norm": "euclid",
+         "tolerance": "tight"}]), "'ni'"),
+    "grid-not-int": (lambda d: _with_checks(d, [
+        {"kind": "lemmas", "name": "lm", "surface": "plane", "grid": "fine"}]), "'lm'"),
+    "min-support-not-float": (lambda d: _with_checks(d, [
+        {"kind": "lemmas", "name": "lm", "surface": "plane", "grid": 3,
+         "min_support": [0.1]}]), "'lm'"),
+    "count-not-int": (lambda d: _with_checks(d, [
+        {"kind": "symfunc", "name": "sy", "sizes": [3], "count": "some"}]), "'sy'"),
+    "sizes-not-ints": (lambda d: _with_checks(d, [
+        {"kind": "symfunc", "name": "sy", "sizes": ["three"], "count": 1}]), "'sy'"),
+    "assert-constant-rel-not-float": (lambda d: _with_checks(d, [
+        {**MONO, "assert_constant_rel": "flat"}]), "'m'"),
+    "rel-tol-not-float": (lambda d: _with_checks(d, [
+        {"kind": "corollary", "name": "co", "surface": "plane", "norm": "euclid",
+         "origin_param": [0.0, 0.0], "expect": "equality", "rel_tol": "tiny"}]), "'co'"),
+    "k-not-int": (lambda d: {**_with_checks(d, [
+        {"kind": "minkowski", "name": "mk", "surface": "sph", "k": ["one"]}]),
+        "surfaces": {"sph": {"kind": "sphere"}}}, "'mk'"),
 }
 
 
@@ -328,3 +354,15 @@ def test_nan_lemma_residual_fails_the_check(monkeypatch):
                         "checks": [{"kind": "lemmas", "name": "l", "surface": "s",
                                     "grid": 3}]})
     assert cli._check_lemmas(scn, "l", scn.checks[0][2]).status == "fail"
+
+
+def test_nan_symfunc_residual_fails_the_check(monkeypatch):
+    residuals = cli.sym.trace_identity_residuals
+
+    def with_nan(*args, **kwargs):
+        return float("nan"), residuals(*args, **kwargs)[1]
+
+    monkeypatch.setattr(cli.sym, "trace_identity_residuals", with_nan)
+    scn = cli.Scenario({"checks": [{"kind": "symfunc", "name": "s", "sizes": [3],
+                                    "count": 2}]})
+    assert cli._check_symfunc(scn, "s", scn.checks[0][2]).status == "fail"

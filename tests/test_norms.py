@@ -296,3 +296,15 @@ def test_quadratic_values_match_three_operand_einsum(seed):
         for got, M in ((F.value(U), F.matrix), (F.dual().value(U), F.matrix_inv)):
             ref = np.sqrt(np.einsum("mi,ij,mj->m", U, M, U))
             assert np.max(np.abs(got - ref) / ref) <= 1e-14
+
+
+def test_closed_dual_of_a_nearly_symmetric_matrix():
+    # symmetric to the factory's tolerance, while its inverse is not: the
+    # closed dual evaluates sqrt(<A^-1 v, v>) without checking A^-1 again
+    A = np.array([[53.625, 26.962, -29.733], [26.962027, 14.19, -14.628],
+                  [-29.733, -14.628, 16.934]])
+    with pytest.raises(ValueError, match="symmetric"):
+        wk.MinkowskiNorm.quadratic(np.linalg.inv(A))
+    D = wk.MinkowskiNorm.quadratic(A).dual()
+    v = np.array([0.3, -1.0, 0.5])
+    assert D.value(v) == pytest.approx(np.sqrt(v @ np.linalg.inv(A) @ v), rel=1e-12)

@@ -5,7 +5,8 @@ output.  The traced run alone prints the per-layer ratios and the quadrature
 cell counts, and `json.dumps` writes a non-finite float as NaN or Infinity,
 which is not JSON; so the line is parsed with non-finite constants rejected.
 The pointwise workload calls the CLI's lemma check directly, so it runs with
-and without the tracer.
+and without the tracer.  The traced dual-scan run goes through the DualNorm
+methods the tracer wraps.
 """
 
 import json
@@ -40,3 +41,7 @@ def test_traced_annulus_run_prints_strict_json():
 @pytest.mark.parametrize("trace", [0, 1])
 def test_pointwise_run_prints_strict_json(trace):
     _assert_strict_result("pointwise", trace)
+
+
+def test_traced_dual_scan_run_prints_strict_json():
+    _assert_strict_result("dual-scan", 1)

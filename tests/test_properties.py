@@ -1,0 +1,154 @@
+"""Property tests: a single direction, or a single pair, is a batch of one.
+
+Every gauge, dual and condition-S diagnostic evaluates one batch path; the
+single-input forms lift it.  These properties pin the lift down over random
+matrices, quartic parameters and directions: a single row gives, bit for
+bit, the same row of the batch (to 1e-12 for the numeric dual, whose ascent
+retires rows in lockstep), a closed dual is the quadratic gauge of the
+inverse matrix, and pair_report reports a pair as the condition-S scan does.
+
+One exception is measured, not hidden: in d = 4 the product U @ A of a
+quadratic gauge accumulates differently for a batch and for a single row
+(the BLAS kernels differ), so there the rows agree to QUADRATIC_D4_REL of
+their largest entry.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import wulffkit as wk
+from wulffkit import condition_s as cs
+
+SETTINGS = settings(derandomize=True, database=None, max_examples=25, deadline=None)
+NUMERIC_SETTINGS = settings(derandomize=True, database=None, max_examples=6,
+                            deadline=None)
+NUMERIC_AGREE = 1e-12
+QUADRATIC_D4_REL = 1e-14
+
+entries = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def spd_and_rows(draw, dims=(2, 3, 4), rows=5):
+    """An SPD matrix B B^T + I/2 and a batch of rows away from the origin."""
+    d = draw(st.sampled_from(dims))
+    B = draw(arrays(float, (d, d), elements=entries))
+    U = draw(arrays(float, (rows, d), elements=entries))
+    U[np.linalg.norm(U, axis=1) < 1e-3, 0] = 1.0
+    return B @ B.T + 0.5 * np.eye(d), U
+
+
+def _quadratic_callbacks(A):
+    def value(u):
+        return float(np.sqrt(u @ A @ u))
+
+    def gradient(u):
+        return A @ u / value(u)
+
+    def hessian(u):
+        Au = A @ u
+        F = value(u)
+        return A / F - np.outer(Au, Au) / F**3
+
+    return value, gradient, hessian
+
+
+def _gauges(A, eps):
+    d = A.shape[0]
+    value, gradient, hessian = _quadratic_callbacks(A)
+    return [wk.MinkowskiNorm.euclidean(d), wk.MinkowskiNorm.quadratic(A),
+            wk.MinkowskiNorm.quartic(d, eps=eps),
+            wk.MinkowskiNorm.custom(d, value),
+            wk.MinkowskiNorm.custom(d, value, gradient=gradient),
+            wk.MinkowskiNorm.custom(d, value, gradient=gradient, hessian=hessian)]
+
+
+def _assert_rows_equal(batch, single_of_row, U, tol=0.0, rel=0.0):
+    for i, u in enumerate(U):
+        single = single_of_row(u)
+        if tol or rel:
+            np.testing.assert_allclose(single, batch[i], rtol=0.0,
+                                       atol=tol + rel * np.max(np.abs(batch[i])))
+        else:
+            np.testing.assert_array_equal(single, batch[i])
+
+
+def _rel(F, d):
+    """How far a single row may stray from its batch row, relative to the
+    row's largest entry (0: bit for bit)."""
+    return QUADRATIC_D4_REL if d == 4 and F.matrix is not None else 0.0
+
+
+@SETTINGS
+@given(spd_and_rows(), st.floats(0.01, 1.0))
+def test_single_row_is_a_batch_row_for_every_family(case, eps):
+    A, U = case
+    for F in _gauges(A, eps):
+        for method in (F.value, F.grad, F.hess):
+            _assert_rows_equal(method(U), method, U, rel=_rel(F, A.shape[0]))
+        assert isinstance(F.value(U[0]), float)
+
+
+@SETTINGS
+@given(spd_and_rows())
+def test_closed_dual_single_row_is_a_batch_row(case):
+    A, U = case
+    for D in (wk.MinkowskiNorm.euclidean(A.shape[0]).dual(),
+              wk.MinkowskiNorm.quadratic(A).dual()):
+        assert D.mode == "closed"
+        rel = _rel(D.base, A.shape[0])
+        _assert_rows_equal(D.value(U), D.value, U, rel=rel)
+        _assert_rows_equal(D.grad(U), D.grad, U, rel=rel)
+        q, W = D.eval_with_maximizer(U)
+        _assert_rows_equal(q, lambda u: D.eval_with_maximizer(u)[0], U, rel=rel)
+        _assert_rows_equal(W, lambda u: D.eval_with_maximizer(u)[1], U, rel=rel)
+
+
+@NUMERIC_SETTINGS
+@given(spd_and_rows(dims=(2, 3), rows=3), st.floats(0.02, 0.5))
+def test_numeric_dual_single_row_is_a_batch_row(case, eps):
+    A, U = case
+    d = A.shape[0]
+    for D in (wk.MinkowskiNorm.quadratic(A).dual(mode="numeric"),
+              wk.MinkowskiNorm.quartic(d, eps=eps).dual()):
+        assert D.mode == "numeric"
+        q, W = D.eval_with_maximizer(U)
+        _assert_rows_equal(q, D.value, U, NUMERIC_AGREE)
+        _assert_rows_equal(W, D.grad, U, NUMERIC_AGREE)
+        _assert_rows_equal(q, lambda u: D.eval_with_maximizer(u)[0], U, NUMERIC_AGREE)
+
+
+@SETTINGS
+@given(spd_and_rows())
+def test_closed_dual_is_the_quadratic_gauge_of_the_inverse(case):
+    A, U = case
+    D = wk.MinkowskiNorm.quadratic(A).dual()
+    G = wk.MinkowskiNorm.quadratic(np.linalg.inv(A))
+    np.testing.assert_array_equal(D.value(U), G.value(U))
+    np.testing.assert_array_equal(D.grad(U), G.grad(U))
+    np.testing.assert_array_equal(D.value(U[0]), G.value(U[0]))
+
+
+def _pair_fields(rep):
+    return np.array([rep.lhs, rep.rhs_sign_ref, rep.fk_residual, rep.margin])
+
+
+@NUMERIC_SETTINGS
+@given(spd_and_rows(dims=(2, 3), rows=1), st.floats(0.02, 0.5),
+       st.integers(0, 2**16), st.integers(4, 24))
+def test_pair_report_is_the_scan_of_one_pair(case, eps, seed, count):
+    A, _ = case
+    d = A.shape[0]
+    for F, tol in ((wk.MinkowskiNorm.quadratic(A), 0.0),
+                   (wk.MinkowskiNorm.quartic(d, eps=eps), NUMERIC_AGREE)):
+        dual = F.dual()
+        verdict = cs.check_condition_s(F, count, seed=seed, dual=dual, worst_k=count)
+        assert len(verdict.worst_pairs) == count
+        for rep in verdict.worst_pairs:
+            single = cs.pair_report(F, rep.u, rep.v, dual=dual)
+            np.testing.assert_array_equal(single.u, rep.u)
+            np.testing.assert_array_equal(single.v, rep.v)
+            np.testing.assert_allclose(_pair_fields(single), _pair_fields(rep),
+                                       rtol=0.0, atol=tol)

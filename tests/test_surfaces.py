@@ -318,36 +318,37 @@ def _transversal_points(patch, xi_field, k=3, min_support=0.25):
 def test_tangential_derivative_identity(xi_name, xi_maker):
     for patch in (sf.sphere(), sf.ellipsoid((1.0, 1.3, 1.7)), sf.catenoid()):
         xi = xi_maker()
-        for p in _transversal_points(patch, xi)[:3]:
-            res = sf.tangential_derivative_residuals(patch, xi, sf.position_field(), p)
-            assert res.frame_residual < 1e-5
-            assert res.divergence_residual < 1e-5
+        eb = sf.equiaffine_batch(patch, xi, _transversal_points(patch, xi)[:3])
+        frame, div = sf.tangential_derivative_residuals(xi, sf.position_field(), eb)
+        assert np.all(frame < 1e-5)
+        assert np.all(div < 1e-5)
 
 
 def test_tangential_derivative_constant_field_on_plane():
     plane = sf.hyperplane()
     xi = sf.constant_field([0.1, -0.2, 1.0])
-    res = sf.tangential_derivative_residuals(plane, xi, sf.position_field(),
-                                             [0.3, -0.2])
-    assert res.frame_residual < 1e-8
+    eb = sf.equiaffine_batch(plane, xi, [[0.3, -0.2]])
+    frame, _ = sf.tangential_derivative_residuals(xi, sf.position_field(), eb)
+    assert frame[0] < 1e-8
 
 
 @pytest.mark.parametrize("xi_name,xi_maker", XIS)
 def test_divergence_of_constant_and_position(xi_name, xi_maker):
     for patch in (sf.sphere(), sf.ellipsoid((1.0, 1.3, 1.7)), sf.catenoid()):
         xi = xi_maker()
-        for p in _transversal_points(patch, xi)[:3]:
-            rb, rx = sf.divergence_residuals_constant_position(patch, xi, p)
-            assert rb < 1e-5
-            assert rx < 1e-5
+        eb = sf.equiaffine_batch(patch, xi, _transversal_points(patch, xi)[:3])
+        rb, rx = sf.divergence_residuals_constant_position(xi, eb)
+        assert np.all(rb < 1e-5)
+        assert np.all(rx < 1e-5)
 
 
 def test_divergence_identities_sphere_arithmetic():
     # unit sphere with xi = nu: div x^{T_nu} = 0 = n * 1 + 1 * (-n)
     S = sf.sphere()
-    _, rx = sf.divergence_residuals_constant_position(S, sf.normal_field(),
-                                                      [1.1, 0.7])
-    assert rx < 1e-8
+    xi = sf.normal_field()
+    _, rx = sf.divergence_residuals_constant_position(
+        xi, sf.equiaffine_batch(S, xi, [[1.1, 0.7]]))
+    assert rx[0] < 1e-8
 
 
 @pytest.mark.parametrize("xi_name,xi_maker", XIS)
@@ -359,10 +360,9 @@ def test_product_rule(xi_name, xi_maker):
 
     for patch in (sf.sphere(), sf.ellipsoid((1.0, 1.3, 1.7)), sf.catenoid()):
         xi = xi_maker()
-        for p in _transversal_points(patch, xi)[:3]:
-            res = sf.product_rule_residual(patch, xi, f_linear,
-                                           sf.position_field(), p)
-            assert res < 1e-5
+        eb = sf.equiaffine_batch(patch, xi, _transversal_points(patch, xi)[:3])
+        res = sf.product_rule_residual(xi, f_linear, sf.position_field(), eb)
+        assert np.all(res < 1e-5)
 
 
 def test_product_rule_with_gauge_weight():
@@ -371,10 +371,10 @@ def test_product_rule_with_gauge_weight():
     def f_gauge(fb):
         return np.asarray(D.value(fb.x))
 
-    E = sf.ellipsoid((1.0, 1.3, 1.7))
-    res = sf.product_rule_residual(E, sf.anisotropic_normal_field(F_MIX),
-                                   f_gauge, sf.position_field(), [1.2, 0.6])
-    assert res < 1e-5
+    xi = sf.anisotropic_normal_field(F_MIX)
+    eb = sf.equiaffine_batch(sf.ellipsoid((1.0, 1.3, 1.7)), xi, [[1.2, 0.6]])
+    res = sf.product_rule_residual(xi, f_gauge, sf.position_field(), eb)
+    assert res[0] < 1e-5
 
 
 def test_shape_products_selfadjointness():
