@@ -191,6 +191,12 @@ class MinkowskiNorm:
     grad = _per_direction(_grad)
     hess = _per_direction(_hess)
 
+    @_per_direction
+    def eval_with_maximizer(self, U):
+        """(F(u), grad F(u)), as DualNorm.eval_with_maximizer gives them for
+        F°: grad F(u) maximizes <u, v> over F°(v) <= 1 (F is its bidual)."""
+        return self._value(U), self._grad(U)
+
     def _quartic_G(self, U: np.ndarray) -> np.ndarray:
         return np.sum(U ** 4, axis=1) + self.quartic_eps * np.sum(U * U, axis=1) ** 2
 

@@ -123,7 +123,7 @@ def _annulus_report(patch: ParametricPatch, norm: MinkowskiNorm, dual: DualNorm,
         "monotonicity", lhs, rhs_res.value, tol, flags,
         {"surface": patch.name, "norm": norm.label, "s": s, "r": r,
          "max_abs_H": maxH, "E_r": Er.value, "E_s": Es.value,
-         "depth": max_depth})
+         "depth": max_depth, "cells": _cell_counts(E_r=Er, E_s=Es, kernel=rhs_res)})
 
 
 def equiaffine_identity(patch: ParametricPatch, xi_field: TransversalField,
@@ -163,8 +163,8 @@ def equiaffine_identity(patch: ParametricPatch, xi_field: TransversalField,
 
     def kernel(fb):
         xn = np.einsum("md,md->m", fb.x, fb.nu)
-        phi = np.asarray(gauge.value(fb.x))
-        return xn * np.einsum("md,md->m", gauge.grad(fb.x), xi_field.at(fb)) / phi**(n + 1)
+        phi, gx = gauge.eval_with_maximizer(fb.x)   # one ascent for a numeric dual
+        return xn * np.einsum("md,md->m", gx, xi_field.at(fb)) / phi**(n + 1)
 
     rhs_res = integrate_clipped(
         patch, kernel, ClippedRegionRule(gauge=gauge, s=s, r=r, max_depth=max_depth),
@@ -173,7 +173,8 @@ def equiaffine_identity(patch: ParametricPatch, xi_field: TransversalField,
     return _finish_report(
         "equiaffine-monotonicity", lhs, rhs_res.value, tol, flags,
         {"surface": patch.name, "xi": xi_field.name, "s": s, "r": r,
-         "max_abs_H_xi": maxH, "depth": max_depth})
+         "max_abs_H_xi": maxH, "depth": max_depth,
+         "cells": _cell_counts(I_r=Ir, I_s=Is, kernel=rhs_res)})
 
 
 def pointwise_divergence_residual(patch: ParametricPatch, xi_field: TransversalField,
@@ -189,7 +190,7 @@ def pointwise_divergence_residual(patch: ParametricPatch, xi_field: TransversalF
     eb = equiaffine_batch(patch, xi_field, P, step=step)
     fb, st = eb.frames, eb.stencil
     n = patch.n
-    phi0 = np.asarray(gauge.value(fb.x))
+    phi0, gp = gauge.eval_with_maximizer(fb.x)   # one ascent for a numeric dual
     if np.any(phi0 <= 1e-12):
         raise GaugeZero("gauge vanishes at the evaluation point")
 
@@ -198,7 +199,6 @@ def pointwise_divergence_residual(patch: ParametricPatch, xi_field: TransversalF
          / (n * np.asarray(gauge.value(st.x))**n)[:, None])
     lhs = _divergence(_frame_derivs(V, fb, step), fb)
     xn = np.einsum("md,md->m", fb.x, fb.nu)
-    gp = gauge.grad(fb.x)
     rhs = (xn * np.einsum("md,md->m", gp, eb.xi) / phi0 ** (n + 1)
            + xn * eb.affine_mean / (n * phi0**n))
     return _unbatch(np.abs(lhs - rhs), single)
@@ -283,7 +283,13 @@ def corollary_lower_bound(patch: ParametricPatch, norm: MinkowskiNorm, *,
         energy=energy.value, bound=bound, section_measure=section.value,
         ratio=ratio, tolerance=rel_tol, flags=flags,
         metadata={"surface": patch.name, "norm": norm.label, "origin_param": p0,
-                  "max_abs_H": maxH, "normal_at_origin": nu0})
+                  "max_abs_H": maxH, "normal_at_origin": nu0,
+                  "cells": _cell_counts(energy=energy, section=section)})
+
+
+def _cell_counts(**results) -> dict:
+    """Inside, cut and fallback cell counts of each named clipped integral."""
+    return {name: res.cell_counts() for name, res in results.items()}
 
 
 def _tangent_section_patch(patch: ParametricPatch, nu0, t, dual) -> ParametricPatch:

@@ -8,7 +8,7 @@ from wulffkit import surfaces as sf
 from wulffkit import verify as vf
 from wulffkit.errors import (BoundaryInsideRegion, NotClosed, NotEquiaffine,
                              OriginNotOnSurface)
-from wulffkit.quadrature import ParamQuadrature
+from wulffkit.quadrature import ClippedRegionRule, ParamQuadrature, integrate_clipped
 
 Q16 = ParamQuadrature(order=6, base_grid=16)
 Q12 = ParamQuadrature(order=6, base_grid=12)
@@ -156,6 +156,26 @@ def test_pointwise_divergence_with_curvature_term():
                                            sf.anisotropic_normal_field(F_MIX),
                                            F_MIX.dual(), [1.05, 0.8])
     assert res < 1e-4
+
+
+def test_pointwise_divergence_ascends_each_point_once(monkeypatch):
+    # a numeric dual takes value and gradient from one ascent: the 9 points
+    # and their 36 stencil points, with no point ascended twice
+    D = E3.dual(mode="numeric")
+    batches = []
+    ascend = wk.DualNorm._ascend
+
+    def counted(self, V):
+        batches.append(V.copy())
+        return ascend(self, V)
+
+    monkeypatch.setattr(wk.DualNorm, "_ascend", counted)
+    res = vf.pointwise_divergence_residual(sf.sphere(), sf.normal_field(), D,
+                                           sf.sphere().sample_grid(3))
+    assert res.shape == (9,) and np.all(res < 1e-6)
+    rows = np.vstack(batches)
+    assert [len(b) for b in batches] == [9, 36]
+    assert len(np.unique(rows, axis=0)) == len(rows)
 
 
 def test_pointwise_divergence_curvature_term_matters():
@@ -332,3 +352,52 @@ def test_minkowski_formulas_decompose_each_node_set_once_for_all_orders(monkeypa
     for one, rep in zip(single, both):
         assert (rep.name, rep.lhs, rep.rhs, rep.tolerance, rep.status, rep.metadata) == (
             one.name, one.lhs, one.rhs, one.tolerance, one.status, one.metadata)
+
+
+def _corrupt_kernel(monkeypatch, factor):
+    """Scale the value of every clipped integral with s > 0 (the annulus
+    kernel) that verify computes."""
+    clipped = vf.integrate_clipped
+
+    def corrupted(patch, f, region, rule):
+        res = clipped(patch, f, region, rule)
+        if region.s > 0.0:
+            res.value *= factor
+        return res
+
+    monkeypatch.setattr(vf, "integrate_clipped", corrupted)
+
+
+def test_corrupted_monotonicity_kernel_fails(monkeypatch):
+    # criterion 5's surface case: a 1e-3 relative error in the kernel must
+    # fail the identity, so its tolerance sits well below that
+    T = sf.transformed_catenoid(A_MIX, v_max=1.2)
+    _corrupt_kernel(monkeypatch, 1.0 + 1e-3)
+    assert vf.monotonicity_identity(T, F_MIX, 1.15, 2.0, rule=Q16, max_depth=8).status == "fail"
+
+
+def test_corrupted_equiaffine_kernel_fails(monkeypatch):
+    # criterion 6's identity with the same corruption
+    _corrupt_kernel(monkeypatch, 1.0 + 1e-3)
+    rep = vf.equiaffine_identity(sf.catenoid(v_max=1.3), sf.normal_field(), E3.dual(),
+                                 1.2, 2.0, rule=Q16, max_depth=8)
+    assert rep.status == "fail"
+
+
+def test_reports_carry_cell_counts():
+    # each constituent clipped integral's inside, cut and fallback cells
+    T = sf.transformed_catenoid(A_MIX, v_max=1.2)
+    mono = vf.monotonicity_identity(T, F_MIX, 1.15, 2.0, rule=Q12, max_depth=8)
+    equi = vf.equiaffine_identity(T, sf.anisotropic_normal_field(F_MIX), F_MIX.dual(),
+                                  1.15, 2.0, rule=Q12, max_depth=8)
+    cor = vf.corollary_lower_bound(sf.hyperplane(extent=2.2), E3, rule=Q12, max_depth=8,
+                                   origin_param=[0.0, 0.0])
+    for cells, names in ((mono.metadata["cells"], {"E_r", "E_s", "kernel"}),
+                         (equi.metadata["cells"], {"I_r", "I_s", "kernel"}),
+                         (cor.metadata["cells"], {"energy", "section"})):
+        assert set(cells) == names
+        for counts in cells.values():
+            assert counts["inside"] > 0 and counts["cut"] > 0 and counts["fallback"] == 0
+    kernel = integrate_clipped(T, lambda fb: np.ones(len(fb.x)),
+                               ClippedRegionRule(F_MIX.dual(), 1.15, 2.0, 8), Q12)
+    assert mono.metadata["cells"]["kernel"] == kernel.cell_counts()
