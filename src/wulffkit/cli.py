@@ -486,8 +486,13 @@ def run_scenario(scn: Scenario, out_dir: Path, jobs: int = 1,
                 traceback.print_exc(file=sys.stderr)
             return CheckOutcome(name, kind, "error", f"{type(exc).__name__}: {exc}", [])
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        outcomes = list(pool.map(work, scn.checks))
+    if jobs == 1:
+        # on the calling thread: a worker thread would get a malloc arena of
+        # its own, which only adds to the peak memory of a run
+        outcomes = list(map(work, scn.checks))
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            outcomes = list(pool.map(work, scn.checks))
 
     for oc in outcomes:
         print(f"[{oc.status.upper():5s}] {oc.name} ({oc.kind}): {oc.line}",

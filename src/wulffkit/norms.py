@@ -8,10 +8,16 @@ F(u) = sqrt(<A u, u>) for symmetric positive definite A, and a smoothed
 quartic gauge; arbitrary gauges enter through callbacks with a
 finite-difference fallback for missing derivatives.
 
+Every family evaluates F, grad F and D^2 F in one pass (`_jet`), and the
+dual's numeric ascent takes all three from one call per iteration.
+
 The dual gauge F°(v) = sup_{u != 0} <u, v> / F(u) is available in closed
 form for the Euclidean and quadratic families and through constrained
 ascent on the unit sphere otherwise.  The ascent also returns the
-maximizer u* normalized to F(u*) = 1, which is exactly grad F°(v).
+maximizer u* normalized to F(u*) = 1, which is exactly grad F°(v), and
+Legendre duality gives D^2 F°(v) from D^2 F(u*).  `DualNorm.as_norm` makes
+the dual a gauge (family "dual") whose value, gradient and Hessian come
+from one ascent per batch, so the bidual F°° is one more ascent over it.
 """
 
 from __future__ import annotations
@@ -83,8 +89,9 @@ class MinkowskiNorm:
     """Positively 1-homogeneous elliptic gauge on R^d.
 
     Construct through the factory classmethods :meth:`euclidean`,
-    :meth:`quadratic`, :meth:`quartic`, or :meth:`custom`.  Instances are
-    immutable and safe to share between threads.
+    :meth:`quadratic`, :meth:`quartic`, or :meth:`custom`, or from a dual
+    through :meth:`DualNorm.as_norm`.  Instances are immutable and safe to
+    share between threads.
     """
 
     def __init__(self, dim: int, family: str, *, matrix: np.ndarray | None = None,
@@ -92,12 +99,14 @@ class MinkowskiNorm:
                  value_fn: Callable | None = None,
                  grad_fn: Callable | None = None,
                  hess_fn: Callable | None = None,
+                 dual: "DualNorm | None" = None,
                  label: str | None = None):
         self.dim = int(dim)
         self.family = family
         self._value_fn = value_fn
         self._grad_fn = grad_fn
         self._hess_fn = hess_fn
+        self._dual = dual
         self.quartic_eps = quartic_eps
         self.label = label or family
         self.matrix = matrix
@@ -145,47 +154,69 @@ class MinkowskiNorm:
     # Unchecked evaluation of a batch U (m, d) of nonzero rows; value, grad and
     # hess check their input and take one direction (d,) or a batch (m, d).
 
-    def _value(self, U: np.ndarray) -> np.ndarray:
-        """F(u)."""
+    def _jet(self, U: np.ndarray, order: int = 2) -> tuple:
+        """(F(u), grad F(u), D^2 F(u)) up to `order` derivatives: a tuple of
+        order + 1 arrays (m,), (m, d), (m, d, d).  grad F is 0-homogeneous;
+        D^2 F is (-1)-homogeneous, with u in its kernel.  Each family shares
+        its intermediates (|u|, U A, the quartic G) between the three."""
         if self.family == "euclidean":
-            return np.linalg.norm(U, axis=1)
+            F = np.linalg.norm(U, axis=1)
+            if order == 0:
+                return (F,)
+            uh = U / F[:, None]
+            if order == 1:
+                return F, uh
+            eye = np.eye(self.dim)[None, :, :]
+            return F, uh, (eye - uh[:, :, None] * uh[:, None, :]) / F[:, None, None]
         if self.family == "quadratic":
             # U.dot(A): the same product as U @ A, with less overhead on the
             # single rows of the numeric dual's ascent
-            return np.sqrt(np.einsum("mi,mi->m", U.dot(self.matrix), U))
+            Au = U.dot(self.matrix)
+            F = np.sqrt(np.einsum("mi,mi->m", Au, U))
+            if order == 0:
+                return (F,)
+            gF = Au / F[:, None]
+            if order == 1:
+                return F, gF
+            return F, gF, (self.matrix[None, :, :] / F[:, None, None]
+                           - Au[:, :, None] * Au[:, None, :] / (F ** 3)[:, None, None])
         if self.family == "quartic":
-            return self._quartic_G(U) ** 0.25
-        return np.array([float(self._value_fn(row)) for row in U])
+            eps = self.quartic_eps
+            r2 = np.sum(U * U, axis=1)
+            G = np.sum(U ** 4, axis=1) + eps * r2 ** 2
+            F = G ** 0.25
+            if order == 0:
+                return (F,)
+            P = U ** 3 + eps * r2[:, None] * U        # grad G / 4
+            gF = P / (G ** 0.75)[:, None]
+            if order == 1:
+                return F, gF
+            eye = np.eye(self.dim)[None, :, :]
+            hessG = (12.0 * U[:, :, None] ** 2 * eye
+                     + 8.0 * eps * U[:, :, None] * U[:, None, :]
+                     + 4.0 * eps * r2[:, None, None] * eye)
+            dG = 4.0 * P
+            return F, gF, (0.25 * (G ** -0.75)[:, None, None] * hessG
+                           - 0.1875 * (G ** -1.75)[:, None, None]
+                           * dG[:, :, None] * dG[:, None, :])
+        if self.family == "dual":
+            return self._dual._jet(U, order)
+        F = np.array([float(self._value_fn(row)) for row in U])
+        if order == 0:
+            return (F,)
+        gF = np.array([self._custom_grad(row) for row in U])
+        if order == 1:
+            return F, gF
+        return F, gF, np.array([self._custom_hess(row, f0) for row, f0 in zip(U, F)])
+
+    def _value(self, U: np.ndarray) -> np.ndarray:
+        return self._jet(U, 0)[0]
 
     def _grad(self, U: np.ndarray) -> np.ndarray:
-        """grad F(u); 0-homogeneous in u."""
-        if self.family == "euclidean":
-            return U / np.linalg.norm(U, axis=1, keepdims=True)
-        if self.family == "quadratic":
-            Au = U @ self.matrix
-            F = np.sqrt(np.einsum("mi,mi->m", Au, U))
-            return Au / F[:, None]
-        if self.family == "quartic":
-            G = self._quartic_G(U)
-            return (U ** 3 + self.quartic_eps
-                    * np.sum(U * U, axis=1)[:, None] * U) / (G ** 0.75)[:, None]
-        return np.array([self._custom_grad(row) for row in U])
+        return self._jet(U, 1)[1]
 
     def _hess(self, U: np.ndarray) -> np.ndarray:
-        """D^2 F(u); (-1)-homogeneous, with u in its kernel."""
-        if self.family == "euclidean":
-            nrm = np.linalg.norm(U, axis=1)
-            uh = U / nrm[:, None]
-            eye = np.eye(self.dim)[None, :, :]
-            return (eye - uh[:, :, None] * uh[:, None, :]) / nrm[:, None, None]
-        if self.family == "quadratic":
-            Au = U @ self.matrix
-            F = np.sqrt(np.einsum("mi,mi->m", Au, U))
-            return (self.matrix[None, :, :] / F[:, None, None]
-                    - Au[:, :, None] * Au[:, None, :] / (F ** 3)[:, None, None])
-        if self.family == "quartic":
-            return self._quartic_hess(U)
-        return np.array([self._custom_hess(row) for row in U])
+        return self._jet(U)[2]
 
     value = _per_direction(_value)
     grad = _per_direction(_grad)
@@ -195,23 +226,7 @@ class MinkowskiNorm:
     def eval_with_maximizer(self, U):
         """(F(u), grad F(u)), as DualNorm.eval_with_maximizer gives them for
         F°: grad F(u) maximizes <u, v> over F°(v) <= 1 (F is its bidual)."""
-        return self._value(U), self._grad(U)
-
-    def _quartic_G(self, U: np.ndarray) -> np.ndarray:
-        return np.sum(U ** 4, axis=1) + self.quartic_eps * np.sum(U * U, axis=1) ** 2
-
-    def _quartic_hess(self, U: np.ndarray) -> np.ndarray:
-        eps = self.quartic_eps
-        G = self._quartic_G(U)
-        r2 = np.sum(U * U, axis=1)
-        dG = 4.0 * (U ** 3 + eps * r2[:, None] * U)
-        eye = np.eye(self.dim)[None, :, :]
-        hessG = (12.0 * U[:, :, None] ** 2 * eye
-                 + 8.0 * eps * U[:, :, None] * U[:, None, :]
-                 + 4.0 * eps * r2[:, None, None] * eye)
-        return (0.25 * (G ** -0.75)[:, None, None] * hessG
-                - 0.1875 * (G ** -1.75)[:, None, None]
-                * dG[:, :, None] * dG[:, None, :])
+        return self._jet(U, 1)
 
     def _custom_grad(self, u: np.ndarray) -> np.ndarray:
         if self._grad_fn is not None:
@@ -223,7 +238,7 @@ class MinkowskiNorm:
         d2 = (f[2] - f[3]) / (2.0 * (0.5 * h))
         return (4.0 * d2 - d1) / 3.0
 
-    def _custom_hess(self, u: np.ndarray) -> np.ndarray:
+    def _custom_hess(self, u: np.ndarray, f0: float) -> np.ndarray:
         if self._hess_fn is not None:
             H = np.asarray(self._hess_fn(u), dtype=float)
             return 0.5 * (H + H.T)
@@ -243,7 +258,6 @@ class MinkowskiNorm:
         h = _FD_HESS_VALUE_STEP * max(1.0, float(np.linalg.norm(u)))
         dirs, iu, ju = _hessian_directions(self.dim)
         f = self._stencil_values(u, dirs, h)
-        f0 = float(self._value_fn(u))
         d1 = (f[0] - 2.0 * f0 + f[1]) / (h * h)
         d2 = (f[2] - 2.0 * f0 + f[3]) / ((0.5 * h) * (0.5 * h))
         dd = (4.0 * d2 - d1) / 3.0
@@ -277,7 +291,8 @@ class MinkowskiNorm:
     def euler_residual(self, U: np.ndarray) -> np.ndarray:
         """|<grad F(u), u> - F(u)|, zero for exact 1-homogeneity."""
         # row-wise matmul: the same dot products, bit for bit, as for one row
-        return np.abs((self._grad(U)[:, None, :] @ U[:, :, None])[:, 0, 0] - self._value(U))
+        F, gF = self._jet(U, 1)
+        return np.abs((gF[:, None, :] @ U[:, :, None])[:, 0, 0] - F)
 
     @_per_direction
     def radial_kernel_residual(self, U: np.ndarray) -> np.ndarray:
@@ -386,31 +401,51 @@ class DualNorm:
 
     # -- evaluation ---------------------------------------------------------
 
+    def _jet(self, V: np.ndarray, order: int = 2) -> tuple:
+        """(F°(v), grad F°(v), D^2 F°(v)) of a batch V (m, d), up to `order`
+        derivatives, as MinkowskiNorm._jet gives them.  Numerically, one
+        ascent gives F°(v) and its maximizer u* = grad F°(v), and Legendre
+        duality gives the Hessian from D^2 F(u*):
+
+            D^2 F°(v) = S N S^T / F°(v),  S = I - u* v^T / F°(v),
+            N = Q (Q^T D^2 F(u*) Q)^-1 Q^T,
+
+        with Q an orthonormal basis of u*^perp.  (grad F(u*) = v / F°(v), and
+        D^2 of F°^2 / 2 inverts D^2 of F^2 / 2 at F°(v) u*.)"""
+        if self._closed:
+            return self._closed._jet(V, order)
+        q, Us = self._ascend(V)[:2]
+        if order < 2:
+            return (q, Us)[:order + 1]
+        Q = _orthonormal_complement(Us / np.linalg.norm(Us, axis=1, keepdims=True))
+        Qt = np.swapaxes(Q, 1, 2)
+        N = Q @ np.linalg.solve(Qt @ self.base._hess(Us) @ Q, Qt)
+        S = np.eye(self.dim) - Us[:, :, None] * (V / q[:, None])[:, None, :]
+        return q, Us, S @ N @ np.swapaxes(S, 1, 2) / q[:, None, None]
+
     @_per_direction
     def value(self, V):
         """F°(v)."""
-        return self._closed._value(V) if self._closed else self._ascend(V).value
+        return self._jet(V, 0)[0]
 
     @_per_direction
     def grad(self, V):
         """grad F°(v): the maximizer u* with F(u*) = 1 (envelope theorem)."""
-        return self._closed._grad(V) if self._closed else self._ascend(V).maximizer
+        return self._jet(V, 1)[1]
 
     @_per_direction
     def eval_with_maximizer(self, V):
         """(F°(v), u*) with F(u*) = 1 and <u*, v> = F°(v); for a batch (m, d),
         the arrays (m,) and (m, d)."""
-        if self._closed:
-            return self._closed._value(V), self._closed._grad(V)
-        return self._ascend(V)[:2]
+        return self._jet(V, 1)
 
     def as_norm(self, label: str | None = None) -> MinkowskiNorm:
-        """Wrap the dual as a gauge usable wherever a MinkowskiNorm is."""
-        return MinkowskiNorm.custom(
-            self.dim,
-            value=lambda u: self.value(u),
-            gradient=lambda u: self.grad(u),
-            label=label or f"dual[{self.base.label}]")
+        """The dual as a gauge usable wherever a MinkowskiNorm is, evaluated
+        in batches by this DualNorm: its value is F°, its gradient the
+        maximizer u*, and its Hessian the Legendre one of `_jet`, so a numeric
+        dual gives all three from one ascent per batch."""
+        return MinkowskiNorm(self.dim, "dual", dual=self,
+                             label=label or f"dual[{self.base.label}]")
 
     # -- numeric path -------------------------------------------------------
 
@@ -421,6 +456,8 @@ class DualNorm:
         opt = self.options
         base = self.base
         m, d = V.shape
+        if m == 0:
+            return Ascent(np.empty(0), np.empty((0, d)), 0, 0)
         grid = self._grid
         U = np.empty((m, d))
         chunk = max(1, _SCAN_ENTRIES // len(grid))
@@ -433,7 +470,7 @@ class DualNorm:
         fell_back = np.zeros(m, dtype=bool)
         for it in range(opt.max_iter):
             # the iterates are unit rows, so the base gauge skips its checks
-            F, gF = base._value(U), base._grad(U)
+            F, gF, HF = _jet_rows(base, U)
             g = V / F[:, None] - (q / F)[:, None] * gF
             gu = np.einsum("md,md->m", g, U)
             gt = g - gu[:, None] * U
@@ -444,9 +481,9 @@ class DualNorm:
                 if done.all():
                     return Ascent(q_out, U_out, it + 1, int(fell_back.sum()))
                 keep = ~done
-                rows, U, V, q, step, F, gF, g, gu, gt, gn = (
-                    x[keep] for x in (rows, U, V, q, step, F, gF, g, gu, gt, gn))
-            un, ok = _spherical_newton(U, q, F, gF, _hess_rows(base, U), g, gu)
+                rows, U, V, q, step, F, gF, HF, g, gu, gt, gn = (
+                    x[keep] for x in (rows, U, V, q, step, F, gF, HF, g, gu, gt, gn))
+            un, ok = _spherical_newton(U, q, F, gF, HF, g, gu)
             qn = np.einsum("md,md->m", un, V) / base._value(un)
             accept = ok & (qn > q)
             if not accept.all():
@@ -500,20 +537,23 @@ class DualNorm:
         return np.concatenate(stalled) if stalled else rows
 
 
-def _hess_rows(base: MinkowskiNorm, U: np.ndarray) -> np.ndarray:
-    """D^2 F of the unit rows U (m, d); a row whose Hessian raises (say, an
-    inner ascent of a custom gauge that does not converge) gets NaN, so that
-    row alone rejects its Newton step."""
+def _jet_rows(base: MinkowskiNorm, U: np.ndarray) -> tuple:
+    """F, grad F and D^2 F of the unit rows U (m, d), from one call of the
+    base gauge.  If that call raises, F and grad F are evaluated again, and
+    each row's Hessian alone: a row whose Hessian raises (say, a custom
+    Hessian callback, or a dual gauge whose D^2 F(u*) is singular on
+    u*^perp) gets NaN, so that row alone rejects its Newton step."""
     try:
-        return base._hess(U)
+        return base._jet(U)
     except Exception:
+        F, gF = base._jet(U, 1)
         HF = np.full((len(U), base.dim, base.dim), np.nan)
         for i in range(len(U)):
             try:
                 HF[i] = base._hess(U[i:i + 1])[0]
             except Exception:
                 pass
-        return HF
+        return F, gF, HF
 
 
 def _spherical_newton(U, q, F, gF, HF, g, gu):

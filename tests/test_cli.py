@@ -1,5 +1,6 @@
 import json
 import os
+import threading
 
 import pytest
 
@@ -127,14 +128,23 @@ def test_jobs_flag_deterministic(tmp_path, monkeypatch):
     doc["checks"].append({"kind": "symfunc", "name": "newton", "sizes": [3],
                           "count": 3})
     cfg = write_config(tmp_path, doc)
-    assert run_cli(["run", "--config", cfg, "--out", str(tmp_path / "o1")],
-                   monkeypatch) == 0
-    assert run_cli(["run", "--config", cfg, "--jobs", "4",
+    threads = []
+    for kind in ("monotonicity", "symfunc"):
+        check = getattr(cli, "_check_" + kind)
+
+        def recorded(*args, _check=check):
+            threads.append(threading.current_thread())
+            return _check(*args)
+        monkeypatch.setattr(cli, "_check_" + kind, recorded)
+    assert run_cli(["run", "--config", cfg, "--jobs", "1",
+                    "--out", str(tmp_path / "o1")], monkeypatch) == 0
+    assert threads == [threading.main_thread()] * 2
+    threads.clear()
+    assert run_cli(["run", "--config", cfg, "--jobs", "2",
                     "--out", str(tmp_path / "o2")], monkeypatch) == 0
+    assert len(threads) == 2 and threading.main_thread() not in threads
     for fname in ("monotonicity.csv", "symfunc.csv"):
-        a = (tmp_path / "o1" / fname).read_bytes()
-        b = (tmp_path / "o2" / fname).read_bytes()
-        assert a == b
+        assert (tmp_path / "o1" / fname).read_bytes() == (tmp_path / "o2" / fname).read_bytes()
 
 
 def test_condition_s_subcommand(tmp_path, monkeypatch, capsys):

@@ -246,6 +246,74 @@ def test_biduality_of_quadratic():
         assert abs(D2.value(v) - ref) / ref < 1e-4
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_dual_gauge_hessian_is_the_legendre_one(d):
+    # the gauge of a numeric dual takes its Hessian from D^2 F(u*) by
+    # Legendre duality; for sqrt(<A u, u>) that is the Hessian of sqrt(<A^-1 v, v>)
+    rng = np.random.default_rng(20 + d)
+    M = rng.standard_normal((d, d))
+    A = M @ M.T + d * np.eye(d)
+    G = wk.DualNorm(wk.MinkowskiNorm.quadratic(A), mode="numeric").as_norm()
+    assert G.family == "dual"
+    V = rng.standard_normal((30, d)) * rng.uniform(0.2, 3.0, (30, 1))
+    H = G.hess(V)
+    ref = wk.MinkowskiNorm.quadratic(np.linalg.inv(A)).hess(V)
+    rel = np.max(np.abs(H - ref), axis=(1, 2)) / np.max(np.abs(ref), axis=(1, 2))
+    assert np.max(rel) <= 1e-10
+    assert np.max(G.radial_kernel_residual(V)) <= 1e-10
+    # one row alone is the batch's row
+    assert np.array_equal(G.hess(V[3]), H[3])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_dual_gauge_hessian_matches_fd_of_its_grad(d):
+    rng = np.random.default_rng(30 + d)
+    M = rng.standard_normal((d, d))
+    for base in (wk.MinkowskiNorm.quadratic(M @ M.T + d * np.eye(d)),
+                 wk.MinkowskiNorm.quartic(d, eps=0.05)):
+        G = base.dual(mode="numeric").as_norm()
+        V = rng.standard_normal((8, d))
+        H = G.hess(V)
+        for v, Hv in zip(V, H):
+            Hfd = fd_jacobian(lambda w: np.asarray(G.grad(w)), v, h=1e-4)
+            assert np.max(np.abs(Hv - Hfd)) <= 1e-5 * np.max(np.abs(Hv))
+        assert np.max(G.radial_kernel_residual(V)) <= 1e-10
+
+
+def test_bidual_makes_two_inner_ascents_per_outer_iteration(monkeypatch):
+    opts = wk.NumericDualOptions(grid_size=256)
+    F = wk.MinkowskiNorm.quadratic(A_DIAG)
+    inner = wk.DualNorm(F, mode="numeric", options=opts)
+    bidual = wk.DualNorm(inner.as_norm(), mode="numeric", options=opts)
+    counts = {"inner": 0, "outer": 0, "iterations": 0}
+    ascend = wk.DualNorm._ascend
+
+    def counted(self, V):
+        out = ascend(self, V)
+        if self is inner:
+            counts["inner"] += 1
+        else:
+            counts["outer"] += 1
+            counts["iterations"] += out.iterations
+        return out
+    monkeypatch.setattr(wk.DualNorm, "_ascend", counted)
+    W = np.random.default_rng(15).standard_normal((8, 2))
+    values = [bidual.value(w) for w in W]
+    assert counts["outer"] == len(W)
+    assert counts["inner"] <= 2 * counts["iterations"]
+    assert np.max(np.abs(np.array(values) - F.value(W)) / F.value(W)) <= 1e-6
+
+
+def test_numeric_dual_of_an_empty_batch_is_empty():
+    dual = wk.MinkowskiNorm.quartic(3).dual()
+    V = np.empty((0, 3))
+    assert dual.value(V).shape == (0,)
+    assert dual.grad(V).shape == (0, 3)
+    q, U = dual.eval_with_maximizer(V)
+    assert q.shape == (0,) and U.shape == (0, 3)
+    assert dual.as_norm().hess(V).shape == (0, 3, 3)
+
+
 def test_wulff_points_on_unit_dual_level():
     E = wk.MinkowskiNorm.euclidean(3)
     wp = E.wulff_point([0.0, 0.0, 1.0])
