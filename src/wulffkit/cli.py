@@ -71,6 +71,15 @@ SURFACE_KINDS = {   # kind: (parameters, builder)
 DEFAULT_CONSTANT_XI = (0.3, -0.7, 0.55)
 
 
+def _integer(value) -> int:
+    """value as an int, where it is one: a float without a fraction counts,
+    a bool, a string or a fraction does not (int() would truncate 2.5)."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _int_list(value) -> list[int]:
     """A list of integers, or one integer as a list of one."""
     return [int(x) for x in (value if isinstance(value, list) else [value])]
@@ -194,9 +203,11 @@ class Scenario:
         with _config_errors("scenario", "quadrature"):
             quad = dict(_json(doc.get("quadrature", {}), dict, "quadrature"))
             quad.update({k: v for k, v in (quad_overrides or {}).items() if v is not None})
-            self.rule = ParamQuadrature(order=int(quad.get("order", 6)),
-                                        base_grid=int(quad.get("grid", 16)))
-            self.max_depth = int(quad.get("max_depth", 8))
+            self.rule = ParamQuadrature(order=_integer(quad.get("order", 6)),
+                                        base_grid=_integer(quad.get("grid", 16)))
+            self.max_depth = _integer(quad.get("max_depth", 8))
+            if self.max_depth < 0:
+                raise ValueError(f"max_depth must be >= 0, not {self.max_depth}")
         self.out = doc.get("out", "wulffkit-out")
 
         self.norms = {_name("norm", name): build_norm(spec, name)

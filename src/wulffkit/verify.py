@@ -18,8 +18,8 @@ import numpy as np
 from .errors import (BoundaryInsideRegion, GaugeZero, NotClosed, NotEquiaffine,
                      OriginNotOnSurface)
 from .norms import DualNorm, MinkowskiNorm
-from .quadrature import (ClippedRegionRule, ParamQuadrature, integrate_clipped,
-                         integrate_with_estimate, sublevel_energy)
+from .quadrature import (ClippedRegionRule, ParamQuadrature, _gauge_safe,
+                         integrate_clipped, integrate_with_estimate)
 from .surfaces import (ParametricPatch, TransversalField, _as_batch, _divergence,
                        _equiaffine, _frame_derivs, _unbatch, affine_tangential,
                        anisotropic_mean_curvature_batch, codazzi_residual,
@@ -79,17 +79,13 @@ def monotonicity_identity(patch: ParametricPatch, norm: MinkowskiNorm,
     lhs: E(r)/r^n - E(s)/s^n with E(t) the gauge energy inside {F° < t};
     rhs: integral of <grad F°(x), grad F(nu)> <x, nu> / F°(x)^{n+1} over the
     annulus.  Equality requires vanishing anisotropic mean curvature, which
-    is verified by sampling, not assumed.
+    is verified by sampling, not assumed.  The scan of the two radii s, r:
+    one clipped pass over the bands {F° < s} and {s < F° < r}.
     """
     if not 0.0 < s < r:
         raise ValueError("need 0 < s < r")
-    dual = dual or norm.dual()
-    _require_boundary_outside(patch, dual, r)
-    maxH = _max_abs_mean_curvature(patch, norm, grid)
-    Er = sublevel_energy(patch, norm, r, dual=dual, rule=rule, max_depth=max_depth)
-    Es = sublevel_energy(patch, norm, s, dual=dual, rule=rule, max_depth=max_depth)
-    return _annulus_report(patch, norm, dual, s, r, Es, Er, maxH, rule=rule,
-                           max_depth=max_depth, minimality_tol=minimality_tol)
+    return monotonicity_scan(patch, norm, (s, r), dual=dual, rule=rule, max_depth=max_depth,
+                             minimality_tol=minimality_tol, grid=grid).reports[0]
 
 
 def _max_abs_mean_curvature(patch: ParametricPatch, norm: MinkowskiNorm,
@@ -99,31 +95,42 @@ def _max_abs_mean_curvature(patch: ParametricPatch, norm: MinkowskiNorm,
         anisotropic_mean_curvature_batch(norm, patch, patch.sample_grid(grid)))))
 
 
-def _annulus_report(patch: ParametricPatch, norm: MinkowskiNorm, dual: DualNorm,
-                    s: float, r: float, Es, Er, maxH: float, *, rule: ParamQuadrature,
-                    max_depth: int, minimality_tol: float) -> IdentityReport:
-    """The annulus identity on {s < F° < r} from the energies Es, Er inside
-    radii s and r and the sampled max |H_F|."""
-    flags = [f"not-minimal(max|H|={maxH:.3g})"] if maxH > minimality_tol else []
+def _annulus_pass(patch: ParametricPatch, gauge, density, kernel, radii, *,
+                  rule: ParamQuadrature, max_depth: int):
+    """One clipped pass of the columns (density, kernel) over the bands
+    {0 < gauge < r_1}, {r_1 < gauge < r_2}, ... of radii r_1 < ... < r_K.
+
+    Returns the density integrals E(r_i) inside each radius (prefix sums of
+    the bands) with their estimates, the identity (lhs, rhs, tolerance) on
+    each annulus (r_i, r_(i+1)), and the cell counts of the pass.  The kernel
+    is not used on the innermost band, which may hold the gauge's cone point
+    x = 0: there kernel(fb, phi, grad) sees phi = 0 and a zero gradient, and
+    must stay finite.
+    """
+    radii = [float(t) for t in radii]
     n = patch.n
-    lhs = Er.value / r**n - Es.value / s**n
-    tol = Er.error_estimate / r**n + Es.error_estimate / s**n
 
-    def kernel(fb):
-        gn = norm.grad(fb.nu)
-        phi, gx = dual.eval_with_maximizer(fb.x)   # one ascent for a numeric dual
-        xn = np.einsum("md,md->m", fb.x, fb.nu)
-        return np.einsum("md,md->m", gx, gn) * xn / phi ** (n + 1)
+    def columns(fb):
+        phi, grad = _gauge_safe(gauge, fb.x)   # one ascent for a numeric dual
+        return np.column_stack([density(fb), kernel(fb, phi, grad)])
 
-    rhs_res = integrate_clipped(
-        patch, kernel, ClippedRegionRule(gauge=dual, s=s, r=r, max_depth=max_depth),
-        rule)
-    tol += rhs_res.error_estimate + 1e-14 * (abs(lhs) + 1.0)
-    return _finish_report(
-        "monotonicity", lhs, rhs_res.value, tol, flags,
-        {"surface": patch.name, "norm": norm.label, "s": s, "r": r,
-         "max_abs_H": maxH, "E_r": Er.value, "E_s": Es.value,
-         "depth": max_depth, "cells": _cell_counts(E_r=Er, E_s=Es, kernel=rhs_res)})
+    res = integrate_clipped(
+        patch, columns,
+        ClippedRegionRule(gauge=gauge, s=0.0, r=radii[-1], max_depth=max_depth,
+                          splits=radii[:-1]), rule)
+    E, E_est = np.cumsum(res.value[:, 0]), res.prefix_estimate[:, 0]
+    sides = []
+    for i, (s, r) in enumerate(zip(radii[:-1], radii[1:])):
+        lhs = E[i + 1] / r**n - E[i] / s**n
+        tol = E_est[i + 1] / r**n + E_est[i] / s**n
+        tol += res.error_estimate[i + 1, 1] + 1e-14 * (abs(lhs) + 1.0)
+        sides.append((float(lhs), float(res.value[i + 1, 1]), float(tol)))
+    return E, E_est, sides, _cell_counts(bands=res)
+
+
+def _kernel_over(num: np.ndarray, phi: np.ndarray, n: int) -> np.ndarray:
+    """num / phi^(n+1), and 0 at the cone point phi = 0."""
+    return np.divide(num, phi ** (n + 1), out=np.zeros_like(num), where=phi > 0.0)
 
 
 def equiaffine_identity(patch: ParametricPatch, xi_field: TransversalField,
@@ -135,7 +142,8 @@ def equiaffine_identity(patch: ParametricPatch, xi_field: TransversalField,
 
     lhs densities use <xi, nu>; the rhs kernel is
     <x, nu> <grad phi(x), xi> / phi(x)^{n+1}.  Requires sampled affine mean
-    curvature below mean_tol for an asserted verdict.
+    curvature below mean_tol for an asserted verdict.  Both sides come from
+    one clipped pass over the bands {phi < s} and {s < phi < r}.
     """
     if not 0.0 < s < r:
         raise ValueError("need 0 < s < r")
@@ -152,29 +160,16 @@ def equiaffine_identity(patch: ParametricPatch, xi_field: TransversalField,
     def density(fb):
         return np.einsum("md,md->m", xi_field.at(fb), fb.nu)
 
-    def weighted(t: float):
-        return integrate_clipped(
-            patch, density, ClippedRegionRule(gauge=gauge, s=0.0, r=t,
-                                              max_depth=max_depth), rule)
-
-    Ir, Is = weighted(r), weighted(s)
-    lhs = Ir.value / r**n - Is.value / s**n
-    tol = Ir.error_estimate / r**n + Is.error_estimate / s**n
-
-    def kernel(fb):
+    def kernel(fb, phi, gx):
         xn = np.einsum("md,md->m", fb.x, fb.nu)
-        phi, gx = gauge.eval_with_maximizer(fb.x)   # one ascent for a numeric dual
-        return xn * np.einsum("md,md->m", gx, xi_field.at(fb)) / phi**(n + 1)
+        return _kernel_over(xn * np.einsum("md,md->m", gx, xi_field.at(fb)), phi, n)
 
-    rhs_res = integrate_clipped(
-        patch, kernel, ClippedRegionRule(gauge=gauge, s=s, r=r, max_depth=max_depth),
-        rule)
-    tol += rhs_res.error_estimate + 1e-14 * (abs(lhs) + 1.0)
+    _, _, [(lhs, rhs, tol)], cells = _annulus_pass(patch, gauge, density, kernel, (s, r),
+                                                   rule=rule, max_depth=max_depth)
     return _finish_report(
-        "equiaffine-monotonicity", lhs, rhs_res.value, tol, flags,
+        "equiaffine-monotonicity", lhs, rhs, tol, flags,
         {"surface": patch.name, "xi": xi_field.name, "s": s, "r": r,
-         "max_abs_H_xi": maxH, "depth": max_depth,
-         "cells": _cell_counts(I_r=Ir, I_s=Is, kernel=rhs_res)})
+         "max_abs_H_xi": maxH, "depth": max_depth, "cells": cells})
 
 
 def pointwise_divergence_residual(patch: ParametricPatch, xi_field: TransversalField,
@@ -396,29 +391,36 @@ def monotonicity_scan(patch: ParametricPatch, norm: MinkowskiNorm, radii, *,
                       rule: ParamQuadrature = ParamQuadrature(),
                       max_depth: int = 10, minimality_tol: float = 1e-5,
                       grid: int = 9) -> MonotonicityScan:
-    """Normalized energies at each radius plus identity reports per annulus."""
+    """Normalized energies at each radius plus identity reports per annulus,
+    all from one clipped pass over the bands between consecutive radii."""
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size < 2 or np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be strictly increasing with length >= 2")
+    if radii[0] <= 0:
+        raise ValueError("radii must be positive")
     dual = dual or norm.dual()
     _require_boundary_outside(patch, dual, float(radii[-1]))
     maxH = _max_abs_mean_curvature(patch, norm, grid)
+    flags = [f"not-minimal(max|H|={maxH:.3g})"] if maxH > minimality_tol else []
     n = patch.n
-    results, energies, estimates = [], [], []
-    for r in radii:
-        res = sublevel_energy(patch, norm, float(r), dual=dual, rule=rule,
-                              max_depth=max_depth)
-        results.append(res)
-        energies.append(res.value / r**n)
-        estimates.append(res.error_estimate / r**n)
-    # each energy serves the two annuli it bounds
+
+    def density(fb):
+        return np.asarray(norm.value(fb.nu))
+
+    def kernel(fb, phi, gx):
+        xn = np.einsum("md,md->m", fb.x, fb.nu)
+        return _kernel_over(np.einsum("md,md->m", gx, norm.grad(fb.nu)) * xn, phi, n)
+
+    E, E_est, sides, cells = _annulus_pass(patch, dual, density, kernel, radii, rule=rule,
+                                           max_depth=max_depth)
     reports = [
-        _annulus_report(patch, norm, dual, float(radii[i]), float(radii[i + 1]),
-                        results[i], results[i + 1], maxH, rule=rule,
-                        max_depth=max_depth, minimality_tol=minimality_tol)
-        for i in range(radii.size - 1)]
-    return MonotonicityScan(radii=radii, normalized=np.asarray(energies),
-                            estimates=np.asarray(estimates), reports=reports)
+        _finish_report("monotonicity", lhs, rhs, tol, list(flags),
+                       {"surface": patch.name, "norm": norm.label, "s": float(radii[i]),
+                        "r": float(radii[i + 1]), "max_abs_H": maxH, "E_r": float(E[i + 1]),
+                        "E_s": float(E[i]), "depth": max_depth, "cells": cells})
+        for i, (lhs, rhs, tol) in enumerate(sides)]
+    return MonotonicityScan(radii=radii, normalized=E / radii**n, estimates=E_est / radii**n,
+                            reports=reports)
 
 
 def geometric_radii(patch: ParametricPatch, gauge, count: int = 8,

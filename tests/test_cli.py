@@ -170,6 +170,15 @@ def test_quadrature_flag_overrides(tmp_path, monkeypatch):
     assert code == 0
 
 
+def test_negative_max_depth_flag_exits_2(tmp_path, monkeypatch, capsys):
+    # a negative depth is a config fault, found before any check runs
+    cfg = write_config(tmp_path, minimal_scenario(tmp_path / "out"))
+    assert run_cli(["run", "--config", cfg, "--max-depth", "-1"], monkeypatch) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "max_depth" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_scenario_validation_messages():
     with pytest.raises(ConfigError):
         cli.Scenario({"checks": [{"kind": "nope", "name": "x"}]})
@@ -284,6 +293,15 @@ CONFIG_FAULTS = {
     "radii-not-list": (lambda d: _with_checks(d, [{**MONO, "radii": "0.4"}]), "'m'"),
     "seed-not-int": (lambda d: {**d, "seed": "abc"}, "seed"),
     "quadrature-order": (lambda d: {**d, "quadrature": {"order": 0}}, "quadrature"),
+    # quadrature integers are parsed strictly: int() would run 2.5 as 2
+    "max-depth-negative": (lambda d: {**d, "quadrature": {**FAST_QUAD, "max_depth": -1}},
+                           "quadrature"),
+    "order-not-integral": (lambda d: {**d, "quadrature": {**FAST_QUAD, "order": 2.5}},
+                           "quadrature"),
+    "grid-not-integral": (lambda d: {**d, "quadrature": {**FAST_QUAD, "grid": 2.5}},
+                          "quadrature"),
+    "max-depth-not-integral": (lambda d: {**d, "quadrature": {**FAST_QUAD, "max_depth": 2.5}},
+                               "quadrature"),
     # optional parameters are parsed before any check runs
     "samples-not-int": (lambda d: _with_checks(d, [
         {"kind": "condition-s", "name": "cs", "norm": "euclid", "samples": "many"}]), "'cs'"),

@@ -20,6 +20,14 @@ def test_rule_validation():
         ClippedRegionRule(gauge=None, s=1.0, r=0.5)
     with pytest.raises(ValueError):
         ClippedRegionRule(gauge=None, s=-0.1, r=0.5)
+    for depth in (-1, 2.5, True, "8"):
+        with pytest.raises(ValueError, match="max_depth"):
+            ClippedRegionRule(None, 0.0, 1.0, depth)
+    for splits in ((0.5, 0.5), (0.7, 0.5), (1.0,), (0.0,), (float("nan"),)):
+        with pytest.raises(ValueError, match="splits"):
+            ClippedRegionRule(None, 0.0, 1.0, 8, splits=splits)
+    assert ClippedRegionRule(None, 0.2, 1.0, np.int64(3), splits=[0.5]).levels.tolist() == \
+        [0.2, 0.5, 1.0]
 
 
 def test_sphere_area():
@@ -242,3 +250,46 @@ def test_cut_cells_refine_small_circles():
                             ParamQuadrature(order=5, base_grid=12))
     assert abs(res.value - np.pi * 0.09) <= 1e-14
     assert res.error_estimate <= 1e-13
+
+
+def test_euclidean_bands_on_a_plane():
+    # band b of {|x| < 1.9} on z = 0 is the ring pi (l_(b+1)^2 - l_b^2); each
+    # band's estimate covers its error, and each prefix estimate covers the
+    # error of the disk pi l_(b+1)^2 that the bands 0..b make up
+    D = wk.MinkowskiNorm.euclidean(3).dual()
+    res = integrate_clipped(sf.hyperplane(extent=2.0), one,
+                            ClippedRegionRule(D, 0.0, 1.9, 8, splits=(0.3, 0.6, 1.0, 1.5)),
+                            ParamQuadrature(order=6, base_grid=16))
+    levels = np.array([0.0, 0.3, 0.6, 1.0, 1.5, 1.9])
+    assert res.value.shape == res.error_estimate.shape == res.prefix_estimate.shape == (5,)
+    err = np.abs(res.value - np.pi * np.diff(levels**2))
+    assert np.all(err <= res.error_estimate) and np.all(res.error_estimate <= 1e-12)
+    prefix_err = np.abs(np.cumsum(res.value) - np.pi * levels[1:] ** 2)
+    assert np.all(prefix_err <= res.prefix_estimate)
+    assert res.leaf_cells > 0 and not res.depth_exhausted
+
+
+@pytest.mark.parametrize("case", ["catenoid", "transformed-catenoid", "ring"])
+def test_banded_call_equals_single_band_calls(case):
+    # one pass over K bands gives each band's integrals (two columns here) as
+    # the K single-band calls do, to round-off
+    E = wk.MinkowskiNorm.euclidean(3)
+    F = wk.MinkowskiNorm.quadratic(np.diag([1.0, 1.0, 4.0]))
+    patch, gauge, levels = {
+        "catenoid": (sf.catenoid(v_max=1.3), E.dual(), (1.2, 1.4, 1.7, 2.0)),
+        "transformed-catenoid": (sf.transformed_catenoid(np.diag([1.0, 1.0, 4.0]), v_max=1.2),
+                                 F.dual(), (1.15, 1.3, 1.6, 2.0)),
+        "ring": (sf.hyperplane(extent=2.0), F.dual(), (0.25, 0.5, 0.8, 1.1, 1.4)),
+    }[case]
+
+    def f(fb):
+        return np.column_stack([np.ones(len(fb.x)), 1.0 + fb.x[:, 2] ** 2 + fb.x[:, 0] ** 2])
+
+    q = ParamQuadrature(order=6, base_grid=12)
+    bands = integrate_clipped(patch, f, ClippedRegionRule(gauge, levels[0], levels[-1], 8,
+                                                          splits=levels[1:-1]), q)
+    assert bands.value.shape == (len(levels) - 1, 2)
+    for b in range(len(levels) - 1):
+        single = integrate_clipped(patch, f, ClippedRegionRule(gauge, levels[b], levels[b + 1], 8),
+                                   q)
+        assert np.all(np.abs(bands.value[b] - single.value) <= 1e-13 * np.abs(single.value))

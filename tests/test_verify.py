@@ -293,11 +293,9 @@ def test_frame_identity_suite_frames_each_stencil_once(monkeypatch, xi):
     assert len(calls) <= 9
 
 
-def test_monotonicity_scan_reuses_energies(monkeypatch):
+def _count_clipped(monkeypatch):
+    """The list of calls that integrate_clipped receives from here on."""
     import wulffkit.quadrature as qd
-    C = sf.catenoid(v_max=1.2)
-    radii = vf.geometric_radii(C, F_MIX.dual(), count=8)
-    rule = ParamQuadrature(order=4, base_grid=8)
     calls = []
     clipped = qd.integrate_clipped
 
@@ -307,13 +305,64 @@ def test_monotonicity_scan_reuses_energies(monkeypatch):
 
     monkeypatch.setattr(qd, "integrate_clipped", counted)
     monkeypatch.setattr(vf, "integrate_clipped", counted)
+    return calls
+
+
+def test_monotonicity_scan_reuses_energies(monkeypatch):
+    # one clipped pass over the bands between the radii gives every energy and
+    # every annulus kernel; each report agrees with the identity on its own
+    # annulus within the two tolerances
+    C = sf.catenoid(v_max=1.2)
+    radii = vf.geometric_radii(C, F_MIX.dual(), count=8)
+    rule = ParamQuadrature(order=4, base_grid=8)
+    calls = _count_clipped(monkeypatch)
     scan = vf.monotonicity_scan(C, F_MIX, radii, rule=rule, max_depth=5)
-    assert len(calls) == 2 * len(radii) - 1
+    assert len(calls) == 1
+    assert calls[0][2].levels.tolist() == [0.0, *radii]
     single = [vf.monotonicity_identity(C, F_MIX, float(s), float(r), rule=rule,
                                        max_depth=5)
               for s, r in zip(radii[:-1], radii[1:])]
-    assert scan.reports == single
+    for rep, one in zip(scan.reports, single):
+        assert (rep.name, rep.status, rep.flags) == (one.name, one.status, one.flags)
+        assert abs(rep.lhs - one.lhs) <= rep.tolerance + one.tolerance
+        assert abs(rep.rhs - one.rhs) <= rep.tolerance + one.tolerance
     assert all(rep.flags for rep in single)   # F_MIX does not make C critical
+
+
+@pytest.mark.parametrize("check", ["scan", "identity", "equiaffine"])
+def test_annulus_checks_make_one_clipped_call(check, monkeypatch):
+    T = sf.transformed_catenoid(A_MIX, v_max=1.2)
+    calls = _count_clipped(monkeypatch)
+    if check == "scan":
+        vf.monotonicity_scan(T, F_MIX, vf.geometric_radii(T, F_MIX.dual(), count=8),
+                             rule=Q12, max_depth=8)
+    elif check == "identity":
+        vf.monotonicity_identity(T, F_MIX, 1.15, 2.0, rule=Q12, max_depth=8)
+    else:
+        vf.equiaffine_identity(T, sf.anisotropic_normal_field(F_MIX), F_MIX.dual(),
+                               1.15, 2.0, rule=Q12, max_depth=8)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("case", ["bundled", "node-at-origin"])
+def test_scan_through_the_cone_point_is_finite(case):
+    # the innermost band {F° < r_1} of a plane through the origin holds the
+    # gauge's cone point, where the kernel is not used; every row is finite
+    # (RuntimeWarnings are errors in this suite).  On a 3 x 3 grid of the
+    # extent-1.5 plane the centre cell lies inside that band and its
+    # odd-order rule has a node at x = 0, where the gauge has no gradient
+    if case == "bundled":
+        plane, radii, rule, norms = (sf.hyperplane(extent=2.0), [0.3, 0.5, 0.7, 0.9], Q12,
+                                     (E3, F_MIX))
+    else:
+        plane, radii, rule, norms = (sf.hyperplane(extent=1.5), [1.47, 1.49],
+                                     ParamQuadrature(order=5, base_grid=3), (E3,))
+    for F in norms:
+        scan = vf.monotonicity_scan(plane, F, radii, rule=rule, max_depth=6)
+        rows = [(rep.lhs, rep.rhs, rep.tolerance) for rep in scan.reports]
+        assert np.all(np.isfinite(rows)) and np.all(np.isfinite(scan.normalized))
+        assert all(rep.status == "pass" for rep in scan.reports)
+        assert scan.max_relative_deviation() < 1e-12
 
 
 def test_minkowski_formula_decomposes_each_node_set_once(monkeypatch):
@@ -355,14 +404,13 @@ def test_minkowski_formulas_decompose_each_node_set_once_for_all_orders(monkeypa
 
 
 def _corrupt_kernel(monkeypatch, factor):
-    """Scale the value of every clipped integral with s > 0 (the annulus
-    kernel) that verify computes."""
+    """Scale the annulus kernel integrals, column 1 of every banded clipped
+    pass that verify makes (column 0 holds the energy densities)."""
     clipped = vf.integrate_clipped
 
     def corrupted(patch, f, region, rule):
         res = clipped(patch, f, region, rule)
-        if region.s > 0.0:
-            res.value *= factor
+        res.value[:, 1] *= factor
         return res
 
     monkeypatch.setattr(vf, "integrate_clipped", corrupted)
@@ -384,20 +432,33 @@ def test_corrupted_equiaffine_kernel_fails(monkeypatch):
     assert rep.status == "fail"
 
 
+def test_corrupted_scan_kernel_fails_every_annulus(monkeypatch):
+    # the same corruption in an 8-radius scan: each annulus identity fails
+    T = sf.transformed_catenoid(A_MIX, v_max=1.2)
+    radii = vf.geometric_radii(T, F_MIX.dual(), count=8)
+    assert all(rep.status == "pass" for rep in
+               vf.monotonicity_scan(T, F_MIX, radii, rule=Q12, max_depth=8).reports)
+    _corrupt_kernel(monkeypatch, 1.0 + 1e-3)
+    scan = vf.monotonicity_scan(T, F_MIX, radii, rule=Q12, max_depth=8)
+    assert [rep.status for rep in scan.reports] == ["fail"] * (len(radii) - 1)
+
+
 def test_reports_carry_cell_counts():
-    # each constituent clipped integral's inside, cut and fallback cells
+    # the inside, cut and fallback cells of the one banded pass of each
+    # identity, and of the corollary's two clipped integrals
     T = sf.transformed_catenoid(A_MIX, v_max=1.2)
     mono = vf.monotonicity_identity(T, F_MIX, 1.15, 2.0, rule=Q12, max_depth=8)
     equi = vf.equiaffine_identity(T, sf.anisotropic_normal_field(F_MIX), F_MIX.dual(),
                                   1.15, 2.0, rule=Q12, max_depth=8)
     cor = vf.corollary_lower_bound(sf.hyperplane(extent=2.2), E3, rule=Q12, max_depth=8,
                                    origin_param=[0.0, 0.0])
-    for cells, names in ((mono.metadata["cells"], {"E_r", "E_s", "kernel"}),
-                         (equi.metadata["cells"], {"I_r", "I_s", "kernel"}),
+    for cells, names in ((mono.metadata["cells"], {"bands"}),
+                         (equi.metadata["cells"], {"bands"}),
                          (cor.metadata["cells"], {"energy", "section"})):
         assert set(cells) == names
         for counts in cells.values():
             assert counts["inside"] > 0 and counts["cut"] > 0 and counts["fallback"] == 0
-    kernel = integrate_clipped(T, lambda fb: np.ones(len(fb.x)),
-                               ClippedRegionRule(F_MIX.dual(), 1.15, 2.0, 8), Q12)
-    assert mono.metadata["cells"]["kernel"] == kernel.cell_counts()
+    bands = integrate_clipped(T, lambda fb: np.ones(len(fb.x)),
+                              ClippedRegionRule(F_MIX.dual(), 0.0, 2.0, 8, splits=(1.15,)), Q12)
+    assert mono.metadata["cells"]["bands"] == equi.metadata["cells"]["bands"] \
+        == bands.cell_counts()
