@@ -4,7 +4,7 @@
 For quadratic gauges the pairing <grad F(u), grad F°(v)> equals
 <u, v>/(F(u) F°(v)), so its sign always agrees with <u, v>.  The smoothed
 quartic gauge breaks both: the pairing identity has a residual of order one
-and a direct search finds sign-violating pairs.
+and a pattern search finds sign-violating pairs.
 """
 import numpy as np
 
@@ -27,7 +27,7 @@ print(f"  worst margin          : {verdict.min_margin:.6f}")
 print(f"  max pairing residual  : {verdict.max_fk_residual:.6f}  (> 0: not quadratic)")
 
 print()
-print("multi-start descent for the most adversarial pair:")
+print("multi-start pattern search for the most adversarial pair:")
 result = cs.search_violation(Q, n_starts=12, seed=0)
 rep = result.worst
 print(f"  objective (min of lhs * sgn<u,v>) = {result.objective:.6f}")

@@ -82,23 +82,23 @@ def _integer(value) -> int:
 
 def _int_list(value) -> list[int]:
     """A list of integers, or one integer as a list of one."""
-    return [int(x) for x in (value if isinstance(value, list) else [value])]
+    return [_integer(x) for x in (value if isinstance(value, list) else [value])]
 
 
 # check kind: (the fields a check of that kind must name, its optional
 # parameters as {key: (parse, default)}); it runs as the module function
 # _check_<kind>, which reads its parameters through _options
 CHECKS = {
-    "norm-identities": (("norm",), {"samples": (int, 1000), "tolerance": (float, 1e-8)}),
-    "condition-s": (("norm",), {"samples": (int, 10_000), "worst_k": (int, 10)}),
-    "lemmas": (("surface",), {"tolerance": (float, 1e-4), "grid": (int, 9),
+    "norm-identities": (("norm",), {"samples": (_integer, 1000), "tolerance": (float, 1e-8)}),
+    "condition-s": (("norm",), {"samples": (_integer, 10_000), "worst_k": (_integer, 10)}),
+    "lemmas": (("surface",), {"tolerance": (float, 1e-4), "grid": (_integer, 9),
                               "min_support": (float, 0.05)}),
-    "monotonicity": (("surface", "norm"), {"count": (int, 8),
+    "monotonicity": (("surface", "norm"), {"count": (_integer, 8),
                                            "assert_constant_rel": (float, None)}),
     "equiaffine": (("surface", "gauge", "s", "r"), {}),
     "corollary": (("surface", "norm"), {"rel_tol": (float, 1e-4)}),
     "minkowski": (("surface",), {"k": (_int_list, [0])}),
-    "symfunc": ((), {"sizes": (_int_list, [3, 4, 5]), "count": (int, 20)}),
+    "symfunc": ((), {"sizes": (_int_list, [3, 4, 5]), "count": (_integer, 20)}),
 }
 
 

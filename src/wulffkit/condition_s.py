@@ -15,12 +15,13 @@ toolkit and is recorded in the verdict metadata).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .norms import DualNorm, MinkowskiNorm, _check_direction
+from .norms import DualNorm, MinkowskiNorm, _check_direction, _orthonormal_complement
 
 EPS_SIGN = 1e-8
 DELTA_ZERO = 1e-6
@@ -211,62 +212,70 @@ class ViolationSearchResult:
     starts: int
 
 
-def _angles_to_unit(angles: np.ndarray, dim: int) -> np.ndarray:
-    if dim == 2:
-        return np.array([np.cos(angles[0]), np.sin(angles[0])])
-    theta, phi = angles
-    return np.array([np.sin(theta) * np.cos(phi),
-                     np.sin(theta) * np.sin(phi),
-                     np.cos(theta)])
+# the pattern search: first and final step (radians), least gain of a move (rounding
+# noise along the dead band's edge would keep a start moving) and most steps
+_SEARCH_STEP, _SEARCH_FINAL_STEP, _SEARCH_GAIN, _SEARCH_STEPS = 0.1, 1e-13, 1e-15, 200
 
 
 def search_violation(norm: MinkowskiNorm, n_starts: int = 12, seed: int = 0,
                      eps_sign: float = EPS_SIGN, dual: DualNorm | None = None,
                      scan_count: int = 2048) -> ViolationSearchResult:
-    """Multi-start descent on lhs * sgn(<u,v>) over non-orthogonal pairs.
-
-    A negative optimum certifies a sign-condition violation; the search is
-    local, so a non-negative optimum is evidence, not proof.
+    """Multi-start pattern search for the minimum of lhs * sgn(<u,v>) over unit
+    pairs outside the dead band, from the worst pairs of a scan of scan_count
+    pairs and seeded random pairs.  Each step scores, for all starts at once,
+    every pair of turns of u and of v by h along the axes of {-1, 0, 1}^(d-1)
+    (`_turned`); a start moves to its best pair and doubles h, or halves h,
+    until h < 1e-13 (`converged`: the best start got there in 200 steps).
+    A negative optimum certifies a violation; the search is local, so a
+    non-negative optimum is evidence, not proof.
     """
-    from scipy.optimize import minimize   # deferred: SciPy dominates the import time
-    if norm.dim not in (2, 3):
-        raise ValueError("violation search is implemented for d in {2, 3}")
     dual = dual or norm.dual()
-    k_ang = 1 if norm.dim == 2 else 2
-
-    def objective(x: np.ndarray) -> float:
-        u = _angles_to_unit(x[:k_ang], norm.dim)
-        v = _angles_to_unit(x[k_ang:], norm.dim)
-        rhs = float(np.dot(u, v))
-        if abs(rhs) < eps_sign:
-            return 1e3
-        lhs = float(np.dot(norm.grad(u), dual.grad(v)))
-        return lhs * (1.0 if rhs > 0 else -1.0)
-
-    # seed starts with the worst pairs from a coarse scan plus random angles
-    starts = []
-    for rep in worst_pairs(norm, scan_count, k=max(2, n_starts // 2), seed=seed,
-                           dual=dual, eps_sign=eps_sign):
-        starts.append(np.concatenate([_unit_to_angles(rep.u), _unit_to_angles(rep.v)]))
-    rng = np.random.default_rng(seed)
-    while len(starts) < n_starts:
-        starts.append(rng.uniform(0, 2 * np.pi, size=2 * k_ang))
-
-    best_x, best_f, any_ok = None, np.inf, False
-    for x0 in starts:
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000})
-        any_ok = any_ok or bool(res.success)
-        if res.fun < best_f:
-            best_f, best_x = float(res.fun), res.x
-    u = _angles_to_unit(best_x[:k_ang], norm.dim)
-    v = _angles_to_unit(best_x[k_ang:], norm.dim)
+    d = norm.dim
+    worst = worst_pairs(norm, scan_count, k=max(2, n_starts // 2), seed=seed, dual=dual,
+                        eps_sign=eps_sign)
+    R = np.random.default_rng(seed).standard_normal((max(0, n_starts - len(worst)), 2, d))
+    R /= np.linalg.norm(R, axis=2, keepdims=True)
+    U = np.concatenate([[rep.u for rep in worst], R[:, 0]])
+    V = np.concatenate([[rep.v for rep in worst], R[:, 1]])
+    grid = np.array(list(itertools.product((0.0, -1.0, 1.0), repeat=d - 1)))  # (K, d-1)
+    step, best, live = np.full(len(U), _SEARCH_STEP), np.full(len(U), np.inf), np.arange(len(U))
+    for _ in range(_SEARCH_STEPS):
+        if not live.size:
+            break
+        m = len(live)
+        TU = _turned(U[live], V[live], step[live], grid)   # (m, K, d)
+        TV = _turned(V[live], U[live], step[live], grid)
+        # every u' against every v' of the same start, from one lockstep dual call
+        lhs = np.einsum("mid,mjd->mij", norm.grad(TU.reshape(-1, d)).reshape(TU.shape),
+                        dual.grad(TV.reshape(-1, d)).reshape(TV.shape)).reshape(m, -1)
+        rhs = np.einsum("mid,mjd->mij", TU, TV).reshape(m, -1)
+        objective = np.where(np.abs(rhs) < eps_sign, np.inf, _margin(lhs, rhs, eps_sign, 0.0))
+        j = np.argmin(objective, axis=1)
+        f = objective[np.arange(m), j]
+        moved = f < best[live] - _SEARCH_GAIN
+        rows, (iu, iv) = live[moved], np.divmod(j[moved], len(grid))
+        U[rows], V[rows], best[rows] = TU[moved, iu], TV[moved, iv], f[moved]
+        step[live] = np.where(moved, np.minimum(2.0 * step[live], _SEARCH_STEP), 0.5 * step[live])
+        live = live[step[live] >= _SEARCH_FINAL_STEP]
+    b = int(np.argmin(best))
     return ViolationSearchResult(
-        worst=pair_report(norm, u, v, dual=dual, eps_sign=eps_sign),
-        objective=best_f, converged=any_ok, starts=len(starts))
+        worst=pair_report(norm, U[b], V[b], dual=dual, eps_sign=eps_sign),
+        objective=float(best[b]), converged=bool(step[b] < _SEARCH_FINAL_STEP),
+        starts=len(U))
 
 
-def _unit_to_angles(u: np.ndarray) -> np.ndarray:
-    if u.shape[0] == 2:
-        return np.array([np.arctan2(u[1], u[0])])
-    return np.array([np.arccos(np.clip(u[2], -1.0, 1.0)), np.arctan2(u[1], u[0])])
+def _turned(U: np.ndarray, V: np.ndarray, h: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """U[i] (m, d) turned by h[i] a for each row a of grid (K, d-1): (m, K, d).
+    a_0 changes the angle to V[i]; the rest turn U[i] about V[i], keeping
+    <U[i], V[i]> along the dead band's edge, where violations are worst."""
+    T = _orthonormal_complement(V)                  # (m, d, d-1), a basis of V[i]^perp
+    w = np.einsum("mdj,md->mj", T, U)               # U[i] in that basis
+    s = np.linalg.norm(w, axis=1)
+    # turn the basis so that its first column is U[i]'s direction in V[i]^perp
+    w /= s[:, None]
+    T = T @ np.concatenate([w[:, :, None], _orthonormal_complement(w)], axis=2)
+    angle = np.arctan2(s, np.einsum("md,md->m", U, V))[:, None] + h[:, None] * grid[:, 0]
+    tilt = np.where(np.arange(grid.shape[1]) == 0, 1.0, h[:, None, None] * grid)  # (m, K, d-1)
+    tilt /= np.linalg.norm(tilt, axis=2, keepdims=True)
+    return (np.cos(angle)[:, :, None] * V[:, None, :]
+            + np.sin(angle)[:, :, None] * np.einsum("mdj,mkj->mkd", T, tilt))

@@ -24,7 +24,7 @@ from .surfaces import (ParametricPatch, TransversalField, _as_batch, _divergence
                        _equiaffine, _frame_derivs, _unbatch, affine_tangential,
                        anisotropic_mean_curvature_batch, codazzi_residual,
                        constant_field, divergence_residuals_constant_position,
-                       equiaffine_batch, hyperplane, position_field,
+                       equiaffine_batch, hyperplane, line, linear_image, position_field,
                        product_rule_residual, shape_products_asymmetry,
                        tangential_derivative_residuals)
 from .symfunc import normalized_curvature_batch
@@ -219,17 +219,20 @@ class CorollaryReport:
 
 
 def _locate_origin(patch: ParametricPatch, origin_param, grid: int) -> np.ndarray:
+    """The parameter point of the origin: origin_param if given, else Gauss-Newton
+    on chart(p) = 0 from the grid point nearest the origin."""
     if origin_param is not None:
         p0 = np.asarray(origin_param, dtype=float)
     else:
         G = patch.sample_grid(max(grid, 17))
-        d2 = np.sum(patch.chart(G) ** 2, axis=1)
-        p0 = G[int(np.argmin(d2))]
-        from scipy.optimize import minimize   # deferred: SciPy dominates the import time
-        res = minimize(lambda q: float(np.sum(patch.chart(q[None, :])[0] ** 2)),
-                       p0, method="Nelder-Mead",
-                       options={"xatol": 1e-14, "fatol": 1e-28, "maxiter": 4000})
-        p0 = res.x
+        p0 = G[int(np.argmin(np.sum(patch.chart(G) ** 2, axis=1)))]
+        for _ in range(50):
+            # least-squares step of dchart(p0)^T dp = -chart(p0)
+            dp = np.linalg.lstsq(patch.dchart(p0[None])[0].T, -patch.chart(p0[None])[0],
+                                 rcond=None)[0]
+            p0 = p0 + dp
+            if np.linalg.norm(dp) <= 1e-15 * (1.0 + np.linalg.norm(p0)):
+                break
     x0 = patch.chart(p0[None, :])[0]
     if np.linalg.norm(x0) > 1e-8:
         raise OriginNotOnSurface(
@@ -293,30 +296,17 @@ def _tangent_section_patch(patch: ParametricPatch, nu0, t, dual) -> ParametricPa
     nu0 is the unit normal at the origin and t its first frame vector.
     """
     if patch.n == 2:
-        plane = hyperplane(normal=nu0, origin=np.zeros(3), extent=1.0)
+        T = hyperplane(normal=nu0, extent=1.0).dchart(np.zeros((1, 2)))[0]
         ang = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
-        T = plane.dchart(np.zeros((1, 2)))[0]
         dirs = np.outer(np.cos(ang), T[0]) + np.outer(np.sin(ang), T[1])
-        rho = 1.0 / np.asarray(dual.value(dirs))
-        extent = 1.05 * float(np.max(rho))
-        return hyperplane(normal=nu0, origin=np.zeros(3), extent=extent)
-    # n == 1: the tangent line through the origin
-    rho = max(1.0 / float(dual.value(t)), 1.0 / float(dual.value(-t)))
-    extent = 1.05 * rho
-
-    def chart(P):
-        return P[:, 0:1] * t[None, :]
-
-    def dchart(P):
-        out = np.empty((P.shape[0], 1, 2))
-        out[:, 0] = t
-        return out
-
-    def d2chart(P):
-        return np.zeros((P.shape[0], 1, 1, 2))
-
-    return ParametricPatch(1, chart, [(-extent, extent)], dchart_fn=dchart,
-                           d2chart_fn=d2chart, name="tangent-line")
+    else:
+        dirs = np.array([t, -t])
+    extent = 1.05 * float(np.max(1.0 / np.asarray(dual.value(dirs))))
+    if patch.n == 2:
+        return hyperplane(normal=nu0, extent=extent)
+    # n == 1: the tangent line through the origin, the x-axis turned onto t
+    return linear_image(line(offset=0.0, extent=extent), [[t[0], -t[1]], [t[1], t[0]]],
+                        name="tangent-line")
 
 
 def minkowski_formula(patch: ParametricPatch, xi_field: TransversalField, k: int, *,

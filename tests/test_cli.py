@@ -328,6 +328,20 @@ CONFIG_FAULTS = {
     "k-not-int": (lambda d: {**_with_checks(d, [
         {"kind": "minkowski", "name": "mk", "surface": "sph", "k": ["one"]}]),
         "surfaces": {"sph": {"kind": "sphere"}}}, "'mk'"),
+    # integer options are parsed strictly too: int() would truncate these
+    "samples-fraction": (lambda d: _with_checks(d, [
+        {"kind": "condition-s", "name": "cs", "norm": "euclid", "samples": 999.9}]), "'cs'"),
+    "worst-k-bool": (lambda d: _with_checks(d, [
+        {"kind": "condition-s", "name": "cs", "norm": "euclid", "samples": 50,
+         "worst_k": True}]), "'cs'"),
+    "grid-fraction": (lambda d: _with_checks(d, [
+        {"kind": "lemmas", "name": "lm", "surface": "plane", "grid": 2.5}]), "'lm'"),
+    "count-fraction": (lambda d: _with_checks(d, [{**MONO, "count": 3.5}]), "'m'"),
+    "sizes-fraction": (lambda d: _with_checks(d, [
+        {"kind": "symfunc", "name": "sy", "sizes": [3.5], "count": 1}]), "'sy'"),
+    "k-fraction": (lambda d: {**_with_checks(d, [
+        {"kind": "minkowski", "name": "mk", "surface": "sph", "k": [0.7]}]),
+        "surfaces": {"sph": {"kind": "sphere"}}}, "'mk'"),
 }
 
 

@@ -127,6 +127,36 @@ def test_quartic_violation_confirmed_by_brute_force():
     assert lhs_brute * np.sign(np.dot(u, v)) < 0
 
 
+def test_search_violation_nonnegative_in_four_dimensions():
+    # the turns of u and v span a 3^3 grid each; a quadratic gauge
+    # satisfies condition S, so no pair outside the dead band goes negative
+    F = wk.MinkowskiNorm.quadratic(np.diag([1.0, 4.0, 2.0, 3.0]))
+    result = cs.search_violation(F, n_starts=8, seed=0)
+    assert result.objective >= 0
+    assert abs(np.dot(result.worst.u, result.worst.v)) >= cs.EPS_SIGN
+    assert result.worst.lhs * np.sign(result.worst.rhs_sign_ref) == pytest.approx(
+        result.objective, abs=1e-15)
+
+
+def test_search_violation_three_dimensional_quartic():
+    # the plane u_3 = 0 carries the two-dimensional quartic, whose minimum the
+    # search reaches from four starts; turns that do not keep <u, v> along
+    # the dead band's edge stall near -0.5802
+    Q = wk.MinkowskiNorm.quartic(3, eps=0.05)
+    result = cs.search_violation(Q, n_starts=4, seed=0)
+    assert result.objective == pytest.approx(QUARTIC_SEARCH_OBJECTIVE, abs=1e-6)
+    assert result.converged
+
+
+def test_search_violation_reaches_the_dead_band_edge():
+    # the minimum of a violating gauge lies on the edge |<u,v>| = eps_sign
+    Q = wk.MinkowskiNorm.quartic(2, eps=100.0)
+    result = cs.search_violation(Q, n_starts=12, seed=0)
+    assert result.objective <= -4.9627385e-3
+    assert result.converged
+    assert abs(np.dot(result.worst.u, result.worst.v)) == pytest.approx(cs.EPS_SIGN, rel=1e-3)
+
+
 def test_worst_pairs_sorted_by_margin():
     F = wk.MinkowskiNorm.quadratic(np.diag([1.0, 4.0]))
     pairs = cs.worst_pairs(F, 2_000, k=5, seed=0)
@@ -153,6 +183,24 @@ def test_condition_s_scan_imports_no_scipy_stats():
             "cs.check_condition_s(wk.MinkowskiNorm.quadratic([[1, 0], [0, 4]]), 100); "
             "cs.unit_pair_samples(3, 100); "
             "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'")
+    env = dict(os.environ, PYTHONPATH=str(Path(cs.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_search_and_origin_need_no_scipy():
+    # with scipy blocked, the violation search and the origin of a corollary
+    # (no origin_param) run on NumPy alone
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "import wulffkit as wk, wulffkit.condition_s as cs, wulffkit.verify as vf, "
+            "wulffkit.surfaces as sf; "
+            "from wulffkit.quadrature import ParamQuadrature; "
+            "assert cs.search_violation(wk.MinkowskiNorm.quartic(2, eps=0.05)).objective < -0.5; "
+            "rep = vf.corollary_lower_bound(sf.enneper(scale=0.8, extent=1.5), "
+            "wk.MinkowskiNorm.euclidean(3), rule=ParamQuadrature(order=4, base_grid=8), "
+            "max_depth=4); "
+            "assert list(rep.metadata['origin_param']) == [0.0, 0.0]")
     env = dict(os.environ, PYTHONPATH=str(Path(cs.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)

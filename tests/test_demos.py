@@ -1,8 +1,8 @@
 """The fast demos run to completion against the current API.
 
 Nothing else runs the demos, so an API change that breaks one would go
-unnoticed.  The slow demos (minkowski_pairing, monotonicity and
-sign_condition, 4-15 s each) are left out.
+unnoticed.  The slow demos (minkowski_pairing and monotonicity, 4-15 s
+each) are left out.
 """
 
 import os
@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("demo", ["surface_frames.py", "newton_tensors.py",
-                                  "norms_and_duals.py"])
+                                  "norms_and_duals.py", "sign_condition.py"])
 def test_demo_exits_zero(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,

@@ -215,6 +215,32 @@ def test_corollary_origin_guard():
         vf.corollary_lower_bound(shifted, E3, rule=Q12, max_depth=6)
 
 
+def test_corollary_finds_an_off_grid_origin():
+    # Enneper moved in parameter space so that its origin sits at (0.13, -0.21),
+    # between the points of the search grid
+    En = sf.enneper(scale=0.8, extent=1.5)
+    c = np.array([0.13, -0.21])
+    shifted = sf.ParametricPatch(2, lambda P: En.chart(P - c), En.domain,
+                                 dchart_fn=lambda P: En.dchart(P - c),
+                                 d2chart_fn=lambda P: En.d2chart(P - c), name="shifted-enneper")
+    grid = shifted.sample_grid(17)
+    assert np.min(np.linalg.norm(grid - c, axis=1)) > 0.01
+    rep = vf.corollary_lower_bound(shifted, E3, rule=Q12, max_depth=6)
+    assert np.allclose(rep.metadata["origin_param"], c, rtol=0.0, atol=1e-12)
+    assert rep.strictly_above and not rep.flags
+
+
+@pytest.mark.parametrize("F", [E2, wk.MinkowskiNorm.quadratic([[2.0, 0.3], [0.3, 1.0]])],
+                         ids=["euclidean", "quadratic"])
+def test_corollary_rotated_line_equality(F):
+    # a line through the origin is its own tangent section: ratio 1
+    c, s = math.cos(0.6), math.sin(0.6)
+    rotated = sf.linear_image(sf.line(offset=0.0, extent=3.0), [[c, -s], [s, c]])
+    rep = vf.corollary_lower_bound(rotated, F, rule=Q12, max_depth=6, origin_param=[0.0])
+    assert rep.equality_within < 1e-12
+    assert not rep.flags
+
+
 def test_corollary_boundary_guard():
     small = sf.hyperplane(extent=0.5)
     with pytest.raises(BoundaryInsideRegion):
