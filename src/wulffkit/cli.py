@@ -39,11 +39,11 @@ from .quadrature import ParamQuadrature
 CSV_HEADER = "# wulffkit-report v1"
 
 NORM_FAMILIES = {   # family: (parameters, builder)
-    "euclidean": ("dim", lambda p: MinkowskiNorm.euclidean(int(p.get("dim", 3)))),
+    "euclidean": ("dim", lambda p: MinkowskiNorm.euclidean(_integer(p.get("dim", 3)))),
     "quadratic": ("matrix (row-major list or nested rows, symmetric positive definite)",
                   lambda p: MinkowskiNorm.quadratic(_square_matrix(p["matrix"]))),
     "quartic-regularized": ("dim, eps (smoothed quartic gauge)", lambda p: MinkowskiNorm.quartic(
-        int(p.get("dim", 2)), eps=float(p.get("eps", 0.05)))),
+        _integer(p.get("dim", 2)), eps=float(p.get("eps", 0.05)))),
 }
 
 SURFACE_KINDS = {   # kind: (parameters, builder)
@@ -199,7 +199,7 @@ class Scenario:
                  quad_overrides: dict | None = None):
         _json(doc, dict, "config root")
         with _config_errors("scenario", "seed"):
-            self.seed = int(doc.get("seed", 0) if seed is None else seed)
+            self.seed = _integer(doc.get("seed", 0) if seed is None else seed)
         with _config_errors("scenario", "quadrature"):
             quad = dict(_json(doc.get("quadrature", {}), dict, "quadrature"))
             quad.update({k: v for k, v in (quad_overrides or {}).items() if v is not None})

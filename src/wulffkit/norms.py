@@ -6,7 +6,9 @@ the orthogonal complement of the radial direction (ellipticity).  The
 closed-form families are the Euclidean norm, quadratic gauges
 F(u) = sqrt(<A u, u>) for symmetric positive definite A, and a smoothed
 quartic gauge; arbitrary gauges enter through callbacks with a
-finite-difference fallback for missing derivatives.
+finite-difference fallback for missing derivatives.  A callback maps a
+batch U (m, d) to F (m,), grad F (m, d) or D^2 F (m, d, d), and a fallback
+evaluates its stencil for all rows in one callback call.
 
 Every family evaluates F, grad F and D^2 F in one pass (`_jet`), and the
 dual's numeric ascent takes all three from one call per iteration.
@@ -30,7 +32,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import NonConvergence, ZeroDirection
-from .fd import central_diff
+from .fd import _central_diffs, _coordinate_axes, _hessians
 
 ZERO_FLOOR = 1e-12
 
@@ -102,6 +104,8 @@ class MinkowskiNorm:
                  dual: "DualNorm | None" = None,
                  label: str | None = None):
         self.dim = int(dim)
+        if self.dim < 1:
+            raise ValueError(f"a gauge needs dim >= 1, not {self.dim}")
         self.family = family
         self._value_fn = value_fn
         self._grad_fn = grad_fn
@@ -122,8 +126,8 @@ class MinkowskiNorm:
     def quadratic(cls, matrix) -> "MinkowskiNorm":
         """sqrt(<A u, u>) for a symmetric positive definite matrix A."""
         matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("quadratic matrix must be square")
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
+            raise ValueError("quadratic matrix must be square and not empty")
         if not np.allclose(matrix, matrix.T, atol=1e-12):
             raise ValueError("quadratic matrix must be symmetric")
         if np.linalg.eigvalsh(matrix)[0] <= 0:
@@ -144,8 +148,11 @@ class MinkowskiNorm:
     @classmethod
     def custom(cls, dim: int, value: Callable, gradient: Callable | None = None,
                hessian: Callable | None = None, label: str = "custom") -> "MinkowskiNorm":
-        """Gauge from callbacks; missing derivatives fall back to central
-        finite differences (Richardson-extrapolated once)."""
+        """Gauge from callbacks on batches: value(U), gradient(U) and hessian(U)
+        take U (m, d) of nonzero rows and return (m,), (m, d) and (m, d, d).
+        Missing derivatives fall back to central finite differences
+        (Richardson-extrapolated once) whose stencil, for all m rows, is one
+        callback call: a Hessian takes at most three calls whatever m."""
         return cls(dim, "custom", value_fn=value, grad_fn=gradient,
                    hess_fn=hessian, label=label)
 
@@ -201,13 +208,29 @@ class MinkowskiNorm:
                            * dG[:, :, None] * dG[:, None, :])
         if self.family == "dual":
             return self._dual._jet(U, order)
-        F = np.array([float(self._value_fn(row)) for row in U])
+        # custom: one call of a callback per batch, or per stencil of a fallback
+        F = np.asarray(self._value_fn(U), dtype=float)
         if order == 0:
             return (F,)
-        gF = np.array([self._custom_grad(row) for row in U])
+        # steps scale with max(1, |u|): a row-wise matmul has the bits of |u|
+        scale = np.maximum(1.0, np.sqrt((U[:, None, :] @ U[:, :, None])[:, 0, 0]))
+        h = _FD_GRAD_STEP * scale
+        if self._grad_fn is not None:
+            gF = np.asarray(self._grad_fn(U), dtype=float)
+        else:
+            gF = _central_diffs(self._value_fn, U, _coordinate_axes(U), (h, 0.5 * h))
         if order == 1:
             return F, gF
-        return F, gF, np.array([self._custom_hess(row, f0) for row, f0 in zip(U, F)])
+        if self._hess_fn is not None:
+            H = np.asarray(self._hess_fn(U), dtype=float)
+        elif self._grad_fn is not None:
+            # row i of H is the derivative of grad F along e_i
+            H = _central_diffs(self._grad_fn, U, _coordinate_axes(U), (h, 0.5 * h))
+        else:
+            # from values, at a larger step that balances roundoff
+            h = _FD_HESS_VALUE_STEP * scale
+            return F, gF, _hessians(self._value_fn, U, (h, 0.5 * h), F)
+        return F, gF, 0.5 * (H + np.swapaxes(H, 1, 2))
 
     def _value(self, U: np.ndarray) -> np.ndarray:
         return self._jet(U, 0)[0]
@@ -227,51 +250,6 @@ class MinkowskiNorm:
         """(F(u), grad F(u)), as DualNorm.eval_with_maximizer gives them for
         F°: grad F(u) maximizes <u, v> over F°(v) <= 1 (F is its bidual)."""
         return self._jet(U, 1)
-
-    def _custom_grad(self, u: np.ndarray) -> np.ndarray:
-        if self._grad_fn is not None:
-            return np.asarray(self._grad_fn(u), dtype=float)
-        # central differences at steps h and h/2 along each axis, one Richardson level
-        h = _FD_GRAD_STEP * max(1.0, float(np.linalg.norm(u)))
-        f = self._stencil_values(u, np.eye(self.dim), h)
-        d1 = (f[0] - f[1]) / (2.0 * h)
-        d2 = (f[2] - f[3]) / (2.0 * (0.5 * h))
-        return (4.0 * d2 - d1) / 3.0
-
-    def _custom_hess(self, u: np.ndarray, f0: float) -> np.ndarray:
-        if self._hess_fn is not None:
-            H = np.asarray(self._hess_fn(u), dtype=float)
-            return 0.5 * (H + H.T)
-        if self._grad_fn is not None:
-            h = _FD_GRAD_STEP * max(1.0, float(np.linalg.norm(u)))
-            cols = []
-            for i in range(self.dim):
-                e = np.zeros(self.dim)
-                e[i] = 1.0
-                cols.append(central_diff(
-                    lambda t: np.asarray(self._grad_fn(u + t * e), dtype=float), 0.0, h))
-            H = np.array(cols)
-            return 0.5 * (H + H.T)
-        # second differences of the value along each axis and each diagonal
-        # (e_i + e_j)/sqrt(2), one Richardson level; a larger step balances
-        # roundoff
-        h = _FD_HESS_VALUE_STEP * max(1.0, float(np.linalg.norm(u)))
-        dirs, iu, ju = _hessian_directions(self.dim)
-        f = self._stencil_values(u, dirs, h)
-        d1 = (f[0] - 2.0 * f0 + f[1]) / (h * h)
-        d2 = (f[2] - 2.0 * f0 + f[3]) / ((0.5 * h) * (0.5 * h))
-        dd = (4.0 * d2 - d1) / 3.0
-        diag = dd[:self.dim]
-        H = np.diag(diag)
-        # second derivative along a diagonal is (H_ii + 2 H_ij + H_jj)/2
-        H[iu, ju] = H[ju, iu] = dd[self.dim:] - 0.5 * (diag[iu] + diag[ju])
-        return H
-
-    def _stencil_values(self, u: np.ndarray, dirs: np.ndarray, h: float) -> np.ndarray:
-        """F(u + t c) for t in (h, -h, h/2, -h/2) and each row c of dirs: (4, k)."""
-        Q = u + np.multiply.outer((h, -h, 0.5 * h, -0.5 * h), dirs)
-        return np.array([float(self._value_fn(q)) for q in Q.reshape(-1, self.dim)]
-                        ).reshape(4, len(dirs))
 
     # ----------------------------------------------------------------- diagnostics
 
@@ -307,18 +285,6 @@ class MinkowskiNorm:
 
     def dual(self, mode: str = "auto", options: "NumericDualOptions | None" = None) -> "DualNorm":
         return DualNorm(self, mode=mode, options=options)
-
-
-@functools.lru_cache(maxsize=None)
-def _hessian_directions(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Axes e_i, then diagonals (e_i + e_j)/sqrt(2) for each pair i < j (iu, ju);
-    read-only, because every call for this dimension shares them."""
-    basis = np.eye(dim)
-    iu, ju = np.triu_indices(dim, 1)
-    dirs = np.vstack([basis, (basis[iu] + basis[ju]) / math.sqrt(2.0)])
-    for arr in (dirs, iu, ju):
-        arr.flags.writeable = False
-    return dirs, iu, ju
 
 
 def _orthonormal_complement(Uh: np.ndarray) -> np.ndarray:

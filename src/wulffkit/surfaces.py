@@ -24,7 +24,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateChart, NotTransversal
-from .norms import MinkowskiNorm
+from .fd import _central_diffs, _coordinate_axes, _differences, _hessians, _stencil
+from .norms import MinkowskiNorm, _orthonormal_complement
 
 GRAM_FLOOR = 1e-12
 TRANSVERSAL_FLOOR = 1e-8
@@ -79,30 +80,16 @@ class ParametricPatch:
         P = np.atleast_2d(np.asarray(P, dtype=float))
         if self._dchart_fn is not None:
             return np.asarray(self._dchart_fn(P), dtype=float)
-        return _central_diffs(self.chart, P, _coordinate_axes(P), (self._fd_step,))[0]
+        return _central_diffs(self.chart, P, _coordinate_axes(P), (self._fd_step,))
 
     def d2chart(self, P) -> np.ndarray:
         P = np.atleast_2d(np.asarray(P, dtype=float))
         if self._d2chart_fn is not None:
             return np.asarray(self._d2chart_fn(P), dtype=float)
-        if self._dchart_fn is not None:
-            out = _central_diffs(self.dchart, P, _coordinate_axes(P), (self._fd_step,))[0]
-        else:
-            h = 1e-4  # second differences of the chart value
-            m = P.shape[0]
-            out = np.empty((m, self.n, self.n, self.dim))
-            X0 = self.chart(P)
-            for i in range(self.n):
-                ei = np.zeros_like(P)
-                ei[:, i] = h
-                out[:, i, i] = (self.chart(P + ei) - 2 * X0 + self.chart(P - ei)) / h**2
-                for j in range(i + 1, self.n):
-                    ej = np.zeros_like(P)
-                    ej[:, j] = h
-                    mixed = (self.chart(P + ei + ej) - self.chart(P + ei - ej)
-                             - self.chart(P - ei + ej) + self.chart(P - ei - ej)) / (4 * h**2)
-                    out[:, i, j] = mixed
-                    out[:, j, i] = mixed
+        if self._dchart_fn is None:
+            # from chart values, at a step that balances roundoff
+            return _hessians(self.chart, P, (1e-4,), self.chart(P))
+        out = _central_diffs(self.dchart, P, _coordinate_axes(P), (self._fd_step,))
         return 0.5 * (out + np.swapaxes(out, 1, 2))
 
     # -- frames ---------------------------------------------------------------
@@ -273,10 +260,18 @@ def _build_frames(patch: ParametricPatch, P, X, T) -> FrameBatch:
 # built-in charts
 
 
+def _array(value, shape: tuple, what: str) -> np.ndarray:
+    """value as a float array of this shape; a ValueError otherwise."""
+    a = np.asarray(value, dtype=float)
+    if a.shape != shape:
+        raise ValueError(f"{what} needs shape {shape}, not {a.shape}")
+    return a
+
+
 def sphere(radius: float = 1.0, center=(0.0, 0.0, 0.0)) -> ParametricPatch:
     """Round sphere, outward normal; polar angle first, azimuth second."""
     R = float(radius)
-    c = np.asarray(center, dtype=float)
+    c = _array(center, (3,), "sphere center")
 
     def chart(P):
         th, ph = P[:, 0], P[:, 1]
@@ -339,7 +334,7 @@ def linear_image(patch: ParametricPatch, L, name: str | None = None) -> Parametr
 
 
 def ellipsoid(semiaxes=(1.0, 1.3, 1.7)) -> ParametricPatch:
-    s = np.asarray(semiaxes, dtype=float)
+    s = _array(semiaxes, (3,), "ellipsoid semiaxes")
     out = linear_image(sphere(), np.diag(s),
                        name=f"ellipsoid({s[0]:g},{s[1]:g},{s[2]:g})")
     return out
@@ -394,17 +389,19 @@ def transformed_catenoid(matrix, v_max: float = 1.2) -> ParametricPatch:
     area of every surface by a constant factor), so its anisotropic mean
     curvature vanishes.
     """
-    L = sqrtm_spd(matrix)
+    L = sqrtm_spd(_array(matrix, (3, 3), "transformed-catenoid matrix"))
     return linear_image(catenoid(v_max=v_max), L, name=f"transformed-catenoid(v<={v_max:g})")
 
 
 def hyperplane(normal=(0.0, 0.0, 1.0), origin=(0.0, 0.0, 0.0),
                extent: float = 2.0) -> ParametricPatch:
-    nrm = np.asarray(normal, dtype=float)
-    nrm = nrm / np.linalg.norm(nrm)
-    origin = np.asarray(origin, dtype=float)
+    nrm = _array(normal, (3,), "hyperplane normal")
+    length = np.linalg.norm(nrm)
+    if not 0.0 < length < np.inf:
+        raise ValueError(f"hyperplane normal must be finite and nonzero, not {normal}")
+    nrm = nrm / length
+    origin = _array(origin, (3,), "hyperplane origin")
     # orthonormal in-plane basis with a x b = normal
-    from .norms import _orthonormal_complement
     Q = _orthonormal_complement(nrm[None, :])[0]
     a, bvec = Q[:, 0], Q[:, 1]
     if np.dot(np.cross(a, bvec), nrm) < 0:
@@ -446,7 +443,7 @@ def line(offset: float = 0.5, extent: float = 4.0) -> ParametricPatch:
 
 def circle(radius: float = 1.0, center=(0.0, 0.0)) -> ParametricPatch:
     R = float(radius)
-    c = np.asarray(center, dtype=float)
+    c = _array(center, (2,), "circle center")
 
     def chart(P):
         t = P[:, 0]
@@ -468,6 +465,8 @@ def circle(radius: float = 1.0, center=(0.0, 0.0)) -> ParametricPatch:
 def graph_curve(coeffs, extent: float = 1.0) -> ParametricPatch:
     """Plane curve (t, p(t)) for a polynomial p given by coefficients."""
     c = np.asarray(coeffs, dtype=float)
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError(f"graph-curve coefficients need a nonempty list, not shape {c.shape}")
     c1 = np.polynomial.polynomial.polyder(c)
     c2 = np.polynomial.polynomial.polyder(c, 2)
     pv = np.polynomial.polynomial.polyval
@@ -491,6 +490,8 @@ def graph_curve(coeffs, extent: float = 1.0) -> ParametricPatch:
 def graph_surface(coeffs, extent: float = 1.0) -> ParametricPatch:
     """Graph z = p(u, v) for a bivariate polynomial coefficient matrix."""
     C = np.atleast_2d(np.asarray(coeffs, dtype=float))
+    if C.ndim != 2 or C.size == 0:
+        raise ValueError(f"graph-surface coefficients need a nonempty matrix, not {C.shape}")
     pp = np.polynomial.polynomial
     Cu, Cv = pp.polyder(C, axis=0), pp.polyder(C, axis=1)
     Cuu, Cuv, Cvv = pp.polyder(Cu, axis=0), pp.polyder(Cu, axis=1), pp.polyder(Cv, axis=1)
@@ -680,40 +681,6 @@ def _unbatch(values: np.ndarray, single: bool):
     return float(values[0]) if single else values
 
 
-def _stencil(P, dirs, steps) -> np.ndarray:
-    """The central-difference points P +- h c for each step h and direction c.
-
-    dirs is (m, n, k): column a of dirs[i] is the parameter direction of
-    derivative a at point P[i].  Returns all 2 * len(steps) * k * m points
-    as one (M, n) batch, in the order _differences reads them.
-    """
-    hD = np.asarray(steps, dtype=float)[:, None, None, None] * np.moveaxis(dirs, 2, 0)
-    return np.stack([P + hD, P - hD]).reshape(-1, P.shape[1])
-
-
-def _differences(vals, dirs, steps) -> np.ndarray:
-    """(f(P + h c) - f(P - h c)) / 2h from vals = f(_stencil(P, dirs, steps)).
-
-    Returns (len(steps), m, k, ...).
-    """
-    m, _, k = dirs.shape
-    vals = np.asarray(vals)
-    vals = vals.reshape((2, len(steps), k, m) + vals.shape[1:])
-    return np.stack([np.moveaxis((vals[0, s] - vals[1, s]) / (2.0 * h), 0, 1)
-                     for s, h in enumerate(steps)])
-
-
-def _central_diffs(fld, P, dirs, steps) -> np.ndarray:
-    """Central differences of fld, which maps parameter batches (M, n) to (M, ...)."""
-    return _differences(fld(_stencil(P, dirs, steps)), dirs, steps)
-
-
-def _coordinate_axes(P) -> np.ndarray:
-    """The parameter axes at every point of P, as _stencil takes directions."""
-    m, n = P.shape
-    return np.broadcast_to(np.eye(n), (m, n, n))
-
-
 def _frame_stencil(fb: FrameBatch, step: float) -> FrameBatch:
     """Frames at P +- step * c_a, the stencil of D_{e_a} at every point of fb."""
     return fb.patch.frames(_stencil(fb.P, fb.param_dirs, (step,)))
@@ -721,7 +688,7 @@ def _frame_stencil(fb: FrameBatch, step: float) -> FrameBatch:
 
 def _frame_derivs(vals, fb: FrameBatch, step: float) -> np.ndarray:
     """D_{e_a} at every point of fb from values on _frame_stencil(fb, step): (m, n, ...)."""
-    return _differences(vals, fb.param_dirs, (step,))[0]
+    return _differences(vals, fb.param_dirs, (step,))
 
 
 def _divergence(dF: np.ndarray, fb: FrameBatch) -> np.ndarray:
@@ -832,10 +799,8 @@ def _shape_op_coord(xi_field: TransversalField, fb: FrameBatch,
     """Affine shape operator components S^i_j in the coordinate basis."""
     xi = xi_field.at(fb)
     support = np.einsum("md,md->m", xi, fb.nu)
-    axes = _coordinate_axes(fb.P)
     # W[:, j] = d_j xi
-    W = _differences(xi_field.at(fb.patch.frames(_stencil(fb.P, axes, (step,)))),
-                     axes, (step,))[0]
+    W = _central_diffs(lambda Q: xi_field(fb.patch, Q), fb.P, _coordinate_axes(fb.P), (step,))
     tau = np.einsum("mjd,md->mj", W, fb.nu) / support[:, None]
     S_X = tau[:, :, None] * xi[:, None, :] - W
     # solve <S(X_j), X_k> = sum_i S^i_j g_ik
@@ -852,25 +817,25 @@ def codazzi_residual(patch: ParametricPatch, xi_field: TransversalField, p,
     derivative of the shape-operator components.
     """
     P, single = _as_batch(p)
-    m, n = P.shape
-    if n == 1:
-        return _unbatch(np.zeros(m), single)
-    fb = patch.frames(P)
+    return _unbatch(_codazzi(xi_field, patch.frames(P), inner_step, outer_step), single)
+
+
+def _codazzi(xi_field: TransversalField, fb: FrameBatch, inner_step: float = PARAM_STEP,
+             outer_step: float = 1e-4) -> np.ndarray:
+    """codazzi_residual at the points of fb (zero on curves)."""
+    P = fb.P
+    if fb.patch.n == 1:
+        return np.zeros(len(P))
     axes, steps = _coordinate_axes(P), (outer_step, 0.5 * outer_step)
-    outer = patch.frames(_stencil(P, axes, steps))   # both Richardson levels
-
-    def d_coord(vals):  # d_k of values on the outer stencil: (m, k, ...)
-        d1, d2 = _differences(vals, axes, steps)
-        return (4.0 * d2 - d1) / 3.0
-
-    dg = d_coord(outer.metric)  # dg[p, k, m, l] = d_k g_{ml}
+    outer = fb.patch.frames(_stencil(P, axes, steps))   # both Richardson levels
+    dg = _differences(outer.metric, axes, steps)  # dg[p, k, m, l] = d_k g_{ml}
     # Gamma[p, i, k, l] = 1/2 g^{im} (d_k g_{ml} + d_l g_{mk} - d_m g_{kl})
     Gamma = 0.5 * np.einsum("pim,pkml->pikl", fb.metric_inv,
                             dg + np.transpose(dg, (0, 3, 2, 1))
                             - np.transpose(dg, (0, 2, 1, 3)))
 
     S0 = _shape_op_coord(xi_field, fb, inner_step)
-    dS = d_coord(_shape_op_coord(xi_field, outer, inner_step))
+    dS = _differences(_shape_op_coord(xi_field, outer, inner_step), axes, steps)
     # dS[p, k, i, j] = d_k S^i_j
 
     def cov(k, j):  # components of [D^M_{X_k} S](X_j)
@@ -880,4 +845,4 @@ def codazzi_residual(patch: ParametricPatch, xi_field: TransversalField, p,
     res_coord = cov(0, 1) - cov(1, 0)                # components in X_i basis
     res_amb = np.einsum("pi,pid->pd", res_coord, fb.tangents)
     det_C = np.linalg.det(fb.param_dirs)             # rescale (X_1, X_2) -> (e_1, e_2)
-    return _unbatch(np.linalg.norm(res_amb, axis=1) * np.abs(det_C), single)
+    return np.linalg.norm(res_amb, axis=1) * np.abs(det_C)

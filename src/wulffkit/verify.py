@@ -20,9 +20,9 @@ from .errors import (BoundaryInsideRegion, GaugeZero, NotClosed, NotEquiaffine,
 from .norms import DualNorm, MinkowskiNorm
 from .quadrature import (ClippedRegionRule, ParamQuadrature, _gauge_safe,
                          integrate_clipped, integrate_with_estimate)
-from .surfaces import (ParametricPatch, TransversalField, _as_batch, _divergence,
+from .surfaces import (ParametricPatch, TransversalField, _as_batch, _codazzi, _divergence,
                        _equiaffine, _frame_derivs, _unbatch, affine_tangential,
-                       anisotropic_mean_curvature_batch, codazzi_residual,
+                       anisotropic_mean_curvature_batch,
                        constant_field, divergence_residuals_constant_position,
                        equiaffine_batch, hyperplane, line, linear_image, position_field,
                        product_rule_residual, shape_products_asymmetry,
@@ -455,7 +455,7 @@ def frame_identity_suite(patch: ParametricPatch, xi_field: TransversalField, *,
     div_b, div_x = divergence_residuals_constant_position(xi_field, eb, b)
     product = product_rule_residual(xi_field, lambda f: f.x @ c, position_field(), eb)
     sym_1, sym_2 = shape_products_asymmetry(eb)
-    codazzi = codazzi_residual(patch, xi_field, kept, inner_step=step)
+    codazzi = _codazzi(xi_field, eb.frames, inner_step=step)
     residuals = {"tangential_derivative": (pos[0], const[0]),
                  "tangential_divergence": (pos[1], const[1]),
                  "div_constant": div_b, "div_position": div_x, "product_rule": product,

@@ -45,7 +45,8 @@ def test_criterion_1_norm_identities():
         euler = max(F.euler_residual(u) for u in U)
         radial = max(F.radial_kernel_residual(u) for u in U)
         ok &= euler < 1e-9 and radial < 1e-8
-    Ffd = wk.MinkowskiNorm.custom(3, value=lambda u: float(np.sqrt(u @ A3 @ u)))
+    Ffd = wk.MinkowskiNorm.custom(
+        3, value=lambda U: np.sqrt(np.einsum("mi,ij,mj->m", U, A3, U)))
     U = rng.standard_normal((1000, 3))
     euler_fd = max(Ffd.euler_residual(u) for u in U)
     radial_fd = max(Ffd.radial_kernel_residual(u) for u in U)

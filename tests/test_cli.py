@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 import threading
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wulffkit import cli
 from wulffkit.errors import ConfigError
@@ -342,6 +349,35 @@ CONFIG_FAULTS = {
     "k-fraction": (lambda d: {**_with_checks(d, [
         {"kind": "minkowski", "name": "mk", "surface": "sph", "k": [0.7]}]),
         "surfaces": {"sph": {"kind": "sphere"}}}, "'mk'"),
+    # so are the seed and the dimension of a norm
+    "seed-fraction": (lambda d: {**d, "seed": 2.5}, "seed"),
+    "seed-bool": (lambda d: {**d, "seed": True}, "seed"),
+    "euclidean-dim-fraction": (lambda d: {**d, "norms": {
+        **d["norms"], "e": {"family": "euclidean", "dim": 2.5}}}, "'e'"),
+    "quartic-dim-bool": (lambda d: {**d, "norms": {
+        **d["norms"], "q": {"family": "quartic-regularized", "dim": True}}}, "'q'"),
+    "euclidean-dim-zero": (lambda d: {**d, "norms": {
+        **d["norms"], "e": {"family": "euclidean", "dim": 0}}}, "'e'"),
+    "quadratic-matrix-empty": (lambda d: {**d, "norms": {
+        **d["norms"], "q": {"family": "quadratic", "matrix": []}}}, "'q'"),
+    # surface vectors and matrices of the wrong shape, and a zero normal
+    "hyperplane-normal-short": (lambda d: {**d, "surfaces": {
+        "plane": {"kind": "hyperplane", "normal": [0, 1]}}}, "'plane'"),
+    "hyperplane-normal-zero": (lambda d: {**d, "surfaces": {
+        "plane": {"kind": "hyperplane", "normal": [0, 0, 0]}}}, "'plane'"),
+    "hyperplane-origin-short": (lambda d: {**d, "surfaces": {
+        "plane": {"kind": "hyperplane", "origin": [0, 1]}}}, "'plane'"),
+    "sphere-center-short": (lambda d: {**d, "surfaces": {
+        **d["surfaces"], "sph": {"kind": "sphere", "center": [0, 0]}}}, "'sph'"),
+    "circle-center-long": (lambda d: {**d, "surfaces": {
+        **d["surfaces"], "c": {"kind": "circle", "center": [0, 0, 0]}}}, "'c'"),
+    "ellipsoid-semiaxes-short": (lambda d: {**d, "surfaces": {
+        **d["surfaces"], "ell": {"kind": "ellipsoid", "semiaxes": [1, 2]}}}, "'ell'"),
+    "transformed-catenoid-2x2": (lambda d: {**d, "surfaces": {
+        **d["surfaces"], "tc": {"kind": "transformed-catenoid", "matrix": [[1, 0], [0, 1]]}}},
+        "'tc'"),
+    "graph-coeffs-empty": (lambda d: {**d, "surfaces": {
+        **d["surfaces"], "g": {"kind": "graph", "coeffs": [[]]}}}, "'g'"),
 }
 
 
@@ -353,6 +389,45 @@ def test_config_fault_exits_2(fault, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and named in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+# scenario-loader fuzz: the surface or the norm of the minimal scenario
+# becomes one of a kind with one parameter drawn, of any JSON type
+FUZZ_SURFACES = {"hyperplane": ("normal", "origin", "extent"), "sphere": ("radius", "center"),
+                 "circle": ("radius", "center"), "ellipsoid": ("semiaxes",),
+                 "transformed-catenoid": ("matrix", "v_max"), "graph": ("coeffs", "extent")}
+FUZZ_NORMS = {"euclidean": ("dim",), "quartic-regularized": ("dim", "eps"),
+              "quadratic": ("matrix",)}
+fuzz_numbers = st.one_of(st.integers(-3, 3), st.sampled_from([0, 0.0, -1.0]),
+                         st.floats(-3.0, 3.0))
+fuzz_scalars = st.one_of(fuzz_numbers, st.booleans(), st.text("a1 ,.", max_size=3))
+fuzz_values = st.one_of(st.lists(fuzz_numbers, max_size=4), fuzz_scalars,
+                        st.lists(fuzz_scalars, max_size=4))
+
+
+@st.composite
+def fuzz_case(draw):
+    """("surfaces", spec) or ("norms", spec): a spec with one parameter drawn."""
+    which, table, key = draw(st.sampled_from([("surfaces", FUZZ_SURFACES, "kind"),
+                                              ("norms", FUZZ_NORMS, "family")]))
+    kind = draw(st.sampled_from(sorted(table)))
+    return which, {key: kind, draw(st.sampled_from(table[kind])): draw(fuzz_values)}
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(fuzz_case())
+def test_scenario_loader_fuzz(case):
+    # any parameters give a documented exit code, and never a traceback
+    which, spec = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ), \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        os.environ.pop("WULFFKIT_OUT", None)
+        doc = minimal_scenario(Path(tmp) / "out")
+        doc[which] = {"surfaces": {"plane": spec}, "norms": {"euclid": spec}}[which]
+        code = cli.main(["run", "--config", write_config(Path(tmp), doc)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_every_kind_dispatches(tmp_path, monkeypatch, capsys):

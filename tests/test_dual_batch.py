@@ -163,10 +163,10 @@ def test_hessian_that_raises_rejects_only_its_rows():
     # iterating there take the Armijo fallback, the others keep their Newton steps
     Q = wk.MinkowskiNorm.quartic(2, eps=0.05)
 
-    def hessian(u):
-        if u[0] > 0.8 * np.linalg.norm(u):
+    def hessian(U):
+        if np.any(U[:, 0] > 0.8 * np.linalg.norm(U, axis=1)):
             raise NonConvergence("no Hessian on this cap")
-        return Q.hess(u)
+        return Q.hess(U)
 
     F = wk.MinkowskiNorm.custom(2, Q.value, Q.grad, hessian, label="capped")
     dual = wk.DualNorm(F, mode="numeric")

@@ -8,6 +8,11 @@ A_DIAG = np.diag([1.0, 4.0])
 A_FULL = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 3.0]])
 
 
+def _quadratic_value(U):
+    """sqrt(<A_FULL u, u>) for each row of a batch U (m, 3): a custom gauge's callback."""
+    return np.sqrt(np.einsum("mi,ij,mj->m", U, A_FULL, U))
+
+
 def fd_gradient(f, u, h=1e-6):
     out = np.empty(len(u))
     for i in range(len(u)):
@@ -61,10 +66,32 @@ def test_euler_identity_closed_forms():
 
 
 def test_euler_identity_fd_fallback():
-    F = wk.MinkowskiNorm.custom(3, value=lambda u: float(np.sqrt(u @ A_FULL @ u)))
+    F = wk.MinkowskiNorm.custom(3, value=_quadratic_value)
     rng = np.random.default_rng(1)
     res = max(F.euler_residual(u) for u in rng.standard_normal((50, 3)))
     assert res < 1e-5
+
+
+@pytest.mark.parametrize("with_gradient", [False, True], ids=["values", "gradient"])
+def test_custom_hessian_makes_one_callback_call_per_stencil(with_gradient):
+    # the value, then one stencil each for the gradient and the Hessian (or
+    # the gradient callback and one stencil): three calls whatever the rows
+    calls = []
+
+    def value(U):
+        calls.append(len(U))
+        return _quadratic_value(U)
+
+    def gradient(U):
+        calls.append(len(U))
+        AU = U @ A_FULL
+        return AU / np.sqrt(np.einsum("mi,mi->m", AU, U))[:, None]
+
+    F = wk.MinkowskiNorm.custom(3, value, gradient if with_gradient else None)
+    U = np.random.default_rng(4).standard_normal((100, 3))
+    np.testing.assert_allclose(F.hess(U), wk.MinkowskiNorm.quadratic(A_FULL).hess(U),
+                               rtol=0.0, atol=1e-5)
+    assert len(calls) <= 3
 
 
 def test_hessian_kills_radial_direction():
@@ -80,7 +107,7 @@ def test_identity_diagnostics_take_one_direction_or_a_batch():
     rng = np.random.default_rng(3)
     for F in (wk.MinkowskiNorm.euclidean(3), wk.MinkowskiNorm.quadratic(A_FULL),
               wk.MinkowskiNorm.quartic(2, eps=0.05),
-              wk.MinkowskiNorm.custom(3, value=lambda u: float(np.sqrt(u @ A_FULL @ u)))):
+              wk.MinkowskiNorm.custom(3, value=_quadratic_value)):
         U = rng.standard_normal((20, F.dim))
         for diag in (F.euler_residual, F.radial_kernel_residual,
                      F.restricted_hessian_min_eig):
@@ -155,9 +182,9 @@ def test_restricted_hessian_quadratic_regression():
 
 def test_nonconvex_gauge_detected():
     # 1-homogeneous extension of a star-shaped, non-convex profile
-    def star(u):
-        r = np.linalg.norm(u)
-        ang = np.arctan2(u[1], u[0])
+    def star(U):
+        r = np.linalg.norm(U, axis=1)
+        ang = np.arctan2(U[:, 1], U[:, 0])
         return r / (1.0 + 0.4 * np.cos(4 * ang))
 
     F = wk.MinkowskiNorm.custom(2, value=star)

@@ -6,6 +6,9 @@ matrices, quartic parameters and directions: a single row gives, bit for
 bit, the same row of the batch (to 1e-12 for the numeric dual, whose ascent
 retires rows in lockstep), a closed dual is the quadratic gauge of the
 inverse matrix, and pair_report reports a pair as the condition-S scan does.
+The finite-difference fallbacks of a custom gauge, which difference whole
+batches, are checked against the closed form over random matrices and
+directions of any length.
 
 One exception is measured, not hidden: in d = 4 the product U @ A of a
 quadratic gauge accumulates differently for a batch and for a single row
@@ -41,16 +44,17 @@ def spd_and_rows(draw, dims=(2, 3, 4), rows=5):
 
 
 def _quadratic_callbacks(A):
-    def value(u):
-        return float(np.sqrt(u @ A @ u))
+    # callbacks on batches U (m, d); einsum gives each row the bits it gets alone
+    def value(U):
+        return np.sqrt(np.einsum("mi,mi->m", np.einsum("mi,ij->mj", U, A), U))
 
-    def gradient(u):
-        return A @ u / value(u)
+    def gradient(U):
+        return np.einsum("mi,ij->mj", U, A) / value(U)[:, None]
 
-    def hessian(u):
-        Au = A @ u
-        F = value(u)
-        return A / F - np.outer(Au, Au) / F**3
+    def hessian(U):
+        AU = np.einsum("mi,ij->mj", U, A)
+        F = value(U)[:, None, None]
+        return A / F - AU[:, :, None] * AU[:, None, :] / F**3
 
     return value, gradient, hessian
 
@@ -129,6 +133,32 @@ def test_closed_dual_is_the_quadratic_gauge_of_the_inverse(case):
     np.testing.assert_array_equal(D.value(U), G.value(U))
     np.testing.assert_array_equal(D.grad(U), G.grad(U))
     np.testing.assert_array_equal(D.value(U[0]), G.value(U[0]))
+
+
+# finite-difference fallbacks of a custom gauge against the closed form of
+# sqrt(<A u, u>).  Their errors scale with the gauge: grad F with sqrt(|A|)
+# and D^2 F with |A| / F(u), |A| the largest eigenvalue.  In those units the
+# bounds hold for any SPD A: the gradient from values, the Hessian from
+# values and the Hessian from a gradient callback.
+FD_GRAD, FD_HESS_VALUE, FD_HESS_GRAD = 1e-10, 1e-6, 1e-10
+
+
+@SETTINGS
+@given(spd_and_rows(rows=8), arrays(float, 8, elements=st.floats(0.1, 10.0)))
+def test_custom_fd_fallbacks_match_the_closed_form(case, scale):
+    A, U = case
+    U = U / np.linalg.norm(U, axis=1, keepdims=True) * scale[:, None]
+    d = A.shape[0]
+    value, gradient, _ = _quadratic_callbacks(A)
+    Q = wk.MinkowskiNorm.quadratic(A)
+    top = np.linalg.eigvalsh(A)[-1]
+    hess_unit = top / Q.value(U)[:, None, None]
+
+    from_values = wk.MinkowskiNorm.custom(d, value)
+    assert np.max(np.abs(from_values.grad(U) - Q.grad(U))) <= FD_GRAD * np.sqrt(top)
+    assert np.all(np.abs(from_values.hess(U) - Q.hess(U)) <= FD_HESS_VALUE * hess_unit)
+    from_gradient = wk.MinkowskiNorm.custom(d, value, gradient)
+    assert np.all(np.abs(from_gradient.hess(U) - Q.hess(U)) <= FD_HESS_GRAD * hess_unit)
 
 
 def _pair_fields(rep):
