@@ -10,14 +10,16 @@ finite-difference fallback for missing derivatives.  A callback maps a
 batch U (m, d) to F (m,), grad F (m, d) or D^2 F (m, d, d), and a fallback
 evaluates its stencil for all rows in one callback call.
 
-Every family evaluates F, grad F and D^2 F in one pass (`_jet`), and the
-dual's numeric ascent takes all three from one call per iteration.
+Every family evaluates F, grad F and D^2 F in one pass (`_jet`); the dual's
+numeric ascent takes one such jet per step, at its Newton candidate.
 
 The dual gauge F°(v) = sup_{u != 0} <u, v> / F(u) is available in closed
 form for the Euclidean and quadratic families and through constrained
 ascent on the unit sphere otherwise.  The ascent also returns the
 maximizer u* normalized to F(u*) = 1, which is exactly grad F°(v), and
-Legendre duality gives D^2 F°(v) from D^2 F(u*).  `DualNorm.as_norm` makes
+Legendre duality gives D^2 F°(v) from D^2 F(u*).  The Newton step and the
+Legendre Hessian both solve a bordered system [[H, u], [u^T, 0]], which keeps
+the unknown in u^perp without a tangent frame.  `DualNorm.as_norm` makes
 the dual a gauge (family "dual") whose value, gradient and Hessian come
 from one ascent per batch, so the bidual F°° is one more ascent over it.
 """
@@ -334,12 +336,13 @@ class DualNorm:
     closed form when one exists.
 
     The numeric ascent runs a whole batch (m, d) in lockstep: every
-    iteration evaluates F, grad F and D^2 F of the base gauge once for all
-    rows still iterating, solves their Newton systems in one batched call,
-    backtracks only the rows whose Newton step is rejected (a row whose
-    Hessian raises rejects its step alone), and retires each row when its
-    projected gradient falls below grad_tol.  A single direction is a batch
-    of one.
+    iteration solves the bordered Newton systems of all rows still iterating
+    in one batched call, evaluates F, grad F and D^2 F of the base gauge
+    once, at the Newton candidates (an accepted row keeps its candidate's
+    jet), backtracks only the rows whose step is rejected (a row whose
+    Hessian raises rejects its step alone; a row the line search moves takes
+    a fresh jet), and retires each row when its projected gradient falls
+    below grad_tol.  A single direction is a batch of one.
     """
 
     def __init__(self, base: MinkowskiNorm, mode: str = "auto",
@@ -374,18 +377,18 @@ class DualNorm:
         duality gives the Hessian from D^2 F(u*):
 
             D^2 F°(v) = S N S^T / F°(v),  S = I - u* v^T / F°(v),
-            N = Q (Q^T D^2 F(u*) Q)^-1 Q^T,
 
-        with Q an orthonormal basis of u*^perp.  (grad F(u*) = v / F°(v), and
-        D^2 of F°^2 / 2 inverts D^2 of F^2 / 2 at F°(v) u*.)"""
+        with N = Q (Q^T D^2 F(u*) Q)^-1 Q^T for Q an orthonormal basis of
+        u*^perp: the top-left d x d block of [[D^2 F(u*), û], [û^T, 0]]^-1
+        for û = u* / |u*|, from one bordered inverse.  (grad F(u*) = v / F°(v),
+        and D^2 of F°^2 / 2 inverts D^2 of F^2 / 2 at F°(v) u*.)"""
         if self._closed:
             return self._closed._jet(V, order)
         q, Us = self._ascend(V)[:2]
         if order < 2:
             return (q, Us)[:order + 1]
-        Q = _orthonormal_complement(Us / np.linalg.norm(Us, axis=1, keepdims=True))
-        Qt = np.swapaxes(Q, 1, 2)
-        N = Q @ np.linalg.solve(Qt @ self.base._hess(Us) @ Q, Qt)
+        uh = Us / np.linalg.norm(Us, axis=1, keepdims=True)
+        N = np.linalg.inv(_bordered(self.base._hess(Us), uh))[:, :-1, :-1]
         S = np.eye(self.dim) - Us[:, :, None] * (V / q[:, None])[:, None, :]
         return q, Us, S @ N @ np.swapaxes(S, 1, 2) / q[:, None, None]
 
@@ -429,14 +432,14 @@ class DualNorm:
         chunk = max(1, _SCAN_ENTRIES // len(grid))
         for s in range(0, m, chunk):
             U[s:s + chunk] = grid[np.argmax((V[s:s + chunk] @ grid.T) / self._grid_F, axis=1)]
-        q = np.einsum("md,md->m", U, V) / base._value(U)
+        # the iterates are unit rows, so the base gauge skips its checks
+        F, gF, HF = _jet_rows(base, U)
+        q = np.einsum("md,md->m", U, V) / F
         q_out, U_out = np.empty(m), np.empty((m, d))
         rows = np.arange(m)                   # input row of each active row
         step = np.full(m, opt.initial_step)   # Armijo step memory per row
         fell_back = np.zeros(m, dtype=bool)
         for it in range(opt.max_iter):
-            # the iterates are unit rows, so the base gauge skips its checks
-            F, gF, HF = _jet_rows(base, U)
             g = V / F[:, None] - (q / F)[:, None] * gF
             gu = np.einsum("md,md->m", g, U)
             gt = g - gu[:, None] * U
@@ -450,7 +453,8 @@ class DualNorm:
                 rows, U, V, q, step, F, gF, HF, g, gu, gt, gn = (
                     x[keep] for x in (rows, U, V, q, step, F, gF, HF, g, gu, gt, gn))
             un, ok = _spherical_newton(U, q, F, gF, HF, g, gu)
-            qn = np.einsum("md,md->m", un, V) / base._value(un)
+            Fn, gFn, HFn = _jet_rows(base, un)
+            qn = np.einsum("md,md->m", un, V) / Fn
             accept = ok & (qn > q)
             if not accept.all():
                 # near convergence the Newton step shrinks the gradient even
@@ -459,12 +463,17 @@ class DualNorm:
                 tiny = np.sqrt(np.einsum("md,md->m", dn, dn)) < 1e-6
                 accept |= ok & tiny & (qn >= q - 8e-16 * np.maximum(1.0, np.abs(q)))
             if accept.all():
-                U, q = un, qn
+                U, q, F, gF, HF = un, qn, Fn, gFn, HFn
                 continue
-            U, q = np.where(accept[:, None], un, U), np.where(accept, qn, q)
+            a = accept[:, None]
+            U, q, F = np.where(a, un, U), np.where(accept, qn, q), np.where(accept, Fn, F)
+            gF, HF = np.where(a, gFn, gF), np.where(a[:, :, None], HFn, HF)
             rejected = np.flatnonzero(~accept)
             fell_back[rows[rejected]] = True
             stalled = self._armijo(U, V, q, step, gt, gn, rejected)
+            moved = np.setdiff1d(rejected, stalled)
+            if moved.size:
+                F[moved], gF[moved], HF[moved] = _jet_rows(base, U[moved])
             if stalled.size:
                 if np.any(gn[stalled] >= 1e4 * opt.grad_tol):
                     raise NonConvergence("dual ascent line search stalled")
@@ -474,7 +483,8 @@ class DualNorm:
                 keep[stalled] = False
                 if not keep.any():
                     return Ascent(q_out, U_out, it + 1, int(fell_back.sum()))
-                rows, U, V, q, step = (x[keep] for x in (rows, U, V, q, step))
+                rows, U, V, q, step, F, gF, HF = (
+                    x[keep] for x in (rows, U, V, q, step, F, gF, HF))
         raise NonConvergence(
             f"dual ascent did not reach tol {opt.grad_tol:g} in {opt.max_iter} iters")
 
@@ -524,24 +534,29 @@ def _jet_rows(base: MinkowskiNorm, U: np.ndarray) -> tuple:
 
 def _spherical_newton(U, q, F, gF, HF, g, gu):
     """One batched Newton step for the optimality system of <u, v>/F(u) on the
-    unit sphere, in the tangent frame of each row: (new rows, ok).  A row
-    whose step is singular, non-finite, longer than 0.5 or degenerate gets
-    ok False, and the caller keeps its iterate."""
-    Q = _orthonormal_complement(U)                   # (k, d, d-1)
-    r = np.einsum("kd,kdj->kj", g, Q)                # Q^T grad q
-    b = np.einsum("kd,kdj->kj", gF, Q)               # Q^T grad F
-    # Q^T D^2 q Q - <g, u> I, with D^2 q = -(g gF^T + gF g^T)/F - (q/F) D^2 F
-    rb = r[:, :, None] * b[:, None, :]
-    Hs = (-(rb + np.swapaxes(rb, 1, 2)) / F[:, None, None]
-          - (q / F)[:, None, None] * (np.swapaxes(Q, 1, 2) @ HF @ Q)
-          - gu[:, None, None] * np.eye(Q.shape[2]))
-    delta = _solve_rows(Hs, -r)
-    ok = np.sqrt(np.einsum("kj,kj->k", delta, delta)) <= 0.5   # False if non-finite
-    un = U + np.einsum("kdj,kj->kd", Q, np.where(ok[:, None], delta, 0.0))
-    # un = u + Q delta with Q delta orthogonal to the unit row u, so |un| >= 1
+    unit sphere: (new rows, ok).  The step x and a multiplier solve the
+    bordered system [[D^2 q - <g, u> I, u], [u^T, 0]] (x, lam) = (-grad q, 0),
+    the tangent Newton system with x kept in u^perp.  A row whose step is
+    singular, non-finite, longer than 0.5 or degenerate gets ok False, and the
+    caller keeps its iterate."""
+    # D^2 q = -(g gF^T + gF g^T)/F - (q/F) D^2 F
+    gg = g[:, :, None] * gF[:, None, :]
+    Hq = (-(gg + np.swapaxes(gg, 1, 2)) / F[:, None, None] - (q / F)[:, None, None] * HF
+          - gu[:, None, None] * np.eye(U.shape[1]))
+    x = _solve_rows(_bordered(Hq, U), np.column_stack([-g, np.zeros(len(U))]))[:, :-1]
+    ok = np.sqrt(np.einsum("kd,kd->k", x, x)) <= 0.5   # False if non-finite
+    un = U + np.where(ok[:, None], x, 0.0)
+    # x is orthogonal to the unit row u (to round-off), so |un| >= 1
     nn = np.sqrt(np.einsum("kd,kd->k", un, un))
     ok &= nn >= 1e-12
     return un / nn[:, None], ok
+
+
+def _bordered(H: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """[[H, u], [u^T, 0]] (k, d+1, d+1) for H (k, d, d) and rows U (k, d)."""
+    K = np.zeros((len(U), U.shape[1] + 1, U.shape[1] + 1))
+    K[:, :-1, :-1], K[:, :-1, -1], K[:, -1, :-1] = H, U, U
+    return K
 
 
 def _solve_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -223,6 +223,11 @@ class FrameBatch:
     def mean_curvature(self) -> np.ndarray:
         return np.trace(self.sec_form, axis1=1, axis2=2)
 
+    def rows(self, keep) -> "FrameBatch":
+        """The frames at the rows `keep` (an index or boolean array) alone."""
+        return FrameBatch(self.patch, self.P[keep], self.x[keep], self.tangents[keep],
+                          self.nu[keep], self.metric[keep], self.sqrt_g[keep])
+
 
 def _build_frames(patch: ParametricPatch, P, X, T) -> FrameBatch:
     # the Gram entries, cross product and norms are written out per component:
@@ -265,12 +270,30 @@ def _array(value, shape: tuple, what: str) -> np.ndarray:
     a = np.asarray(value, dtype=float)
     if a.shape != shape:
         raise ValueError(f"{what} needs shape {shape}, not {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite, not {value}")
     return a
+
+
+def _positive(value, what: str) -> float:
+    """value as a finite float > 0; a ValueError otherwise."""
+    x = float(value)
+    if not 0.0 < x < np.inf:
+        raise ValueError(f"{what} must be finite and positive, not {x!r}")
+    return x
+
+
+def _finite(value, what: str) -> float:
+    """value as a finite float; a ValueError otherwise."""
+    x = float(value)
+    if not np.isfinite(x):
+        raise ValueError(f"{what} must be finite, not {x!r}")
+    return x
 
 
 def sphere(radius: float = 1.0, center=(0.0, 0.0, 0.0)) -> ParametricPatch:
     """Round sphere, outward normal; polar angle first, azimuth second."""
-    R = float(radius)
+    R = _positive(radius, "sphere radius")
     c = _array(center, (3,), "sphere center")
 
     def chart(P):
@@ -335,6 +358,8 @@ def linear_image(patch: ParametricPatch, L, name: str | None = None) -> Parametr
 
 def ellipsoid(semiaxes=(1.0, 1.3, 1.7)) -> ParametricPatch:
     s = _array(semiaxes, (3,), "ellipsoid semiaxes")
+    if not (s > 0).all():
+        raise ValueError(f"ellipsoid semiaxes must be positive, not {semiaxes}")
     out = linear_image(sphere(), np.diag(s),
                        name=f"ellipsoid({s[0]:g},{s[1]:g},{s[2]:g})")
     return out
@@ -342,6 +367,8 @@ def ellipsoid(semiaxes=(1.0, 1.3, 1.7)) -> ParametricPatch:
 
 def catenoid(v_max: float = 1.2) -> ParametricPatch:
     """Catenoid with unit neck; normal points away from the axis."""
+    v_max = _positive(v_max, "catenoid v_max")
+
     def chart(P):
         u, v = P[:, 0], P[:, 1]
         return np.column_stack([np.cosh(v) * np.cos(u), np.cosh(v) * np.sin(u), v])
@@ -401,6 +428,7 @@ def hyperplane(normal=(0.0, 0.0, 1.0), origin=(0.0, 0.0, 0.0),
         raise ValueError(f"hyperplane normal must be finite and nonzero, not {normal}")
     nrm = nrm / length
     origin = _array(origin, (3,), "hyperplane origin")
+    extent = _positive(extent, "hyperplane extent")
     # orthonormal in-plane basis with a x b = normal
     Q = _orthonormal_complement(nrm[None, :])[0]
     a, bvec = Q[:, 0], Q[:, 1]
@@ -424,6 +452,8 @@ def hyperplane(normal=(0.0, 0.0, 1.0), origin=(0.0, 0.0, 0.0),
 
 def line(offset: float = 0.5, extent: float = 4.0) -> ParametricPatch:
     """Horizontal line y = offset in the plane, normal (0, -1)."""
+    offset, extent = _finite(offset, "line offset"), _positive(extent, "line extent")
+
     def chart(P):
         t = P[:, 0]
         return np.column_stack([t, np.full_like(t, offset)])
@@ -442,7 +472,7 @@ def line(offset: float = 0.5, extent: float = 4.0) -> ParametricPatch:
 
 
 def circle(radius: float = 1.0, center=(0.0, 0.0)) -> ParametricPatch:
-    R = float(radius)
+    R = _positive(radius, "circle radius")
     c = _array(center, (2,), "circle center")
 
     def chart(P):
@@ -467,6 +497,7 @@ def graph_curve(coeffs, extent: float = 1.0) -> ParametricPatch:
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != 1 or c.size == 0:
         raise ValueError(f"graph-curve coefficients need a nonempty list, not shape {c.shape}")
+    c, extent = _array(c, c.shape, "graph-curve coefficients"), _positive(extent, "graph extent")
     c1 = np.polynomial.polynomial.polyder(c)
     c2 = np.polynomial.polynomial.polyder(c, 2)
     pv = np.polynomial.polynomial.polyval
@@ -492,6 +523,7 @@ def graph_surface(coeffs, extent: float = 1.0) -> ParametricPatch:
     C = np.atleast_2d(np.asarray(coeffs, dtype=float))
     if C.ndim != 2 or C.size == 0:
         raise ValueError(f"graph-surface coefficients need a nonempty matrix, not {C.shape}")
+    C, extent = _array(C, C.shape, "graph-surface coefficients"), _positive(extent, "graph extent")
     pp = np.polynomial.polynomial
     Cu, Cv = pp.polyder(C, axis=0), pp.polyder(C, axis=1)
     Cuu, Cuv, Cvv = pp.polyder(Cu, axis=0), pp.polyder(Cu, axis=1), pp.polyder(Cv, axis=1)
@@ -522,7 +554,9 @@ def graph_surface(coeffs, extent: float = 1.0) -> ParametricPatch:
 
 def enneper(scale: float = 0.8, extent: float = 1.5) -> ParametricPatch:
     """Enneper minimal patch scaled by a constant factor."""
-    s = float(scale)
+    s, extent = _finite(scale, "enneper scale"), _positive(extent, "enneper extent")
+    if s == 0.0:
+        raise ValueError("enneper scale must be nonzero")
 
     def chart(P):
         u, v = P[:, 0], P[:, 1]

@@ -440,16 +440,16 @@ def frame_identity_suite(patch: ParametricPatch, xi_field: TransversalField, *,
     P = patch.sample_grid(grid)
     fb = patch.frames(P)
     supp = np.einsum("md,md->m", xi_field.at(fb), fb.nu)
-    kept = P[np.abs(supp) >= min_support]
-    if kept.shape[0] == 0:
+    keep = np.abs(supp) >= min_support
+    if not keep.any():
         raise NotEquiaffine("no grid point is safely transversal")
 
     b = np.asarray(test_vector, dtype=float)[: patch.dim]
     c = np.asarray(test_covector, dtype=float)[: patch.dim]
 
-    # one decomposition for every kept point; the checks below difference
-    # their fields on its stencil, framed once for all of them
-    eb = equiaffine_batch(patch, xi_field, kept, step=step)
+    # one decomposition for every kept point, from the grid's frames; the
+    # checks below difference their fields on its stencil, framed once for all
+    eb = _equiaffine(xi_field, fb.rows(keep), step)
     pos = tangential_derivative_residuals(xi_field, position_field(), eb)
     const = tangential_derivative_residuals(xi_field, constant_field(b), eb)
     div_b, div_x = divergence_residuals_constant_position(xi_field, eb, b)
@@ -460,6 +460,6 @@ def frame_identity_suite(patch: ParametricPatch, xi_field: TransversalField, *,
                  "tangential_divergence": (pos[1], const[1]),
                  "div_constant": div_b, "div_position": div_x, "product_rule": product,
                  "shape_sym_1": sym_1, "shape_sym_2": sym_2, "codazzi": codazzi}
-    out = {"grid_points": int(P.shape[0]), "kept_points": int(kept.shape[0])}
+    out = {"grid_points": int(P.shape[0]), "kept_points": int(keep.sum())}
     out.update({key: float(np.max(res)) for key, res in residuals.items()})
     return out

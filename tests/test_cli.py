@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 import threading
@@ -378,6 +379,42 @@ CONFIG_FAULTS = {
         "'tc'"),
     "graph-coeffs-empty": (lambda d: {**d, "surfaces": {
         **d["surfaces"], "g": {"kind": "graph", "coeffs": [[]]}}}, "'g'"),
+    # scalar sizes out of range, and values that are not finite
+    "catenoid-v-max-zero": (lambda d: {**d, "surfaces": {
+        **d["surfaces"], "cat": {"kind": "catenoid", "v_max": 0}}}, "'cat'"),
+    "transformed-catenoid-v-max-negative": (lambda d: {**d, "surfaces": {
+        **d["surfaces"], "tc": {"kind": "transformed-catenoid", "v_max": -1.2,
+                                "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 4]]}}}, "'tc'"),
+    "sphere-radius-zero": (lambda d: {**d, "surfaces": {
+        **d["surfaces"], "sph": {"kind": "sphere", "radius": 0.0}}}, "'sph'"),
+    "circle-radius-negative": (lambda d: {**d, "surfaces": {
+        **d["surfaces"], "c": {"kind": "circle", "radius": -1.0}}}, "'c'"),
+    "hyperplane-extent-zero": (lambda d: {**d, "surfaces": {
+        "plane": {"kind": "hyperplane", "extent": 0}}}, "'plane'"),
+    "line-extent-negative": (lambda d: {**d, "surfaces": {
+        **d["surfaces"], "ln": {"kind": "line", "extent": -4.0}}}, "'ln'"),
+    "graph-extent-zero": (lambda d: {**d, "surfaces": {
+        **d["surfaces"], "g": {"kind": "graph", "coeffs": [0.0, 1.0], "extent": 0.0}}}, "'g'"),
+    "enneper-extent-negative": (lambda d: {**d, "surfaces": {
+        **d["surfaces"], "en": {"kind": "enneper", "extent": -1.5}}}, "'en'"),
+    "ellipsoid-semiaxis-negative": (lambda d: {**d, "surfaces": {
+        **d["surfaces"], "ell": {"kind": "ellipsoid", "semiaxes": [-1, -1.3, 1.7]}}}, "'ell'"),
+    "ellipsoid-semiaxis-zero": (lambda d: {**d, "surfaces": {
+        **d["surfaces"], "ell": {"kind": "ellipsoid", "semiaxes": [1, 1.3, 0]}}}, "'ell'"),
+    "sphere-radius-nan": (lambda d: {**d, "surfaces": {
+        **d["surfaces"], "sph": {"kind": "sphere", "radius": math.nan}}}, "'sph'"),
+    "hyperplane-extent-inf": (lambda d: {**d, "surfaces": {
+        "plane": {"kind": "hyperplane", "extent": math.inf}}}, "'plane'"),
+    "catenoid-v-max-inf": (lambda d: {**d, "surfaces": {
+        **d["surfaces"], "cat": {"kind": "catenoid", "v_max": "inf"}}}, "'cat'"),
+    "sphere-center-nan": (lambda d: {**d, "surfaces": {
+        **d["surfaces"], "sph": {"kind": "sphere", "center": [0, math.nan, 0]}}}, "'sph'"),
+    "line-offset-inf": (lambda d: {**d, "surfaces": {
+        **d["surfaces"], "ln": {"kind": "line", "offset": -math.inf}}}, "'ln'"),
+    "enneper-scale-zero": (lambda d: {**d, "surfaces": {
+        **d["surfaces"], "en": {"kind": "enneper", "scale": 0}}}, "'en'"),
+    "graph-coeffs-nan": (lambda d: {**d, "surfaces": {
+        **d["surfaces"], "g": {"kind": "graph", "coeffs": [[0.0, math.nan]]}}}, "'g'"),
 }
 
 
@@ -395,10 +432,13 @@ def test_config_fault_exits_2(fault, tmp_path, monkeypatch, capsys):
 # becomes one of a kind with one parameter drawn, of any JSON type
 FUZZ_SURFACES = {"hyperplane": ("normal", "origin", "extent"), "sphere": ("radius", "center"),
                  "circle": ("radius", "center"), "ellipsoid": ("semiaxes",),
-                 "transformed-catenoid": ("matrix", "v_max"), "graph": ("coeffs", "extent")}
+                 "transformed-catenoid": ("matrix", "v_max"), "graph": ("coeffs", "extent"),
+                 "catenoid": ("v_max",), "line": ("offset", "extent"),
+                 "enneper": ("scale", "extent")}
 FUZZ_NORMS = {"euclidean": ("dim",), "quartic-regularized": ("dim", "eps"),
               "quadratic": ("matrix",)}
-fuzz_numbers = st.one_of(st.integers(-3, 3), st.sampled_from([0, 0.0, -1.0]),
+NOT_FINITE = [math.nan, math.inf, -math.inf]
+fuzz_numbers = st.one_of(st.integers(-3, 3), st.sampled_from([0, 0.0, -1.0] + NOT_FINITE),
                          st.floats(-3.0, 3.0))
 fuzz_scalars = st.one_of(fuzz_numbers, st.booleans(), st.text("a1 ,.", max_size=3))
 fuzz_values = st.one_of(st.lists(fuzz_numbers, max_size=4), fuzz_scalars,
@@ -427,6 +467,33 @@ def test_scenario_loader_fuzz(case):
         doc[which] = {"surfaces": {"plane": spec}, "norms": {"euclid": spec}}[which]
         code = cli.main(["run", "--config", write_config(Path(tmp), doc)])
     assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+# the scalar sizes of each surface kind: one that is not finite and > 0 is a
+# config fault, found before any check runs
+SCALAR_RANGES = {"hyperplane": "extent", "sphere": "radius", "circle": "radius",
+                 "catenoid": "v_max", "line": "extent", "graph": "extent",
+                 "enneper": "extent", "transformed-catenoid": "v_max"}
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(SCALAR_RANGES)),
+       st.one_of(st.floats(max_value=0.0, allow_nan=False), st.sampled_from(NOT_FINITE)))
+def test_scalar_range_fault_exits_2(kind, value):
+    spec = {"kind": kind, SCALAR_RANGES[kind]: value}
+    if kind == "transformed-catenoid":
+        spec["matrix"] = [[1, 0, 0], [0, 1, 0], [0, 0, 4]]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ), \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        os.environ.pop("WULFFKIT_OUT", None)
+        doc = minimal_scenario(Path(tmp) / "out")
+        doc["surfaces"]["bad"] = spec
+        code = cli.main(["run", "--config", write_config(Path(tmp), doc)])
+        assert not (Path(tmp) / "out").exists()
+    assert code == 2
+    assert "config error" in err.getvalue() and "'bad'" in err.getvalue()
     assert "Traceback" not in err.getvalue()
 
 

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import wulffkit as wk
+from wulffkit import norms
 from wulffkit.errors import NonConvergence, ZeroDirection
 
 A_DIAG = np.diag([1.0, 4.0])
@@ -329,6 +333,140 @@ def test_bidual_makes_two_inner_ascents_per_outer_iteration(monkeypatch):
     assert counts["outer"] == len(W)
     assert counts["inner"] <= 2 * counts["iterations"]
     assert np.max(np.abs(np.array(values) - F.value(W)) / F.value(W)) <= 1e-6
+
+
+@pytest.mark.parametrize("outer_grid", [256, 8])
+def test_bidual_makes_one_inner_ascent_per_outer_step(monkeypatch, outer_grid):
+    # each outer step takes one jet of the dual gauge, at its Newton
+    # candidate: one inner ascent.  A row the Armijo fallback moves takes one
+    # more for its fresh jet, besides the value ascents of its line search.
+    # An 8-direction outer grid starts rows where the fallback takes over.
+    opts = wk.NumericDualOptions(grid_size=256)
+    F = wk.MinkowskiNorm.quadratic(A_DIAG)
+    inner = wk.DualNorm(F, mode="numeric", options=opts)
+    bidual = wk.DualNorm(inner.as_norm(), mode="numeric",
+                         options=wk.NumericDualOptions(grid_size=outer_grid))
+    counts = {"inner": 0, "line_search": 0, "iterations": 0, "fallbacks": 0, "moved": 0}
+    ascend, armijo = wk.DualNorm._ascend, wk.DualNorm._armijo
+    in_line_search = []
+
+    def counted(self, V):
+        out = ascend(self, V)
+        if self is inner:
+            counts["line_search" if in_line_search else "inner"] += 1
+        else:
+            counts["iterations"] += out.iterations
+            counts["fallbacks"] += out.fallbacks
+        return out
+
+    def counted_armijo(self, U, V, q, step, gt, gn, rows):
+        in_line_search.append(True)
+        stalled = armijo(self, U, V, q, step, gt, gn, rows)
+        in_line_search.pop()
+        counts["moved"] += len(rows) - len(stalled)
+        return stalled
+    monkeypatch.setattr(wk.DualNorm, "_ascend", counted)
+    monkeypatch.setattr(wk.DualNorm, "_armijo", counted_armijo)
+    W = np.random.default_rng(15).standard_normal((8, 2))
+    values = [bidual.value(w) for w in W]
+    assert counts["inner"] == counts["iterations"] + counts["moved"]
+    assert (counts["fallbacks"] > 0) == (outer_grid == 8)
+    assert (counts["line_search"] > 0) == (outer_grid == 8)
+    assert np.max(np.abs(np.array(values) - F.value(W)) / F.value(W)) <= 1e-6
+
+
+def test_custom_gauge_makes_one_set_of_callback_calls_per_ascent_step():
+    # value, gradient and Hessian are called together, once per step, at the
+    # Newton candidate: the candidate takes no separate value call
+    Q = wk.MinkowskiNorm.quartic(2, eps=0.05)
+    calls = {"value": 0, "gradient": 0, "hessian": 0}
+
+    def counted(name, fn):
+        def call(U):
+            calls[name] += 1
+            return fn(U)
+        return call
+
+    F = wk.MinkowskiNorm.custom(2, counted("value", Q.value), counted("gradient", Q.grad),
+                                counted("hessian", Q.hess), label="counted")
+    dual = wk.DualNorm(F, mode="numeric")
+    calls["value"] = 0                 # the grid's values, taken once by the dual
+    iterations = fallbacks = 0
+    for v in np.random.default_rng(16).standard_normal((12, 2)):
+        ascent = dual._ascend(v[None, :])
+        iterations += ascent.iterations
+        fallbacks += ascent.fallbacks
+    assert fallbacks == 0
+    assert calls == {"value": iterations, "gradient": iterations, "hessian": iterations}
+
+
+def _frame_newton(U, q, F, gF, HF, g, gu):
+    """The Newton step in a Householder frame Q of u^perp: the (d-1) x (d-1)
+    system Q^T (D^2 q - <g, u> I) Q delta = -Q^T g, step Q delta."""
+    Q = norms._orthonormal_complement(U)
+    Qt = np.swapaxes(Q, 1, 2)
+    gg = g[:, :, None] * gF[:, None, :]
+    Hq = -(gg + np.swapaxes(gg, 1, 2)) / F[:, None, None] - (q / F)[:, None, None] * HF
+    Hs = Qt @ Hq @ Q - gu[:, None, None] * np.eye(U.shape[1] - 1)
+    delta = np.linalg.solve(Hs, -(Qt @ g[:, :, None]))
+    return (Q @ delta)[:, :, 0]
+
+
+def _frame_legendre(dual, V):
+    """D^2 F°(v) = S N S^T / F°(v) with N = Q (Q^T D^2 F(u*) Q)^-1 Q^T."""
+    q, Us = dual._ascend(V)[:2]
+    Q = norms._orthonormal_complement(Us / np.linalg.norm(Us, axis=1, keepdims=True))
+    Qt = np.swapaxes(Q, 1, 2)
+    N = Q @ np.linalg.solve(Qt @ dual.base._hess(Us) @ Q, Qt)
+    S = np.eye(dual.dim) - Us[:, :, None] * (V / q[:, None])[:, None, :]
+    return S @ N @ np.swapaxes(S, 1, 2) / q[:, None, None]
+
+
+@st.composite
+def gauge_and_rows(draw, rows=4):
+    """A quartic or quadratic gauge in d = 2..4, rows V, and a tangent offset
+    of each row's maximizer direction, between 0.02 and 0.2 long."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    entries = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    if draw(st.booleans()):
+        base = wk.MinkowskiNorm.quartic(d, eps=draw(st.floats(0.05, 20.0)))
+    else:
+        B = draw(arrays(float, (d, d), elements=entries))
+        base = wk.MinkowskiNorm.quadratic(B @ B.T + 0.5 * np.eye(d))
+    V = draw(arrays(float, (rows, d), elements=entries))
+    V[np.linalg.norm(V, axis=1) < 1e-2, 0] = 1.0
+    T = draw(arrays(float, (rows, d), elements=entries))
+    lengths = draw(arrays(float, rows, elements=st.floats(0.02, 0.2)))
+    return base, V, T, lengths
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(gauge_and_rows())
+def test_bordered_solves_match_the_tangent_frame(case):
+    base, V, T, lengths = case
+    dual = base.dual(mode="numeric")
+    # the Legendre Hessian: the bordered inverse's block is the frame's N
+    H, ref = dual._jet(V)[2], _frame_legendre(dual, V)
+    assert np.all(np.max(np.abs(H - ref), axis=(1, 2))
+                  <= 1e-12 * np.max(np.abs(ref), axis=(1, 2)))
+    # the Newton step from a point near each maximizer, where the ascent takes it
+    Uh = dual.grad(V)
+    Uh /= np.linalg.norm(Uh, axis=1, keepdims=True)
+    T -= np.einsum("md,md->m", T, Uh)[:, None] * Uh
+    tn = np.linalg.norm(T, axis=1)
+    T[tn < 1e-3] = norms._orthonormal_complement(Uh[tn < 1e-3])[:, :, 0]
+    U = Uh + lengths[:, None] * T / np.linalg.norm(T, axis=1, keepdims=True)
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    F, gF, HF = base._jet(U)
+    q = np.einsum("md,md->m", U, V) / F
+    g = V / F[:, None] - (q / F)[:, None] * gF
+    gu = np.einsum("md,md->m", g, U)
+    un, ok = norms._spherical_newton(U, q, F, gF, HF, g, gu)
+    x = _frame_newton(U, q, F, gF, HF, g, gu)
+    xn = np.linalg.norm(x, axis=1)
+    assert ok.any() and np.all(ok == (xn <= 0.5))
+    ref = (U + x) / np.linalg.norm(U + x, axis=1, keepdims=True)
+    assert np.all(np.linalg.norm(un - ref, axis=1)[ok] <= 1e-12 * xn[ok])
 
 
 def test_numeric_dual_of_an_empty_batch_is_empty():

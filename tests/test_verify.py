@@ -319,6 +319,42 @@ def test_frame_identity_suite_frames_each_stencil_once(monkeypatch, xi):
     assert len(calls) <= 9
 
 
+def test_frame_identity_suite_frames_its_kept_points_once(monkeypatch):
+    # the decomposition takes the kept rows of the grid's frames: the first
+    # call frames the grid, and no later call frames a grid point again
+    calls = []
+    frames = sf.ParametricPatch.frames
+
+    def counted(patch, P):
+        calls.append(np.atleast_2d(P))
+        return frames(patch, P)
+
+    monkeypatch.setattr(sf.ParametricPatch, "frames", counted)
+    patch = sf.ellipsoid((1, 1.3, 1.7))
+    out = vf.frame_identity_suite(patch, sf.constant_field([0.3, -0.7, 0.55]), grid=3)
+    grid = patch.sample_grid(3)
+    assert out["kept_points"] > 0
+    assert np.array_equal(calls[0], grid)
+    later = np.concatenate(calls[1:])
+    assert not (later[:, None, :] == grid[None, :, :]).all(axis=2).any()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_kept_rows_of_frames_are_the_frames_of_the_kept_points(seed):
+    # bit for bit, so the suite's residuals are those of framing its kept
+    # points a second time
+    rng = np.random.default_rng(seed)
+    R = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    R *= np.sign(np.linalg.det(R))
+    for patch in (sf.sphere(), sf.ellipsoid((1, 1.3, 1.7)), sf.catenoid(v_max=1.2)):
+        patch = sf.linear_image(patch, R)
+        P = patch.sample_grid(6)
+        keep = rng.random(len(P)) < 0.6
+        a, b = patch.frames(P).rows(keep), patch.frames(P[keep])
+        for attr in ("P", "x", "tangents", "nu", "metric", "sqrt_g", "e", "sec_form"):
+            assert np.array_equal(getattr(a, attr), getattr(b, attr)), attr
+
+
 def _count_clipped(monkeypatch):
     """The list of calls that integrate_clipped receives from here on."""
     import wulffkit.quadrature as qd
