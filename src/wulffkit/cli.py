@@ -9,8 +9,8 @@ v1"), and emits a gnuplot script per monotonicity scan.  Exit codes:
 
 Determinism contract: same build + same config => byte-identical CSV
 output.  All randomness is seeded from the config (overridable with
---seed), floats are serialized with shortest round-trip repr, and results
-are emitted in declaration order regardless of worker completion order.
+--seed), floats are serialized with shortest round-trip repr, and the
+checks run one after another on the calling thread, in declaration order.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
@@ -80,25 +79,39 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _int_list(value) -> list[int]:
-    """A list of integers, or one integer as a list of one."""
-    return [_integer(x) for x in (value if isinstance(value, list) else [value])]
+def _at_least(lo: int):
+    """The parse of an integer >= lo."""
+    def parse(value) -> int:
+        if _integer(value) < lo:
+            raise ValueError(f"must be >= {lo}, not {value}")
+        return int(value)
+    return parse
+
+
+def _listed(parse):
+    """The parse of a non-empty list of values, each read by parse, or of one
+    value as a list of one."""
+    def parse_list(value) -> list:
+        if value == []:
+            raise ValueError("an empty list")
+        return [parse(x) for x in (value if isinstance(value, list) else [value])]
+    return parse_list
 
 
 # check kind: (the fields a check of that kind must name, its optional
 # parameters as {key: (parse, default)}); it runs as the module function
 # _check_<kind>, which reads its parameters through _options
 CHECKS = {
-    "norm-identities": (("norm",), {"samples": (_integer, 1000), "tolerance": (float, 1e-8)}),
-    "condition-s": (("norm",), {"samples": (_integer, 10_000), "worst_k": (_integer, 10)}),
-    "lemmas": (("surface",), {"tolerance": (float, 1e-4), "grid": (_integer, 9),
+    "norm-identities": (("norm",), {"samples": (_at_least(1), 1000), "tolerance": (float, 1e-8)}),
+    "condition-s": (("norm",), {"samples": (_at_least(1), 10_000), "worst_k": (_at_least(0), 10)}),
+    "lemmas": (("surface",), {"tolerance": (float, 1e-4), "grid": (_at_least(1), 9),
                               "min_support": (float, 0.05)}),
-    "monotonicity": (("surface", "norm"), {"count": (_integer, 8),
+    "monotonicity": (("surface", "norm"), {"count": (_at_least(2), 8),
                                            "assert_constant_rel": (float, None)}),
     "equiaffine": (("surface", "gauge", "s", "r"), {}),
     "corollary": (("surface", "norm"), {"rel_tol": (float, 1e-4)}),
-    "minkowski": (("surface",), {"k": (_int_list, [0])}),
-    "symfunc": ((), {"sizes": (_int_list, [3, 4, 5]), "count": (_integer, 20)}),
+    "minkowski": (("surface",), {"k": (_listed(_integer), [0])}),
+    "symfunc": ((), {"sizes": (_listed(_at_least(1)), [3, 4, 5]), "count": (_at_least(1), 20)}),
 }
 
 
@@ -199,7 +212,7 @@ class Scenario:
                  quad_overrides: dict | None = None):
         _json(doc, dict, "config root")
         with _config_errors("scenario", "seed"):
-            self.seed = _integer(doc.get("seed", 0) if seed is None else seed)
+            self.seed = _at_least(0)(doc.get("seed", 0) if seed is None else seed)
         with _config_errors("scenario", "quadrature"):
             quad = dict(_json(doc.get("quadrature", {}), dict, "quadrature"))
             quad.update({k: v for k, v in (quad_overrides or {}).items() if v is not None})
@@ -265,8 +278,7 @@ def _xi_field(scn: Scenario, chk: dict) -> sf.TransversalField:
     if xi == "normal":
         return sf.normal_field()
     if xi == "constant":
-        vec = chk.get("constant", DEFAULT_CONSTANT_XI)
-        return sf.constant_field(vec)
+        return sf.constant_field(chk.get("constant", DEFAULT_CONSTANT_XI))
     return sf.anisotropic_normal_field(scn.norms[xi])
 
 
@@ -479,9 +491,7 @@ def _write_csvs(outcomes: list[CheckOutcome], out_dir: Path) -> None:
             (out_dir / fname).write_text(body, encoding="utf-8")
 
 
-def run_scenario(scn: Scenario, out_dir: Path, jobs: int = 1,
-                 stream=None) -> int:
-    stream = stream if stream is not None else sys.stdout
+def run_scenario(scn: Scenario, out_dir: Path) -> int:
     def work(item):
         # one bad check never aborts the suite: any exception becomes an
         # error outcome, and the other checks still run and write their CSVs
@@ -497,21 +507,12 @@ def run_scenario(scn: Scenario, out_dir: Path, jobs: int = 1,
                 traceback.print_exc(file=sys.stderr)
             return CheckOutcome(name, kind, "error", f"{type(exc).__name__}: {exc}", [])
 
-    if jobs == 1:
-        # on the calling thread: a worker thread would get a malloc arena of
-        # its own, which only adds to the peak memory of a run
-        outcomes = list(map(work, scn.checks))
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(work, scn.checks))
-
+    outcomes = list(map(work, scn.checks))
     for oc in outcomes:
-        print(f"[{oc.status.upper():5s}] {oc.name} ({oc.kind}): {oc.line}",
-              file=stream)
+        print(f"[{oc.status.upper():5s}] {oc.name} ({oc.kind}): {oc.line}")
     _write_csvs(outcomes, out_dir)
     n_bad = sum(oc.failed for oc in outcomes)
-    print(f"{len(outcomes) - n_bad}/{len(outcomes)} checks passed; "
-          f"reports in {out_dir}", file=stream)
+    print(f"{len(outcomes) - n_bad}/{len(outcomes)} checks passed; reports in {out_dir}")
     return 1 if n_bad else 0
 
 
@@ -526,20 +527,19 @@ def load_config(path: str) -> dict:
     raise ConfigError(f"config not found: {path}")
 
 
-def list_builtins(stream=None) -> None:
-    stream = stream if stream is not None else sys.stdout
+def list_builtins() -> None:
     for title, table in (("norm families", NORM_FAMILIES), ("surfaces", SURFACE_KINDS)):
-        print(f"{title}:", file=stream)
+        print(f"{title}:")
         for key, (params, _) in table.items():
-            print(f"  {key:22s} params: {params}", file=stream)
-    print("checks:", file=stream)
+            print(f"  {key:22s} params: {params}")
+    print("checks:")
     for kind, (fields, optional) in CHECKS.items():
         print(f"  {kind:22s} needs: {', '.join(fields) or '-'}; "
-              f"optional: {', '.join(optional) or '-'}", file=stream)
+              f"optional: {', '.join(optional) or '-'}")
     bundled = sorted(
         p.name[:-5] for p in resources.files("wulffkit").joinpath("scenarios").iterdir()
         if p.name.endswith(".json"))
-    print("bundled scenarios: " + ", ".join(bundled), file=stream)
+    print("bundled scenarios: " + ", ".join(bundled))
 
 
 def main(argv=None) -> int:
@@ -551,7 +551,6 @@ def main(argv=None) -> int:
     runp = sub.add_parser("run", help="run a scenario config")
     runp.add_argument("--config", required=True,
                       help="path to a JSON scenario, or a bundled scenario name")
-    runp.add_argument("--jobs", type=int, default=1)
     runp.add_argument("--quad-order", type=int, default=None)
     runp.add_argument("--grid", type=int, default=None)
     runp.add_argument("--max-depth", type=int, default=None)
@@ -594,7 +593,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(os.environ.get("WULFFKIT_OUT") or args.out or scn.out)
-    return run_scenario(scn, out_dir, jobs=max(1, getattr(args, "jobs", 1)))
+    return run_scenario(scn, out_dir)
 
 
 if __name__ == "__main__":

@@ -6,11 +6,11 @@ gauges satisfy the stronger pairing identity
 <grad F(u), grad F°(v)> = <u, v> / (F(u) F°(v)); its residual is reported
 per pair so that non-quadratic gauges can be separated quantitatively.
 
-Sign classification uses a dead band: |x| < eps_sign counts as sign 0.
+Sign classification uses a dead band: |x| < EPS_SIGN counts as sign 0.
 The condition itself is exact, so the checker tests it away from the
-measure-zero orthogonality set and separately requires a near-zero pairing
-on near-orthogonal samples (this tolerance semantics is a choice of this
-toolkit and is recorded in the verdict metadata).
+measure-zero orthogonality set and separately requires a pairing below
+DELTA_ZERO on near-orthogonal samples (this tolerance semantics is a choice
+of this toolkit, and the verdict records both thresholds).
 """
 
 from __future__ import annotations
@@ -23,12 +23,12 @@ import numpy as np
 
 from .norms import DualNorm, MinkowskiNorm, _check_direction, _orthonormal_complement
 
-EPS_SIGN = 1e-8
-DELTA_ZERO = 1e-6
+EPS_SIGN = 1e-8     # |x| below this has sign 0 (the dead band)
+DELTA_ZERO = 1e-6   # the largest |pairing| a pair inside the dead band may have
 
 
-def deadband_sign(x: float, eps: float = EPS_SIGN) -> int:
-    if abs(x) < eps:
+def deadband_sign(x: float) -> int:
+    if abs(x) < EPS_SIGN:
         return 0
     return 1 if x > 0 else -1
 
@@ -41,20 +41,19 @@ class PairReport:
     lhs: float                 # <grad F(u), grad F°(v)>
     rhs_sign_ref: float        # <u, v>
     fk_residual: float         # lhs - <u,v>/(F(u) F°(v))
-    eps_sign: float = EPS_SIGN
 
     @property
     def lhs_sign(self) -> int:
-        return deadband_sign(self.lhs, self.eps_sign)
+        return deadband_sign(self.lhs)
 
     @property
     def rhs_sign(self) -> int:
-        return deadband_sign(self.rhs_sign_ref, self.eps_sign)
+        return deadband_sign(self.rhs_sign_ref)
 
     @property
     def margin(self) -> float:
         """Positive when the pair is compatible with the sign condition."""
-        return float(_margin(self.lhs, self.rhs_sign_ref, self.eps_sign, DELTA_ZERO))
+        return float(_margin(self.lhs, self.rhs_sign_ref))
 
 
 @dataclass
@@ -128,23 +127,21 @@ def unit_pair_samples(dim: int, count: int, seed: int = 0) -> tuple[np.ndarray, 
             V / np.linalg.norm(V, axis=1, keepdims=True))
 
 
-def pair_report(norm: MinkowskiNorm, u, v, dual: DualNorm | None = None,
-                eps_sign: float = EPS_SIGN) -> PairReport:
+def pair_report(norm: MinkowskiNorm, u, v, dual: DualNorm | None = None) -> PairReport:
     """Pairing diagnostics of one pair (u, v): the scan of a batch of one."""
     U, V = (np.asarray(x, dtype=float)[None, :] for x in (u, v))
-    lhs, rhs, fk, margin, _ = _scan(norm, dual or norm.dual(), U, V, eps_sign, DELTA_ZERO)
-    return _ranked(U, V, lhs, rhs, fk, margin, 1, eps_sign)[0]
+    lhs, rhs, fk, margin, _ = _scan(norm, dual or norm.dual(), U, V)
+    return _ranked(U, V, lhs, rhs, fk, margin, 1)[0]
 
 
-def _margin(lhs, rhs, eps_sign: float, delta_zero: float):
+def _margin(lhs, rhs):
     """Positive when the pair is compatible with condition S: lhs * sgn(rhs)
-    away from orthogonality, delta_zero - |lhs| within the dead band."""
-    return np.where(np.abs(rhs) >= eps_sign, lhs * np.where(rhs > 0, 1.0, -1.0),
-                    delta_zero - np.abs(lhs))
+    away from orthogonality, DELTA_ZERO - |lhs| within the dead band."""
+    return np.where(np.abs(rhs) >= EPS_SIGN, lhs * np.where(rhs > 0, 1.0, -1.0),
+                    DELTA_ZERO - np.abs(lhs))
 
 
-def _scan(norm: MinkowskiNorm, dual: DualNorm, U: np.ndarray, V: np.ndarray,
-          eps_sign: float, delta_zero: float):
+def _scan(norm: MinkowskiNorm, dual: DualNorm, U: np.ndarray, V: np.ndarray):
     """Pairing diagnostics of the sample pairs (U[i], V[i]): lhs, rhs, fk and
     margin arrays, and the dual-ascent counts (empty for a closed dual)."""
     GU = norm.grad(U)
@@ -157,25 +154,24 @@ def _scan(norm: MinkowskiNorm, dual: DualNorm, U: np.ndarray, V: np.ndarray,
     lhs = np.einsum("mi,mi->m", GU, GV)
     rhs = np.einsum("mi,mi->m", U, V)
     fk = lhs - rhs / (norm.value(U) * FV)
-    return lhs, rhs, fk, _margin(lhs, rhs, eps_sign, delta_zero), counts
+    return lhs, rhs, fk, _margin(lhs, rhs), counts
 
 
-def _ranked(U, V, lhs, rhs, fk, margin, k: int, eps_sign: float) -> list[PairReport]:
+def _ranked(U, V, lhs, rhs, fk, margin, k: int) -> list[PairReport]:
     """The k pairs with the smallest margin, smallest first (ties in sample
     order, so the first is the one np.argmin picks)."""
     return [PairReport(u=U[i], v=V[i], lhs=float(lhs[i]), rhs_sign_ref=float(rhs[i]),
-                       fk_residual=float(fk[i]), eps_sign=eps_sign)
+                       fk_residual=float(fk[i]))
             for i in np.argsort(margin, kind="stable")[:k]]
 
 
-def check_condition_s(norm: MinkowskiNorm, sample_count: int = 10_000,
-                      eps_sign: float = EPS_SIGN, delta_zero: float = DELTA_ZERO,
+def check_condition_s(norm: MinkowskiNorm, sample_count: int = 10_000, *,
                       seed: int = 0, dual: DualNorm | None = None,
                       worst_k: int = 0) -> ConditionSVerdict:
     """Scan quasi-random unit pairs for sign-condition violations.
 
-    A pair with |<u,v>| >= eps_sign must have <grad F(u), grad F°(v)> of the
-    same strict sign; a near-orthogonal pair must have |pairing| < delta_zero.
+    A pair with |<u,v>| >= EPS_SIGN must have <grad F(u), grad F°(v)> of the
+    same strict sign; a near-orthogonal pair must have |pairing| < DELTA_ZERO.
     The verdict lists the worst_k pairs of smallest margin in `worst_pairs`,
     from the same scan.
     """
@@ -183,13 +179,13 @@ def check_condition_s(norm: MinkowskiNorm, sample_count: int = 10_000,
         raise ValueError("sample_count must be >= 1")
     dual = dual or norm.dual()
     U, V = unit_pair_samples(norm.dim, sample_count, seed=seed)
-    lhs, rhs, fk, margin, counts = _scan(norm, dual, U, V, eps_sign, delta_zero)
-    ranked = _ranked(U, V, lhs, rhs, fk, margin, max(worst_k, 1), eps_sign)
+    lhs, rhs, fk, margin, counts = _scan(norm, dual, U, V)
+    ranked = _ranked(U, V, lhs, rhs, fk, margin, max(worst_k, 1))
     return ConditionSVerdict(
         passed=bool(np.all(margin > 0.0)), worst=ranked[0], samples=sample_count,
-        eps_sign=eps_sign, delta_zero=delta_zero, max_fk_residual=float(np.max(fk)),
+        eps_sign=EPS_SIGN, delta_zero=DELTA_ZERO, max_fk_residual=float(np.max(fk)),
         min_margin=float(np.min(margin)),
-        deadband_pairs=int(np.sum(np.abs(rhs) < eps_sign)),
+        deadband_pairs=int(np.sum(np.abs(rhs) < EPS_SIGN)),
         worst_pairs=ranked[:worst_k],
         metadata={"seed": seed, "norm": norm.label,
                   "sign_semantics": "dead-band classification, see module docstring",
@@ -197,11 +193,9 @@ def check_condition_s(norm: MinkowskiNorm, sample_count: int = 10_000,
 
 
 def worst_pairs(norm: MinkowskiNorm, sample_count: int = 10_000, k: int = 10,
-                seed: int = 0, dual: DualNorm | None = None,
-                eps_sign: float = EPS_SIGN) -> list[PairReport]:
+                seed: int = 0, dual: DualNorm | None = None) -> list[PairReport]:
     """The k sampled pairs with the smallest sign-condition margin."""
-    return check_condition_s(norm, sample_count, eps_sign=eps_sign, seed=seed,
-                             dual=dual, worst_k=k).worst_pairs
+    return check_condition_s(norm, sample_count, seed=seed, dual=dual, worst_k=k).worst_pairs
 
 
 @dataclass
@@ -215,13 +209,13 @@ class ViolationSearchResult:
 # the pattern search: first and final step (radians), least gain of a move (rounding
 # noise along the dead band's edge would keep a start moving) and most steps
 _SEARCH_STEP, _SEARCH_FINAL_STEP, _SEARCH_GAIN, _SEARCH_STEPS = 0.1, 1e-13, 1e-15, 200
+_SEARCH_SCAN = 2048     # pairs of the scan whose worst pairs are starts
 
 
 def search_violation(norm: MinkowskiNorm, n_starts: int = 12, seed: int = 0,
-                     eps_sign: float = EPS_SIGN, dual: DualNorm | None = None,
-                     scan_count: int = 2048) -> ViolationSearchResult:
+                     dual: DualNorm | None = None) -> ViolationSearchResult:
     """Multi-start pattern search for the minimum of lhs * sgn(<u,v>) over unit
-    pairs outside the dead band, from the worst pairs of a scan of scan_count
+    pairs outside the dead band, from the worst pairs of a scan of 2048
     pairs and seeded random pairs.  Each step scores, for all starts at once,
     every pair of turns of u and of v by h along the axes of {-1, 0, 1}^(d-1)
     (`_turned`); a start moves to its best pair and doubles h, or halves h,
@@ -231,8 +225,7 @@ def search_violation(norm: MinkowskiNorm, n_starts: int = 12, seed: int = 0,
     """
     dual = dual or norm.dual()
     d = norm.dim
-    worst = worst_pairs(norm, scan_count, k=max(2, n_starts // 2), seed=seed, dual=dual,
-                        eps_sign=eps_sign)
+    worst = worst_pairs(norm, _SEARCH_SCAN, k=max(2, n_starts // 2), seed=seed, dual=dual)
     R = np.random.default_rng(seed).standard_normal((max(0, n_starts - len(worst)), 2, d))
     R /= np.linalg.norm(R, axis=2, keepdims=True)
     U = np.concatenate([[rep.u for rep in worst], R[:, 0]])
@@ -249,7 +242,7 @@ def search_violation(norm: MinkowskiNorm, n_starts: int = 12, seed: int = 0,
         lhs = np.einsum("mid,mjd->mij", norm.grad(TU.reshape(-1, d)).reshape(TU.shape),
                         dual.grad(TV.reshape(-1, d)).reshape(TV.shape)).reshape(m, -1)
         rhs = np.einsum("mid,mjd->mij", TU, TV).reshape(m, -1)
-        objective = np.where(np.abs(rhs) < eps_sign, np.inf, _margin(lhs, rhs, eps_sign, 0.0))
+        objective = np.where(np.abs(rhs) < EPS_SIGN, np.inf, _margin(lhs, rhs))
         j = np.argmin(objective, axis=1)
         f = objective[np.arange(m), j]
         moved = f < best[live] - _SEARCH_GAIN
@@ -259,7 +252,7 @@ def search_violation(norm: MinkowskiNorm, n_starts: int = 12, seed: int = 0,
         live = live[step[live] >= _SEARCH_FINAL_STEP]
     b = int(np.argmin(best))
     return ViolationSearchResult(
-        worst=pair_report(norm, U[b], V[b], dual=dual, eps_sign=eps_sign),
+        worst=pair_report(norm, U[b], V[b], dual=dual),
         objective=float(best[b]), converged=bool(step[b] < _SEARCH_FINAL_STEP),
         starts=len(U))
 

@@ -11,7 +11,8 @@ batch U (m, d) to F (m,), grad F (m, d) or D^2 F (m, d, d), and a fallback
 evaluates its stencil for all rows in one callback call.
 
 Every family evaluates F, grad F and D^2 F in one pass (`_jet`); the dual's
-numeric ascent takes one such jet per step, at its Newton candidate.
+numeric ascent takes one such jet per step, at its Newton candidate (none
+where the Newton solve rejects the step).
 
 The dual gauge F°(v) = sup_{u != 0} <u, v> / F(u) is available in closed
 form for the Euclidean and quadratic families and through constrained
@@ -45,6 +46,10 @@ _SCAN_ENTRIES = 1 << 15
 # finite-difference steps for the custom-norm fallback
 _FD_GRAD_STEP = 1e-5
 _FD_HESS_VALUE_STEP = 1e-4
+
+# the dual ascent's Armijo fallback: sufficient-increase constant, backtracking
+# factor, and the first (and largest) step along the projected gradient
+_ARMIJO_C, _BACKTRACK, _INITIAL_STEP = 1e-4, 0.5, 1.0
 
 
 def _check_direction(u: np.ndarray) -> np.ndarray:
@@ -143,8 +148,8 @@ class MinkowskiNorm:
         Elliptic for eps > 0; strictly non-quadratic, so it separates the
         quadratic family in the duality-pairing diagnostics.
         """
-        if eps <= 0:
-            raise ValueError("quartic gauge needs eps > 0 for ellipticity")
+        if not 0.0 < eps < math.inf:
+            raise ValueError(f"quartic gauge needs 0 < eps < inf for ellipticity, not {eps}")
         return cls(dim, "quartic", quartic_eps=float(eps))
 
     @classmethod
@@ -313,9 +318,6 @@ class NumericDualOptions:
     grid_size: int | None = None   # default: 2^10 for d=2, 2^12 for d>=3
     grad_tol: float = 1e-10
     max_iter: int = 400
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    initial_step: float = 1.0
 
 
 class Ascent(NamedTuple):
@@ -338,11 +340,12 @@ class DualNorm:
     The numeric ascent runs a whole batch (m, d) in lockstep: every
     iteration solves the bordered Newton systems of all rows still iterating
     in one batched call, evaluates F, grad F and D^2 F of the base gauge
-    once, at the Newton candidates (an accepted row keeps its candidate's
-    jet), backtracks only the rows whose step is rejected (a row whose
-    Hessian raises rejects its step alone; a row the line search moves takes
-    a fresh jet), and retires each row when its projected gradient falls
-    below grad_tol.  A single direction is a batch of one.
+    once, at the Newton candidates of the rows whose step the solve did not
+    reject (an accepted row keeps its candidate's jet), backtracks only the
+    rows whose step is rejected (a row whose Hessian raises rejects its step
+    alone; a row the line search moves takes a fresh jet), and retires each
+    row when its projected gradient falls below grad_tol.  A single
+    direction is a batch of one.
     """
 
     def __init__(self, base: MinkowskiNorm, mode: str = "auto",
@@ -437,7 +440,7 @@ class DualNorm:
         q = np.einsum("md,md->m", U, V) / F
         q_out, U_out = np.empty(m), np.empty((m, d))
         rows = np.arange(m)                   # input row of each active row
-        step = np.full(m, opt.initial_step)   # Armijo step memory per row
+        step = np.full(m, _INITIAL_STEP)      # Armijo step memory per row
         fell_back = np.zeros(m, dtype=bool)
         for it in range(opt.max_iter):
             g = V / F[:, None] - (q / F)[:, None] * gF
@@ -453,7 +456,13 @@ class DualNorm:
                 rows, U, V, q, step, F, gF, HF, g, gu, gt, gn = (
                     x[keep] for x in (rows, U, V, q, step, F, gF, HF, g, gu, gt, gn))
             un, ok = _spherical_newton(U, q, F, gF, HF, g, gu)
-            Fn, gFn, HFn = _jet_rows(base, un)
+            if ok.all():
+                Fn, gFn, HFn = _jet_rows(base, un)
+            else:
+                # a rejected step is never accepted: only the others take a jet
+                Fn, gFn, HFn = F.copy(), gF.copy(), HF.copy()
+                if ok.any():
+                    Fn[ok], gFn[ok], HFn[ok] = _jet_rows(base, un[ok])
             qn = np.einsum("md,md->m", un, V) / Fn
             accept = ok & (qn > q)
             if not accept.all():
@@ -492,7 +501,6 @@ class DualNorm:
         """Armijo backtracking along the projected gradient gt for the active
         rows `rows`, updating U, q and the step memory in place; returns the
         rows that found no ascent step."""
-        opt = self.options
         t = step[rows]
         stalled = []
         while rows.size:
@@ -505,11 +513,11 @@ class DualNorm:
             cand /= np.sqrt(np.einsum("md,md->m", cand, cand))[:, None]
             qc = np.einsum("md,md->m", cand, V[rows]) / self.base._value(cand)
             qr = q[rows]
-            up = (qc > qr) & (qc >= qr + opt.armijo_c * t * gn[rows] * gn[rows])
+            up = (qc > qr) & (qc >= qr + _ARMIJO_C * t * gn[rows] * gn[rows])
             moved = rows[up]
             U[moved], q[moved] = cand[up], qc[up]
-            step[moved] = np.minimum(2.0 * t[up], opt.initial_step)
-            rows, t = rows[~up], t[~up] * opt.backtrack
+            step[moved] = np.minimum(2.0 * t[up], _INITIAL_STEP)
+            rows, t = rows[~up], t[~up] * _BACKTRACK
         return np.concatenate(stalled) if stalled else rows
 
 

@@ -64,8 +64,9 @@ class ParamQuadrature:
         if self.base_grid < 1:
             raise ValueError("base_grid must be >= 1")
 
-    def refined(self, factor: int = 2) -> "ParamQuadrature":
-        return ParamQuadrature(order=self.order, base_grid=self.base_grid * factor)
+    def refined(self) -> "ParamQuadrature":
+        """The rule with twice the cells per axis."""
+        return ParamQuadrature(order=self.order, base_grid=2 * self.base_grid)
 
 
 @dataclass(frozen=True)
@@ -255,12 +256,12 @@ def integrate(patch: ParametricPatch, f, rule: ParamQuadrature = ParamQuadrature
 
 
 def integrate_with_estimate(patch: ParametricPatch, f,
-                            rule: ParamQuadrature = ParamQuadrature(),
-                            factor: int = 2):
-    """Integral plus a two-resolution error estimate (each a float, or a
-    (j,) array for an (m, j) integrand, as in integrate)."""
+                            rule: ParamQuadrature = ParamQuadrature()):
+    """Integral plus a two-resolution error estimate, against the rule with
+    half the cells per axis (each a float, or a (j,) array for an (m, j)
+    integrand, as in integrate)."""
     coarse = integrate(patch, f, rule)
-    fine = integrate(patch, f, rule.refined(factor))
+    fine = integrate(patch, f, rule.refined())
     return fine, abs(fine - coarse) + 1e-15 * (abs(fine) + 1.0)
 
 

@@ -30,6 +30,9 @@ from .norms import MinkowskiNorm, _orthonormal_complement
 GRAM_FLOOR = 1e-12
 TRANSVERSAL_FLOOR = 1e-8
 PARAM_STEP = 1e-5
+CHART_FD_STEP = 1e-6    # the central-difference step of a chart without dchart
+# boundary samples per edge, and the grid per axis, of the patch's gauge range
+_BOUNDARY_SAMPLES, _RANGE_GRID = 256, 64
 
 
 # --------------------------------------------------------------------------
@@ -51,8 +54,7 @@ class ParametricPatch:
                  closed: bool = False,
                  orientation: float = 1.0,
                  name: str = "custom",
-                 axis_insets: tuple[float, ...] | None = None,
-                 fd_step: float = 1e-6):
+                 axis_insets: tuple[float, ...] | None = None):
         if n not in (1, 2):
             raise ValueError("only curve (n=1) and surface (n=2) patches are supported")
         self.n = n
@@ -68,7 +70,6 @@ class ParametricPatch:
         # absolute parameter inset per axis used by sample grids (e.g. to keep
         # sample points away from coordinate poles of closed charts)
         self.axis_insets = tuple(axis_insets) if axis_insets is not None else (0.0,) * n
-        self._fd_step = fd_step
 
     # -- chart evaluation ---------------------------------------------------
 
@@ -80,7 +81,7 @@ class ParametricPatch:
         P = np.atleast_2d(np.asarray(P, dtype=float))
         if self._dchart_fn is not None:
             return np.asarray(self._dchart_fn(P), dtype=float)
-        return _central_diffs(self.chart, P, _coordinate_axes(P), (self._fd_step,))
+        return _central_diffs(self.chart, P, _coordinate_axes(P), (CHART_FD_STEP,))
 
     def d2chart(self, P) -> np.ndarray:
         P = np.atleast_2d(np.asarray(P, dtype=float))
@@ -89,7 +90,7 @@ class ParametricPatch:
         if self._dchart_fn is None:
             # from chart values, at a step that balances roundoff
             return _hessians(self.chart, P, (1e-4,), self.chart(P))
-        out = _central_diffs(self.dchart, P, _coordinate_axes(P), (self._fd_step,))
+        out = _central_diffs(self.dchart, P, _coordinate_axes(P), (CHART_FD_STEP,))
         return 0.5 * (out + np.swapaxes(out, 1, 2))
 
     # -- frames ---------------------------------------------------------------
@@ -121,8 +122,9 @@ class ParametricPatch:
         A, B = np.meshgrid(axes[0], axes[1], indexing="ij")
         return np.column_stack([A.ravel(), B.ravel()])
 
-    def boundary_samples(self, k: int = 64) -> np.ndarray:
-        """Parameter points on the non-periodic edges; empty for closed patches."""
+    def boundary_samples(self) -> np.ndarray:
+        """Parameter points on the non-periodic edges, _BOUNDARY_SAMPLES per
+        edge of a surface; empty for closed patches."""
         if self.closed:
             return np.empty((0, self.n))
         pts = []
@@ -136,21 +138,21 @@ class ParametricPatch:
                 else:
                     j = 1 - i
                     qa, qb = self.domain[j]
-                    tt = np.linspace(qa, qb, k)
-                    block = np.empty((k, 2))
+                    tt = np.linspace(qa, qb, _BOUNDARY_SAMPLES)
+                    block = np.empty((_BOUNDARY_SAMPLES, 2))
                     block[:, i] = edge
                     block[:, j] = tt
                     pts.append(block)
         return np.vstack(pts) if pts else np.empty((0, self.n))
 
-    def gauge_range(self, gauge, k: int = 64) -> tuple[float, float]:
+    def gauge_range(self, gauge) -> tuple[float, float]:
         """(min, max) of gauge over an interior sample grid."""
-        vals = np.asarray(gauge.value(self.chart(self.sample_grid(k, margin=0.01))))
+        vals = np.asarray(gauge.value(self.chart(self.sample_grid(_RANGE_GRID, margin=0.01))))
         return float(np.min(vals)), float(np.max(vals))
 
-    def boundary_gauge_radius(self, gauge, k: int = 256) -> float:
+    def boundary_gauge_radius(self, gauge) -> float:
         """Smallest gauge value on the patch boundary (inf for closed patches)."""
-        B = self.boundary_samples(k)
+        B = self.boundary_samples()
         if B.shape[0] == 0:
             return math.inf
         return float(np.min(np.asarray(gauge.value(self.chart(B)))))

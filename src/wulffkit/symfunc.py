@@ -142,8 +142,9 @@ def newton_entries_oracle(A, k: int) -> np.ndarray:
     return T
 
 
-def gradient_relation_residual(A, k: int, step_scale: float = 1e-6) -> float:
-    """max |[T_{k-1}(A)]_{ji} - d sigma_k / d a_{ij}|, partials by central FD."""
+def gradient_relation_residual(A, k: int) -> float:
+    """max |[T_{k-1}(A)]_{ji} - d sigma_k / d a_{ij}|, partials by central FD
+    at step 1e-6 (1 + |a_ij|)."""
     A = _square(A)
     n = A.shape[0]
     if not 1 <= k <= n:
@@ -152,7 +153,7 @@ def gradient_relation_residual(A, k: int, step_scale: float = 1e-6) -> float:
     worst = 0.0
     for i in range(n):
         for j in range(n):
-            h = step_scale * (1.0 + abs(A[i, j]))
+            h = 1e-6 * (1.0 + abs(A[i, j]))
 
             def sig(t: float) -> float:
                 B = A.copy()

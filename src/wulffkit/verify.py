@@ -30,6 +30,13 @@ from .surfaces import (ParametricPatch, TransversalField, _as_batch, _codazzi, _
 from .symfunc import normalized_curvature_batch
 
 PASS_FACTOR = 3.0
+# the sampled max |H_F|, |H_xi| or |tau| above which a surface counts as not
+# minimal, not affine minimal or not equiaffine, on a SAMPLE_GRID^n grid
+MINIMALITY_TOL = 1e-5
+SAMPLE_GRID = 9
+# geometric_radii runs from 1.05 times the surface's smallest gauge value to
+# 0.98 times its boundary gauge radius
+_INNER_FACTOR, _OUTER_FACTOR = 1.05, 0.98
 
 
 @dataclass
@@ -72,8 +79,7 @@ def _require_boundary_outside(patch: ParametricPatch, gauge, r: float) -> float:
 def monotonicity_identity(patch: ParametricPatch, norm: MinkowskiNorm,
                           s: float, r: float, *, dual: DualNorm | None = None,
                           rule: ParamQuadrature = ParamQuadrature(),
-                          max_depth: int = 10, minimality_tol: float = 1e-5,
-                          grid: int = 9) -> IdentityReport:
+                          max_depth: int = 10) -> IdentityReport:
     """Normalized-energy difference against the annulus kernel integral.
 
     lhs: E(r)/r^n - E(s)/s^n with E(t) the gauge energy inside {F° < t};
@@ -84,15 +90,16 @@ def monotonicity_identity(patch: ParametricPatch, norm: MinkowskiNorm,
     """
     if not 0.0 < s < r:
         raise ValueError("need 0 < s < r")
-    return monotonicity_scan(patch, norm, (s, r), dual=dual, rule=rule, max_depth=max_depth,
-                             minimality_tol=minimality_tol, grid=grid).reports[0]
+    return monotonicity_scan(patch, norm, (s, r), dual=dual, rule=rule,
+                             max_depth=max_depth).reports[0]
 
 
-def _max_abs_mean_curvature(patch: ParametricPatch, norm: MinkowskiNorm,
-                            grid: int) -> float:
-    """max |H_F| over the sample grid: the sampled minimality of the patch."""
-    return float(np.max(np.abs(
-        anisotropic_mean_curvature_batch(norm, patch, patch.sample_grid(grid)))))
+def _minimality_flags(patch: ParametricPatch, norm: MinkowskiNorm) -> tuple[float, list[str]]:
+    """max |H_F| over the sample grid, and the flag of a patch above
+    MINIMALITY_TOL."""
+    maxH = float(np.max(np.abs(
+        anisotropic_mean_curvature_batch(norm, patch, patch.sample_grid(SAMPLE_GRID)))))
+    return maxH, [f"not-minimal(max|H|={maxH:.3g})"] if maxH > MINIMALITY_TOL else []
 
 
 def _annulus_pass(patch: ParametricPatch, gauge, density, kernel, radii, *,
@@ -136,13 +143,12 @@ def _kernel_over(num: np.ndarray, phi: np.ndarray, n: int) -> np.ndarray:
 def equiaffine_identity(patch: ParametricPatch, xi_field: TransversalField,
                         gauge, s: float, r: float, *,
                         rule: ParamQuadrature = ParamQuadrature(),
-                        max_depth: int = 10, mean_tol: float = 1e-5,
-                        grid: int = 9) -> IdentityReport:
+                        max_depth: int = 10) -> IdentityReport:
     """Transversal-density version of the monotonicity identity.
 
     lhs densities use <xi, nu>; the rhs kernel is
     <x, nu> <grad phi(x), xi> / phi(x)^{n+1}.  Requires sampled affine mean
-    curvature below mean_tol for an asserted verdict.  Both sides come from
+    curvature below MINIMALITY_TOL for an asserted verdict.  Both sides come from
     one clipped pass over the bands {phi < s} and {s < phi < r}.
     """
     if not 0.0 < s < r:
@@ -150,9 +156,9 @@ def equiaffine_identity(patch: ParametricPatch, xi_field: TransversalField,
     _require_boundary_outside(patch, gauge, r)
 
     flags = []
-    eb = equiaffine_batch(patch, xi_field, patch.sample_grid(grid))
+    eb = equiaffine_batch(patch, xi_field, patch.sample_grid(SAMPLE_GRID))
     maxH = float(np.max(np.abs(eb.affine_mean)))
-    if maxH > mean_tol:
+    if maxH > MINIMALITY_TOL:
         flags.append(f"not-affine-minimal(max|H|={maxH:.3g})")
 
     n = patch.n
@@ -218,13 +224,13 @@ class CorollaryReport:
         return self.ratio > 1.0 + 5.0 * self.tolerance
 
 
-def _locate_origin(patch: ParametricPatch, origin_param, grid: int) -> np.ndarray:
+def _locate_origin(patch: ParametricPatch, origin_param) -> np.ndarray:
     """The parameter point of the origin: origin_param if given, else Gauss-Newton
-    on chart(p) = 0 from the grid point nearest the origin."""
+    on chart(p) = 0 from the point of a 17^n grid nearest the origin."""
     if origin_param is not None:
         p0 = np.asarray(origin_param, dtype=float)
     else:
-        G = patch.sample_grid(max(grid, 17))
+        G = patch.sample_grid(17)
         p0 = G[int(np.argmin(np.sum(patch.chart(G) ** 2, axis=1)))]
         for _ in range(50):
             # least-squares step of dchart(p0)^T dp = -chart(p0)
@@ -243,9 +249,7 @@ def _locate_origin(patch: ParametricPatch, origin_param, grid: int) -> np.ndarra
 def corollary_lower_bound(patch: ParametricPatch, norm: MinkowskiNorm, *,
                           dual: DualNorm | None = None,
                           rule: ParamQuadrature = ParamQuadrature(),
-                          max_depth: int = 10, grid: int = 9,
-                          minimality_tol: float = 1e-5,
-                          origin_param=None) -> CorollaryReport:
+                          max_depth: int = 10, origin_param=None) -> CorollaryReport:
     """Energy of the patch inside the unit dual ball against the central
     tangent-section bound F(nu(0)) * |{F° < 1} ∩ T_0 M|.
 
@@ -253,14 +257,13 @@ def corollary_lower_bound(patch: ParametricPatch, norm: MinkowskiNorm, *,
     flat patch spanning the tangent space at the origin.
     """
     dual = dual or norm.dual()
-    p0 = _locate_origin(patch, origin_param, grid)
+    p0 = _locate_origin(patch, origin_param)
     bnd = patch.boundary_gauge_radius(dual)
     if bnd < 1.0 - 1e-9:
         raise BoundaryInsideRegion(
             f"patch boundary enters the unit gauge ball (min gauge {bnd:.6g})")
 
-    maxH = _max_abs_mean_curvature(patch, norm, grid)
-    flags = [f"not-minimal(max|H|={maxH:.3g})"] if maxH > minimality_tol else []
+    maxH, flags = _minimality_flags(patch, norm)
 
     energy = integrate_clipped(
         patch, lambda fb: np.asarray(norm.value(fb.nu)),
@@ -310,19 +313,16 @@ def _tangent_section_patch(patch: ParametricPatch, nu0, t, dual) -> ParametricPa
 
 
 def minkowski_formula(patch: ParametricPatch, xi_field: TransversalField, k: int, *,
-                      rule: ParamQuadrature = ParamQuadrature(),
-                      tau_tol: float = 1e-5, grid: int = 9) -> IdentityReport:
+                      rule: ParamQuadrature = ParamQuadrature()) -> IdentityReport:
     """Closed-surface pairing of normalized curvature orders k and k+1:
 
         integral <xi, nu> Hk~  =  - integral <x, nu> H(k+1)~.
     """
-    return minkowski_formulas(patch, xi_field, (k,), rule=rule, tau_tol=tau_tol,
-                              grid=grid)[0]
+    return minkowski_formulas(patch, xi_field, (k,), rule=rule)[0]
 
 
 def minkowski_formulas(patch: ParametricPatch, xi_field: TransversalField, ks, *,
-                       rule: ParamQuadrature = ParamQuadrature(),
-                       tau_tol: float = 1e-5, grid: int = 9) -> list[IdentityReport]:
+                       rule: ParamQuadrature = ParamQuadrature()) -> list[IdentityReport]:
     """minkowski_formula for each order k of ks, all from one decomposition of
     each quadrature node set (the 2 len(ks) sides are columns of one integral)."""
     if not patch.closed:
@@ -334,10 +334,10 @@ def minkowski_formulas(patch: ParametricPatch, xi_field: TransversalField, ks, *
     for k in ks:
         if not 0 <= k <= n - 1:
             raise ValueError(f"k must lie in 0..{n - 1}")
-    eb = equiaffine_batch(patch, xi_field, patch.sample_grid(grid))
+    eb = equiaffine_batch(patch, xi_field, patch.sample_grid(SAMPLE_GRID))
     max_tau = float(np.max(np.abs(eb.tau)))
-    if max_tau > tau_tol:
-        raise NotEquiaffine(f"max |tau| = {max_tau:.3g} exceeds {tau_tol:g}")
+    if max_tau > MINIMALITY_TOL:
+        raise NotEquiaffine(f"max |tau| = {max_tau:.3g} exceeds {MINIMALITY_TOL:g}")
 
     def sides(fb):
         e = _equiaffine(xi_field, fb)
@@ -367,8 +367,8 @@ class MonotonicityScan:
     estimates: np.ndarray        # normalized error estimates
     reports: list[IdentityReport]  # one identity report per adjacent annulus
 
-    def non_decreasing(self, slack_factor: float = PASS_FACTOR) -> bool:
-        slack = slack_factor * (self.estimates[1:] + self.estimates[:-1])
+    def non_decreasing(self) -> bool:
+        slack = PASS_FACTOR * (self.estimates[1:] + self.estimates[:-1])
         return bool(np.all(np.diff(self.normalized) >= -slack))
 
     def max_relative_deviation(self) -> float:
@@ -379,8 +379,7 @@ class MonotonicityScan:
 def monotonicity_scan(patch: ParametricPatch, norm: MinkowskiNorm, radii, *,
                       dual: DualNorm | None = None,
                       rule: ParamQuadrature = ParamQuadrature(),
-                      max_depth: int = 10, minimality_tol: float = 1e-5,
-                      grid: int = 9) -> MonotonicityScan:
+                      max_depth: int = 10) -> MonotonicityScan:
     """Normalized energies at each radius plus identity reports per annulus,
     all from one clipped pass over the bands between consecutive radii."""
     radii = np.asarray(radii, dtype=float)
@@ -390,8 +389,7 @@ def monotonicity_scan(patch: ParametricPatch, norm: MinkowskiNorm, radii, *,
         raise ValueError("radii must be positive")
     dual = dual or norm.dual()
     _require_boundary_outside(patch, dual, float(radii[-1]))
-    maxH = _max_abs_mean_curvature(patch, norm, grid)
-    flags = [f"not-minimal(max|H|={maxH:.3g})"] if maxH > minimality_tol else []
+    maxH, flags = _minimality_flags(patch, norm)
     n = patch.n
 
     def density(fb):
@@ -413,15 +411,14 @@ def monotonicity_scan(patch: ParametricPatch, norm: MinkowskiNorm, radii, *,
                             reports=reports)
 
 
-def geometric_radii(patch: ParametricPatch, gauge, count: int = 8,
-                    inner_factor: float = 1.05, outer_factor: float = 0.98) -> np.ndarray:
+def geometric_radii(patch: ParametricPatch, gauge, count: int = 8) -> np.ndarray:
     """Geometrically spaced radii between the surface's smallest gauge value
     and the boundary gauge radius."""
     rmin, _ = patch.gauge_range(gauge)
     rbnd = patch.boundary_gauge_radius(gauge)
     if not math.isfinite(rbnd):
         _, rbnd = patch.gauge_range(gauge)
-    lo, hi = inner_factor * rmin, outer_factor * rbnd
+    lo, hi = _INNER_FACTOR * rmin, _OUTER_FACTOR * rbnd
     if lo >= hi:
         raise ValueError("patch has no usable annulus for a radii scan")
     return np.geomspace(lo, hi, count)

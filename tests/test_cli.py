@@ -9,7 +9,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wulffkit import cli
@@ -131,28 +131,32 @@ def test_env_var_overrides_out(tmp_path, monkeypatch):
     assert not (tmp_path / "flag-out").exists()
 
 
-def test_jobs_flag_deterministic(tmp_path, monkeypatch):
-    doc = minimal_scenario(tmp_path / "o1")
-    doc["checks"].append({"kind": "symfunc", "name": "newton", "sizes": [3],
-                          "count": 3})
+def test_jobs_flag_is_gone(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path, minimal_scenario(tmp_path / "out"))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "--config", cfg, "--jobs", "2"], monkeypatch)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_checks_run_on_the_main_thread_in_declaration_order(tmp_path, monkeypatch):
+    doc = minimal_scenario(tmp_path / "out")
+    doc["checks"] = [{"kind": "symfunc", "name": "newton", "sizes": [3], "count": 3},
+                     doc["checks"][0],
+                     {"kind": "symfunc", "name": "newton-4", "sizes": [4], "count": 1}]
     cfg = write_config(tmp_path, doc)
-    threads = []
+    calls = []
     for kind in ("monotonicity", "symfunc"):
         check = getattr(cli, "_check_" + kind)
 
-        def recorded(*args, _check=check):
-            threads.append(threading.current_thread())
-            return _check(*args)
+        def recorded(scn, name, chk, _check=check):
+            calls.append((name, threading.current_thread()))
+            return _check(scn, name, chk)
         monkeypatch.setattr(cli, "_check_" + kind, recorded)
-    assert run_cli(["run", "--config", cfg, "--jobs", "1",
-                    "--out", str(tmp_path / "o1")], monkeypatch) == 0
-    assert threads == [threading.main_thread()] * 2
-    threads.clear()
-    assert run_cli(["run", "--config", cfg, "--jobs", "2",
-                    "--out", str(tmp_path / "o2")], monkeypatch) == 0
-    assert len(threads) == 2 and threading.main_thread() not in threads
-    for fname in ("monotonicity.csv", "symfunc.csv"):
-        assert (tmp_path / "o1" / fname).read_bytes() == (tmp_path / "o2" / fname).read_bytes()
+    assert run_cli(["run", "--config", cfg], monkeypatch) == 0
+    assert calls == [(name, threading.main_thread())
+                     for name in ("newton", "plane", "newton-4")]
 
 
 def test_condition_s_subcommand(tmp_path, monkeypatch, capsys):
@@ -184,6 +188,14 @@ def test_negative_max_depth_flag_exits_2(tmp_path, monkeypatch, capsys):
     assert run_cli(["run", "--config", cfg, "--max-depth", "-1"], monkeypatch) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "max_depth" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_flag_exits_2(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path, minimal_scenario(tmp_path / "out"))
+    assert run_cli(["run", "--config", cfg, "--seed", "-1"], monkeypatch) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "seed" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -415,6 +427,34 @@ CONFIG_FAULTS = {
         **d["surfaces"], "en": {"kind": "enneper", "scale": 0}}}, "'en'"),
     "graph-coeffs-nan": (lambda d: {**d, "surfaces": {
         **d["surfaces"], "g": {"kind": "graph", "coeffs": [[0.0, math.nan]]}}}, "'g'"),
+    "quartic-eps-nan": (lambda d: {**d, "norms": {
+        **d["norms"], "q": {"family": "quartic-regularized", "eps": math.nan}}}, "'q'"),
+    "quartic-eps-inf": (lambda d: {**d, "norms": {
+        **d["norms"], "q": {"family": "quartic-regularized", "eps": math.inf}}}, "'q'"),
+    # check options out of range: they would check nothing and pass, or
+    # abort their check at run time
+    "symfunc-count-negative": (lambda d: _with_checks(d, [
+        {"kind": "symfunc", "name": "sy", "sizes": [3], "count": -1}]), "'sy'"),
+    "worst-k-negative": (lambda d: _with_checks(d, [
+        {"kind": "condition-s", "name": "cs", "norm": "euclid", "samples": 50,
+         "worst_k": -3}]), "'cs'"),
+    "condition-s-samples-zero": (lambda d: _with_checks(d, [
+        {"kind": "condition-s", "name": "cs", "norm": "euclid", "samples": 0}]), "'cs'"),
+    "norm-identities-samples-zero": (lambda d: _with_checks(d, [
+        {"kind": "norm-identities", "name": "ni", "norm": "euclid", "samples": 0}]), "'ni'"),
+    "lemmas-grid-zero": (lambda d: _with_checks(d, [
+        {"kind": "lemmas", "name": "lm", "surface": "plane", "grid": 0}]), "'lm'"),
+    "sizes-zero": (lambda d: _with_checks(d, [
+        {"kind": "symfunc", "name": "sy", "sizes": [0], "count": 1}]), "'sy'"),
+    "sizes-empty": (lambda d: _with_checks(d, [
+        {"kind": "symfunc", "name": "sy", "sizes": [], "count": 1}]), "'sy'"),
+    "k-empty": (lambda d: {**_with_checks(d, [
+        {"kind": "minkowski", "name": "mk", "surface": "sph", "k": []}]),
+        "surfaces": {"sph": {"kind": "sphere"}}}, "'mk'"),
+    "monotonicity-count-one": (lambda d: _with_checks(d, [
+        {"kind": "monotonicity", "name": "m", "surface": "plane", "norm": "euclid",
+         "count": 1}]), "'m'"),
+    "seed-negative": (lambda d: {**d, "seed": -1}, "seed"),
 }
 
 
@@ -456,6 +496,7 @@ def fuzz_case(draw):
 
 @settings(derandomize=True, database=None, max_examples=50, deadline=None)
 @given(fuzz_case())
+@example(("norms", {"family": "quartic-regularized", "dim": 3, "eps": math.nan}))
 def test_scenario_loader_fuzz(case):
     # any parameters give a documented exit code, and never a traceback
     which, spec = case
@@ -468,6 +509,9 @@ def test_scenario_loader_fuzz(case):
         code = cli.main(["run", "--config", write_config(Path(tmp), doc)])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    eps = spec.get("eps") if spec.get("family") == "quartic-regularized" else None
+    if isinstance(eps, (int, float)) and not 0 < eps < math.inf:
+        assert code == 2    # the quartic gauge is elliptic for 0 < eps < inf only
 
 
 # the scalar sizes of each surface kind: one that is not finite and > 0 is a

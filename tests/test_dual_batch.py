@@ -74,7 +74,7 @@ def _ascend_row(dual, v):
         return float(np.dot(w, v)) / base.value(w)
 
     q = q_of(u)
-    step = opt.initial_step
+    step = norms._INITIAL_STEP
     fell_back = False
     for it in range(opt.max_iter):
         F = base.value(u)
@@ -98,12 +98,12 @@ def _ascend_row(dual, v):
             cand = u + t * gt
             cand = cand / np.linalg.norm(cand)
             qc = q_of(cand)
-            if qc > q and qc >= q + opt.armijo_c * t * gn * gn:
+            if qc > q and qc >= q + norms._ARMIJO_C * t * gn * gn:
                 u, q = cand, qc
-                step = min(2.0 * t, opt.initial_step)
+                step = min(2.0 * t, norms._INITIAL_STEP)
                 improved = True
                 break
-            t *= opt.backtrack
+            t *= norms._BACKTRACK
         if not improved:
             if gn < 1e4 * opt.grad_tol:
                 return q, u / base.value(u), it + 1, fell_back
@@ -177,6 +177,50 @@ def test_hessian_that_raises_rejects_only_its_rows():
     assert 0 < sum(r[3] for r in ref) < len(V)
     assert ascent.fallbacks == sum(r[3] for r in ref)
     assert ascent.iterations == max(r[2] for r in ref)
+    assert np.max(np.abs(ascent.value - [r[0] for r in ref])) <= AGREE
+    assert np.max(np.abs(ascent.maximizer - np.array([r[1] for r in ref]))) <= AGREE
+
+
+def test_rejected_newton_steps_take_no_jet(monkeypatch):
+    # an 8-direction grid starts many rows where the Newton solve rejects the
+    # step; a rejected candidate is never accepted, so it takes no base jet
+    dual = wk.DualNorm(wk.MinkowskiNorm.quartic(3, eps=0.01),
+                       options=wk.NumericDualOptions(grid_size=8))
+    V = np.random.default_rng(17).standard_normal((100, 3))
+    counts = {"jet": 0, "kept": 0, "rejected": 0, "moved": 0}
+    jet_rows, newton, armijo = norms._jet_rows, norms._spherical_newton, wk.DualNorm._armijo
+
+    def counted_jet(base, U):
+        counts["jet"] += len(U)
+        return jet_rows(base, U)
+
+    def counted_newton(*args):
+        un, ok = newton(*args)
+        counts["kept"] += int(ok.sum())
+        counts["rejected"] += int((~ok).sum())
+        return un, ok
+
+    def counted_armijo(self, U, V, q, step, gt, gn, rows):
+        stalled = armijo(self, U, V, q, step, gt, gn, rows)
+        counts["moved"] += len(rows) - len(stalled)
+        return stalled
+    monkeypatch.setattr(norms, "_jet_rows", counted_jet)
+    monkeypatch.setattr(norms, "_spherical_newton", counted_newton)
+    monkeypatch.setattr(wk.DualNorm, "_armijo", counted_armijo)
+    ascent = dual._ascend(V)
+    # each row's first jet, one per kept Newton candidate, one per row the
+    # line search moved
+    assert counts["jet"] == len(V) + counts["kept"] + counts["moved"]
+    assert counts["rejected"] > 0
+    # the outputs: each row alone takes the same steps, bit for bit, and
+    # the per-row reference takes them too
+    for i, v in enumerate(V):
+        alone = dual._ascend(v[None, :])
+        assert alone.value[0] == ascent.value[i]
+        assert np.array_equal(alone.maximizer[0], ascent.maximizer[i])
+    ref = [_ascend_row(dual, v) for v in V]
+    assert ascent.iterations == max(r[2] for r in ref)
+    assert ascent.fallbacks == sum(r[3] for r in ref)
     assert np.max(np.abs(ascent.value - [r[0] for r in ref])) <= AGREE
     assert np.max(np.abs(ascent.maximizer - np.array([r[1] for r in ref]))) <= AGREE
 

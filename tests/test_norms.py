@@ -338,20 +338,24 @@ def test_bidual_makes_two_inner_ascents_per_outer_iteration(monkeypatch):
 @pytest.mark.parametrize("outer_grid", [256, 8])
 def test_bidual_makes_one_inner_ascent_per_outer_step(monkeypatch, outer_grid):
     # each outer step takes one jet of the dual gauge, at its Newton
-    # candidate: one inner ascent.  A row the Armijo fallback moves takes one
-    # more for its fresh jet, besides the value ascents of its line search.
-    # An 8-direction outer grid starts rows where the fallback takes over.
+    # candidate: one inner ascent, none if the Newton solve rejects the step.
+    # A row the Armijo fallback moves takes one more for its fresh jet,
+    # besides the value ascents of its line search.  An 8-direction outer
+    # grid starts rows where the fallback takes over.
     opts = wk.NumericDualOptions(grid_size=256)
     F = wk.MinkowskiNorm.quadratic(A_DIAG)
     inner = wk.DualNorm(F, mode="numeric", options=opts)
     bidual = wk.DualNorm(inner.as_norm(), mode="numeric",
                          options=wk.NumericDualOptions(grid_size=outer_grid))
-    counts = {"inner": 0, "line_search": 0, "iterations": 0, "fallbacks": 0, "moved": 0}
-    ascend, armijo = wk.DualNorm._ascend, wk.DualNorm._armijo
-    in_line_search = []
+    counts = {"inner": 0, "line_search": 0, "iterations": 0, "fallbacks": 0, "moved": 0,
+              "rejected": 0}
+    ascend, armijo, newton = wk.DualNorm._ascend, wk.DualNorm._armijo, norms._spherical_newton
+    in_line_search, ascending = [], []
 
     def counted(self, V):
+        ascending.append(self)
         out = ascend(self, V)
+        ascending.pop()
         if self is inner:
             counts["line_search" if in_line_search else "inner"] += 1
         else:
@@ -365,11 +369,18 @@ def test_bidual_makes_one_inner_ascent_per_outer_step(monkeypatch, outer_grid):
         in_line_search.pop()
         counts["moved"] += len(rows) - len(stalled)
         return stalled
+
+    def counted_newton(*args):
+        un, ok = newton(*args)
+        counts["rejected"] += ascending[-1] is bidual and not ok.any()
+        return un, ok
     monkeypatch.setattr(wk.DualNorm, "_ascend", counted)
     monkeypatch.setattr(wk.DualNorm, "_armijo", counted_armijo)
+    monkeypatch.setattr(norms, "_spherical_newton", counted_newton)
     W = np.random.default_rng(15).standard_normal((8, 2))
     values = [bidual.value(w) for w in W]
-    assert counts["inner"] == counts["iterations"] + counts["moved"]
+    assert counts["inner"] == counts["iterations"] + counts["moved"] - counts["rejected"]
+    assert (counts["rejected"] > 0) == (outer_grid == 8)
     assert (counts["fallbacks"] > 0) == (outer_grid == 8)
     assert (counts["line_search"] > 0) == (outer_grid == 8)
     assert np.max(np.abs(np.array(values) - F.value(W)) / F.value(W)) <= 1e-6
@@ -508,6 +519,13 @@ def test_nonconvergence_budget_raises():
     D = wk.DualNorm(F, mode="numeric", options=bad)
     with pytest.raises(NonConvergence):
         D.value([0.37, 0.91])
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.05, float("nan"), float("inf")])
+def test_quartic_eps_must_be_positive_and_finite(eps):
+    # NaN <= 0 is False: the range is checked as 0 < eps < inf
+    with pytest.raises(ValueError, match="0 < eps < inf"):
+        wk.MinkowskiNorm.quartic(2, eps=eps)
 
 
 def test_invalid_quadratic_matrices_rejected():

@@ -505,6 +505,36 @@ def test_corrupted_scan_kernel_fails_every_annulus(monkeypatch):
     assert [rep.status for rep in scan.reports] == ["fail"] * (len(radii) - 1)
 
 
+def _corrupt_minkowski_side(monkeypatch, factor):
+    """Scale the <xi, nu> Hk~ side of every order, the even columns of the one
+    integral minkowski_formulas makes (the odd ones hold -<x, nu> H(k+1)~)."""
+    with_estimate = vf.integrate_with_estimate
+
+    def corrupted(patch, f, rule):
+        def scaled(fb):
+            cols = f(fb).copy()
+            cols[:, 0::2] *= factor
+            return cols
+        return with_estimate(patch, scaled, rule)
+
+    monkeypatch.setattr(vf, "integrate_with_estimate", corrupted)
+
+
+@pytest.mark.parametrize("surface,xi", [
+    (sf.sphere(), sf.normal_field()),
+    (sf.ellipsoid((1.0, 1.3, 1.7)), sf.anisotropic_normal_field(F_MIX))],
+    ids=["sphere", "ellipsoid"])
+def test_corrupted_minkowski_side_fails(monkeypatch, surface, xi):
+    # a 1e-3 relative error in one side fails both orders, so the
+    # tolerance sits well below that
+    assert [rep.status for rep in vf.minkowski_formulas(surface, xi, [0, 1], rule=Q12)] \
+        == ["pass", "pass"]
+    _corrupt_minkowski_side(monkeypatch, 1.0 + 1e-3)
+    reps = vf.minkowski_formulas(surface, xi, [0, 1], rule=Q12)
+    assert [(rep.name, rep.status) for rep in reps] == [("minkowski-k0", "fail"),
+                                                        ("minkowski-k1", "fail")]
+
+
 def test_reports_carry_cell_counts():
     # the inside, cut and fallback cells of the one banded pass of each
     # identity, and of the corollary's two clipped integrals
