@@ -88,6 +88,22 @@ def _at_least(lo: int):
     return parse
 
 
+def _one_of(*choices: str):
+    """The parse of one of the strings choices."""
+    def parse(value) -> str:
+        if value not in choices:
+            raise ValueError(f"must be one of {', '.join(choices)}, not {value!r}")
+        return value
+    return parse
+
+
+def _boolean(value) -> bool:
+    """value, if it is true or false (a string or a number is not)."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{value!r} is not true or false")
+    return value
+
+
 def _listed(parse):
     """The parse of a non-empty list of values, each read by parse, or of one
     value as a list of one."""
@@ -103,13 +119,16 @@ def _listed(parse):
 # _check_<kind>, which reads its parameters through _options
 CHECKS = {
     "norm-identities": (("norm",), {"samples": (_at_least(1), 1000), "tolerance": (float, 1e-8)}),
-    "condition-s": (("norm",), {"samples": (_at_least(1), 10_000), "worst_k": (_at_least(0), 10)}),
+    "condition-s": (("norm",), {"samples": (_at_least(1), 10_000), "worst_k": (_at_least(0), 10),
+                                "expect": (_one_of("pass", "fail"), "pass")}),
     "lemmas": (("surface",), {"tolerance": (float, 1e-4), "grid": (_at_least(1), 9),
                               "min_support": (float, 0.05)}),
     "monotonicity": (("surface", "norm"), {"count": (_at_least(2), 8),
-                                           "assert_constant_rel": (float, None)}),
+                                           "assert_constant_rel": (float, None),
+                                           "assert_monotone": (_boolean, True)}),
     "equiaffine": (("surface", "gauge", "s", "r"), {}),
-    "corollary": (("surface", "norm"), {"rel_tol": (float, 1e-4)}),
+    "corollary": (("surface", "norm"), {"rel_tol": (float, 1e-4), "expect": (
+        _one_of("bound", "equality", "strict"), "bound")}),
     "minkowski": (("surface",), {"k": (_listed(_integer), [0])}),
     "symfunc": ((), {"sizes": (_listed(_at_least(1)), [3, 4, 5]), "count": (_at_least(1), 20)}),
 }
@@ -244,7 +263,7 @@ class Scenario:
         missing = [key for key in CHECKS[kind][0] if key not in chk]
         if missing:
             raise ConfigError(f"check {name!r}: a {kind} check needs {', '.join(missing)}")
-        _options(kind, chk)   # a parameter that does not parse fails here, not in the run
+        options = _options(kind, chk)   # one that does not parse fails here, not in the run
         for key in ("norm", "gauge"):
             if key in chk and chk[key] not in self.norms:
                 raise ConfigError(f"check {name!r}: unresolved norm {chk[key]!r}")
@@ -263,6 +282,12 @@ class Scenario:
                 if d != dim:
                     raise ConfigError(f"check {name!r}: {key} {chk[key]!r} has dim {d}, "
                                       f"surface {chk['surface']!r} has dim {dim}")
+        if kind == "minkowski":   # a formula of order k needs 0 <= k <= n - 1
+            n = self.surfaces[chk["surface"]].n
+            bad = [k for k in options["k"] if not 0 <= k < n]
+            if bad:
+                raise ConfigError(f"check {name!r}: k must lie in 0..{n - 1} on surface "
+                                  f"{chk['surface']!r}, not {bad}")
         s, r = chk.get("s"), chk.get("r")
         if s is not None and r is not None and not float(s) < float(r):
             raise ConfigError(f"check {name!r}: radii must satisfy s < r "
@@ -316,8 +341,7 @@ def _check_condition_s(scn, name, chk) -> CheckOutcome:
              "u": rep.u, "v": rep.v, "lhs": rep.lhs, "rhs": rep.rhs_sign_ref,
              "fk_residual": rep.fk_residual, "margin": rep.margin}
             for i, rep in enumerate(verdict.worst_pairs)]
-    expect = chk.get("expect", "pass")
-    ok = verdict.passed if expect == "pass" else not verdict.passed
+    ok = verdict.passed if opt["expect"] == "pass" else not verdict.passed
     line = (f"{'sign condition holds' if verdict.passed else 'VIOLATED'} on "
             f"{samples} pairs; min margin {verdict.min_margin:.3e}, "
             f"max pairing residual {verdict.max_fk_residual:.3e}")
@@ -358,7 +382,7 @@ def _check_monotonicity(scn, name, chk) -> CheckOutcome:
             for rep in scan.reports]
     ok = all(rep.status == "pass" for rep in scan.reports)
     detail = f"{len(scan.reports)} annuli"
-    if chk.get("assert_monotone", True):
+    if opt["assert_monotone"]:
         mono = scan.non_decreasing()
         ok = ok and mono
         detail += f", non-decreasing={mono}"
@@ -392,9 +416,10 @@ def _check_corollary(scn, name, chk) -> CheckOutcome:
     rep = vf.corollary_lower_bound(patch, norm, rule=scn.rule,
                                    max_depth=scn.max_depth,
                                    origin_param=chk.get("origin_param"))
-    expect = chk.get("expect", "bound")
+    opt = _options("corollary", chk)
+    expect = opt["expect"]
     if expect == "equality":
-        ok = rep.equality_within <= _options("corollary", chk)["rel_tol"]
+        ok = rep.equality_within <= opt["rel_tol"]
     elif expect == "strict":
         ok = rep.strictly_above
     else:

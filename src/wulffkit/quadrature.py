@@ -26,20 +26,24 @@ A993-A1019):
 A curve cell is its own line.  The rules of order q and q - 1 are both
 built; a cut cell where they disagree on the parameter area of any band is
 too coarse for the curvature of its level sets and is halved along every
-axis, as is a straddling cell without a height axis.  Only at the depth
-limit does a pointwise indicator on the Gauss-Legendre nodes remain, as a
-fallback.
+axis, as is a straddling cell without a height axis.  At the depth limit
+such a cell is a fallback cell.
 
-The error estimate of a band is the sum over cut cells of the difference
-between the two rules on that band, plus a round-off floor on the band's
-absolute mass, plus the full absolute mass of every fallback cell.  Cells
-entirely inside add nothing: when no cell straddles, the estimate is
-exactly 0.  The estimate of a sum of the bands 0..i, an integral over
-{s < phi < l_(i+1)}, takes the difference of the two rules per cut cell over
-those bands together, not band by band; a cut cell whose samples put it
-inside {s < phi < l_(i+1)} (cut by inner levels only) adds nothing to it,
-as an inside cell would.  Downstream identity checks use the estimates as
-their tolerance unit.
+Every leaf cell is a node set, each node in a slot: an inside cell's
+Gauss-Legendre nodes in the slot b of its band, a cut cell's nodes on
+band b in slot b (order q) and K + b (order q - 1), and a fallback cell's
+nodes each in the slot of its own band, a pointwise indicator, or in the
+discard slot 2K.  One routine runs the integrand on every leaf node and
+sums w f and w |f| per slot and leaf.  The error estimate of a band is the
+sum over cut cells of the difference between the two rules on that band,
+plus a round-off floor on the band's absolute mass, plus the full absolute
+mass of every fallback cell.  Cells entirely inside add nothing: when no
+cell straddles, the estimate is exactly 0.  The estimate of a sum of the
+bands 0..i, an integral over {s < phi < l_(i+1)}, takes the difference of
+the two rules per cut cell over those bands together, not band by band; a
+cut cell whose samples put it inside {s < phi < l_(i+1)} (cut by inner
+levels only) adds nothing to it, as an inside cell would.  Downstream
+identity checks use the estimates as their tolerance unit.
 """
 
 from __future__ import annotations
@@ -151,26 +155,27 @@ def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def _unit_nodes(order: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor GL nodes/weights on the unit box [0,1]^n."""
-    t, w = _gl(order)
-    if n == 1:
-        return t[:, None], w
-    A, B = np.meshgrid(t, t, indexing="ij")
-    WA, WB = np.meshgrid(w, w, indexing="ij")
-    return (np.column_stack([A.ravel(), B.ravel()]), (WA * WB).ravel())
+def _tensor_grid(axes) -> np.ndarray:
+    """The points of the tensor product of 1-D arrays, one per row (m, n),
+    the last axis running fastest."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 def _base_cells(patch: ParametricPatch, base_grid: int) -> tuple[np.ndarray, np.ndarray]:
     axes = [np.linspace(a, b, base_grid + 1) for a, b in patch.domain]
-    if patch.n == 1:
-        lo = axes[0][:-1][:, None]
-        hi = axes[0][1:][:, None]
-        return lo, hi
-    L0, L1 = np.meshgrid(axes[0][:-1], axes[1][:-1], indexing="ij")
-    H0, H1 = np.meshgrid(axes[0][1:], axes[1][1:], indexing="ij")
-    return (np.column_stack([L0.ravel(), L1.ravel()]),
-            np.column_stack([H0.ravel(), H1.ravel()]))
+    return _tensor_grid([x[:-1] for x in axes]), _tensor_grid([x[1:] for x in axes])
+
+
+def _cell_nodes(lo: np.ndarray, hi: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor GL nodes P and weights W of the cells (lo, hi), order^n per
+    cell in cell order; W includes the parameter measure but not the area
+    element."""
+    t, w = _gl(order)
+    n = lo.shape[1]
+    tn, tw = _tensor_grid([t] * n), _tensor_grid([w] * n).prod(axis=1)
+    P = lo[:, None, :] + (hi - lo)[:, None, :] * tn[None, :, :]
+    W = tw[None, :] * np.prod(hi - lo, axis=1)[:, None]
+    return P.reshape(-1, n), W.reshape(-1)
 
 
 def _columns(f, fb) -> tuple[np.ndarray, tuple]:
@@ -182,63 +187,11 @@ def _columns(f, fb) -> tuple[np.ndarray, tuple]:
     return np.ascontiguousarray(np.atleast_2d(vals.T)) * fb.sqrt_g, vals.shape[1:]
 
 
-def _gl_sum(patch: ParametricPatch, f, lo: np.ndarray, hi: np.ndarray, order: int,
-            band: np.ndarray | None = None, nbands: int = 1,
-            region: ClippedRegionRule | None = None, absolute: bool = False):
-    """Gauss-Legendre sums over a batch of cells, one per band.
-
-    A node sums into the band of its cell (`band`, ascending; default all
-    band 0), or, given `region`, into the band of its own gauge value, if
-    any (the pointwise indicator of fallback cells).  f returns (m,) values,
-    or (m, j) for j integrands on the same nodes.  Returns the signed sums
-    and absolute masses, each (nbands, j) (given region, the mass of every
-    node, (j,)), and f's shape at one node; with no cell, (0.0, 0.0, None).
-    """
-    if lo.shape[0] == 0:
-        return 0.0, 0.0, None
-    tn, tw = _unit_nodes(order, patch.n)
-    q = tn.shape[0]
-    total = mass = 0.0
-    chunk = max(1, 200_000 // q)
-    for start in range(0, lo.shape[0], chunk):
-        cl, ch = lo[start:start + chunk], hi[start:start + chunk]
-        P = cl[:, None, :] + (ch - cl)[:, None, :] * tn[None, :, :]
-        vol = np.prod(ch - cl, axis=1)
-        W = (tw[None, :] * vol[:, None]).reshape(-1)
-        fb = patch.frames(P.reshape(-1, patch.n))
-        rows, cols = _columns(f, fb)
-        if region is not None:
-            phi, _ = _gauge_safe(region.gauge, fb.x)
-            levels = region.levels
-            total = total + np.stack([
-                _row_dots(W, np.where((phi > levels[b]) & (phi < levels[b + 1]), rows, 0.0))
-                for b in range(nbands)])
-            if absolute:
-                mass = mass + _row_dots(W, np.abs(rows))
-        else:
-            if band is None:
-                spans = [(0, len(W))]
-            else:
-                edges = np.searchsorted(np.repeat(band[start:start + chunk], q),
-                                        np.arange(nbands + 1))
-                spans = list(zip(edges[:-1], edges[1:]))
-            total = total + np.stack([_row_dots(W[a:b], rows[:, a:b]) for a, b in spans])
-            if absolute:
-                mass = mass + np.stack([_row_dots(W[a:b], np.abs(rows[:, a:b]))
-                                        for a, b in spans])
-    return total, mass, cols
-
-
-def _row_dots(W: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """np.dot(W, row) for each row of rows (j, m)."""
-    return np.array([np.dot(W, row) for row in rows])
-
-
 def _shaped(x: np.ndarray, cols: tuple):
-    """Per-band sums (nbands, j) in the shape of f's value at one node (cols):
+    """Per-band sums (j, nbands) in the shape of f's value at one node (cols):
     for one band a float or a (j,) array, else an (nbands,) or (nbands, j)
     array."""
-    x = np.array(x).reshape(x.shape[:1] + cols)
+    x = np.asarray(x).T.reshape(x.shape[1:] + cols)
     x = x[0] if len(x) == 1 else x
     return float(x) if x.ndim == 0 else x
 
@@ -251,8 +204,13 @@ def integrate(patch: ParametricPatch, f, rule: ParamQuadrature = ParamQuadrature
     or a (j,) array.
     """
     lo, hi = _base_cells(patch, rule.base_grid)
-    total, _, cols = _gl_sum(patch, f, lo, hi, rule.order)
-    return _shaped(total, cols)
+    chunk = max(1, 200_000 // rule.order ** patch.n)
+    total = 0.0
+    for start in range(0, lo.shape[0], chunk):
+        P, W = _cell_nodes(lo[start:start + chunk], hi[start:start + chunk], rule.order)
+        rows, cols = _columns(f, patch.frames(P))
+        total = total + np.array([np.dot(W, row) for row in rows])
+    return _shaped(total[:, None], cols)
 
 
 def integrate_with_estimate(patch: ParametricPatch, f,
@@ -266,8 +224,7 @@ def integrate_with_estimate(patch: ParametricPatch, f,
 
 
 # classification samples: the 3^n grid of cell corners, edge midpoints and centre
-_OFFSETS = {n: np.stack(np.meshgrid(*[(0.0, 0.5, 1.0)] * n, indexing="ij"),
-                        axis=-1).reshape(-1, n) for n in (1, 2)}
+_OFFSETS = {n: _tensor_grid([(0.0, 0.5, 1.0)] * n) for n in (1, 2)}
 # sample rows on the faces coord_k = lo_k and coord_k = hi_k of a surface cell,
 # ordered along the other axis: (height axis k, face, 3)
 _FACE_ROWS = np.array([[np.flatnonzero(_OFFSETS[2][:, k] == side) for side in (0.0, 1.0)]
@@ -280,7 +237,7 @@ _FACE_DEPTH = 30           # bisections of a k-face segment before a kink is pla
 _NEWTON_ITERS = 100        # safeguarded steps: Newton where it stays in the bracket, else bisection
 _NEWTON_TOL = 1e-10        # a Newton step this small (times the bracket) ends the iteration
 _ROUNDOFF = 1e-14          # round-off floor of the estimate, relative to the absolute mass
-_CUT_CHUNK = 2048          # cut-cell nodes whose frames and integrand are held at a time
+_CHUNK = 2048              # leaf nodes whose frames and integrand are held at a time
 _AREA_TOL = 1e-12          # largest gap between the two rules' region areas in a kept cut cell,
                            # relative to the cell's parameter volume
 
@@ -295,11 +252,11 @@ def integrate_clipped(patch: ParametricPatch, f, region: ClippedRegionRule,
     levels = region.levels
     nb = len(levels) - 1
     lo, hi = _base_cells(patch, rule.base_grid)
-    inside, fallback = [], []
-    cut = [[], []]            # node sets (P, W, cell, band) of the rules of order q and q - 1
+    inside, cut = [], []      # cells (lo, hi, band); node sets (P, W, cell, slot)
+    flo = fhi = np.empty((0, n))                  # the fallback cells
     # per cut cell, the first band b whose prefix {s < phi < l_(b+1)} holds
     # the whole cell (the band count if none)
-    tops = []
+    tops = [np.empty(0, dtype=int)]
     n_cut = 0
 
     for depth in range(region.max_depth + 1):
@@ -331,53 +288,82 @@ def integrate_clipped(patch: ParametricPatch, f, region: ClippedRegionRule,
         if c.size:
             # the levels that the samples of each cut cell do not clear
             crossed = (levels > 0.0) & (high[c, None] >= levels) & (low[c, None] <= levels)
-            nodes = _cut_nodes(patch, region.gauge, levels, rule.order,
-                               lo[c], hi[c], axis[c], psi[c], G[c], crossed)
+            P, W, cell, slot = _cut_nodes(patch, region.gauge, levels, rule.order,
+                                          lo[c], hi[c], axis[c], psi[c], G[c], crossed)
             # a cell whose two rules disagree on the parameter area of a band
             # is resolved too coarsely for its level sets: halve it
-            area = [np.bincount(b * c.size + cell, weights=W, minlength=nb * c.size)
-                    .reshape(nb, c.size) for _, W, cell, b in nodes]
+            area = np.bincount(slot * c.size + cell, weights=W,
+                               minlength=2 * nb * c.size).reshape(2, nb, c.size)
             coarse = np.any(np.abs(area[0] - area[1])
                             > _AREA_TOL * np.prod(hi[c] - lo[c], axis=1), axis=0) \
                 & (depth < region.max_depth)
             number = np.cumsum(~coarse) - 1 + n_cut    # index of each kept cell
-            for sets, (P, W, cell, b) in zip(cut, nodes):
-                keep = ~coarse[cell]
-                sets.append((P[keep], W[keep], number[cell[keep]], b[keep]))
+            keep = ~coarse[cell]
+            cut.append((P[keep], W[keep], number[cell[keep]], slot[keep]))
             tops.append(np.where(above_s, band, nb)[c[~coarse]])
             n_cut += int(np.count_nonzero(~coarse))
             rest[c[coarse]] = True
         if depth == region.max_depth:
-            fallback.append((lo[rest], hi[rest]))
+            flo, fhi = lo[rest], hi[rest]
             break
         lo, hi = _halve(lo[rest], hi[rest])
 
+    # every leaf cell as a node set (P, W, leaf, slot): the inside cells, with
+    # their nodes in the slot of their band, the cut cells, and the fallback
+    # cells, with each node in the slot of its own band, if any, else in the
+    # discard slot 2 nb
     ilo, ihi, iband = (np.concatenate(a) for a in zip(*inside))
-    by_band = np.argsort(iband, kind="stable")
-    flo, fhi = (np.concatenate(a) for a in zip(*fallback)) if fallback else \
-        (np.empty((0, n)),) * 2
-    val_in, mass_in, cols_in = _gl_sum(patch, f, ilo[by_band], ihi[by_band], rule.order,
-                                       band=iband[by_band], nbands=nb, absolute=True)
-    # one node set per rule, in ascending cell order, freeing the per-depth
-    # lists before f runs
-    cut = [[np.concatenate(a) for a in zip(*sets)] for sets in cut]
-    val_cut, gap, prefix_gap, mass_cut, cols_cut = _cut_sum(
-        patch, f, cut, np.concatenate(tops) if tops else np.empty(0, dtype=int), nb)
-    val_fb, mass_fb, cols_fb = _gl_sum(patch, f, flo, fhi, rule.order, nbands=nb,
-                                       region=region, absolute=True)
-    cols = next((x for x in (cols_in, cols_cut, cols_fb) if x is not None), None)
-    if cols is None:          # no cell meets the region: f's shape from zero nodes
-        cols = np.asarray(f(patch.frames(np.empty((0, n)))), dtype=float).shape[1:]
-    floor = _ROUNDOFF * (mass_in + mass_cut) if n_cut else np.zeros((nb, 1))
-    shape = (nb, int(np.prod(cols)))
+    n_in, n_fb, q = ilo.shape[0], flo.shape[0], rule.order ** n
+    leaves = [(*_cell_nodes(ilo, ihi, rule.order), np.repeat(np.arange(n_in), q),
+               np.repeat(iband, q))]
+    leaves += [(P, W, n_in + cell, slot) for P, W, cell, slot in cut]
+    P, W = _cell_nodes(flo, fhi, rule.order)
+    phi, _ = _gauge_safe(region.gauge, patch.chart(P))
+    in_band = (phi[:, None] > levels[:-1]) & (phi[:, None] < levels[1:])
+    leaves.append((P, W, n_in + n_cut + np.repeat(np.arange(n_fb), q),
+                   np.where(in_band.any(axis=1), in_band.argmax(axis=1), 2 * nb)))
+    P, W, leaf, slot = (np.concatenate(a) for a in zip(*leaves))
+    del cut, leaves           # the parts, before f runs
+    sums, masses, cols = _leaf_sums(patch, f, P, W, leaf, slot,
+                                    n_leaf=n_in + n_cut + n_fb, n_slot=2 * nb + 1)
+    # slices of the (j, slot, leaf) sums: the rules of order q and q - 1 on
+    # the cut cells, the absolute mass of the inside and cut cells, and the
+    # full absolute mass of the fallback cells
+    high, low = sums[:, :nb, n_in:n_in + n_cut], sums[:, nb:2 * nb, n_in:n_in + n_cut]
+    prefix_gap = np.where(np.concatenate(tops) > np.arange(nb)[:, None],
+                          np.cumsum(high - low, axis=1), 0.0)
+    floor = np.where(n_cut > 0, _ROUNDOFF * masses[:, :nb, :n_in + n_cut].sum(axis=-1), 0.0)
+    mass_fb = masses[:, :, n_in + n_cut:].sum(axis=(1, 2))[:, None]
     return ClippedResult(
-        value=_shaped(np.broadcast_to(val_in + val_cut + val_fb, shape), cols),
-        error_estimate=_shaped(np.broadcast_to(gap + floor + mass_fb, shape), cols),
-        prefix_estimate=_shaped(np.broadcast_to(
-            prefix_gap + np.cumsum(floor, axis=0) + mass_fb, shape), cols),
-        inside_cells=ilo.shape[0],
-        leaf_cells=n_cut + flo.shape[0],
-        fallback_cells=flo.shape[0])
+        value=_shaped(sums[:, :nb].sum(axis=-1), cols),
+        error_estimate=_shaped(np.abs(high - low).sum(axis=-1) + floor + mass_fb, cols),
+        prefix_estimate=_shaped(np.abs(prefix_gap).sum(axis=-1) + np.cumsum(floor, axis=1)
+                                + mass_fb, cols),
+        inside_cells=n_in,
+        leaf_cells=n_cut + n_fb,
+        fallback_cells=n_fb)
+
+
+def _leaf_sums(patch: ParametricPatch, f, P: np.ndarray, W: np.ndarray, leaf: np.ndarray,
+               slot: np.ndarray, n_leaf: int, n_slot: int):
+    """The sums of W f and of W |f| over the nodes (P, W) of each leaf in
+    each slot, each a (j, n_slot, n_leaf) array, and f's shape at one node.
+
+    The nodes come in ascending leaf order.  f runs on whole leaves, about
+    _CHUNK nodes at a time, so each leaf's sums add its nodes in one order
+    however the pass is chunked (with no leaf, f runs once on zero nodes);
+    the leaves lie on the last axis, so a sum over them is pairwise."""
+    edges = np.append(np.unique(np.append(0, leaf[::_CHUNK])), n_leaf)
+    starts = np.searchsorted(leaf, edges)
+    sums, masses = [], []
+    for a, b, na, nz in zip(edges[:-1], edges[1:], starts[:-1], starts[1:]):
+        rows, cols = _columns(f, patch.frames(P[na:nz]))
+        contrib = rows * W[na:nz]
+        index = slot[na:nz] * (b - a) + leaf[na:nz] - a
+        for out, x in ((sums, contrib), (masses, np.abs(contrib))):
+            out.append(np.array([np.bincount(index, weights=row, minlength=n_slot * (b - a))
+                                 for row in x], dtype=float).reshape(len(x), n_slot, b - a))
+    return np.concatenate(sums, axis=-1), np.concatenate(masses, axis=-1), cols
 
 
 def _sign_margin(D: np.ndarray) -> np.ndarray:
@@ -397,55 +383,17 @@ def _halve(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.where(upper, hi[:, None, :], mid[:, None, :]).reshape(-1, n))
 
 
-def _cut_sum(patch: ParametricPatch, f, cut, top: np.ndarray, nb: int):
-    """Per band, each (nb, j): the integral of f over the cut cells from the
-    rule of order q; the sum over cells of |I_q - I_(q-1)|; the same sum for
-    bands 0..b taken together in each cell, over the cells c with
-    top[c] > b (the others lie inside {s < phi < l_(b+1)}, and add nothing,
-    as inside cells do); and the absolute mass of the integral.  Then f's
-    shape at one node.
-
-    cut holds the nodes (P, W, cell, band) of each rule in ascending cell
-    order.  f runs on whole cells, about _CUT_CHUNK nodes at a time, so each
-    cell's sums add its nodes in one order however the pass is chunked.
-    """
-    n_cut = len(top)
-    if n_cut == 0:
-        return 0.0, 0.0, 0.0, 0.0, None
-    (P, W, cell, band), (P1, W1, cell1, band1) = cut
-    nodes = np.cumsum(np.bincount(cell, minlength=n_cut) + np.bincount(cell1, minlength=n_cut))
-    # the cells that start each chunk, and where their nodes start in each rule
-    edges = np.append(np.unique(np.searchsorted(
-        nodes, np.arange(0, nodes[-1], _CUT_CHUNK), side="right")), n_cut)
-    start, start1 = np.searchsorted(cell, edges), np.searchsorted(cell1, edges)
-    sums, masses = 0.0, []
-    for a, b, a1, b1 in zip(start[:-1], start[1:], start1[:-1], start1[1:]):
-        rows, cols = _columns(f, patch.frames(np.concatenate([P[a:b], P1[a1:b1]])))
-        contrib = rows * np.concatenate([W[a:b], W1[a1:b1]])
-        index = np.concatenate([band[a:b] * n_cut + cell[a:b],
-                                (nb + band1[a1:b1]) * n_cut + cell1[a1:b1]])
-        sums = sums + np.stack([np.bincount(index, weights=row, minlength=2 * nb * n_cut)
-                                for row in contrib])
-        masses.append(np.abs(contrib[:, :b - a]))
-    if not masses:                              # no cut cell meets the region
-        return 0.0, 0.0, 0.0, 0.0, None
-    high, low = np.moveaxis(sums.reshape(-1, 2, nb, n_cut), 1, 0)      # (j, nb, n_cut)
-    masses = np.concatenate(masses, axis=1)
-    mass = [[row[band == b].sum() for row in masses] for b in range(nb)]
-    prefix = np.where(top > np.arange(nb)[:, None], np.cumsum(high - low, axis=1), 0.0)
-    return (high.sum(axis=2).T, np.abs(high - low).sum(axis=2).T,
-            np.abs(prefix).sum(axis=2).T, np.array(mass), cols)
-
-
 def _cut_nodes(patch: ParametricPatch, gauge, levels: np.ndarray, order: int,
                lo: np.ndarray, hi: np.ndarray, axis: np.ndarray,
                psi: np.ndarray, G: np.ndarray, crossed: np.ndarray):
-    """Nodes (P, W, cell, band) of the rules of order q = `order` and q - 1
-    over each band within the cut cells (lo, hi) with height axes `axis`; W
-    includes the parameter measure but not the area element.  psi and G are
-    the classification samples of each cell, crossed (c, K + 1) marks the
-    levels those samples do not clear."""
+    """Nodes (P, W, cell, slot) of the rules of order q = `order` and q - 1
+    over each band within the cut cells (lo, hi) with height axes `axis`, in
+    ascending cell order: band b of the rule of order q in slot b, of the
+    rule of order q - 1 in slot K + b.  W includes the parameter measure but
+    not the area element.  psi and G are the classification samples of each
+    cell, crossed (c, K + 1) marks the levels those samples do not clear."""
     c, n = lo.shape
+    nb = len(levels) - 1
     orders = (order, order - 1)
     # outer nodes: points of the cross-section (the axes other than k), each
     # the foot of a line along k
@@ -469,7 +417,7 @@ def _cut_nodes(patch: ParametricPatch, gauge, levels: np.ndarray, order: int,
                                  lo[line_cell, k], hi[line_cell, k])
     nodes = []
     start = 0
-    for q, (cell, _, w_outer) in zip(orders, outer):
+    for shift, q, (cell, _, w_outer) in zip((0, nb), orders, outer):
         # the (line, band) pairs of this rule that meet the region
         line, band = np.nonzero(t_hi[start:start + len(cell)] > t_lo[start:start + len(cell)])
         sl = line + start
@@ -481,8 +429,10 @@ def _cut_nodes(patch: ParametricPatch, gauge, levels: np.ndarray, order: int,
         P[np.arange(len(P)), np.repeat(k[sl], q)] = \
             (t_lo[sl, band, None] + length[:, None] * t).ravel()
         nodes.append((P, (w_outer[:, None] * length[:, None] * w).ravel(),
-                      np.repeat(cell, q), np.repeat(band, q)))
-    return nodes
+                      np.repeat(cell, q), np.repeat(shift + band, q)))
+    P, W, cell, slot = (np.concatenate(x) for x in zip(*nodes))
+    by_cell = np.argsort(cell, kind="stable")
+    return P[by_cell], W[by_cell], cell[by_cell], slot[by_cell]
 
 
 def _line_intervals(patch: ParametricPatch, gauge, levels: np.ndarray, P0: np.ndarray,

@@ -455,6 +455,22 @@ CONFIG_FAULTS = {
         {"kind": "monotonicity", "name": "m", "surface": "plane", "norm": "euclid",
          "count": 1}]), "'m'"),
     "seed-negative": (lambda d: {**d, "seed": -1}, "seed"),
+    # a verdict key with a typo would silently flip or default the verdict
+    "condition-s-expect-typo": (lambda d: _with_checks(d, [
+        {"kind": "condition-s", "name": "cs", "norm": "euclid", "samples": 50,
+         "expect": "pas"}]), "'cs'"),
+    "corollary-expect-typo": (lambda d: _with_checks(d, [
+        {"kind": "corollary", "name": "co", "surface": "plane", "norm": "euclid",
+         "expect": "equalty"}]), "'co'"),
+    "assert-monotone-string": (lambda d: _with_checks(d, [
+        {**MONO, "assert_monotone": "no"}]), "'m'"),
+    # a Minkowski order outside 0..n-1 of its surface
+    "k-above-n": (lambda d: {**_with_checks(d, [
+        {"kind": "minkowski", "name": "mk", "surface": "sph", "k": [0, 5]}]),
+        "surfaces": {"sph": {"kind": "sphere"}}}, "'mk'"),
+    "k-negative-on-curve": (lambda d: {**_with_checks(d, [
+        {"kind": "minkowski", "name": "mk", "surface": "c", "k": -1}]),
+        "surfaces": {"c": {"kind": "circle"}}}, "'mk'"),
 }
 
 
@@ -594,3 +610,13 @@ def test_nan_symfunc_residual_fails_the_check(monkeypatch):
     scn = cli.Scenario({"checks": [{"kind": "symfunc", "name": "s", "sizes": [3],
                                     "count": 2}]})
     assert cli._check_symfunc(scn, "s", scn.checks[0][2]).status == "fail"
+
+
+def test_verdict_keys_parse_their_documented_values():
+    # the default, then every documented value, reads back as given
+    for kind, key, values in (("condition-s", "expect", ("pass", "fail")),
+                              ("corollary", "expect", ("bound", "equality", "strict")),
+                              ("monotonicity", "assert_monotone", (True, False))):
+        assert cli._options(kind, {})[key] == values[0]
+        for value in values:
+            assert cli._options(kind, {key: value})[key] == value

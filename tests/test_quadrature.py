@@ -269,6 +269,58 @@ def test_euclidean_bands_on_a_plane():
     assert res.leaf_cells > 0 and not res.depth_exhausted
 
 
+@pytest.mark.parametrize("max_depth", [0, 1, 2, 3])
+def test_bands_with_fallback_cells(max_depth):
+    # the cells around the cone point fall back at every depth; each band's
+    # estimate still covers its error, and each prefix estimate the error of
+    # the disk the bands 0..b make up, for the columns 1 and x_0^2, whose band
+    # integrals are pi (l_(b+1)^2 - l_b^2) and pi (l_(b+1)^4 - l_b^4) / 4
+    D = wk.MinkowskiNorm.euclidean(3).dual()
+    levels = np.array([0.0, 0.1, 0.3, 0.6])
+    res = integrate_clipped(sf.hyperplane(extent=1.5),
+                            lambda fb: np.column_stack([np.ones(len(fb.x)), fb.x[:, 0] ** 2]),
+                            ClippedRegionRule(D, 0.0, 0.6, max_depth, splits=levels[1:-1]),
+                            ParamQuadrature(order=4, base_grid=3))
+    assert res.fallback_cells > 0
+    disk = np.pi * np.column_stack([levels[1:] ** 2, levels[1:] ** 4 / 4])
+    assert res.value.shape == res.error_estimate.shape == res.prefix_estimate.shape == (3, 2)
+    assert np.all(np.abs(res.value - np.diff(disk, axis=0, prepend=0.0)) <= res.error_estimate)
+    assert np.all(np.abs(np.cumsum(res.value, axis=0) - disk) <= res.prefix_estimate)
+
+
+def test_leaf_sums_do_not_depend_on_the_chunk(monkeypatch):
+    # f runs on whole leaves, so a pass with inside, cut and fallback cells
+    # gives the same bits with one leaf per frames call as with ~2048 nodes
+    from wulffkit import quadrature as qd
+    D = wk.MinkowskiNorm.euclidean(3).dual()
+
+    def run():
+        res = integrate_clipped(sf.hyperplane(extent=1.5),
+                                lambda fb: np.column_stack([np.ones(len(fb.x)), fb.x[:, 0] ** 2]),
+                                ClippedRegionRule(D, 0.0, 0.6, 3, splits=(0.1, 0.3)),
+                                ParamQuadrature(order=4, base_grid=3))
+        return res, np.concatenate([res.value, res.error_estimate, res.prefix_estimate])
+
+    res, whole = run()
+    assert res.inside_cells and res.leaf_cells > res.fallback_cells > 0
+    for chunk in (1, 100):
+        monkeypatch.setattr(qd, "_CHUNK", chunk)
+        assert np.array_equal(run()[1], whole)
+
+
+def test_region_no_cell_meets():
+    # no leaf: zero integrals and estimates in f's shape, as floats
+    D = wk.MinkowskiNorm.euclidean(3).dual()
+    far = sf.hyperplane(origin=(0.0, 0.0, 5.0), extent=1.0)
+    for f, shape in ((one, ()), (lambda fb: np.ones((len(fb.x), 2)), (2,))):
+        for splits, bands in (((), ()), ((0.5,), (2,))):
+            res = integrate_clipped(far, f, ClippedRegionRule(D, 0.0, 1.0, 3, splits=splits))
+            for x in (res.value, res.error_estimate, res.prefix_estimate):
+                assert np.shape(x) == bands + shape and np.all(np.asarray(x) == 0.0)
+                assert np.asarray(x).dtype == float
+            assert res.leaf_cells == res.inside_cells == 0
+
+
 @pytest.mark.parametrize("case", ["catenoid", "transformed-catenoid", "ring"])
 def test_banded_call_equals_single_band_calls(case):
     # one pass over K bands gives each band's integrals (two columns here) as
