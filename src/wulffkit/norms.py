@@ -12,7 +12,9 @@ evaluates its stencil for all rows in one callback call.
 
 Every family evaluates F, grad F and D^2 F in one pass (`_jet`); the dual's
 numeric ascent takes one such jet per step, at its Newton candidate (none
-where the Newton solve rejects the step).
+where the Newton solve rejects the step), and none at its start: a numeric
+dual takes the jet of its whole start grid once, when it is built, and an
+ascent starts from its grid row's.
 
 The dual gauge F°(v) = sup_{u != 0} <u, v> / F(u) is available in closed
 form for the Euclidean and quadratic families and through constrained
@@ -52,10 +54,14 @@ _FD_HESS_VALUE_STEP = 1e-4
 _ARMIJO_C, _BACKTRACK, _INITIAL_STEP = 1e-4, 0.5, 1.0
 
 
+def _zero_direction() -> ZeroDirection:
+    return ZeroDirection(f"direction norm below floor {ZERO_FLOOR:g}")
+
+
 def _check_direction(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if (np.einsum("...i,...i->...", u, u) < ZERO_FLOOR * ZERO_FLOOR).any():
-        raise ZeroDirection(f"direction norm below floor {ZERO_FLOOR:g}")
+        raise _zero_direction()
     return u
 
 
@@ -65,9 +71,12 @@ def _per_direction(method):
     each (m, ...) output its row; a tuple of outputs is lifted item by item."""
     @functools.wraps(method)
     def lifted(self, u):
-        u = _check_direction(u)
+        u = np.asarray(u, dtype=float)
         if u.ndim != 1:
-            return method(self, u)
+            return method(self, _check_direction(u))
+        # one row: a single dot product checks it (NaN passes, as in a batch)
+        if u.dot(u) < ZERO_FLOOR * ZERO_FLOOR:
+            raise _zero_direction()
         out = method(self, u[None, :])
         return tuple(map(_row, out)) if isinstance(out, tuple) else _row(out)
     return lifted
@@ -75,6 +84,14 @@ def _per_direction(method):
 
 def _row(out: np.ndarray):
     return float(out[0]) if out.ndim == 1 else out[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _eye(dim: int) -> np.ndarray:
+    """The (dim, dim) identity, built once per dimension (read-only)."""
+    eye = np.eye(dim)
+    eye.flags.writeable = False
+    return eye
 
 
 def _hypersphere_grid(dim: int, count: int) -> np.ndarray:
@@ -180,8 +197,7 @@ class MinkowskiNorm:
             uh = U / F[:, None]
             if order == 1:
                 return F, uh
-            eye = np.eye(self.dim)[None, :, :]
-            return F, uh, (eye - uh[:, :, None] * uh[:, None, :]) / F[:, None, None]
+            return F, uh, (_eye(self.dim) - uh[:, :, None] * uh[:, None, :]) / F[:, None, None]
         if self.family == "quadratic":
             # U.dot(A): the same product as U @ A, with less overhead on the
             # single rows of the numeric dual's ascent
@@ -196,23 +212,28 @@ class MinkowskiNorm:
                            - Au[:, :, None] * Au[:, None, :] / (F ** 3)[:, None, None])
         if self.family == "quartic":
             eps = self.quartic_eps
-            r2 = np.sum(U * U, axis=1)
-            G = np.sum(U ** 4, axis=1) + eps * r2 ** 2
+            U2 = U * U
+            r2 = np.add.reduce(U2, axis=1)              # np.sum without its wrapper
+            G = np.add.reduce(U ** 4, axis=1) + eps * r2 ** 2
             F = G ** 0.25
             if order == 0:
                 return (F,)
-            P = U ** 3 + eps * r2[:, None] * U        # grad G / 4
-            gF = P / (G ** 0.75)[:, None]
+            er2 = eps * r2[:, None]
+            P = U ** 3 + er2 * U                      # grad G / 4
+            F3 = G ** 0.75
+            gF = P / F3[:, None]
             if order == 1:
                 return F, gF
-            eye = np.eye(self.dim)[None, :, :]
-            hessG = (12.0 * U[:, :, None] ** 2 * eye
-                     + 8.0 * eps * U[:, :, None] * U[:, None, :]
-                     + 4.0 * eps * r2[:, None, None] * eye)
-            dG = 4.0 * P
-            return F, gF, (0.25 * (G ** -0.75)[:, None, None] * hessG
-                           - 0.1875 * (G ** -1.75)[:, None, None]
-                           * dG[:, :, None] * dG[:, None, :])
+            # D^2 F = (diag(3 u^2 + eps |u|^2) + 2 eps u u^T) / F^3
+            #         - 3 grad F grad F^T / F, filled in place
+            H = U[:, :, None] * U[:, None, :]
+            H *= 2.0 * eps
+            H.reshape(len(U), self.dim ** 2)[:, ::self.dim + 1] += 3.0 * U2 + er2
+            H /= F3[:, None, None]
+            gg = gF[:, :, None] * gF[:, None, :]
+            gg *= (3.0 / F)[:, None, None]
+            H -= gg
+            return F, gF, H
         if self.family == "dual":
             return self._dual._jet(U, order)
         # custom: one call of a callback per batch, or per stencil of a fallback
@@ -303,7 +324,7 @@ def _orthonormal_complement(Uh: np.ndarray) -> np.ndarray:
     # w = 0 (the identity frame) where uh = e0
     W /= np.sqrt(np.where(wn2 < 1e-28, np.inf, wn2))[:, None]
     # column 0 of H = I - 2 w w^T is ±uh; the rest span the complement
-    return np.eye(Uh.shape[1])[None, :, 1:] - (2.0 * W)[:, :, None] * W[:, None, 1:]
+    return _eye(Uh.shape[1])[None, :, 1:] - (2.0 * W)[:, :, None] * W[:, None, 1:]
 
 
 @dataclass(frozen=True)
@@ -337,15 +358,18 @@ class DualNorm:
     spherical Newton with an Armijo gradient fallback).  "auto" picks
     closed form when one exists.
 
-    The numeric ascent runs a whole batch (m, d) in lockstep: every
-    iteration solves the bordered Newton systems of all rows still iterating
-    in one batched call, evaluates F, grad F and D^2 F of the base gauge
-    once, at the Newton candidates of the rows whose step the solve did not
-    reject (an accepted row keeps its candidate's jet), backtracks only the
-    rows whose step is rejected (a row whose Hessian raises rejects its step
-    alone; a row the line search moves takes a fresh jet), and retires each
-    row when its projected gradient falls below grad_tol.  A single
-    direction is a batch of one.
+    The numeric ascent runs a whole batch (m, d) in lockstep.  Each row
+    starts at the grid direction that scores best, with that direction's F,
+    grad F and D^2 F, which the constructor takes for the whole grid in one
+    base jet.  Every iteration solves the bordered Newton systems of all
+    rows still iterating in one batched call, evaluates F, grad F and D^2 F
+    of the base gauge once, at the Newton candidates of the rows whose step
+    the solve did not reject (an accepted row keeps its candidate's jet),
+    backtracks only the rows whose step is rejected (a row whose Hessian
+    raises rejects its step alone; a row the line search moves takes a
+    fresh jet), and retires each row when its projected gradient falls
+    below grad_tol.  So a step costs one base jet.  A single direction is a
+    batch of one.
     """
 
     def __init__(self, base: MinkowskiNorm, mode: str = "auto",
@@ -369,7 +393,9 @@ class DualNorm:
         else:
             n = self.options.grid_size or (1 << 10 if self.dim == 2 else 1 << 12)
             self._grid = _hypersphere_grid(self.dim, n)
-            self._grid_F = np.asarray(base.value(self._grid))
+            # every ascent starts at a grid row and takes its jet from here
+            self._grid_jet = _jet_rows(base, self._grid)
+            self._grid_F = self._grid_jet[0]
 
     # -- evaluation ---------------------------------------------------------
 
@@ -390,9 +416,10 @@ class DualNorm:
         q, Us = self._ascend(V)[:2]
         if order < 2:
             return (q, Us)[:order + 1]
-        uh = Us / np.linalg.norm(Us, axis=1, keepdims=True)
-        N = np.linalg.inv(_bordered(self.base._hess(Us), uh))[:, :-1, :-1]
-        S = np.eye(self.dim) - Us[:, :, None] * (V / q[:, None])[:, None, :]
+        K, H = _bordered(Us / np.linalg.norm(Us, axis=1, keepdims=True))
+        H[...] = self.base._hess(Us)
+        N = np.linalg.inv(K)[:, :-1, :-1]
+        S = _eye(self.dim) - Us[:, :, None] * (V / q[:, None])[:, None, :]
         return q, Us, S @ N @ np.swapaxes(S, 1, 2) / q[:, None, None]
 
     @_per_direction
@@ -431,12 +458,14 @@ class DualNorm:
         if m == 0:
             return Ascent(np.empty(0), np.empty((0, d)), 0, 0)
         grid = self._grid
-        U = np.empty((m, d))
+        start = np.empty(m, dtype=np.intp)
         chunk = max(1, _SCAN_ENTRIES // len(grid))
         for s in range(0, m, chunk):
-            U[s:s + chunk] = grid[np.argmax((V[s:s + chunk] @ grid.T) / self._grid_F, axis=1)]
+            start[s:s + chunk] = ((V[s:s + chunk] @ grid.T) / self._grid_F).argmax(axis=1)
+        # the start rows' jets are the grid's, taken once by the constructor;
         # the iterates are unit rows, so the base gauge skips its checks
-        F, gF, HF = _jet_rows(base, U)
+        U = grid[start]
+        F, gF, HF = (x[start] for x in self._grid_jet)
         q = np.einsum("md,md->m", U, V) / F
         q_out, U_out = np.empty(m), np.empty((m, d))
         rows = np.arange(m)                   # input row of each active row
@@ -448,30 +477,37 @@ class DualNorm:
             gt = g - gu[:, None] * U
             gn = np.sqrt(np.einsum("md,md->m", gt, gt))
             done = gn < opt.grad_tol
-            if done.any():
+            retired = np.count_nonzero(done)
+            if retired == m:
+                # every row retires in the same iteration: no scatter needed
+                return Ascent(q, U / F[:, None], it + 1, np.count_nonzero(fell_back))
+            if retired:
                 q_out[rows[done]], U_out[rows[done]] = q[done], U[done] / F[done, None]
-                if done.all():
-                    return Ascent(q_out, U_out, it + 1, int(fell_back.sum()))
+                if retired == len(rows):
+                    return Ascent(q_out, U_out, it + 1, np.count_nonzero(fell_back))
                 keep = ~done
                 rows, U, V, q, step, F, gF, HF, g, gu, gt, gn = (
                     x[keep] for x in (rows, U, V, q, step, F, gF, HF, g, gu, gt, gn))
             un, ok = _spherical_newton(U, q, F, gF, HF, g, gu)
-            if ok.all():
+            kept = np.count_nonzero(ok)
+            if kept == len(ok):
                 Fn, gFn, HFn = _jet_rows(base, un)
             else:
                 # a rejected step is never accepted: only the others take a jet
                 Fn, gFn, HFn = F.copy(), gF.copy(), HF.copy()
-                if ok.any():
+                if kept:
                     Fn[ok], gFn[ok], HFn[ok] = _jet_rows(base, un[ok])
             qn = np.einsum("md,md->m", un, V) / Fn
             accept = ok & (qn > q)
-            if not accept.all():
+            accepted = np.count_nonzero(accept)
+            if accepted < len(ok):
                 # near convergence the Newton step shrinks the gradient even
                 # when the objective gain is below one ulp; accept those too
                 dn = un - U
                 tiny = np.sqrt(np.einsum("md,md->m", dn, dn)) < 1e-6
                 accept |= ok & tiny & (qn >= q - 8e-16 * np.maximum(1.0, np.abs(q)))
-            if accept.all():
+                accepted = np.count_nonzero(accept)
+            if accepted == len(ok):
                 U, q, F, gF, HF = un, qn, Fn, gFn, HFn
                 continue
             a = accept[:, None]
@@ -491,7 +527,7 @@ class DualNorm:
                 keep = np.ones(len(U), dtype=bool)
                 keep[stalled] = False
                 if not keep.any():
-                    return Ascent(q_out, U_out, it + 1, int(fell_back.sum()))
+                    return Ascent(q_out, U_out, it + 1, np.count_nonzero(fell_back))
                 rows, U, V, q, step, F, gF, HF = (
                     x[keep] for x in (rows, U, V, q, step, F, gF, HF))
         raise NonConvergence(
@@ -547,24 +583,34 @@ def _spherical_newton(U, q, F, gF, HF, g, gu):
     the tangent Newton system with x kept in u^perp.  A row whose step is
     singular, non-finite, longer than 0.5 or degenerate gets ok False, and the
     caller keeps its iterate."""
-    # D^2 q = -(g gF^T + gF g^T)/F - (q/F) D^2 F
+    # D^2 q = -(g gF^T + gF g^T)/F - (q/F) D^2 F, filled into the bordered
+    # system in place
+    k, d = U.shape
+    K, Hq = _bordered(U)
     gg = g[:, :, None] * gF[:, None, :]
-    Hq = (-(gg + np.swapaxes(gg, 1, 2)) / F[:, None, None] - (q / F)[:, None, None] * HF
-          - gu[:, None, None] * np.eye(U.shape[1]))
-    x = _solve_rows(_bordered(Hq, U), np.column_stack([-g, np.zeros(len(U))]))[:, :-1]
+    np.add(gg, gg.transpose(0, 2, 1), out=Hq)
+    Hq /= -F[:, None, None]
+    Hq -= (q / F)[:, None, None] * HF
+    K.reshape(k, (d + 1) ** 2)[:, :-1:d + 2] -= gu[:, None]      # the diagonal of Hq
+    b = np.zeros((k, d + 1))
+    np.negative(g, out=b[:, :-1])
+    x = _solve_rows(K, b)[:, :-1]
     ok = np.sqrt(np.einsum("kd,kd->k", x, x)) <= 0.5   # False if non-finite
-    un = U + np.where(ok[:, None], x, 0.0)
+    x[~ok] = 0.0
+    un = U + x
     # x is orthogonal to the unit row u (to round-off), so |un| >= 1
     nn = np.sqrt(np.einsum("kd,kd->k", un, un))
     ok &= nn >= 1e-12
     return un / nn[:, None], ok
 
 
-def _bordered(H: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """[[H, u], [u^T, 0]] (k, d+1, d+1) for H (k, d, d) and rows U (k, d)."""
-    K = np.zeros((len(U), U.shape[1] + 1, U.shape[1] + 1))
-    K[:, :-1, :-1], K[:, :-1, -1], K[:, -1, :-1] = H, U, U
-    return K
+def _bordered(U: np.ndarray) -> tuple:
+    """(K, H): K = [[H, u], [u^T, 0]] (k, d+1, d+1) for rows U (k, d), and H
+    the view of its top-left (k, d, d) block, which the caller fills."""
+    k, d = U.shape
+    K = np.zeros((k, d + 1, d + 1))
+    K[:, :-1, -1] = K[:, -1, :-1] = U
+    return K, K[:, :-1, :-1]
 
 
 def _solve_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -574,7 +620,7 @@ def _solve_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.linalg.solve(A, b[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
         singular = ~(np.abs(np.linalg.det(A)) > 0.0)
-        x = np.linalg.solve(np.where(singular[:, None, None], np.eye(A.shape[1]), A),
+        x = np.linalg.solve(np.where(singular[:, None, None], _eye(A.shape[1]), A),
                             b[:, :, None])[:, :, 0]
         x[singular] = np.nan
         return x

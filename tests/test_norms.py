@@ -54,6 +54,28 @@ def test_zero_direction_rejected():
         F.grad(np.zeros(3))
 
 
+@pytest.mark.parametrize("gauge", [
+    wk.MinkowskiNorm.quartic(2, eps=0.05),
+    wk.MinkowskiNorm.quartic(2, eps=0.05).dual(),
+    wk.MinkowskiNorm.euclidean(2).dual(),
+], ids=["quartic", "numeric-dual", "closed-dual"])
+def test_one_direction_is_checked_as_a_batch_row(gauge):
+    # a single row is checked by one dot product, a batch row by the batch
+    # check: both reject a zero row and a row of norm 1e-13, neither a NaN row
+    methods = [gauge.value, gauge.grad, gauge.eval_with_maximizer]
+    if isinstance(gauge, wk.MinkowskiNorm):
+        methods.append(gauge.hess)
+    for method in methods:
+        for bad in ([0.0, 0.0], [1e-13, 0.0], [[1.0, 0.2], [0.0, 0.0]],
+                    [[1.0, 0.2], [0.0, 1e-13]]):
+            with pytest.raises(ZeroDirection, match="below floor 1e-12"):
+                method(np.array(bad))
+    # a NaN row passes the check and evaluates to NaN, alone or in a batch
+    assert np.isnan(gauge.value([np.nan, 1.0]))
+    batch = gauge.value(np.array([[np.nan, 1.0], [1.0, 0.2]]))
+    assert np.isnan(batch[0]) and np.isfinite(batch[1])
+
+
 def test_gradient_trivial_cases():
     E = wk.MinkowskiNorm.euclidean(2)
     assert np.allclose(E.grad([0.0, 2.0]), [0.0, 1.0], atol=1e-15)
@@ -339,16 +361,18 @@ def test_bidual_makes_two_inner_ascents_per_outer_iteration(monkeypatch):
 def test_bidual_makes_one_inner_ascent_per_outer_step(monkeypatch, outer_grid):
     # each outer step takes one jet of the dual gauge, at its Newton
     # candidate: one inner ascent, none if the Newton solve rejects the step.
-    # A row the Armijo fallback moves takes one more for its fresh jet,
-    # besides the value ascents of its line search.  An 8-direction outer
-    # grid starts rows where the fallback takes over.
+    # An outer ascent's start jet is its grid's, so its last iteration, which
+    # only finds it converged, is the one that takes none.  A row the Armijo
+    # fallback moves takes one more for its fresh jet, besides the value
+    # ascents of its line search.  An 8-direction outer grid starts rows
+    # where the fallback takes over.
     opts = wk.NumericDualOptions(grid_size=256)
     F = wk.MinkowskiNorm.quadratic(A_DIAG)
     inner = wk.DualNorm(F, mode="numeric", options=opts)
     bidual = wk.DualNorm(inner.as_norm(), mode="numeric",
                          options=wk.NumericDualOptions(grid_size=outer_grid))
-    counts = {"inner": 0, "line_search": 0, "iterations": 0, "fallbacks": 0, "moved": 0,
-              "rejected": 0}
+    counts = {"inner": 0, "line_search": 0, "outer": 0, "iterations": 0, "fallbacks": 0,
+              "moved": 0, "rejected": 0}
     ascend, armijo, newton = wk.DualNorm._ascend, wk.DualNorm._armijo, norms._spherical_newton
     in_line_search, ascending = [], []
 
@@ -359,6 +383,7 @@ def test_bidual_makes_one_inner_ascent_per_outer_step(monkeypatch, outer_grid):
         if self is inner:
             counts["line_search" if in_line_search else "inner"] += 1
         else:
+            counts["outer"] += 1
             counts["iterations"] += out.iterations
             counts["fallbacks"] += out.fallbacks
         return out
@@ -379,7 +404,9 @@ def test_bidual_makes_one_inner_ascent_per_outer_step(monkeypatch, outer_grid):
     monkeypatch.setattr(norms, "_spherical_newton", counted_newton)
     W = np.random.default_rng(15).standard_normal((8, 2))
     values = [bidual.value(w) for w in W]
-    assert counts["inner"] == counts["iterations"] + counts["moved"] - counts["rejected"]
+    assert counts["outer"] == len(W)
+    assert counts["inner"] == (counts["iterations"] - counts["outer"] + counts["moved"]
+                               - counts["rejected"])
     assert (counts["rejected"] > 0) == (outer_grid == 8)
     assert (counts["fallbacks"] > 0) == (outer_grid == 8)
     assert (counts["line_search"] > 0) == (outer_grid == 8)
@@ -388,7 +415,8 @@ def test_bidual_makes_one_inner_ascent_per_outer_step(monkeypatch, outer_grid):
 
 def test_custom_gauge_makes_one_set_of_callback_calls_per_ascent_step():
     # value, gradient and Hessian are called together, once per step, at the
-    # Newton candidate: the candidate takes no separate value call
+    # Newton candidate: the candidate takes no separate value call, and the
+    # start takes none, because its jet is the grid's, taken once by the dual
     Q = wk.MinkowskiNorm.quartic(2, eps=0.05)
     calls = {"value": 0, "gradient": 0, "hessian": 0}
 
@@ -401,14 +429,18 @@ def test_custom_gauge_makes_one_set_of_callback_calls_per_ascent_step():
     F = wk.MinkowskiNorm.custom(2, counted("value", Q.value), counted("gradient", Q.grad),
                                 counted("hessian", Q.hess), label="counted")
     dual = wk.DualNorm(F, mode="numeric")
-    calls["value"] = 0                 # the grid's values, taken once by the dual
+    assert calls == {"value": 1, "gradient": 1, "hessian": 1}     # the grid's jet
+    calls.update(value=0, gradient=0, hessian=0)
+    V = np.random.default_rng(16).standard_normal((12, 2))
     iterations = fallbacks = 0
-    for v in np.random.default_rng(16).standard_normal((12, 2)):
+    for v in V:
         ascent = dual._ascend(v[None, :])
         iterations += ascent.iterations
         fallbacks += ascent.fallbacks
     assert fallbacks == 0
-    assert calls == {"value": iterations, "gradient": iterations, "hessian": iterations}
+    # an ascent's last iteration only finds it converged
+    steps = iterations - len(V)
+    assert calls == {"value": steps, "gradient": steps, "hessian": steps}
 
 
 def _frame_newton(U, q, F, gF, HF, g, gu):
@@ -478,6 +510,49 @@ def test_bordered_solves_match_the_tangent_frame(case):
     assert ok.any() and np.all(ok == (xn <= 0.5))
     ref = (U + x) / np.linalg.norm(U + x, axis=1, keepdims=True)
     assert np.all(np.linalg.norm(un - ref, axis=1)[ok] <= 1e-12 * xn[ok])
+
+
+def _custom_quartic(hessian=None):
+    Q = wk.MinkowskiNorm.quartic(2, eps=0.05)
+    return wk.MinkowskiNorm.custom(2, Q.value, Q.grad, hessian or Q.hess, label="custom")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: wk.MinkowskiNorm.quartic(3, eps=0.05),
+    lambda: wk.MinkowskiNorm.quadratic(A_FULL),
+    lambda: wk.DualNorm(wk.MinkowskiNorm.quadratic(A_DIAG), mode="numeric",
+                        options=wk.NumericDualOptions(grid_size=64)).as_norm(),
+    _custom_quartic,
+], ids=["quartic", "quadratic", "dual", "custom"])
+def test_grid_jet_is_the_base_jet_of_the_grid(make):
+    # an ascent starts from the grid's jet, which the constructor takes once
+    base = make()
+    dual = wk.DualNorm(base, mode="numeric", options=wk.NumericDualOptions(grid_size=128))
+    for cached, fresh in zip(dual._grid_jet, norms._jet_rows(base, dual._grid), strict=True):
+        np.testing.assert_array_equal(cached, fresh)
+    np.testing.assert_array_equal(dual._grid_F, base.value(dual._grid))
+
+
+def test_grid_jet_of_a_capped_hessian_is_nan_on_the_cap():
+    # a custom Hessian that raises on a cap of the circle: the grid's jet
+    # falls back row by row, and only the rows on the cap get a NaN Hessian
+    Q = wk.MinkowskiNorm.quartic(2, eps=0.05)
+
+    def hessian(U):
+        if np.any(U[:, 0] > 0.8 * np.linalg.norm(U, axis=1)):
+            raise NonConvergence("no Hessian on this cap")
+        return Q.hess(U)
+
+    dual = wk.DualNorm(_custom_quartic(hessian), mode="numeric")
+    grid = dual._grid
+    F, gF, HF = dual._grid_jet
+    cap = grid[:, 0] > 0.8 * np.linalg.norm(grid, axis=1)
+    assert 0 < cap.sum() < len(grid)
+    np.testing.assert_array_equal(np.isnan(HF).any(axis=(1, 2)), cap)
+    assert np.isnan(HF[cap]).all()
+    np.testing.assert_array_equal(HF[~cap], Q.hess(grid[~cap]))
+    np.testing.assert_array_equal(F, Q.value(grid))
+    np.testing.assert_array_equal(gF, Q.grad(grid))
 
 
 def test_numeric_dual_of_an_empty_batch_is_empty():

@@ -161,6 +161,53 @@ def test_custom_fd_fallbacks_match_the_closed_form(case, scale):
     assert np.all(np.abs(from_gradient.hess(U) - Q.hess(U)) <= FD_HESS_GRAD * hess_unit)
 
 
+def _quartic_jet_reference(U, eps):
+    """F, grad F and D^2 F of (sum u_i^4 + eps |u|^4)^(1/4) through the
+    Hessian of G = F^4: D^2 F = D^2 G / (4 G^(3/4)) - 3 dG dG^T / (16 G^(7/4))."""
+    d = U.shape[1]
+    r2 = np.sum(U * U, axis=1)
+    G = np.sum(U ** 4, axis=1) + eps * r2 ** 2
+    P = U ** 3 + eps * r2[:, None] * U
+    eye = np.eye(d)[None, :, :]
+    hessG = (12.0 * U[:, :, None] ** 2 * eye + 8.0 * eps * U[:, :, None] * U[:, None, :]
+             + 4.0 * eps * r2[:, None, None] * eye)
+    dG = 4.0 * P
+    H = (0.25 * (G ** -0.75)[:, None, None] * hessG
+         - 0.1875 * (G ** -1.75)[:, None, None] * dG[:, :, None] * dG[:, None, :])
+    return G ** 0.25, P / (G ** 0.75)[:, None], H
+
+
+# D^2 F is the difference of two terms that cancel along u, and for small eps
+# across u^perp too, so round-off is measured against the terms' largest
+# entries, (3 max u_i^2 + 3 eps |u|^2) / F^3 and 3 |grad F|^2 / F.  On 36 000
+# random rows (d = 2..4, eps in [0.01, 100]) the two forms of D^2 F differ by
+# at most 4.1e-16 of that.  Against the largest entry of D^2 F itself they
+# differ by up to 1.3e-13 where eps is near 0.01, and each form is up to
+# 1.5e-13 from a long-double evaluation there.
+QUARTIC_HESS_REL = 1e-14
+
+
+@SETTINGS
+@given(st.integers(2, 4).flatmap(
+    lambda d: arrays(float, (6, d), elements=st.floats(-2.0, 2.0))),
+       st.floats(0.01, 100.0))
+def test_quartic_jet_matches_the_hessian_of_g(U, eps):
+    # D^2 F = (diag(3 u^2 + eps |u|^2) + 2 eps u u^T) / F^3 - 3 grad F grad F^T / F
+    # against the Hessian of G: F and grad F bit for bit, D^2 F to round-off,
+    # and u in its kernel
+    U[np.linalg.norm(U, axis=1) < 1e-3, 0] = 1.0
+    F, gF, H = wk.MinkowskiNorm.quartic(U.shape[1], eps=eps)._jet(U)
+    F_ref, gF_ref, H_ref = _quartic_jet_reference(U, eps)
+    np.testing.assert_array_equal(F, F_ref)
+    np.testing.assert_array_equal(gF, gF_ref)
+    r2 = np.sum(U * U, axis=1)
+    scale = ((np.max(3.0 * U * U, axis=1) + 3.0 * eps * r2) / F ** 3
+             + 3.0 * np.sum(gF * gF, axis=1) / F)
+    assert np.all(np.max(np.abs(H - H_ref), axis=(1, 2)) <= QUARTIC_HESS_REL * scale)
+    kernel = np.max(np.abs(H @ U[:, :, None]), axis=(1, 2))
+    assert np.all(kernel <= QUARTIC_HESS_REL * scale * np.sqrt(r2))
+
+
 def _pair_fields(rep):
     return np.array([rep.lhs, rep.rhs_sign_ref, rep.fk_residual, rep.margin])
 
