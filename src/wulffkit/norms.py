@@ -86,14 +86,6 @@ def _row(out: np.ndarray):
     return float(out[0]) if out.ndim == 1 else out[0]
 
 
-@functools.lru_cache(maxsize=None)
-def _eye(dim: int) -> np.ndarray:
-    """The (dim, dim) identity, built once per dimension (read-only)."""
-    eye = np.eye(dim)
-    eye.flags.writeable = False
-    return eye
-
-
 def _hypersphere_grid(dim: int, count: int) -> np.ndarray:
     """Deterministic, roughly uniform direction grid on S^{dim-1}."""
     if dim == 2:
@@ -197,7 +189,8 @@ class MinkowskiNorm:
             uh = U / F[:, None]
             if order == 1:
                 return F, uh
-            return F, uh, (_eye(self.dim) - uh[:, :, None] * uh[:, None, :]) / F[:, None, None]
+            eye = np.eye(self.dim)[None, :, :]
+            return F, uh, (eye - uh[:, :, None] * uh[:, None, :]) / F[:, None, None]
         if self.family == "quadratic":
             # U.dot(A): the same product as U @ A, with less overhead on the
             # single rows of the numeric dual's ascent
@@ -324,7 +317,7 @@ def _orthonormal_complement(Uh: np.ndarray) -> np.ndarray:
     # w = 0 (the identity frame) where uh = e0
     W /= np.sqrt(np.where(wn2 < 1e-28, np.inf, wn2))[:, None]
     # column 0 of H = I - 2 w w^T is ±uh; the rest span the complement
-    return _eye(Uh.shape[1])[None, :, 1:] - (2.0 * W)[:, :, None] * W[:, None, 1:]
+    return np.eye(Uh.shape[1])[None, :, 1:] - (2.0 * W)[:, :, None] * W[:, None, 1:]
 
 
 @dataclass(frozen=True)
@@ -416,10 +409,9 @@ class DualNorm:
         q, Us = self._ascend(V)[:2]
         if order < 2:
             return (q, Us)[:order + 1]
-        K, H = _bordered(Us / np.linalg.norm(Us, axis=1, keepdims=True))
-        H[...] = self.base._hess(Us)
-        N = np.linalg.inv(K)[:, :-1, :-1]
-        S = _eye(self.dim) - Us[:, :, None] * (V / q[:, None])[:, None, :]
+        uh = Us / np.linalg.norm(Us, axis=1, keepdims=True)
+        N = np.linalg.inv(_bordered(self.base._hess(Us), uh))[:, :-1, :-1]
+        S = np.eye(self.dim) - Us[:, :, None] * (V / q[:, None])[:, None, :]
         return q, Us, S @ N @ np.swapaxes(S, 1, 2) / q[:, None, None]
 
     @_per_direction
@@ -478,9 +470,6 @@ class DualNorm:
             gn = np.sqrt(np.einsum("md,md->m", gt, gt))
             done = gn < opt.grad_tol
             retired = np.count_nonzero(done)
-            if retired == m:
-                # every row retires in the same iteration: no scatter needed
-                return Ascent(q, U / F[:, None], it + 1, np.count_nonzero(fell_back))
             if retired:
                 q_out[rows[done]], U_out[rows[done]] = q[done], U[done] / F[done, None]
                 if retired == len(rows):
@@ -560,20 +549,29 @@ class DualNorm:
 def _jet_rows(base: MinkowskiNorm, U: np.ndarray) -> tuple:
     """F, grad F and D^2 F of the unit rows U (m, d), from one call of the
     base gauge.  If that call raises, F and grad F are evaluated again, and
-    each row's Hessian alone: a row whose Hessian raises (say, a custom
-    Hessian callback, or a dual gauge whose D^2 F(u*) is singular on
+    the Hessians by halves of the batch: a row whose Hessian raises (say, a
+    custom Hessian callback, or a dual gauge whose D^2 F(u*) is singular on
     u*^perp) gets NaN, so that row alone rejects its Newton step."""
     try:
         return base._jet(U)
     except Exception:
         F, gF = base._jet(U, 1)
-        HF = np.full((len(U), base.dim, base.dim), np.nan)
-        for i in range(len(U)):
-            try:
-                HF[i] = base._hess(U[i:i + 1])[0]
-            except Exception:
-                pass
-        return F, gF, HF
+        return F, gF, _halved_hess(base, U)
+
+
+def _halved_hess(base: MinkowskiNorm, U: np.ndarray) -> np.ndarray:
+    """D^2 F of rows U whose Hessian raised as one batch: each half takes one
+    call and is halved again if it raises, until a raising row stands alone
+    and gets NaN (about 2 log2(m) calls per such row, not one per row)."""
+    if len(U) == 1:
+        return np.full((1, base.dim, base.dim), np.nan)
+    halves = []
+    for half in np.array_split(U, 2):
+        try:
+            halves.append(base._hess(half))
+        except Exception:
+            halves.append(_halved_hess(base, half))
+    return np.concatenate(halves)
 
 
 def _spherical_newton(U, q, F, gF, HF, g, gu):
@@ -583,34 +581,24 @@ def _spherical_newton(U, q, F, gF, HF, g, gu):
     the tangent Newton system with x kept in u^perp.  A row whose step is
     singular, non-finite, longer than 0.5 or degenerate gets ok False, and the
     caller keeps its iterate."""
-    # D^2 q = -(g gF^T + gF g^T)/F - (q/F) D^2 F, filled into the bordered
-    # system in place
-    k, d = U.shape
-    K, Hq = _bordered(U)
+    # D^2 q = -(g gF^T + gF g^T)/F - (q/F) D^2 F
     gg = g[:, :, None] * gF[:, None, :]
-    np.add(gg, gg.transpose(0, 2, 1), out=Hq)
-    Hq /= -F[:, None, None]
-    Hq -= (q / F)[:, None, None] * HF
-    K.reshape(k, (d + 1) ** 2)[:, :-1:d + 2] -= gu[:, None]      # the diagonal of Hq
-    b = np.zeros((k, d + 1))
-    np.negative(g, out=b[:, :-1])
-    x = _solve_rows(K, b)[:, :-1]
+    Hq = (-(gg + np.swapaxes(gg, 1, 2)) / F[:, None, None] - (q / F)[:, None, None] * HF
+          - gu[:, None, None] * np.eye(U.shape[1]))
+    x = _solve_rows(_bordered(Hq, U), np.column_stack([-g, np.zeros(len(U))]))[:, :-1]
     ok = np.sqrt(np.einsum("kd,kd->k", x, x)) <= 0.5   # False if non-finite
-    x[~ok] = 0.0
-    un = U + x
+    un = U + np.where(ok[:, None], x, 0.0)
     # x is orthogonal to the unit row u (to round-off), so |un| >= 1
     nn = np.sqrt(np.einsum("kd,kd->k", un, un))
     ok &= nn >= 1e-12
     return un / nn[:, None], ok
 
 
-def _bordered(U: np.ndarray) -> tuple:
-    """(K, H): K = [[H, u], [u^T, 0]] (k, d+1, d+1) for rows U (k, d), and H
-    the view of its top-left (k, d, d) block, which the caller fills."""
-    k, d = U.shape
-    K = np.zeros((k, d + 1, d + 1))
-    K[:, :-1, -1] = K[:, -1, :-1] = U
-    return K, K[:, :-1, :-1]
+def _bordered(H: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """[[H, u], [u^T, 0]] (k, d+1, d+1) for H (k, d, d) and rows U (k, d)."""
+    K = np.zeros((len(U), U.shape[1] + 1, U.shape[1] + 1))
+    K[:, :-1, :-1], K[:, :-1, -1], K[:, -1, :-1] = H, U, U
+    return K
 
 
 def _solve_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -620,7 +608,7 @@ def _solve_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.linalg.solve(A, b[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
         singular = ~(np.abs(np.linalg.det(A)) > 0.0)
-        x = np.linalg.solve(np.where(singular[:, None, None], _eye(A.shape[1]), A),
+        x = np.linalg.solve(np.where(singular[:, None, None], np.eye(A.shape[1]), A),
                             b[:, :, None])[:, :, 0]
         x[singular] = np.nan
         return x

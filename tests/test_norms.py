@@ -524,21 +524,23 @@ def _custom_quartic(hessian=None):
                         options=wk.NumericDualOptions(grid_size=64)).as_norm(),
     _custom_quartic,
 ], ids=["quartic", "quadratic", "dual", "custom"])
-def test_grid_jet_is_the_base_jet_of_the_grid(make):
-    # an ascent starts from the grid's jet, which the constructor takes once
+def test_grid_scan_values_are_the_base_gauge_values(make):
+    # the scan divides by the F of the constructor's grid jet: the same bits
+    # as the base gauge's value
     base = make()
     dual = wk.DualNorm(base, mode="numeric", options=wk.NumericDualOptions(grid_size=128))
-    for cached, fresh in zip(dual._grid_jet, norms._jet_rows(base, dual._grid), strict=True):
-        np.testing.assert_array_equal(cached, fresh)
     np.testing.assert_array_equal(dual._grid_F, base.value(dual._grid))
 
 
 def test_grid_jet_of_a_capped_hessian_is_nan_on_the_cap():
     # a custom Hessian that raises on a cap of the circle: the grid's jet
-    # falls back row by row, and only the rows on the cap get a NaN Hessian
+    # falls back to halves of the batch, and only the rows on the cap get a
+    # NaN Hessian, in fewer calls than one per row
     Q = wk.MinkowskiNorm.quartic(2, eps=0.05)
+    calls = []
 
     def hessian(U):
+        calls.append(len(U))
         if np.any(U[:, 0] > 0.8 * np.linalg.norm(U, axis=1)):
             raise NonConvergence("no Hessian on this cap")
         return Q.hess(U)
@@ -548,6 +550,7 @@ def test_grid_jet_of_a_capped_hessian_is_nan_on_the_cap():
     F, gF, HF = dual._grid_jet
     cap = grid[:, 0] > 0.8 * np.linalg.norm(grid, axis=1)
     assert 0 < cap.sum() < len(grid)
+    assert len(calls) < len(grid) / 2
     np.testing.assert_array_equal(np.isnan(HF).any(axis=(1, 2)), cap)
     assert np.isnan(HF[cap]).all()
     np.testing.assert_array_equal(HF[~cap], Q.hess(grid[~cap]))
