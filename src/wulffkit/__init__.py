@@ -3,11 +3,13 @@ geometry, and monotonicity identities.
 
 Layers, bottom to top:
 
+- fd: batched finite-difference stencils, one function call per stencil,
+  behind every fallback derivative (gauges, charts, the gradient relation)
 - norms: gauges F, duals F°, Wulff points, ellipticity diagnostics
 - condition_s: sign agreement between grad F and grad F° and the quadratic
   pairing identity
-- symfunc: elementary symmetric functions and Newton tensors with
-  independent combinatorial oracles
+- symfunc: elementary symmetric functions and Newton tensors of a matrix or
+  a stack, with independent combinatorial oracles
 - surfaces: parametric curves/surfaces, frames, transversal decompositions,
   pointwise derivative identities
 - quadrature: plain and gauge-clipped adaptive surface integrals

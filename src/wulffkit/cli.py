@@ -455,25 +455,24 @@ def _check_symfunc(scn, name, chk) -> CheckOutcome:
             "trace_recursion": 1e-9, "cayley_hamilton": 1e-8}
     found = {key: [] for key in tols}
     for n in sizes:
-        for _ in range(count):
-            A = rng.standard_normal((n, n))
-            for k in range(1, n + 1):
-                s_k = sym.sigma_k(A, k)
-                found["recursion_vs_minors"].append(
-                    abs(s_k - sym.sigma_k_minors_oracle(A, k)) / max(1.0, abs(s_k)))
-                e, t = sym.trace_identity_residuals(A, k)
-                found["trace_euler"].append(e)
-                found["trace_recursion"].append(t)
-            if n <= 4:
-                found["entries_oracle"] += [
-                    float(np.max(np.abs(sym.newton_tensor(A, k)
-                                        - sym.newton_entries_oracle(A, k))))
-                    for k in range(0, min(3, n) + 1)]
-            found["gradient_relation"] += [sym.gradient_relation_residual(A, k)
-                                           for k in (1, min(2, n))]
-            found["cayley_hamilton"].append(float(np.max(np.abs(sym.newton_tensor(A, n)))))
+        A = rng.standard_normal((count, n, n))
+        tensors, sigmas = sym.newton_tensors(A, n)
+        for k in range(1, n + 1):
+            found["recursion_vs_minors"].append(
+                np.abs(sigmas[:, k] - sym.sigma_k_minors_oracle(A, k))
+                / np.maximum(1.0, np.abs(sigmas[:, k])))
+            e, t = sym.trace_identity_residuals(A, k)
+            found["trace_euler"].append(e)
+            found["trace_recursion"].append(t)
+        if n <= 4:
+            found["entries_oracle"] += [
+                np.max(np.abs(tensors[:, k] - sym.newton_entries_oracle(A, k)), axis=(1, 2))
+                for k in range(0, min(3, n) + 1)]
+        found["gradient_relation"] += [sym.gradient_relation_residual(A, k)
+                                       for k in (1, min(2, n))]
+        found["cayley_hamilton"].append(np.max(np.abs(tensors[:, n]), axis=(1, 2)))
     # np.max keeps a NaN residual, so that it fails its row
-    worst = {key: float(np.max(vals, initial=0.0)) for key, vals in found.items()}
+    worst = {key: float(np.max(np.hstack([0.0, *vals]))) for key, vals in found.items()}
     rows = [{"name": name, "check": key, "sizes": " ".join(map(str, sizes)),
              "residual": val, "tolerance": tols[key], "pass": val < tols[key]}
             for key, val in worst.items()]

@@ -449,6 +449,14 @@ class DualNorm:
         m, d = V.shape
         if m == 0:
             return Ascent(np.empty(0), np.empty((0, d)), 0, 0)
+        finite = np.isfinite(V).all(axis=1)
+        if not finite.all():
+            # a direction with a NaN or infinite entry has no maximizer: it
+            # takes NaN and the rest ascend without it
+            q_out, U_out = np.full(m, np.nan), np.full((m, d), np.nan)
+            rest = self._ascend(V[finite])
+            q_out[finite], U_out[finite] = rest.value, rest.maximizer
+            return rest._replace(value=q_out, maximizer=U_out)
         grid = self._grid
         start = np.empty(m, dtype=np.intp)
         chunk = max(1, _SCAN_ENTRIES // len(grid))

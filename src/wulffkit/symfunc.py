@@ -5,6 +5,9 @@ Newton tensors T_k = sigma_k I - T_{k-1} A, starting from T_0 = I); it works
 for arbitrary, not necessarily symmetric, real matrices.  Independent
 oracles: principal-minor sums, eigenvalue symmetric polynomials, and a
 direct generalized-Kronecker-delta summation for the tensor entries.
+
+Every function takes one matrix (n, n) or a stack (..., n, n) and gives for
+a stack, bit for bit, what it gives for each matrix.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .errors import IndexOutOfRange, TooLarge
-from .fd import central_diff
+from .fd import _central_diffs
 
 _MINOR_MAX_N = 6
 _ENTRIES_MAX_N = 4
@@ -24,8 +27,8 @@ _ENTRIES_MAX_K = 3
 
 def _square(A) -> np.ndarray:
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("expected a square matrix")
+    if A.ndim < 2 or A.shape[-2] != A.shape[-1]:
+        raise ValueError("expected a square matrix or a stack of them")
     return A
 
 
@@ -34,53 +37,55 @@ def _check_k(n: int, k: int) -> None:
         raise IndexOutOfRange(f"k={k} outside 0..{n}")
 
 
-def newton_tensors(A, k: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """(T_0..T_k, sigma_0..sigma_k) via the trace recursion."""
+def newton_tensors(A, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(T_0..T_k, sigma_0..sigma_k) via the trace recursion: for A (..., n, n),
+    the arrays (..., k+1, n, n) and (..., k+1)."""
     A = _square(A)
-    n = A.shape[0]
+    n = A.shape[-1]
     _check_k(n, k)
-    tensors = [np.eye(n)]
-    sigmas = [1.0]
+    eye = np.eye(n)
+    tensors = np.empty(A.shape[:-2] + (k + 1, n, n))
+    sigmas = np.empty(A.shape[:-2] + (k + 1,))
+    tensors[..., 0, :, :], sigmas[..., 0] = eye, 1.0
     for j in range(1, k + 1):
-        sigma_j = float(np.trace(tensors[-1] @ A)) / j
-        sigmas.append(sigma_j)
-        tensors.append(sigma_j * np.eye(n) - tensors[-1] @ A)
-    return tensors, np.array(sigmas)
+        TA = tensors[..., j - 1, :, :] @ A
+        sigmas[..., j] = np.trace(TA, axis1=-2, axis2=-1) / j
+        tensors[..., j, :, :] = sigmas[..., j, None, None] * eye - TA
+    return tensors, sigmas
 
 
-def sigma_k(A, k: int) -> float:
+def sigma_k(A, k: int):
     """k-th elementary symmetric function of the eigenvalues of A."""
-    _, sigmas = newton_tensors(A, k)
-    return float(sigmas[k])
+    return np.take(newton_tensors(A, k)[1], k, axis=-1)
 
 
 def newton_tensor(A, k: int) -> np.ndarray:
-    tensors, _ = newton_tensors(A, k)
-    return tensors[k]
+    return newton_tensors(A, k)[0][..., k, :, :]
 
 
-def sigma_k_minors_oracle(A, k: int) -> float:
+def sigma_k_minors_oracle(A, k: int):
     """Sum of all k x k principal minors; combinatorial, guarded to n <= 6."""
     A = _square(A)
-    n = A.shape[0]
+    n = A.shape[-1]
     _check_k(n, k)
     if n > _MINOR_MAX_N:
         raise TooLarge(f"minor oracle limited to n <= {_MINOR_MAX_N}")
-    if k == 0:
-        return 1.0
-    total = 0.0
-    for idx in combinations(range(n), k):
-        sub = A[np.ix_(idx, idx)]
-        total += float(np.linalg.det(sub))
-    return total
+    # k = 0 takes the one empty minor, whose determinant is 1
+    return sum(np.linalg.det(A[..., idx, :][..., idx])
+               for idx in map(list, combinations(range(n), k)))
 
 
-def sigma_k_eigen_oracle(A, k: int) -> float:
+def sigma_k_eigen_oracle(A, k: int):
     """sigma_k from eigenvalues via the characteristic polynomial."""
     A = _square(A)
-    _check_k(A.shape[0], k)
-    coeffs = np.poly(np.linalg.eigvals(A))  # [1, -s1, s2, -s3, ...]
-    return float(((-1.0) ** k * coeffs[k]).real)
+    _check_k(A.shape[-1], k)
+    lam = np.linalg.eigvals(A)
+    # coefficients [1, -s1, s2, -s3, ...] of prod (x - lam_i), one root at a time
+    coeffs = np.zeros(lam.shape[:-1] + (k + 1,), dtype=lam.dtype)
+    coeffs[..., 0] = 1.0
+    for i in range(lam.shape[-1]):
+        coeffs[..., 1:] = coeffs[..., 1:] - lam[..., i, None] * coeffs[..., :-1]
+    return ((-1.0) ** k * coeffs[..., k]).real
 
 
 def generalized_kronecker(lower, upper) -> int:
@@ -118,12 +123,12 @@ def newton_entries_oracle(A, k: int) -> np.ndarray:
     Exponential cost; guarded to n <= 4, k <= 3.
     """
     A = _square(A)
-    n = A.shape[0]
+    n = A.shape[-1]
     _check_k(n, k)
     if n > _ENTRIES_MAX_N or k > _ENTRIES_MAX_K:
         raise TooLarge(
             f"entries oracle limited to n <= {_ENTRIES_MAX_N}, k <= {_ENTRIES_MAX_K}")
-    T = np.zeros((n, n))
+    T = np.zeros(A.shape)
     for j in range(n):
         for i in range(n):
             acc = 0.0
@@ -136,36 +141,31 @@ def newton_entries_oracle(A, k: int) -> np.ndarray:
                         continue
                     term = delta
                     for a, b in zip(I, J):
-                        term *= A[a, b]
-                    acc += term
-            T[j, i] = acc / math.factorial(k)
+                        term = term * A[..., a, b]
+                    acc = acc + term
+            T[..., j, i] = acc / math.factorial(k)
     return T
 
 
-def gradient_relation_residual(A, k: int) -> float:
+def gradient_relation_residual(A, k: int):
     """max |[T_{k-1}(A)]_{ji} - d sigma_k / d a_{ij}|, partials by central FD
-    at step 1e-6 (1 + |a_ij|)."""
+    at step 1e-6 (1 + |a_ij|): one stencil, whose points are A, once per
+    entry a_ij, moved along that entry."""
     A = _square(A)
-    n = A.shape[0]
+    n = A.shape[-1]
     if not 1 <= k <= n:
         raise IndexOutOfRange(f"k={k} outside 1..{n}")
+    entries = A.reshape(-1, n * n)
+    points = np.repeat(entries, n * n, axis=0)
+    dirs = np.tile(np.eye(n * n), (len(entries), 1))[:, :, None]
+    steps = 1e-6 * (1.0 + np.abs(entries.ravel()))
+    partials = _central_diffs(lambda P: sigma_k(P.reshape(-1, n, n), k),
+                              points, dirs, (steps,)).reshape(A.shape)
     T_prev = newton_tensor(A, k - 1)
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            h = 1e-6 * (1.0 + abs(A[i, j]))
-
-            def sig(t: float) -> float:
-                B = A.copy()
-                B[i, j] += t
-                return sigma_k(B, k)
-
-            partial = float(central_diff(sig, 0.0, h, richardson=False))
-            worst = max(worst, abs(T_prev[j, i] - partial))
-    return worst
+    return np.max(np.abs(np.swapaxes(T_prev, -2, -1) - partials), axis=(-2, -1))
 
 
-def trace_identity_residuals(A, k: int) -> tuple[float, float]:
+def trace_identity_residuals(A, k: int) -> tuple:
     """Residuals of sigma_k = tr(T_{k-1} A)/k and tr T_k = (n-k) sigma_k.
 
     The reference sigma_k comes from an independent oracle (principal minors
@@ -173,43 +173,19 @@ def trace_identity_residuals(A, k: int) -> tuple[float, float]:
     recursion, so both identities are genuine cross-checks.
     """
     A = _square(A)
-    n = A.shape[0]
+    n = A.shape[-1]
     if not 1 <= k <= n:
         raise IndexOutOfRange(f"k={k} outside 1..{n}")
     sigma_ref = (sigma_k_minors_oracle(A, k) if n <= _MINOR_MAX_N
                  else sigma_k_eigen_oracle(A, k))
-    tensors, _ = newton_tensors(A, k)
-    res_euler = abs(sigma_ref - float(np.trace(tensors[k - 1] @ A)) / k)
-    res_trace = abs(float(np.trace(tensors[k])) - (n - k) * sigma_ref)
+    tensors = newton_tensors(A, k)[0]
+    res_euler = np.abs(sigma_ref - np.trace(tensors[..., k - 1, :, :] @ A,
+                                            axis1=-2, axis2=-1) / k)
+    res_trace = np.abs(np.trace(tensors[..., k, :, :], axis1=-2, axis2=-1)
+                       - (n - k) * sigma_ref)
     return res_euler, res_trace
 
 
-def normalized_k_curvature(S, k: int) -> float:
+def normalized_k_curvature(S, k: int):
     """sigma_k(S) / binomial(n, k)."""
-    S = _square(S)
-    n = S.shape[0]
-    _check_k(n, k)
-    return sigma_k(S, k) / math.comb(n, k)
-
-
-def sigma_batch(S: np.ndarray, k: int) -> np.ndarray:
-    """sigma_k over a stack of small matrices (m, n, n); closed forms for n <= 3."""
-    S = np.asarray(S, dtype=float)
-    n = S.shape[-1]
-    _check_k(n, k)
-    if k == 0:
-        return np.ones(S.shape[0])
-    if k == 1:
-        return np.trace(S, axis1=-2, axis2=-1)
-    if k == n:
-        return np.linalg.det(S)
-    if k == 2:
-        tr = np.trace(S, axis1=-2, axis2=-1)
-        tr2 = np.trace(S @ S, axis1=-2, axis2=-1)
-        return 0.5 * (tr * tr - tr2)
-    return np.array([sigma_k(M, k) for M in S])
-
-
-def normalized_curvature_batch(S: np.ndarray, k: int) -> np.ndarray:
-    n = np.asarray(S).shape[-1]
-    return sigma_batch(S, k) / math.comb(n, k)
+    return sigma_k(S, k) / math.comb(np.shape(S)[-1], k)

@@ -27,7 +27,7 @@ from .surfaces import (ParametricPatch, TransversalField, _as_batch, _codazzi, _
                        equiaffine_batch, hyperplane, line, linear_image, position_field,
                        product_rule_residual, shape_products_asymmetry,
                        tangential_derivative_residuals)
-from .symfunc import normalized_curvature_batch
+from .symfunc import newton_tensors
 
 PASS_FACTOR = 3.0
 # the sampled max |H_F|, |H_xi| or |tau| above which a surface counts as not
@@ -339,13 +339,15 @@ def minkowski_formulas(patch: ParametricPatch, xi_field: TransversalField, ks, *
     if max_tau > MINIMALITY_TOL:
         raise NotEquiaffine(f"max |tau| = {max_tau:.3g} exceeds {MINIMALITY_TOL:g}")
 
+    binomials = np.array([math.comb(n, j) for j in range(max(ks) + 2)])
+
     def sides(fb):
         e = _equiaffine(xi_field, fb)
         xn = np.einsum("md,md->m", fb.x, fb.nu)
-        h = {j: normalized_curvature_batch(e.shape_op, j)
-             for j in {*ks, *(k + 1 for k in ks)}}
+        # the normalized curvatures sigma_j / C(n, j), j = 0..max(ks) + 1
+        h = newton_tensors(e.shape_op, max(ks) + 1)[1] / binomials
         return np.column_stack([col for k in ks
-                                for col in (e.support * h[k], -xn * h[k + 1])])
+                                for col in (e.support * h[:, k], -xn * h[:, k + 1])])
 
     values, estimates = (a.tolist() for a in integrate_with_estimate(patch, sides, rule))
     reports = []

@@ -612,6 +612,25 @@ def test_nan_symfunc_residual_fails_the_check(monkeypatch):
     assert cli._check_symfunc(scn, "s", scn.checks[0][2]).status == "fail"
 
 
+def test_scaled_recursion_fails_the_newton_suite(monkeypatch):
+    # sigma_k (k >= 1) of the recursion off by 1e-6 relative: the minors oracle sees it
+    recursion = cli.sym.newton_tensors
+
+    def scaled(A, k):
+        tensors, sigmas = recursion(A, k)
+        sigmas[..., 1:] *= 1.0 + 1e-6
+        return tensors, sigmas
+
+    scn = cli.Scenario(cli.load_config("identity-suite"))
+    name, chk = next((name, chk) for name, kind, chk in scn.checks if kind == "symfunc")
+    assert name == "newton-suite"
+    assert cli._check_symfunc(scn, name, chk).status == "pass"
+    monkeypatch.setattr(cli.sym, "newton_tensors", scaled)
+    outcome = cli._check_symfunc(scn, name, chk)
+    assert outcome.status == "fail"
+    assert [row["check"] for row in outcome.rows if not row["pass"]][0] == "recursion_vs_minors"
+
+
 def test_verdict_keys_parse_their_documented_values():
     # the default, then every documented value, reads back as given
     for kind, key, values in (("condition-s", "expect", ("pass", "fail")),

@@ -1,7 +1,7 @@
 """Every demo runs to completion against the current API.
 
 Nothing else runs the demos, so an API change that breaks one would go
-unnoticed.  Each takes well under a second on a 2-vCPU host (the slowest,
+unnoticed.  They run with RuntimeWarnings as errors, as the test suite does.  Each takes well under a second on a 2-vCPU host (the slowest,
 minkowski_pairing, about 0.5 s; monotonicity, which runs the clipped
 quadrature, about 0.25 s).
 """
@@ -21,6 +21,7 @@ ROOT = Path(__file__).resolve().parents[1]
                                   "monotonicity.py", "minkowski_pairing.py"])
 def test_demo_exits_zero(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(ROOT / "demos" / demo)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -254,6 +254,23 @@ def test_zero_row_in_batch_raises():
             fn(V)
 
 
+@pytest.mark.parametrize("label", ["quartic-2", "quadratic-2"])
+def test_non_finite_direction_has_nan_value_and_maximizer(label):
+    # such a row is never iterated (no RuntimeWarning, which the test
+    # settings turn into an error); the other rows of its batch keep their bits
+    dual = dict(DUALS)[label]
+    for bad in ([np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]):
+        q, u = dual.eval_with_maximizer(bad)
+        assert np.isnan(q) and np.isnan(u).all() and np.isnan(dual.grad(bad)).all()
+    V = np.array([[1.0, 0.3], [np.nan, 1.0], [-0.2, 1.0], [np.inf, 0.0]])
+    finite = np.array([True, False, True, False])
+    q, U = dual.eval_with_maximizer(V)
+    ascent = dual._ascend(V[finite])
+    assert np.isnan(q[~finite]).all() and np.isnan(U[~finite]).all()
+    assert np.array_equal(q[finite], ascent.value)
+    assert np.array_equal(U[finite], ascent.maximizer)
+
+
 def test_ascent_counts_in_condition_s_metadata():
     Q = wk.MinkowskiNorm.quartic(2, eps=0.05)
     verdict = cs.check_condition_s(Q, 500, seed=0)

@@ -151,15 +151,6 @@ def test_normalized_curvature_sphere_values():
     assert sym.normalized_k_curvature(M, 1) == pytest.approx(np.trace(M) / 3, abs=1e-12)
 
 
-def test_sigma_batch_matches_scalar():
-    rng = np.random.default_rng(11)
-    S = rng.standard_normal((40, 2, 2))
-    for k in range(3):
-        batch = sym.sigma_batch(S, k)
-        ref = np.array([sym.sigma_k(M, k) for M in S])
-        assert np.max(np.abs(batch - ref)) < 1e-12
-
-
 def test_guards():
     with pytest.raises(IndexOutOfRange):
         sym.sigma_k(np.eye(3), 4)
