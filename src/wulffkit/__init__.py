@@ -12,7 +12,8 @@ Layers, bottom to top:
   a stack, with independent combinatorial oracles
 - surfaces: parametric curves/surfaces, frames, transversal decompositions,
   pointwise derivative identities
-- quadrature: plain and gauge-clipped adaptive surface integrals
+- quadrature: one adaptive pass for surface integrals over a whole patch or
+  over the bands of a gauge-clipped region
 - verify: integral identities assembled from the layers below
 - cli: scenario-driven runner (JSON config in, CSV + plot scripts out)
 """
@@ -39,8 +40,7 @@ from .surfaces import (EquiaffineBatch, FrameBatch, ParametricPatch, Transversal
                        sqrtm_spd, surface_divergence,
                        tangential_derivative_residuals, transformed_catenoid)
 from .quadrature import (ClippedRegionRule, ClippedResult, ParamQuadrature,
-                         integrate, integrate_clipped, integrate_with_estimate,
-                         sublevel_energy)
+                         integrate_clipped, sublevel_energy)
 from .verify import (CorollaryReport, IdentityReport, MonotonicityScan,
                      corollary_lower_bound, equiaffine_identity,
                      frame_identity_suite, geometric_radii, minkowski_formula,

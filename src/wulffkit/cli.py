@@ -67,8 +67,6 @@ SURFACE_KINDS = {   # kind: (parameters, builder)
         scale=float(p.get("scale", 0.8)), extent=float(p.get("extent", 1.5)))),
 }
 
-DEFAULT_CONSTANT_XI = (0.3, -0.7, 0.55)
-
 
 def _integer(value) -> int:
     """value as an int, where it is one: a float without a fraction counts,
@@ -114,30 +112,55 @@ def _listed(parse):
     return parse_list
 
 
-# check kind: (the fields a check of that kind must name, its optional
-# parameters as {key: (parse, default)}); it runs as the module function
-# _check_<kind>, which reads its parameters through _options
+def _text(value) -> str:
+    """value, if it is a string: the name of a norm or surface, or a field."""
+    if not isinstance(value, str):
+        raise ValueError(f"{value!r} is not a string")
+    return value
+
+
+def _radii(value) -> list:
+    """A JSON array of at least two strictly increasing numbers."""
+    radii = [float(x) for x in value] if isinstance(value, list) else []
+    if len(radii) < 2 or any(a >= b for a, b in zip(radii, radii[1:])):
+        raise ValueError(f"not a JSON array of two or more strictly increasing radii: {value!r}")
+    return radii
+
+
+# the transversal field: "normal", "constant" (the vector "constant") or a norm
+_XI = {"xi": (_text, "normal"), "constant": (_listed(float), (0.3, -0.7, 0.55))}
+
+# check kind: (the fields a check of that kind must name, as {key: parse}, and
+# its optional parameters, as {key: (parse, default)}); it runs as the module
+# function _check_<kind>, which reads both through _options.  A check may name
+# no other key but its kind and name.
 CHECKS = {
-    "norm-identities": (("norm",), {"samples": (_at_least(1), 1000), "tolerance": (float, 1e-8)}),
-    "condition-s": (("norm",), {"samples": (_at_least(1), 10_000), "worst_k": (_at_least(0), 10),
-                                "expect": (_one_of("pass", "fail"), "pass")}),
-    "lemmas": (("surface",), {"tolerance": (float, 1e-4), "grid": (_at_least(1), 9),
-                              "min_support": (float, 0.05)}),
-    "monotonicity": (("surface", "norm"), {"count": (_at_least(2), 8),
-                                           "assert_constant_rel": (float, None),
-                                           "assert_monotone": (_boolean, True)}),
-    "equiaffine": (("surface", "gauge", "s", "r"), {}),
-    "corollary": (("surface", "norm"), {"rel_tol": (float, 1e-4), "expect": (
-        _one_of("bound", "equality", "strict"), "bound")}),
-    "minkowski": (("surface",), {"k": (_listed(_integer), [0])}),
-    "symfunc": ((), {"sizes": (_listed(_at_least(1)), [3, 4, 5]), "count": (_at_least(1), 20)}),
+    "norm-identities": ({"norm": _text}, {"samples": (_at_least(1), 1000),
+                                          "tolerance": (float, 1e-8)}),
+    "condition-s": ({"norm": _text}, {"samples": (_at_least(1), 10_000),
+                                      "worst_k": (_at_least(0), 10),
+                                      "expect": (_one_of("pass", "fail"), "pass")}),
+    "lemmas": ({"surface": _text}, {"tolerance": (float, 1e-4), "grid": (_at_least(1), 9),
+                                    "min_support": (float, 0.05), **_XI}),
+    "monotonicity": ({"surface": _text, "norm": _text}, {
+        "radii": (_radii, None), "count": (_at_least(2), 8),
+        "assert_constant_rel": (float, None), "assert_monotone": (_boolean, True)}),
+    "equiaffine": ({"surface": _text, "gauge": _text, "s": float, "r": float}, _XI),
+    "corollary": ({"surface": _text, "norm": _text}, {
+        "rel_tol": (float, 1e-4), "expect": (_one_of("bound", "equality", "strict"), "bound"),
+        "origin_param": (_listed(float), None)}),
+    "minkowski": ({"surface": _text}, {"k": (_listed(_integer), [0]), **_XI}),
+    "symfunc": ({}, {"sizes": (_listed(_at_least(1)), [3, 4, 5]), "count": (_at_least(1), 20)}),
 }
 
 
 def _options(kind: str, chk: dict) -> dict:
-    """The optional parameters of a check of this kind: parsed, or their defaults."""
-    return {key: parse(chk[key]) if key in chk else default
-            for key, (parse, default) in CHECKS[kind][1].items()}
+    """The fields that a check of this kind names and its optional parameters,
+    parsed; an optional parameter the check does not name takes its default."""
+    fields, optional = CHECKS[kind]
+    return {**{key: parse(chk[key]) for key, parse in fields.items() if key in chk},
+            **{key: parse(chk[key]) if key in chk else default
+               for key, (parse, default) in optional.items()}}
 
 
 def _fmt(x) -> str:
@@ -260,51 +283,47 @@ class Scenario:
         kind = chk.get("kind")
         if kind not in CHECKS:
             raise ConfigError(f"check {name!r}: unknown kind {kind!r}")
-        missing = [key for key in CHECKS[kind][0] if key not in chk]
+        fields, optional = CHECKS[kind]
+        missing = [key for key in fields if key not in chk]
         if missing:
             raise ConfigError(f"check {name!r}: a {kind} check needs {', '.join(missing)}")
-        options = _options(kind, chk)   # one that does not parse fails here, not in the run
-        for key in ("norm", "gauge"):
-            if key in chk and chk[key] not in self.norms:
-                raise ConfigError(f"check {name!r}: unresolved norm {chk[key]!r}")
-        if "surface" in chk and chk["surface"] not in self.surfaces:
-            raise ConfigError(f"check {name!r}: unresolved surface {chk['surface']!r}")
-        if "xi" in chk and chk["xi"] not in ("normal", "constant") \
-                and chk["xi"] not in self.norms:
-            raise ConfigError(f"check {name!r}: unresolved xi field {chk['xi']!r}")
-        if "surface" in chk:   # gauges and fields live in the surface's space
-            dim = self.surfaces[chk["surface"]].dim
-            dims = {key: self.norms[chk[key]].dim for key in ("norm", "gauge", "xi")
-                    if chk.get(key) in self.norms}
-            if chk.get("xi") == "constant":
-                dims["xi"] = np.size(chk.get("constant", DEFAULT_CONSTANT_XI))
+        unread = [key for key in chk if key not in ("kind", "name", *fields, *optional)]
+        if unread:
+            raise ConfigError(f"check {name!r}: a {kind} check does not read "
+                              f"{', '.join(map(repr, unread))}")
+        opt = _options(kind, chk)   # a value that does not parse fails here, not in the run
+        for key, what, known in (("norm", "norm", self.norms), ("gauge", "norm", self.norms),
+                                 ("surface", "surface", self.surfaces),
+                                 ("xi", "xi field", ("normal", "constant", *self.norms))):
+            if key in opt and opt[key] not in known:
+                raise ConfigError(f"check {name!r}: unresolved {what} {opt[key]!r}")
+        if "surface" in opt:   # gauges and fields live in the surface's space
+            dim = self.surfaces[opt["surface"]].dim
+            dims = {key: self.norms[opt[key]].dim for key in ("norm", "gauge", "xi")
+                    if opt.get(key) in self.norms}
+            if opt.get("xi") == "constant":
+                dims["xi"] = len(opt["constant"])
             for key, d in dims.items():
                 if d != dim:
-                    raise ConfigError(f"check {name!r}: {key} {chk[key]!r} has dim {d}, "
-                                      f"surface {chk['surface']!r} has dim {dim}")
+                    raise ConfigError(f"check {name!r}: {key} {opt[key]!r} has dim {d}, "
+                                      f"surface {opt['surface']!r} has dim {dim}")
         if kind == "minkowski":   # a formula of order k needs 0 <= k <= n - 1
-            n = self.surfaces[chk["surface"]].n
-            bad = [k for k in options["k"] if not 0 <= k < n]
+            n = self.surfaces[opt["surface"]].n
+            bad = [k for k in opt["k"] if not 0 <= k < n]
             if bad:
                 raise ConfigError(f"check {name!r}: k must lie in 0..{n - 1} on surface "
-                                  f"{chk['surface']!r}, not {bad}")
-        s, r = chk.get("s"), chk.get("r")
-        if s is not None and r is not None and not float(s) < float(r):
+                                  f"{opt['surface']!r}, not {bad}")
+        if kind == "equiaffine" and not opt["s"] < opt["r"]:
             raise ConfigError(f"check {name!r}: radii must satisfy s < r "
-                              f"(got s={s}, r={r})")
-        if "radii" in chk:
-            rr = [float(x) for x in _json(chk["radii"], list, f"check {name!r}: radii")]
-            if sorted(rr) != rr or len(set(rr)) != len(rr):
-                raise ConfigError(f"check {name!r}: radii must be strictly increasing")
+                              f"(got s={opt['s']}, r={opt['r']})")
 
 
-def _xi_field(scn: Scenario, chk: dict) -> sf.TransversalField:
-    xi = chk.get("xi", "normal")
-    if xi == "normal":
+def _xi_field(scn: Scenario, opt: dict) -> sf.TransversalField:
+    if opt["xi"] == "normal":
         return sf.normal_field()
-    if xi == "constant":
-        return sf.constant_field(chk.get("constant", DEFAULT_CONSTANT_XI))
-    return sf.anisotropic_normal_field(scn.norms[xi])
+    if opt["xi"] == "constant":
+        return sf.constant_field(opt["constant"])
+    return sf.anisotropic_normal_field(scn.norms[opt["xi"]])
 
 
 def _check_norm_identities(scn, name, chk) -> CheckOutcome:
@@ -350,8 +369,8 @@ def _check_condition_s(scn, name, chk) -> CheckOutcome:
 
 def _check_lemmas(scn, name, chk) -> CheckOutcome:
     patch = scn.surfaces[chk["surface"]]
-    xi = _xi_field(scn, chk)
     opt = _options("lemmas", chk)
+    xi = _xi_field(scn, opt)
     tol = opt["tolerance"]
     suite = vf.frame_identity_suite(patch, xi, grid=opt["grid"],
                                     min_support=opt["min_support"])
@@ -372,7 +391,7 @@ def _check_monotonicity(scn, name, chk) -> CheckOutcome:
     norm = scn.norms[chk["norm"]]
     opt = _options("monotonicity", chk)
     dual = norm.dual()
-    radii = (np.asarray([float(x) for x in chk["radii"]]) if "radii" in chk
+    radii = (np.asarray(opt["radii"]) if opt["radii"] is not None
              else vf.geometric_radii(patch, dual, count=opt["count"]))
     scan = vf.monotonicity_scan(patch, norm, radii, dual=dual, rule=scn.rule,
                                 max_depth=scn.max_depth)
@@ -397,9 +416,9 @@ def _check_monotonicity(scn, name, chk) -> CheckOutcome:
 
 def _check_equiaffine(scn, name, chk) -> CheckOutcome:
     patch = scn.surfaces[chk["surface"]]
-    xi = _xi_field(scn, chk)
+    opt = _options("equiaffine", chk)
     gauge = scn.norms[chk["gauge"]].dual()
-    rep = vf.equiaffine_identity(patch, xi, gauge, float(chk["s"]), float(chk["r"]),
+    rep = vf.equiaffine_identity(patch, _xi_field(scn, opt), gauge, opt["s"], opt["r"],
                                  rule=scn.rule, max_depth=scn.max_depth)
     row = {"name": name, "surface": chk["surface"], "norm": chk["gauge"],
            "s": rep.metadata["s"], "r": rep.metadata["r"], "lhs": rep.lhs,
@@ -413,10 +432,10 @@ def _check_equiaffine(scn, name, chk) -> CheckOutcome:
 def _check_corollary(scn, name, chk) -> CheckOutcome:
     patch = scn.surfaces[chk["surface"]]
     norm = scn.norms[chk["norm"]]
+    opt = _options("corollary", chk)
     rep = vf.corollary_lower_bound(patch, norm, rule=scn.rule,
                                    max_depth=scn.max_depth,
-                                   origin_param=chk.get("origin_param"))
-    opt = _options("corollary", chk)
+                                   origin_param=opt["origin_param"])
     expect = opt["expect"]
     if expect == "equality":
         ok = rep.equality_within <= opt["rel_tol"]
@@ -434,8 +453,8 @@ def _check_corollary(scn, name, chk) -> CheckOutcome:
 
 def _check_minkowski(scn, name, chk) -> CheckOutcome:
     patch = scn.surfaces[chk["surface"]]
-    xi = _xi_field(scn, chk)
-    ks = _options("minkowski", chk)["k"]
+    opt = _options("minkowski", chk)
+    xi, ks = _xi_field(scn, opt), opt["k"]
     reps = vf.minkowski_formulas(patch, xi, ks, rule=scn.rule)
     rows = [{"name": name, "surface": chk["surface"], "xi": xi.name,
              "k": rep.metadata["k"], "lhs": rep.lhs, "rhs": rep.rhs,

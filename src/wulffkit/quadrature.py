@@ -1,10 +1,12 @@
 """Surface quadrature over parametric patches.
 
-Plain integrals use tensor-product Gauss-Legendre rules on a uniform cell
-grid.  A gauge-clipped integral covers the region {s < phi(x) < r}, split
-at levels s = l_0 < l_1 < ... < l_K = r into the bands
-{l_b < phi(x) < l_(b+1)}; one pass integrates every band (one band when
-there is no split).  At each depth one set of samples of psi = phi(chart(p))
+One pass integrates over a gauge-clipped region of a patch, or over the
+whole patch, with tensor-product Gauss-Legendre rules on a uniform cell
+grid.  A region {s < phi(x) < r} is split at levels s = l_0 < l_1 < ... <
+l_K = r into the bands {l_b < phi(x) < l_(b+1)}; one pass integrates every
+band (one band when there is no split).  With no region the whole patch is
+one band: every base cell lies inside it, no gauge is called, and the
+estimate is exactly 0.  At each depth one set of samples of psi = phi(chart(p))
 plus a gradient-based variation bound classifies every cell against all
 levels.  A cell entirely inside one band gets the plain rule and that
 band's label; cells entirely outside are dropped.  A straddling cell is a
@@ -67,10 +69,6 @@ class ParamQuadrature:
             raise ValueError("quadrature order must be >= 2")
         if self.base_grid < 1:
             raise ValueError("base_grid must be >= 1")
-
-    def refined(self) -> "ParamQuadrature":
-        """The rule with twice the cells per axis."""
-        return ParamQuadrature(order=self.order, base_grid=2 * self.base_grid)
 
 
 @dataclass(frozen=True)
@@ -196,33 +194,6 @@ def _shaped(x: np.ndarray, cols: tuple):
     return float(x) if x.ndim == 0 else x
 
 
-def integrate(patch: ParametricPatch, f, rule: ParamQuadrature = ParamQuadrature()):
-    """Integral of f against the surface measure over the whole patch.
-
-    f maps a FrameBatch of m nodes to (m,) values, or to (m, j) for j
-    integrands sharing the nodes (and their frames); the result is a float,
-    or a (j,) array.
-    """
-    lo, hi = _base_cells(patch, rule.base_grid)
-    chunk = max(1, 200_000 // rule.order ** patch.n)
-    total = 0.0
-    for start in range(0, lo.shape[0], chunk):
-        P, W = _cell_nodes(lo[start:start + chunk], hi[start:start + chunk], rule.order)
-        rows, cols = _columns(f, patch.frames(P))
-        total = total + np.array([np.dot(W, row) for row in rows])
-    return _shaped(total[:, None], cols)
-
-
-def integrate_with_estimate(patch: ParametricPatch, f,
-                            rule: ParamQuadrature = ParamQuadrature()):
-    """Integral plus a two-resolution error estimate, against the rule with
-    half the cells per axis (each a float, or a (j,) array for an (m, j)
-    integrand, as in integrate)."""
-    coarse = integrate(patch, f, rule)
-    fine = integrate(patch, f, rule.refined())
-    return fine, abs(fine - coarse) + 1e-15 * (abs(fine) + 1.0)
-
-
 # classification samples: the 3^n grid of cell corners, edge midpoints and centre
 _OFFSETS = {n: _tensor_grid([(0.0, 0.5, 1.0)] * n) for n in (1, 2)}
 # sample rows on the faces coord_k = lo_k and coord_k = hi_k of a surface cell,
@@ -242,15 +213,14 @@ _AREA_TOL = 1e-12          # largest gap between the two rules' region areas in 
                            # relative to the cell's parameter volume
 
 
-def integrate_clipped(patch: ParametricPatch, f, region: ClippedRegionRule,
+def integrate_clipped(patch: ParametricPatch, f, region: ClippedRegionRule | None,
                       rule: ParamQuadrature = ParamQuadrature()) -> ClippedResult:
     """Adaptive integral of f over each band levels[b] < phi(x) < levels[b + 1]
-    of the region, from one subdivision of the patch.  f maps a FrameBatch of
-    m nodes to (m,) values, or to (m, j) for j integrands sharing the nodes."""
+    of the region, from one subdivision of the patch; a region of None is the
+    whole patch.  f maps a FrameBatch of m nodes to (m,) values, or to (m, j)
+    for j integrands sharing the nodes."""
     n = patch.n
     offsets = _OFFSETS[n]
-    levels = region.levels
-    nb = len(levels) - 1
     lo, hi = _base_cells(patch, rule.base_grid)
     inside, cut = [], []      # cells (lo, hi, band); node sets (P, W, cell, slot)
     flo = fhi = np.empty((0, n))                  # the fallback cells
@@ -258,8 +228,14 @@ def integrate_clipped(patch: ParametricPatch, f, region: ClippedRegionRule,
     # the whole cell (the band count if none)
     tops = [np.empty(0, dtype=int)]
     n_cut = 0
+    if region is None:        # the whole patch: every base cell is inside one band
+        inside.append((lo, hi, np.zeros(len(lo), dtype=int)))
+        nb, depths = 1, range(0)
+    else:
+        levels = region.levels
+        nb, depths = len(levels) - 1, range(region.max_depth + 1)
 
-    for depth in range(region.max_depth + 1):
+    for depth in depths:
         if lo.shape[0] == 0:
             break
         k = lo.shape[0]
@@ -317,11 +293,12 @@ def integrate_clipped(patch: ParametricPatch, f, region: ClippedRegionRule,
     leaves = [(*_cell_nodes(ilo, ihi, rule.order), np.repeat(np.arange(n_in), q),
                np.repeat(iband, q))]
     leaves += [(P, W, n_in + cell, slot) for P, W, cell, slot in cut]
-    P, W = _cell_nodes(flo, fhi, rule.order)
-    phi, _ = _gauge_safe(region.gauge, patch.chart(P))
-    in_band = (phi[:, None] > levels[:-1]) & (phi[:, None] < levels[1:])
-    leaves.append((P, W, n_in + n_cut + np.repeat(np.arange(n_fb), q),
-                   np.where(in_band.any(axis=1), in_band.argmax(axis=1), 2 * nb)))
+    if n_fb:
+        P, W = _cell_nodes(flo, fhi, rule.order)
+        phi, _ = _gauge_safe(region.gauge, patch.chart(P))
+        in_band = (phi[:, None] > levels[:-1]) & (phi[:, None] < levels[1:])
+        leaves.append((P, W, n_in + n_cut + np.repeat(np.arange(n_fb), q),
+                       np.where(in_band.any(axis=1), in_band.argmax(axis=1), 2 * nb)))
     P, W, leaf, slot = (np.concatenate(a) for a in zip(*leaves))
     del cut, leaves           # the parts, before f runs
     sums, masses, cols = _leaf_sums(patch, f, P, W, leaf, slot,
@@ -353,7 +330,9 @@ def _leaf_sums(patch: ParametricPatch, f, P: np.ndarray, W: np.ndarray, leaf: np
     _CHUNK nodes at a time, so each leaf's sums add its nodes in one order
     however the pass is chunked (with no leaf, f runs once on zero nodes);
     the leaves lie on the last axis, so a sum over them is pairwise."""
-    edges = np.append(np.unique(np.append(0, leaf[::_CHUNK])), n_leaf)
+    # the leaves that open a chunk (np.unique would import numpy.ma, ~13 ms)
+    firsts = np.append(0, leaf[::_CHUNK])
+    edges = np.append(firsts[np.append(True, firsts[1:] != firsts[:-1])], n_leaf)
     starts = np.searchsorted(leaf, edges)
     sums, masses = [], []
     for a, b, na, nz in zip(edges[:-1], edges[1:], starts[:-1], starts[1:]):

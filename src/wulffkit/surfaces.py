@@ -29,8 +29,10 @@ from .norms import MinkowskiNorm, _orthonormal_complement
 
 GRAM_FLOOR = 1e-12
 TRANSVERSAL_FLOOR = 1e-8
-PARAM_STEP = 1e-5
+PARAM_STEP = 1e-5        # the central-difference step of the frame derivatives
+CODAZZI_STEP = 1e-4      # the outer, Richardson-extrapolated step of the Codazzi check
 CHART_FD_STEP = 1e-6    # the central-difference step of a chart without dchart
+TEST_VECTOR = (0.3, -0.7, 0.55)   # the constant vector b of the divergence identities
 # boundary samples per edge, and the grid per axis, of the patch's gauge range
 _BOUNDARY_SAMPLES, _RANGE_GRID = 256, 64
 
@@ -645,17 +647,16 @@ def affine_tangential(V, xi, nu) -> np.ndarray:
 
 
 class EquiaffineBatch:
-    def __init__(self, xi, support, shape_op, tau, affine_mean, frames, stencil, step):
+    def __init__(self, xi, support, shape_op, tau, affine_mean, frames, stencil):
         self.xi = xi                 # (m, d)
         self.support = support       # (m,)  <xi, nu>
         self.shape_op = shape_op     # (m, n, n), column a = components of S(e_a)
         self.tau = tau               # (m, n)
         self.affine_mean = affine_mean  # (m,) trace of the shape operator
         self.frames = frames
-        # frames at the stencil P +- step * c_a of the derivatives D_{e_a};
-        # the pointwise identity checks difference their fields on it too
+        # frames at the stencil P +- PARAM_STEP * c_a of the derivatives
+        # D_{e_a}; the pointwise identity checks difference their fields on it too
         self.stencil = stencil
-        self.step = step
 
     @property
     def fundamental(self) -> np.ndarray:
@@ -663,27 +664,26 @@ class EquiaffineBatch:
         return self.frames.sec_form / self.support[:, None, None]
 
 
-def equiaffine_batch(patch: ParametricPatch, xi_field: TransversalField, P,
-                     step: float = PARAM_STEP) -> EquiaffineBatch:
+def equiaffine_batch(patch: ParametricPatch, xi_field: TransversalField,
+                     P) -> EquiaffineBatch:
     """Decompose D xi along the patch into -S + tau (x) xi at each point."""
-    return _equiaffine(xi_field, patch.frames(P), step)
+    return _equiaffine(xi_field, patch.frames(P))
 
 
-def _equiaffine(xi_field: TransversalField, fb: FrameBatch,
-                step: float = PARAM_STEP) -> EquiaffineBatch:
+def _equiaffine(xi_field: TransversalField, fb: FrameBatch) -> EquiaffineBatch:
     """equiaffine_batch at the points of fb."""
     xi = xi_field.at(fb)
     support = np.einsum("md,md->m", xi, fb.nu)
     if np.any(np.abs(support) < TRANSVERSAL_FLOOR):
         raise NotTransversal(
             f"|<xi, nu>| below {TRANSVERSAL_FLOOR:g} for field {xi_field.name}")
-    stencil = _frame_stencil(fb, step)
-    W = _frame_derivs(xi_field.at(stencil), fb, step)      # W[:, a] = D_{e_a} xi
+    stencil = _frame_stencil(fb)
+    W = _frame_derivs(xi_field.at(stencil), fb)      # W[:, a] = D_{e_a} xi
     tau = np.einsum("mad,md->ma", W, fb.nu) / support[:, None]
     S = np.einsum("mid,mad->mia", fb.e, tau[:, :, None] * xi[:, None, :] - W)
     return EquiaffineBatch(xi=xi, support=support, shape_op=S, tau=tau,
                            affine_mean=np.trace(S, axis1=1, axis2=2), frames=fb,
-                           stencil=stencil, step=step)
+                           stencil=stencil)
 
 
 def anisotropic_mean_curvature_batch(norm: MinkowskiNorm, patch: ParametricPatch,
@@ -694,10 +694,9 @@ def anisotropic_mean_curvature_batch(norm: MinkowskiNorm, patch: ParametricPatch
     return np.einsum("mab,mab->m", fb.sec_form, M)
 
 
-def anisotropic_mean_curvature_fd(norm: MinkowskiNorm, patch: ParametricPatch, p,
-                                  step: float = PARAM_STEP) -> float:
+def anisotropic_mean_curvature_fd(norm: MinkowskiNorm, patch: ParametricPatch, p) -> float:
     """Cross-check: -div_M grad F(nu) by finite-difference surface divergence."""
-    return -surface_divergence(patch, anisotropic_normal_field(norm).at, p, step=step)
+    return -surface_divergence(patch, anisotropic_normal_field(norm).at, p)
 
 
 # --------------------------------------------------------------------------
@@ -717,14 +716,14 @@ def _unbatch(values: np.ndarray, single: bool):
     return float(values[0]) if single else values
 
 
-def _frame_stencil(fb: FrameBatch, step: float) -> FrameBatch:
-    """Frames at P +- step * c_a, the stencil of D_{e_a} at every point of fb."""
-    return fb.patch.frames(_stencil(fb.P, fb.param_dirs, (step,)))
+def _frame_stencil(fb: FrameBatch) -> FrameBatch:
+    """Frames at P +- PARAM_STEP * c_a, the stencil of D_{e_a} at every point of fb."""
+    return fb.patch.frames(_stencil(fb.P, fb.param_dirs, (PARAM_STEP,)))
 
 
-def _frame_derivs(vals, fb: FrameBatch, step: float) -> np.ndarray:
-    """D_{e_a} at every point of fb from values on _frame_stencil(fb, step): (m, n, ...)."""
-    return _differences(vals, fb.param_dirs, (step,))
+def _frame_derivs(vals, fb: FrameBatch) -> np.ndarray:
+    """D_{e_a} at every point of fb from values on _frame_stencil(fb): (m, n, ...)."""
+    return _differences(vals, fb.param_dirs, (PARAM_STEP,))
 
 
 def _divergence(dF: np.ndarray, fb: FrameBatch) -> np.ndarray:
@@ -732,14 +731,14 @@ def _divergence(dF: np.ndarray, fb: FrameBatch) -> np.ndarray:
     return np.einsum("mad,mad->m", dF, fb.e)
 
 
-def surface_divergence(patch: ParametricPatch, W, p, step: float = PARAM_STEP):
+def surface_divergence(patch: ParametricPatch, W, p):
     """div_M W = sum_a <D_{e_a} W, e_a> with FD derivatives along the chart.
 
     W maps a FrameBatch of m points to (m, d) vectors.
     """
     P, single = _as_batch(p)
     fb = patch.frames(P)
-    dW = _frame_derivs(W(_frame_stencil(fb, step)), fb, step)
+    dW = _frame_derivs(W(_frame_stencil(fb)), fb)
     return _unbatch(_divergence(dW, fb), single)
 
 
@@ -758,7 +757,7 @@ def tangential_derivative_residuals(xi_field: TransversalField, X_field: Transve
     fb, st, d = eb.frames, eb.stencil, eb.xi.shape[1]
     X = X_field.at(st)   # X^{top_xi}, X and <X, nu> side by side on the stencil
     dF = _frame_derivs(np.column_stack([affine_tangential(X, xi_field.at(st), st.nu), X,
-                                        np.einsum("md,md->m", X, st.nu)]), fb, eb.step)
+                                        np.einsum("md,md->m", X, st.nu)]), fb)
     dY, dX, grad_xnu = dF[..., :d], dF[..., d:2 * d], dF[..., 2 * d]
     lhs = np.einsum("mjd,mid->mij", dY, fb.e)
 
@@ -782,16 +781,15 @@ def tangential_derivative_residuals(xi_field: TransversalField, X_field: Transve
     return frame_res, np.abs(div_lhs - div_rhs)
 
 
-def divergence_residuals_constant_position(xi_field: TransversalField, eb: EquiaffineBatch,
-                                           b=(0.3, -0.7, 0.55)
+def divergence_residuals_constant_position(xi_field: TransversalField, eb: EquiaffineBatch
                                            ) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals (m,) of div_M b^{top_xi} = <b,nu> H_xi and
+    """Residuals (m,) of div_M b^{top_xi} = <b,nu> H_xi, b = TEST_VECTOR, and
     div_M x^{top_xi} = n <xi,nu> + <x,nu> H_xi at the points of eb."""
     fb, st, d = eb.frames, eb.stencil, eb.xi.shape[1]
-    b = np.asarray(b, dtype=float)[:d]
+    b = np.asarray(TEST_VECTOR, dtype=float)[:d]
     xi = xi_field.at(st)   # b^{top_xi} and x^{top_xi} side by side on the stencil
     dF = _frame_derivs(np.column_stack([affine_tangential(b, xi, st.nu),
-                                        affine_tangential(st.x, xi, st.nu)]), fb, eb.step)
+                                        affine_tangential(st.x, xi, st.nu)]), fb)
     res_b = np.abs(_divergence(dF[..., :d], fb) - (fb.nu @ b) * eb.affine_mean)
     res_x = np.abs(_divergence(dF[..., d:], fb) - fb.patch.n * eb.support
                    - np.einsum("md,md->m", fb.x, fb.nu) * eb.affine_mean)
@@ -808,7 +806,7 @@ def product_rule_residual(xi_field: TransversalField, f_field, X_field: Transver
     fb, st, d = eb.frames, eb.stencil, eb.xi.shape[1]
     f = np.asarray(f_field(st))   # f X^{top_xi}, X^{top_xi} and f side by side
     Y = affine_tangential(X_field.at(st), xi_field.at(st), st.nu)
-    dF = _frame_derivs(np.column_stack([f[:, None] * Y, Y, f]), fb, eb.step)
+    dF = _frame_derivs(np.column_stack([f[:, None] * Y, Y, f]), fb)
     grad_f = np.einsum("ma,mad->md", dF[..., 2 * d], fb.e)
     f0 = np.asarray(f_field(fb))
     X0 = X_field.at(fb)
@@ -830,13 +828,13 @@ def shape_products_asymmetry(eb: EquiaffineBatch) -> tuple[np.ndarray, np.ndarra
 # Codazzi check for the affine shape operator
 
 
-def _shape_op_coord(xi_field: TransversalField, fb: FrameBatch,
-                    step: float) -> np.ndarray:
+def _shape_op_coord(xi_field: TransversalField, fb: FrameBatch) -> np.ndarray:
     """Affine shape operator components S^i_j in the coordinate basis."""
     xi = xi_field.at(fb)
     support = np.einsum("md,md->m", xi, fb.nu)
     # W[:, j] = d_j xi
-    W = _central_diffs(lambda Q: xi_field(fb.patch, Q), fb.P, _coordinate_axes(fb.P), (step,))
+    W = _central_diffs(lambda Q: xi_field(fb.patch, Q), fb.P, _coordinate_axes(fb.P),
+                       (PARAM_STEP,))
     tau = np.einsum("mjd,md->mj", W, fb.nu) / support[:, None]
     S_X = tau[:, :, None] * xi[:, None, :] - W
     # solve <S(X_j), X_k> = sum_i S^i_j g_ik
@@ -844,25 +842,24 @@ def _shape_op_coord(xi_field: TransversalField, fb: FrameBatch,
     return np.einsum("mik,mjk->mij", fb.metric_inv, rhs)
 
 
-def codazzi_residual(patch: ParametricPatch, xi_field: TransversalField, p,
-                     inner_step: float = PARAM_STEP, outer_step: float = 1e-4):
+def codazzi_residual(patch: ParametricPatch, xi_field: TransversalField, p):
     """Norm of [D^M_{e_1} S](e_2) - [D^M_{e_2} S](e_1) for the affine shape operator.
 
     Covariant derivatives are assembled in the coordinate frame from
     finite-differenced Christoffel symbols and a Richardson-extrapolated
-    derivative of the shape-operator components.
+    derivative of the shape-operator components, at the steps CODAZZI_STEP
+    and half of it; the components themselves differentiate xi at PARAM_STEP.
     """
     P, single = _as_batch(p)
-    return _unbatch(_codazzi(xi_field, patch.frames(P), inner_step, outer_step), single)
+    return _unbatch(_codazzi(xi_field, patch.frames(P)), single)
 
 
-def _codazzi(xi_field: TransversalField, fb: FrameBatch, inner_step: float = PARAM_STEP,
-             outer_step: float = 1e-4) -> np.ndarray:
+def _codazzi(xi_field: TransversalField, fb: FrameBatch) -> np.ndarray:
     """codazzi_residual at the points of fb (zero on curves)."""
     P = fb.P
     if fb.patch.n == 1:
         return np.zeros(len(P))
-    axes, steps = _coordinate_axes(P), (outer_step, 0.5 * outer_step)
+    axes, steps = _coordinate_axes(P), (CODAZZI_STEP, 0.5 * CODAZZI_STEP)
     outer = fb.patch.frames(_stencil(P, axes, steps))   # both Richardson levels
     dg = _differences(outer.metric, axes, steps)  # dg[p, k, m, l] = d_k g_{ml}
     # Gamma[p, i, k, l] = 1/2 g^{im} (d_k g_{ml} + d_l g_{mk} - d_m g_{kl})
@@ -870,8 +867,8 @@ def _codazzi(xi_field: TransversalField, fb: FrameBatch, inner_step: float = PAR
                             dg + np.transpose(dg, (0, 3, 2, 1))
                             - np.transpose(dg, (0, 2, 1, 3)))
 
-    S0 = _shape_op_coord(xi_field, fb, inner_step)
-    dS = _differences(_shape_op_coord(xi_field, outer, inner_step), axes, steps)
+    S0 = _shape_op_coord(xi_field, fb)
+    dS = _differences(_shape_op_coord(xi_field, outer), axes, steps)
     # dS[p, k, i, j] = d_k S^i_j
 
     def cov(k, j):  # components of [D^M_{X_k} S](X_j)

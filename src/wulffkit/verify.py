@@ -18,10 +18,10 @@ import numpy as np
 from .errors import (BoundaryInsideRegion, GaugeZero, NotClosed, NotEquiaffine,
                      OriginNotOnSurface)
 from .norms import DualNorm, MinkowskiNorm
-from .quadrature import (ClippedRegionRule, ParamQuadrature, _gauge_safe,
-                         integrate_clipped, integrate_with_estimate)
-from .surfaces import (ParametricPatch, TransversalField, _as_batch, _codazzi, _divergence,
-                       _equiaffine, _frame_derivs, _unbatch, affine_tangential,
+from .quadrature import (ClippedRegionRule, ParamQuadrature, _gauge_safe, integrate_clipped,
+                         sublevel_energy)
+from .surfaces import (TEST_VECTOR, ParametricPatch, TransversalField, _as_batch, _codazzi,
+                       _divergence, _equiaffine, _frame_derivs, _unbatch, affine_tangential,
                        anisotropic_mean_curvature_batch,
                        constant_field, divergence_residuals_constant_position,
                        equiaffine_batch, hyperplane, line, linear_image, position_field,
@@ -37,6 +37,8 @@ SAMPLE_GRID = 9
 # geometric_radii runs from 1.05 times the surface's smallest gauge value to
 # 0.98 times its boundary gauge radius
 _INNER_FACTOR, _OUTER_FACTOR = 1.05, 0.98
+# the covector c of the product-rule check in frame_identity_suite, f = <c, x>
+TEST_COVECTOR = (0.2, 0.5, -0.4)
 
 
 @dataclass
@@ -179,7 +181,7 @@ def equiaffine_identity(patch: ParametricPatch, xi_field: TransversalField,
 
 
 def pointwise_divergence_residual(patch: ParametricPatch, xi_field: TransversalField,
-                                  gauge, p, step: float = 1e-5):
+                                  gauge, p):
     """Residual of div_M [x^{top_xi} / (n phi^n)] against its closed form.
 
     The closed form keeps the affine-mean-curvature term,
@@ -188,7 +190,7 @@ def pointwise_divergence_residual(patch: ParametricPatch, xi_field: TransversalF
     parameter point (n,), giving a float, or a batch (m, n), giving (m,).
     """
     P, single = _as_batch(p)
-    eb = equiaffine_batch(patch, xi_field, P, step=step)
+    eb = equiaffine_batch(patch, xi_field, P)
     fb, st = eb.frames, eb.stencil
     n = patch.n
     phi0, gp = gauge.eval_with_maximizer(fb.x)   # one ascent for a numeric dual
@@ -198,7 +200,7 @@ def pointwise_divergence_residual(patch: ParametricPatch, xi_field: TransversalF
     # the field x^{top_xi} / (n phi^n) on the decomposition's stencil
     V = (affine_tangential(st.x, xi_field.at(st), st.nu)
          / (n * np.asarray(gauge.value(st.x))**n)[:, None])
-    lhs = _divergence(_frame_derivs(V, fb, step), fb)
+    lhs = _divergence(_frame_derivs(V, fb), fb)
     xn = np.einsum("md,md->m", fb.x, fb.nu)
     rhs = (xn * np.einsum("md,md->m", gp, eb.xi) / phi0 ** (n + 1)
            + xn * eb.affine_mean / (n * phi0**n))
@@ -265,9 +267,7 @@ def corollary_lower_bound(patch: ParametricPatch, norm: MinkowskiNorm, *,
 
     maxH, flags = _minimality_flags(patch, norm)
 
-    energy = integrate_clipped(
-        patch, lambda fb: np.asarray(norm.value(fb.nu)),
-        ClippedRegionRule(gauge=dual, s=0.0, r=1.0, max_depth=max_depth), rule)
+    energy = sublevel_energy(patch, norm, 1.0, dual, rule, max_depth)
 
     fb0 = patch.frames(p0[None])
     nu0 = fb0.nu[0]
@@ -349,7 +349,12 @@ def minkowski_formulas(patch: ParametricPatch, xi_field: TransversalField, ks, *
         return np.column_stack([col for k in ks
                                 for col in (e.support * h[:, k], -xn * h[:, k + 1])])
 
-    values, estimates = (a.tolist() for a in integrate_with_estimate(patch, sides, rule))
+    # the integrals on the rule's grid and on twice its cells per axis: the
+    # finer values, and their difference as the estimate
+    coarse, fine = (integrate_clipped(patch, sides, None, q).value
+                    for q in (rule, ParamQuadrature(rule.order, 2 * rule.base_grid)))
+    values = fine.tolist()
+    estimates = (np.abs(fine - coarse) + 1e-15 * (np.abs(fine) + 1.0)).tolist()
     reports = []
     for i, k in enumerate(ks):
         (lhs, rhs), (est_l, est_r) = values[2 * i:2 * i + 2], estimates[2 * i:2 * i + 2]
@@ -427,10 +432,7 @@ def geometric_radii(patch: ParametricPatch, gauge, count: int = 8) -> np.ndarray
 
 
 def frame_identity_suite(patch: ParametricPatch, xi_field: TransversalField, *,
-                         grid: int = 9, min_support: float = 0.05,
-                         step: float = 1e-5,
-                         test_vector=(0.3, -0.7, 0.55),
-                         test_covector=(0.2, 0.5, -0.4)) -> dict:
+                         grid: int = 9, min_support: float = 0.05) -> dict:
     """Max residuals of the pointwise frame identities over a parameter grid.
 
     Grid points where |<xi, nu>| < min_support are skipped: the transversal
@@ -443,18 +445,18 @@ def frame_identity_suite(patch: ParametricPatch, xi_field: TransversalField, *,
     if not keep.any():
         raise NotEquiaffine("no grid point is safely transversal")
 
-    b = np.asarray(test_vector, dtype=float)[: patch.dim]
-    c = np.asarray(test_covector, dtype=float)[: patch.dim]
+    b = np.asarray(TEST_VECTOR, dtype=float)[: patch.dim]
+    c = np.asarray(TEST_COVECTOR, dtype=float)[: patch.dim]
 
     # one decomposition for every kept point, from the grid's frames; the
     # checks below difference their fields on its stencil, framed once for all
-    eb = _equiaffine(xi_field, fb.rows(keep), step)
+    eb = _equiaffine(xi_field, fb.rows(keep))
     pos = tangential_derivative_residuals(xi_field, position_field(), eb)
     const = tangential_derivative_residuals(xi_field, constant_field(b), eb)
-    div_b, div_x = divergence_residuals_constant_position(xi_field, eb, b)
+    div_b, div_x = divergence_residuals_constant_position(xi_field, eb)
     product = product_rule_residual(xi_field, lambda f: f.x @ c, position_field(), eb)
     sym_1, sym_2 = shape_products_asymmetry(eb)
-    codazzi = _codazzi(xi_field, eb.frames, inner_step=step)
+    codazzi = _codazzi(xi_field, eb.frames)
     residuals = {"tangential_derivative": (pos[0], const[0]),
                  "tangential_divergence": (pos[1], const[1]),
                  "div_constant": div_b, "div_position": div_x, "product_rule": product,

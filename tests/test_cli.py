@@ -1,8 +1,10 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
+import re
 import tempfile
 import threading
 from pathlib import Path
@@ -471,6 +473,17 @@ CONFIG_FAULTS = {
     "k-negative-on-curve": (lambda d: {**_with_checks(d, [
         {"kind": "minkowski", "name": "mk", "surface": "c", "k": -1}]),
         "surfaces": {"c": {"kind": "circle"}}}, "'mk'"),
+    # a key the kind does not read would be ignored (a misspelled radii ran
+    # the default radii), and every key a kind reads is parsed before the run
+    "radii-misspelled": (lambda d: _with_checks(d, [
+        {"kind": "monotonicity", "name": "m", "surface": "plane", "norm": "euclid",
+         "raddii": [0.4, 0.8]}]), "'m'"),
+    "origin-param-not-numbers": (lambda d: _with_checks(d, [
+        {"kind": "corollary", "name": "co", "surface": "plane", "norm": "euclid",
+         "origin_param": "abc"}]), "'co'"),
+    "constant-not-numbers": (lambda d: _with_checks(d, [
+        {"kind": "lemmas", "name": "lm", "surface": "plane", "xi": "constant",
+         "constant": ["a", "b", "c"]}]), "'lm'"),
 }
 
 
@@ -482,6 +495,17 @@ def test_config_fault_exits_2(fault, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and named in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("check,key", [
+    ({**MONO, "raddii": [0.4, 0.8]}, "raddii"),
+    ({**MONO, "xi": "normal"}, "xi"),
+    ({"kind": "symfunc", "name": "m", "surface": "plane"}, "surface"),
+    ({"kind": "equiaffine", "name": "m", "surface": "plane", "gauge": "euclid",
+      "s": 0.4, "r": 0.8, "radii": [0.4, 0.8]}, "radii")])
+def test_unread_check_key_is_a_config_error_naming_it(check, key):
+    with pytest.raises(ConfigError, match=f"check 'm': .* does not read '{key}'"):
+        cli.Scenario(_with_checks(minimal_scenario("out"), [check]))
 
 
 # scenario-loader fuzz: the surface or the norm of the minimal scenario
@@ -639,3 +663,22 @@ def test_verdict_keys_parse_their_documented_values():
         assert cli._options(kind, {})[key] == values[0]
         for value in values:
             assert cli._options(kind, {key: value})[key] == value
+
+
+def test_readme_check_table_lists_the_registry():
+    # README's table of check kinds lists each kind of cli.CHECKS, its
+    # required fields, and every optional parameter with its default (as
+    # JSON), so that the registry and the documentation cannot drift apart
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    start = lines.index("| kind | required fields | parameters (default) |") + 2
+    table = {}
+    for line in itertools.takewhile(lambda ln: ln.startswith("|"), lines[start:]):
+        kind, fields, params = (cell.strip() for cell in line.strip("|").split("|"))
+        table[kind.strip("`")] = (
+            re.findall(r"`(\w+)`", fields),
+            {key: json.loads(default.replace("`", ""))
+             for key, default in re.findall(r"`(\w+)` \(([^;)]*)", params)})
+    assert table == {kind: (list(fields), {key: json.loads(json.dumps(default))
+                                           for key, (_, default) in optional.items()})
+                     for kind, (fields, optional) in cli.CHECKS.items()}

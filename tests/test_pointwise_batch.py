@@ -59,9 +59,9 @@ def _frame(fb):
                            metric_inv=fb.metric_inv[0], sec_form=fb.sec_form[0])
 
 
-def _decomposition(patch, xi_field, p, step):
-    """Row 0 of equiaffine_batch at the one point p."""
-    eb = sf.equiaffine_batch(patch, xi_field, p[None, :], step=step)
+def _decomposition(patch, xi_field, p):
+    """Row 0 of equiaffine_batch at the one point p (its step is sf.PARAM_STEP)."""
+    eb = sf.equiaffine_batch(patch, xi_field, p[None, :])
     return SimpleNamespace(frame=_frame(eb.frames), xi=eb.xi[0], support=eb.support[0],
                            shape_op=eb.shape_op[0], affine_mean=eb.affine_mean[0])
 
@@ -91,7 +91,7 @@ def _tangential_field(patch, xi_field, X_field):
 
 
 def _tangential_derivative(patch, xi_field, X_field, p, step):
-    eq = _decomposition(patch, xi_field, p, step)
+    eq = _decomposition(patch, xi_field, p)
     fr, xi0, supp = eq.frame, eq.xi, eq.support
     dY = _dirderivs(patch, fr, _tangential_field(patch, xi_field, X_field), step)
     lhs = np.einsum("jd,id->ij", dY, fr.e)
@@ -113,7 +113,7 @@ def _tangential_derivative(patch, xi_field, X_field, p, step):
 
 
 def _divergence_constant_position(patch, xi_field, p, b, step):
-    eq = _decomposition(patch, xi_field, p, step)
+    eq = _decomposition(patch, xi_field, p)
     fr = eq.frame
     div_b = _fd_div(patch, fr, _tangential_field(patch, xi_field, sf.constant_field(b)), step)
     div_x = _fd_div(patch, fr, _tangential_field(patch, xi_field, sf.position_field()), step)
@@ -122,7 +122,7 @@ def _divergence_constant_position(patch, xi_field, p, b, step):
 
 
 def _product_rule(patch, xi_field, f_field, X_field, p, step):
-    eq = _decomposition(patch, xi_field, p, step)
+    eq = _decomposition(patch, xi_field, p)
     fr = eq.frame
     Y = _tangential_field(patch, xi_field, X_field)
     div_fY = _fd_div(patch, fr, lambda P: np.asarray(f_field(patch, P))[:, None] * Y(P), step)
@@ -200,7 +200,7 @@ def reference_suite(patch, xi_field, grid, min_support=0.05, step=1e-5,
         out["div_position"] = max(out["div_position"], rx)
         out["product_rule"] = max(out["product_rule"], _product_rule(
             patch, xi_field, lambda pt, Q: pt.chart(Q) @ c, sf.position_field(), p, step))
-        eq = _decomposition(patch, xi_field, p, step)
+        eq = _decomposition(patch, xi_field, p)
         M1 = eq.frame.sec_form @ eq.shape_op
         M2 = M1 @ eq.shape_op
         out["shape_sym_1"] = max(out["shape_sym_1"], float(np.max(np.abs(M1 - M1.T))))

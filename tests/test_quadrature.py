@@ -5,12 +5,16 @@ import pytest
 
 import wulffkit as wk
 from wulffkit import surfaces as sf
-from wulffkit.quadrature import (ClippedRegionRule, ParamQuadrature, integrate,
-                                 integrate_clipped, integrate_with_estimate,
+from wulffkit.quadrature import (ClippedRegionRule, ParamQuadrature, integrate_clipped,
                                  sublevel_energy)
 
 def one(fb):
     return np.ones(fb.x.shape[0])
+
+
+def whole(patch, f, rule):
+    """The integral of f over the whole patch: a pass with no region."""
+    return integrate_clipped(patch, f, None, rule).value
 
 
 def test_rule_validation():
@@ -31,18 +35,18 @@ def test_rule_validation():
 
 
 def test_sphere_area():
-    val = integrate(sf.sphere(), one, ParamQuadrature(order=8, base_grid=32))
+    val = whole(sf.sphere(), one, ParamQuadrature(order=8, base_grid=32))
     assert abs(val - 4 * np.pi) / (4 * np.pi) < 1e-8
 
 
 def test_circle_length():
-    val = integrate(sf.circle(), one, ParamQuadrature(order=8, base_grid=16))
+    val = whole(sf.circle(), one, ParamQuadrature(order=8, base_grid=16))
     assert abs(val - 2 * np.pi) < 1e-10
 
 
 def test_catenoid_band_closed_form():
     # area of the band |v| <= 1 from the 1D integral of 2 pi cosh^2 v
-    val = integrate(sf.catenoid(v_max=1.0), one, ParamQuadrature(order=8, base_grid=16))
+    val = whole(sf.catenoid(v_max=1.0), one, ParamQuadrature(order=8, base_grid=16))
     exact = 2 * np.pi * (1.0 + math.sinh(1.0) * math.cosh(1.0))
     assert abs(val - exact) / exact < 1e-12
 
@@ -56,7 +60,7 @@ def test_gauss_legendre_polynomial_exactness():
         def f(fb, d=deg):
             return fb.P[:, 0] ** d + fb.P[:, 1] ** (d - 1)
 
-        val = integrate(plane, f, ParamQuadrature(order=order, base_grid=1))
+        val = whole(plane, f, ParamQuadrature(order=order, base_grid=1))
         # odd powers cancel over the symmetric square; compute the even part
         exact = 0.0
         if (deg - 1) % 2 == 0:
@@ -65,10 +69,12 @@ def test_gauss_legendre_polynomial_exactness():
 
 
 def test_ellipsoid_area_against_refined():
+    # the two-resolution estimate of the Minkowski formulas: the rule's grid
+    # against twice its cells per axis covers the error of the coarser value
     E = sf.ellipsoid((1.0, 1.3, 1.7))
-    val, est = integrate_with_estimate(E, one, ParamQuadrature(order=6, base_grid=12))
-    ref = integrate(E, one, ParamQuadrature(order=10, base_grid=32))
-    assert abs(val - ref) <= max(est, 1e-10 * ref)
+    coarse, val = (whole(E, one, ParamQuadrature(order=6, base_grid=g)) for g in (12, 24))
+    ref = whole(E, one, ParamQuadrature(order=10, base_grid=32))
+    assert abs(val - ref) <= max(abs(val - coarse), 1e-10 * ref)
 
 
 def test_clipped_disk_area():
@@ -122,10 +128,14 @@ def test_full_cover_equals_unclipped():
     C = sf.catenoid(v_max=1.3)
     q = ParamQuadrature(order=6, base_grid=16)
     clipped = integrate_clipped(C, one, ClippedRegionRule(D, 0.0, 50.0, 8), q)
-    plain = integrate(C, one, q)
-    assert abs(clipped.value - plain) / plain < 1e-8
-    assert clipped.error_estimate == 0.0
-    assert not clipped.depth_exhausted
+    plain = integrate_clipped(C, one, None, q)
+    # a region that covers the patch keeps every base cell inside one band,
+    # as no region does: the same nodes, summed in the same order
+    assert plain.value == clipped.value
+    assert plain.error_estimate == plain.prefix_estimate == clipped.error_estimate == 0.0
+    assert plain.cell_counts() == clipped.cell_counts() == \
+        {"inside": q.base_grid ** C.n, "cut": 0, "fallback": 0}
+    assert not plain.depth_exhausted
 
 
 def test_depth_exhausted_flagged():
@@ -180,11 +190,12 @@ def test_vector_integrand_equals_separate_integrals():
     E = sf.ellipsoid((1.0, 1.3, 1.7))
     cols = (one, lambda fb: fb.x[:, 2] ** 2, lambda fb: fb.nu[:, 0] * fb.x[:, 1])
     q = ParamQuadrature(order=4, base_grid=6)
-    vals, est = integrate_with_estimate(E, lambda fb: np.column_stack([c(fb) for c in cols]), q)
-    assert vals.shape == est.shape == (3,)
+    res = integrate_clipped(E, lambda fb: np.column_stack([c(fb) for c in cols]), None, q)
+    assert res.value.shape == res.error_estimate.shape == (3,)
     for j, c in enumerate(cols):
-        assert (vals[j], est[j]) == integrate_with_estimate(E, c, q)
-    assert isinstance(integrate(E, one, q), float)
+        alone = integrate_clipped(E, c, None, q)
+        assert (res.value[j], res.error_estimate[j]) == (alone.value, alone.error_estimate)
+    assert isinstance(whole(E, one, q), float)
 
 
 def test_origin_floor_compares_squared_norms():
