@@ -313,6 +313,11 @@ class Scenario:
             if bad:
                 raise ConfigError(f"check {name!r}: k must lie in 0..{n - 1} on surface "
                                   f"{opt['surface']!r}, not {bad}")
+        if kind == "corollary" and opt["origin_param"] is not None:
+            n = self.surfaces[opt["surface"]].n
+            if len(opt["origin_param"]) != n:
+                raise ConfigError(f"check {name!r}: origin_param needs {n} numbers on "
+                                  f"surface {opt['surface']!r}, not {len(opt['origin_param'])}")
         if kind == "equiaffine" and not opt["s"] < opt["r"]:
             raise ConfigError(f"check {name!r}: radii must satisfy s < r "
                               f"(got s={opt['s']}, r={opt['r']})")

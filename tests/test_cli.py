@@ -481,6 +481,9 @@ CONFIG_FAULTS = {
     "origin-param-not-numbers": (lambda d: _with_checks(d, [
         {"kind": "corollary", "name": "co", "surface": "plane", "norm": "euclid",
          "origin_param": "abc"}]), "'co'"),
+    "origin-param-wrong-length": (lambda d: _with_checks(d, [
+        {"kind": "corollary", "name": "co", "surface": "plane", "norm": "euclid",
+         "origin_param": [0.0]}]), "'co'"),
     "constant-not-numbers": (lambda d: _with_checks(d, [
         {"kind": "lemmas", "name": "lm", "surface": "plane", "xi": "constant",
          "constant": ["a", "b", "c"]}]), "'lm'"),

@@ -64,16 +64,65 @@ def _newton_step(base, u, v, q, F, gF, g):
     return un / nn
 
 
+def _q_slopes(base, v, theta):
+    """q'(theta) and q''(theta) of q = <u, v>/F(u) along u = (cos, sin): NaN
+    where the Hessian of F raises."""
+    u, t = np.array([np.cos(theta), np.sin(theta)]), np.array([-np.sin(theta), np.cos(theta)])
+    F, s = base.value(u), float(np.dot(base.grad(u), t))
+    try:
+        tHt = float(t @ np.asarray(base.hess(u)) @ t)
+    except Exception:
+        return np.nan, np.nan
+    uv, tv = float(np.dot(u, v)), float(np.dot(t, v))
+    # F' = s and F'' = t^T D^2 F t - F along the circle (Euler: <grad F, u> = F)
+    return (tv / F - uv * s / F**2,
+            -uv / F - 2.0 * tv * s / F**2 - uv * ((tHt - F) / F**2 - 2.0 * s**2 / F**3))
+
+
+def _interpolated_start(base, v, k, n):
+    """The d = 2 start of a row whose grid maximum is row k of n: the root of
+    the cubic Hermite interpolant of q' on the interval q' points into from
+    row k, by two Newton steps from the interval's linear root; None if that
+    root is not finite or not in the interval."""
+    h = 2.0 * np.pi / n
+    i = k if _q_slopes(base, v, h * k)[0] > 0.0 else k - 1
+    (y0, m0), (y1, m1) = (_q_slopes(base, v, h * j) for j in (i, i + 1))
+    m0, m1 = h * m0, h * m1
+
+    def cubic(x):
+        return ((2 * x**3 - 3 * x**2 + 1) * y0 + (x**3 - 2 * x**2 + x) * m0
+                + (3 * x**2 - 2 * x**3) * y1 + (x**3 - x**2) * m1)
+
+    def slope(x):
+        return ((6 * x**2 - 6 * x) * (y0 - y1) + (3 * x**2 - 4 * x + 1) * m0
+                + (3 * x**2 - 2 * x) * m1)
+
+    with np.errstate(all="ignore"):
+        x = np.float64(y0) / (y0 - y1)
+        for _ in range(2):
+            x -= cubic(x) / slope(x)
+    if not 0.0 <= x <= 1.0:
+        return None
+    return np.array([np.cos(h * (i + x)), np.sin(h * (i + x))])
+
+
 def _ascend_row(dual, v):
     opt = dual.options
     base = dual.base
     q_grid = (dual._grid @ v) / dual._grid_F
-    u = dual._grid[int(np.argmax(q_grid))].copy()
+    k = int(np.argmax(q_grid))
+    u = dual._grid[k].copy()
 
     def q_of(w):
         return float(np.dot(w, v)) / base.value(w)
 
     q = q_of(u)
+    if len(v) == 2:
+        # the ordered circle grid: start at the interpolated root of q' unless
+        # it scores below the grid row
+        w = _interpolated_start(base, v, k, len(dual._grid))
+        if w is not None and q_of(w) >= q:
+            u, q = w, q_of(w)
     step = norms._INITIAL_STEP
     fell_back = False
     for it in range(opt.max_iter):
@@ -128,11 +177,14 @@ def _duals():
     inner = wk.DualNorm(wk.MinkowskiNorm.quadratic(np.diag([1.0, 4.0])), mode="numeric",
                         options=opts)
     out.append(("as_norm-2", wk.DualNorm(inner.as_norm(), mode="numeric", options=opts)))
-    # an 8-direction grid starts most rows far from the maximizer, where the
-    # Newton step is rejected and the Armijo fallback takes over
-    coarse = wk.NumericDualOptions(grid_size=8)
+    # a coarse grid starts rows far from the maximizer, where the Newton step
+    # is rejected and the Armijo fallback takes over.  In d = 3 that is an
+    # 8-direction grid; in d = 2 the interpolated start leaves an 8-direction
+    # grid no rejected step, and a 5-direction grid still has them (and one
+    # start of the 40 below falls outside its interval)
     out += [(f"coarse-quartic-{d}", wk.DualNorm(wk.MinkowskiNorm.quartic(d, eps=0.01),
-                                                 options=coarse)) for d in (2, 3)]
+                                                 options=wk.NumericDualOptions(grid_size=n)))
+            for d, n in ((2, 5), (3, 8))]
     return out
 
 
@@ -158,9 +210,9 @@ def test_batch_matches_per_row_reference(label, dual):
     assert np.max(np.abs(u0 - U[0])) <= AGREE
 
 
-def test_hessian_that_raises_rejects_only_its_rows():
-    # a custom gauge whose Hessian raises on a cap of the sphere: only the rows
-    # iterating there take the Armijo fallback, the others keep their Newton steps
+def _capped_dual():
+    """The numeric dual of a custom quartic gauge whose Hessian raises on the
+    cap u_0 > 0.8 |u|, and 12 directions, some with their maximizer there."""
     Q = wk.MinkowskiNorm.quartic(2, eps=0.05)
 
     def hessian(U):
@@ -169,15 +221,99 @@ def test_hessian_that_raises_rejects_only_its_rows():
         return Q.hess(U)
 
     F = wk.MinkowskiNorm.custom(2, Q.value, Q.grad, hessian, label="capped")
-    dual = wk.DualNorm(F, mode="numeric")
     ang = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False) + 0.1
-    V = np.column_stack([np.cos(ang), np.sin(ang)])
+    return wk.DualNorm(F, mode="numeric"), np.column_stack([np.cos(ang), np.sin(ang)])
+
+
+def test_hessian_that_raises_rejects_only_its_rows():
+    # a custom gauge whose Hessian raises on a cap of the sphere: only the rows
+    # iterating there take the Armijo fallback, the others keep their Newton steps
+    dual, V = _capped_dual()
     ascent = dual._ascend(V)
     ref = [_ascend_row(dual, v) for v in V]
     assert 0 < sum(r[3] for r in ref) < len(V)
     assert ascent.fallbacks == sum(r[3] for r in ref)
     assert ascent.iterations == max(r[2] for r in ref)
     assert np.max(np.abs(ascent.value - [r[0] for r in ref])) <= AGREE
+    assert np.max(np.abs(ascent.maximizer - np.array([r[1] for r in ref]))) <= AGREE
+
+
+def _dual_scan_duals(seed):
+    """The numeric quartic and quadratic duals of the `dual-scan` benchmark
+    and its 400 unit directions, drawn as perfbench/wl_dual_scan.py draws them
+    for this seed (a Haar rotation R of A = R diag(1, 4) R^T, then the angles)."""
+    rng = np.random.default_rng(seed)
+    Q, r = np.linalg.qr(rng.standard_normal((2, 2)))
+    R = Q * np.sign(np.diag(r))[None, :]
+    if np.linalg.det(R) < 0:
+        R[:, 0] = -R[:, 0]
+    ang = rng.uniform(0.0, 2.0 * np.pi, 400)
+    duals = {"quartic": wk.MinkowskiNorm.quartic(2, eps=0.05).dual(),
+             "quadratic": wk.MinkowskiNorm.quadratic(R @ np.diag([1.0, 4.0]) @ R.T)
+             .dual(mode="numeric")}
+    return duals, np.column_stack([np.cos(ang), np.sin(ang)])
+
+
+@pytest.mark.parametrize("label", ["quartic", "quadratic"])
+def test_interpolated_start_lies_at_the_maximizer(label):
+    # the grid rows lie up to half a grid step (3.1e-3 rad) from the maximizer;
+    # the root of the interpolated q' lies within 1e-8 rad of it, so a row
+    # takes at most one Newton step and some retire at their start
+    duals, V = _dual_scan_duals(1)
+    dual = duals[label]
+    U0 = dual._start(V)[0]
+    _, Us = dual.eval_with_maximizer(V)
+    gap = np.abs(np.angle((U0[:, 0] + 1j * U0[:, 1]) / (Us[:, 0] + 1j * Us[:, 1])))
+    assert gap.max() <= 1e-8
+    start = ((V @ dual._grid.T) / dual._grid_F).argmax(axis=1)
+    assert not (U0 == dual._grid[start]).all(axis=1).any()     # no row kept its grid row
+    iterations = [dual._ascend(v[None, :]).iterations for v in V]
+    assert np.mean(iterations) <= 2.0
+    assert 1 in iterations and max(iterations) <= 2
+
+
+def _bidual(outer_grid):
+    opts = wk.NumericDualOptions(grid_size=256)
+    inner = wk.DualNorm(wk.MinkowskiNorm.quadratic(np.diag([1.0, 4.0])), mode="numeric",
+                        options=opts)
+    return wk.DualNorm(inner.as_norm(), mode="numeric",
+                       options=wk.NumericDualOptions(grid_size=outer_grid))
+
+
+def _fallback_cases():
+    rng = np.random.default_rng(12)
+    V = rng.standard_normal((40, 2)) * rng.uniform(0.2, 3.0, (40, 1))
+    # the capped gauge's grid rows on the cap have NaN Hessians, so the
+    # interpolants there are NaN; on 5-direction grids some roots fall
+    # outside their interval, and on the bidual's one start scores below
+    # its grid row
+    return {"capped": _capped_dual(), "coarse": (dict(DUALS)["coarse-quartic-2"], V),
+            "bidual": (_bidual(5), V)}
+
+
+FALLBACKS = _fallback_cases()
+
+
+@pytest.mark.parametrize("case", sorted(FALLBACKS))
+def test_fallback_rows_start_from_their_grid_row(case):
+    dual, V = FALLBACKS[case]
+    grid, n = dual._grid, len(dual._grid)
+    U0 = dual._start(V)[0]
+    fallbacks = 0
+    for v, u0 in zip(V, U0):
+        k = int(np.argmax((grid @ v) / dual._grid_F))
+        w = _interpolated_start(dual.base, v, k, n)
+        if w is None or np.dot(w, v) / dual.base.value(w) < np.dot(grid[k], v) / dual._grid_F[k]:
+            fallbacks += 1
+            assert np.array_equal(u0, grid[k])
+        else:
+            assert np.max(np.abs(u0 - w)) <= AGREE
+    assert fallbacks > 0
+    ascent = dual._ascend(V)
+    ref = [_ascend_row(dual, v) for v in V]
+    assert ascent.iterations == max(r[2] for r in ref)
+    assert ascent.fallbacks == sum(r[3] for r in ref)
+    assert np.max(np.abs(ascent.value - [r[0] for r in ref]) / ascent.value) <= AGREE
     assert np.max(np.abs(ascent.maximizer - np.array([r[1] for r in ref]))) <= AGREE
 
 
@@ -254,7 +390,7 @@ def test_zero_row_in_batch_raises():
             fn(V)
 
 
-@pytest.mark.parametrize("label", ["quartic-2", "quadratic-2"])
+@pytest.mark.parametrize("label", ["quartic-2", "quadratic-2", "as_norm-2", "coarse-quartic-2"])
 def test_non_finite_direction_has_nan_value_and_maximizer(label):
     # such a row is never iterated (no RuntimeWarning, which the test
     # settings turn into an error); the other rows of its batch keep their bits

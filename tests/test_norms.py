@@ -357,23 +357,25 @@ def test_bidual_makes_two_inner_ascents_per_outer_iteration(monkeypatch):
     assert np.max(np.abs(np.array(values) - F.value(W)) / F.value(W)) <= 1e-6
 
 
-@pytest.mark.parametrize("outer_grid", [256, 8])
+@pytest.mark.parametrize("outer_grid", [256, 5])
 def test_bidual_makes_one_inner_ascent_per_outer_step(monkeypatch, outer_grid):
     # each outer step takes one jet of the dual gauge, at its Newton
     # candidate: one inner ascent, none if the Newton solve rejects the step.
-    # An outer ascent's start jet is its grid's, so its last iteration, which
-    # only finds it converged, is the one that takes none.  A row the Armijo
-    # fallback moves takes one more for its fresh jet, besides the value
-    # ascents of its line search.  An 8-direction outer grid starts rows
-    # where the fallback takes over.
+    # An outer ascent's start takes one more where it is interpolated, none
+    # where it keeps a grid row, whose jet the dual took when it was built;
+    # its last iteration only finds it converged and takes none.  A row the
+    # Armijo fallback moves takes one more for its fresh jet, besides the
+    # value ascents of its line search.  A 5-direction outer grid starts
+    # rows where the fallback takes over.
     opts = wk.NumericDualOptions(grid_size=256)
     F = wk.MinkowskiNorm.quadratic(A_DIAG)
     inner = wk.DualNorm(F, mode="numeric", options=opts)
     bidual = wk.DualNorm(inner.as_norm(), mode="numeric",
                          options=wk.NumericDualOptions(grid_size=outer_grid))
     counts = {"inner": 0, "line_search": 0, "outer": 0, "iterations": 0, "fallbacks": 0,
-              "moved": 0, "rejected": 0}
+              "moved": 0, "rejected": 0, "starts": 0}
     ascend, armijo, newton = wk.DualNorm._ascend, wk.DualNorm._armijo, norms._spherical_newton
+    interpolated = wk.DualNorm._interpolated_start
     in_line_search, ascending = [], []
 
     def counted(self, V):
@@ -399,24 +401,32 @@ def test_bidual_makes_one_inner_ascent_per_outer_step(monkeypatch, outer_grid):
         un, ok = newton(*args)
         counts["rejected"] += ascending[-1] is bidual and not ok.any()
         return un, ok
+
+    def counted_start(self, V, start):
+        at, U = interpolated(self, V, start)
+        counts["starts"] += (self is bidual) * len(at)
+        return at, U
     monkeypatch.setattr(wk.DualNorm, "_ascend", counted)
     monkeypatch.setattr(wk.DualNorm, "_armijo", counted_armijo)
     monkeypatch.setattr(norms, "_spherical_newton", counted_newton)
+    monkeypatch.setattr(wk.DualNorm, "_interpolated_start", counted_start)
     W = np.random.default_rng(15).standard_normal((8, 2))
     values = [bidual.value(w) for w in W]
     assert counts["outer"] == len(W)
-    assert counts["inner"] == (counts["iterations"] - counts["outer"] + counts["moved"]
-                               - counts["rejected"])
-    assert (counts["rejected"] > 0) == (outer_grid == 8)
-    assert (counts["fallbacks"] > 0) == (outer_grid == 8)
-    assert (counts["line_search"] > 0) == (outer_grid == 8)
+    assert counts["inner"] == (counts["starts"] + counts["iterations"] - counts["outer"]
+                               + counts["moved"] - counts["rejected"])
+    assert counts["starts"] == len(W)
+    assert (counts["rejected"] > 0) == (outer_grid == 5)
+    assert (counts["fallbacks"] > 0) == (outer_grid == 5)
+    assert (counts["line_search"] > 0) == (outer_grid == 5)
     assert np.max(np.abs(np.array(values) - F.value(W)) / F.value(W)) <= 1e-6
 
 
-def test_custom_gauge_makes_one_set_of_callback_calls_per_ascent_step():
+def test_custom_gauge_makes_one_set_of_callback_calls_per_ascent_step(monkeypatch):
     # value, gradient and Hessian are called together, once per step, at the
-    # Newton candidate: the candidate takes no separate value call, and the
-    # start takes none, because its jet is the grid's, taken once by the dual
+    # Newton candidate: the candidate takes no separate value call.  A start
+    # takes them once where it is interpolated, and none where it keeps a grid
+    # row, whose jet is the grid's, taken once by the dual
     Q = wk.MinkowskiNorm.quartic(2, eps=0.05)
     calls = {"value": 0, "gradient": 0, "hessian": 0}
 
@@ -432,15 +442,23 @@ def test_custom_gauge_makes_one_set_of_callback_calls_per_ascent_step():
     assert calls == {"value": 1, "gradient": 1, "hessian": 1}     # the grid's jet
     calls.update(value=0, gradient=0, hessian=0)
     V = np.random.default_rng(16).standard_normal((12, 2))
+    interpolated, starts = wk.DualNorm._interpolated_start, []
+
+    def counted_start(self, V, start):
+        at, U = interpolated(self, V, start)
+        starts.append(len(at))
+        return at, U
+    monkeypatch.setattr(wk.DualNorm, "_interpolated_start", counted_start)
     iterations = fallbacks = 0
     for v in V:
         ascent = dual._ascend(v[None, :])
         iterations += ascent.iterations
         fallbacks += ascent.fallbacks
     assert fallbacks == 0
+    assert starts == [1] * len(V)
     # an ascent's last iteration only finds it converged
-    steps = iterations - len(V)
-    assert calls == {"value": steps, "gradient": steps, "hessian": steps}
+    sets = sum(starts) + iterations - len(V)
+    assert calls == {"value": sets, "gradient": sets, "hessian": sets}
 
 
 def _frame_newton(U, q, F, gF, HF, g, gu):
@@ -583,6 +601,19 @@ def test_wulff_points_on_unit_dual_level():
     U /= np.linalg.norm(U, axis=1, keepdims=True)
     pts = np.array([F.wulff_point(u).point for u in U])
     assert np.max(np.abs(np.asarray(D.value(pts)) - 1.0)) < 1e-6
+
+
+@pytest.mark.parametrize("options", [
+    {"grid_size": 0}, {"grid_size": -4}, {"grid_size": 2}, {"grid_size": 2.5},
+    {"grid_size": True}, {"grid_size": "256"}, {"grad_tol": 0.0}, {"grad_tol": -1e-10},
+    {"grad_tol": float("nan")}, {"grad_tol": float("inf")}, {"grad_tol": True},
+    {"max_iter": 0}, {"max_iter": 2.5}, {"max_iter": True}],
+    ids=lambda o: "-".join(f"{k}={v!r}" for k, v in o.items()))
+def test_numeric_dual_options_reject_values_they_cannot_use(options):
+    # grid size 0 meant the default, -4 gave an empty grid and a
+    # ZeroDivisionError in the first ascent, 2.5 a 3-direction grid, True one
+    with pytest.raises(ValueError, match=next(iter(options))):
+        wk.NumericDualOptions(**options)
 
 
 def test_dual_rejects_zero():
