@@ -571,6 +571,8 @@ class DualNorm:
                 Fi, gFi, HFi = _jet_rows(self.base, Ui)
                 qi = np.einsum("md,md->m", Ui, V[at]) / Fi
                 up = qi >= q[at]
+                if at.size == m and up.all():    # every row starts interpolated
+                    return Ui, qi, Fi, gFi, HFi
                 at = at[up]
                 U[at], q[at], F[at], gF[at], HF[at] = Ui[up], qi[up], Fi[up], gFi[up], HFi[up]
         return U, q, F, gF, HF
