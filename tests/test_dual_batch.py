@@ -272,23 +272,18 @@ def test_interpolated_start_lies_at_the_maximizer(label):
     assert 1 in iterations and max(iterations) <= 2
 
 
-def _bidual(outer_grid):
-    opts = wk.NumericDualOptions(grid_size=256)
-    inner = wk.DualNorm(wk.MinkowskiNorm.quadratic(np.diag([1.0, 4.0])), mode="numeric",
-                        options=opts)
-    return wk.DualNorm(inner.as_norm(), mode="numeric",
-                       options=wk.NumericDualOptions(grid_size=outer_grid))
-
-
 def _fallback_cases():
     rng = np.random.default_rng(12)
     V = rng.standard_normal((40, 2)) * rng.uniform(0.2, 3.0, (40, 1))
+    inner = wk.DualNorm(wk.MinkowskiNorm.quadratic(np.diag([1.0, 4.0])), mode="numeric",
+                        options=wk.NumericDualOptions(grid_size=256))
     # the capped gauge's grid rows on the cap have NaN Hessians, so the
     # interpolants there are NaN; on 5-direction grids some roots fall
     # outside their interval, and on the bidual's one start scores below
     # its grid row
     return {"capped": _capped_dual(), "coarse": (dict(DUALS)["coarse-quartic-2"], V),
-            "bidual": (_bidual(5), V)}
+            "bidual": (wk.DualNorm(inner.as_norm(), mode="numeric",
+                                   options=wk.NumericDualOptions(grid_size=5)), V)}
 
 
 FALLBACKS = _fallback_cases()
