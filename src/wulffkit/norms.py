@@ -330,7 +330,7 @@ class WulffPoint:
 
 @dataclass(frozen=True)
 class NumericDualOptions:
-    grid_size: int | None = None   # default: 2^10 for d=2, 2^12 for d>=3
+    grid_size: int | None = None   # default: 2^12 directions in every dimension
     grad_tol: float = 1e-10
     max_iter: int = 400
 
@@ -371,25 +371,28 @@ class DualNorm:
     The numeric ascent runs a whole batch (m, d) in lockstep.  Each row
     first takes the grid direction that scores best, with that direction's
     F, grad F and D^2 F, which the constructor takes for the whole grid in
-    one base jet.  In d >= 3 (Fibonacci or random grids, with no ordered
-    neighbours) the row starts there.  In d = 2 the grid is the ordered
-    circle theta_i = 2 pi i / n, and the constructor also tabulates, per
-    grid interval, the cubic Hermite interpolant of q'(theta), the slope of
-    q = <u(theta), v>/F(u(theta)) (`_hermite_table`).  The row starts at the
-    root of that cubic on the interval q' points into from its grid row,
-    within about 1e-9 rad of the maximizer, and takes one base jet there; a
-    row whose root is non-finite, outside its interval or scores below its
-    grid row starts from the grid row.  Every iteration solves the bordered
+    one base jet; it also divides the grid by F once, so the scan scores a
+    block of rows with one product.  In d >= 3 (Fibonacci or random grids,
+    with no ordered neighbours) the row starts there.  In d = 2 the grid is
+    the ordered circle theta_i = 2 pi i / n, and the constructor also
+    tabulates, per grid interval, the cubic Hermite interpolant of
+    q'(theta), the slope of q = <u(theta), v>/F(u(theta)) (`_hermite_table`).
+    The row starts at the root of that cubic on the interval q' points into
+    from its grid row, within about 5e-12 rad of the maximizer on the
+    default 2^12 grid, and takes one base jet there; a row whose root is
+    non-finite, outside its interval or scores below its grid row starts
+    from the grid row.  Every iteration solves the bordered
     Newton systems of all rows still iterating in one batched call,
     evaluates F, grad F and D^2 F of the base gauge once, at the Newton
     candidates of the rows whose step the solve did not reject (an accepted
     row keeps its candidate's jet), backtracks only the rows whose step is
     rejected (a row whose Hessian raises rejects its step alone; a row the
     line search moves takes a fresh jet), and retires each row when its
-    projected gradient falls below grad_tol.  So a step costs one base jet,
-    and a 2D direction of the quartic or a quadratic gauge takes on average
-    0.6-0.8 Newton steps (2.3 from a grid-row start).  A single direction is
-    a batch of one.
+    projected gradient falls below grad_tol.  So a step costs one base jet.
+    A 2D direction of the quartic or of a quadratic gauge of moderate
+    anisotropy retires at its start, with no Newton step (2.3 from a
+    grid-row start); a strongly anisotropic one, such as diag(1, 100),
+    takes at most one.  A single direction is a batch of one.
     """
 
     def __init__(self, base: MinkowskiNorm, mode: str = "auto",
@@ -411,11 +414,11 @@ class DualNorm:
         if self.mode == "closed":
             self._closed = MinkowskiNorm(self.dim, base.family, matrix=base.matrix_inv)
         else:
-            n = self.options.grid_size or (1 << 10 if self.dim == 2 else 1 << 12)
-            self._grid = _hypersphere_grid(self.dim, n)
+            self._grid = _hypersphere_grid(self.dim, self.options.grid_size or 1 << 12)
             # every ascent scans this grid, and a grid-row start takes its jet from here
             self._grid_jet = _jet_rows(base, self._grid)
-            self._grid_F = self._grid_jet[0]
+            # the scan scores <u, v>/F(u) as <u/F(u), v>: one product per block
+            self._grid_scaled = self._grid / self._grid_jet[0][:, None]
             if self.dim == 2:
                 self._hermite = _hermite_table(self._grid, self._grid_jet)
 
@@ -555,12 +558,12 @@ class DualNorm:
         grid row that scores best, with the jet the constructor took there; in
         d = 2, the interpolated root of q' next to it instead, with one jet
         taken there, unless that start scores below the grid row."""
-        grid = self._grid
+        grid, scaled_T = self._grid, self._grid_scaled.T
         m = len(V)
         start = np.empty(m, dtype=np.intp)
         chunk = max(1, _SCAN_ENTRIES // len(grid))
         for s in range(0, m, chunk):
-            start[s:s + chunk] = ((V[s:s + chunk] @ grid.T) / self._grid_F).argmax(axis=1)
+            start[s:s + chunk] = (V[s:s + chunk] @ scaled_T).argmax(axis=1)
         # the iterates are unit rows, so the base gauge skips its checks
         U = grid[start]
         F, gF, HF = (x[start] for x in self._grid_jet)

@@ -51,10 +51,12 @@ identity checks use the estimates as their tolerance unit.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .norms import _number
 from .surfaces import ParametricPatch
 
 
@@ -65,10 +67,10 @@ class ParamQuadrature:
     base_grid: int = 16
 
     def __post_init__(self):
-        if self.order < 2:
-            raise ValueError("quadrature order must be >= 2")
-        if self.base_grid < 1:
-            raise ValueError("base_grid must be >= 1")
+        if not (_number(self.order, integer=True) and self.order >= 2):
+            raise ValueError(f"quadrature order must be an integer >= 2, not {self.order!r}")
+        if not (_number(self.base_grid, integer=True) and self.base_grid >= 1):
+            raise ValueError(f"base_grid must be an integer >= 1, not {self.base_grid!r}")
 
 
 @dataclass(frozen=True)
@@ -83,12 +85,11 @@ class ClippedRegionRule:
 
     def __post_init__(self):
         object.__setattr__(self, "splits", tuple(float(x) for x in self.splits))
-        if not 0.0 <= self.s < self.r:
-            raise ValueError("region radii must satisfy 0 <= s < r")
+        if not 0.0 <= self.s < self.r < math.inf:
+            raise ValueError("region radii must satisfy 0 <= s < r < inf")
         if not np.all(np.diff(self.levels) > 0.0):
             raise ValueError("band splits must increase strictly between s and r")
-        if (isinstance(self.max_depth, bool)
-                or not isinstance(self.max_depth, (int, np.integer)) or self.max_depth < 0):
+        if not (_number(self.max_depth, integer=True) and self.max_depth >= 0):
             raise ValueError(f"max_depth must be an integer >= 0, not {self.max_depth!r}")
 
     @property

@@ -109,7 +109,7 @@ def _interpolated_start(base, v, k, n):
 def _ascend_row(dual, v):
     opt = dual.options
     base = dual.base
-    q_grid = (dual._grid @ v) / dual._grid_F
+    q_grid = (dual._grid @ v) / dual._grid_jet[0]
     k = int(np.argmax(q_grid))
     u = dual._grid[k].copy()
 
@@ -254,22 +254,58 @@ def _dual_scan_duals(seed):
     return duals, np.column_stack([np.cos(ang), np.sin(ang)])
 
 
+def _root_of_q_slope(base, v, theta):
+    """theta with q'(theta) = 0, by six Newton steps on the per-row slopes
+    from theta (a grid row next to the maximizer)."""
+    for _ in range(6):
+        s1, s2 = _q_slopes(base, v, theta)
+        theta -= s1 / s2
+    return theta
+
+
 @pytest.mark.parametrize("label", ["quartic", "quadratic"])
 def test_interpolated_start_lies_at_the_maximizer(label):
-    # the grid rows lie up to half a grid step (3.1e-3 rad) from the maximizer;
-    # the root of the interpolated q' lies within 1e-8 rad of it, so a row
-    # takes at most one Newton step and some retire at their start
+    # the grid rows lie up to half a grid step (7.7e-4 rad) from the maximizer;
+    # the root of the interpolated q' lies within 1e-11 rad of it (4.3e-12 at
+    # most here), inside the stopping rule, so every row retires at its start
     duals, V = _dual_scan_duals(1)
     dual = duals[label]
     U0 = dual._start(V)[0]
     _, Us = dual.eval_with_maximizer(V)
     gap = np.abs(np.angle((U0[:, 0] + 1j * U0[:, 1]) / (Us[:, 0] + 1j * Us[:, 1])))
-    assert gap.max() <= 1e-8
-    start = ((V @ dual._grid.T) / dual._grid_F).argmax(axis=1)
+    assert gap.max() <= 1e-15
+    start = ((V @ dual._grid.T) / dual._grid_jet[0]).argmax(axis=1)
     assert not (U0 == dual._grid[start]).all(axis=1).any()     # no row kept its grid row
+    h = 2.0 * np.pi / len(dual._grid)
+    roots = np.array([_root_of_q_slope(dual.base, v, h * k) for v, k in zip(V, start)])
+    assert np.abs(np.angle((U0[:, 0] + 1j * U0[:, 1]) * np.exp(-1j * roots))).max() <= 1e-11
     iterations = [dual._ascend(v[None, :]).iterations for v in V]
-    assert np.mean(iterations) <= 2.0
-    assert 1 in iterations and max(iterations) <= 2
+    assert set(iterations) == {1}
+
+
+@pytest.mark.parametrize("label", ["quartic", "quadratic"])
+def test_default_grid_ascents_retire_at_their_start(monkeypatch, label):
+    # the 2^12-direction grid, scanned against the grid divided by F once:
+    # each one-direction ascent takes one base jet, at its start, and no
+    # Newton solve, and the scan picks the row that dividing each score picks
+    duals, V = _dual_scan_duals(1)
+    dual = duals[label]
+    assert len(dual._grid) == 1 << 12
+    jets = []
+    jet_rows = norms._jet_rows
+
+    def counted_jet(base, U):
+        jets.append(len(U))
+        return jet_rows(base, U)
+
+    def no_newton(*args):
+        raise AssertionError("a row took a Newton solve")
+    monkeypatch.setattr(norms, "_jet_rows", counted_jet)
+    monkeypatch.setattr(norms, "_spherical_newton", no_newton)
+    assert all(dual._ascend(v[None, :]).iterations == 1 for v in V)
+    assert jets == [1] * len(V)
+    divided = ((V @ dual._grid.T) / dual._grid_jet[0]).argmax(axis=1)
+    assert np.array_equal((V @ dual._grid_scaled.T).argmax(axis=1), divided)
 
 
 def _fallback_cases():
@@ -292,13 +328,13 @@ FALLBACKS = _fallback_cases()
 @pytest.mark.parametrize("case", sorted(FALLBACKS))
 def test_fallback_rows_start_from_their_grid_row(case):
     dual, V = FALLBACKS[case]
-    grid, n = dual._grid, len(dual._grid)
+    grid, grid_F, n = dual._grid, dual._grid_jet[0], len(dual._grid)
     U0 = dual._start(V)[0]
     fallbacks = 0
     for v, u0 in zip(V, U0):
-        k = int(np.argmax((grid @ v) / dual._grid_F))
+        k = int(np.argmax((grid @ v) / grid_F))
         w = _interpolated_start(dual.base, v, k, n)
-        if w is None or np.dot(w, v) / dual.base.value(w) < np.dot(grid[k], v) / dual._grid_F[k]:
+        if w is None or np.dot(w, v) / dual.base.value(w) < np.dot(grid[k], v) / grid_F[k]:
             fallbacks += 1
             assert np.array_equal(u0, grid[k])
         else:
@@ -370,8 +406,10 @@ def test_batch_beyond_one_scan_chunk_equals_its_pieces():
 
 
 def test_batch_iteration_budget_raises():
-    base = wk.MinkowskiNorm.quartic(2, eps=0.05)
-    dual = base.dual(options=wk.NumericDualOptions(max_iter=1))
+    # on the default grid every row of this batch retires at its start, within
+    # one iteration; the 5-direction grid of coarse-quartic-2 leaves rows iterating
+    base = wk.MinkowskiNorm.quartic(2, eps=0.01)
+    dual = base.dual(options=wk.NumericDualOptions(grid_size=5, max_iter=1))
     V = np.random.default_rng(14).standard_normal((20, 2))
     with pytest.raises(NonConvergence):
         dual.value(V)

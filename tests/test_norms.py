@@ -543,11 +543,13 @@ def _custom_quartic(hessian=None):
     _custom_quartic,
 ], ids=["quartic", "quadratic", "dual", "custom"])
 def test_grid_scan_values_are_the_base_gauge_values(make):
-    # the scan divides by the F of the constructor's grid jet: the same bits
-    # as the base gauge's value
+    # the scan scores against the grid divided by the F of the constructor's
+    # grid jet: the same bits as the base gauge's value
     base = make()
     dual = wk.DualNorm(base, mode="numeric", options=wk.NumericDualOptions(grid_size=128))
-    np.testing.assert_array_equal(dual._grid_F, base.value(dual._grid))
+    F = base.value(dual._grid)
+    np.testing.assert_array_equal(dual._grid_jet[0], F)
+    np.testing.assert_array_equal(dual._grid_scaled, dual._grid / F[:, None])
 
 
 def test_grid_jet_of_a_capped_hessian_is_nan_on_the_cap():

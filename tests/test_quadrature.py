@@ -34,6 +34,28 @@ def test_rule_validation():
         [0.2, 0.5, 1.0]
 
 
+@pytest.mark.parametrize("field,value", [("order", 2.5), ("order", True), ("order", "6"),
+                                         ("base_grid", 2.5), ("base_grid", True),
+                                         ("base_grid", 0)])
+def test_param_quadrature_rejects_non_integers(field, value):
+    # 2.5 failed inside integrate_clipped with a NumPy TypeError, and
+    # base_grid=True ran as a 1-cell grid
+    with pytest.raises(ValueError, match=field):
+        ParamQuadrature(**{field: value})
+
+
+def test_param_quadrature_takes_numpy_integers():
+    rule = ParamQuadrature(order=np.int64(4), base_grid=np.int64(3))
+    assert whole(sf.circle(), one, rule) == whole(sf.circle(), one, ParamQuadrature(4, 3))
+
+
+@pytest.mark.parametrize("r", [math.inf, math.nan])
+def test_clipped_region_rejects_non_finite_radius(r):
+    # r = inf gave a RuntimeWarning from the band levels instead
+    with pytest.raises(ValueError, match="radii"):
+        ClippedRegionRule(None, 0.0, r)
+
+
 def test_sphere_area():
     val = whole(sf.sphere(), one, ParamQuadrature(order=8, base_grid=32))
     assert abs(val - 4 * np.pi) / (4 * np.pi) < 1e-8
