@@ -37,36 +37,6 @@ from .quadrature import ParamQuadrature
 
 CSV_HEADER = "# wulffkit-report v1"
 
-NORM_FAMILIES = {   # family: (parameters, builder)
-    "euclidean": ("dim", lambda p: MinkowskiNorm.euclidean(_integer(p.get("dim", 3)))),
-    "quadratic": ("matrix (row-major list or nested rows, symmetric positive definite)",
-                  lambda p: MinkowskiNorm.quadratic(_square_matrix(p["matrix"]))),
-    "quartic-regularized": ("dim, eps (smoothed quartic gauge)", lambda p: MinkowskiNorm.quartic(
-        _integer(p.get("dim", 2)), eps=float(p.get("eps", 0.05)))),
-}
-
-SURFACE_KINDS = {   # kind: (parameters, builder)
-    "hyperplane": ("normal, origin, extent", lambda p: sf.hyperplane(
-        normal=p.get("normal", (0, 0, 1)), origin=p.get("origin", (0, 0, 0)),
-        extent=float(p.get("extent", 2.0)))),
-    "sphere": ("radius, center", lambda p: sf.sphere(
-        radius=float(p.get("radius", 1.0)), center=p.get("center", (0, 0, 0)))),
-    "ellipsoid": ("semiaxes", lambda p: sf.ellipsoid(p.get("semiaxes", (1.0, 1.3, 1.7)))),
-    "catenoid": ("v_max", lambda p: sf.catenoid(v_max=float(p.get("v_max", 1.2)))),
-    "transformed-catenoid": ("matrix (SPD; surface is sqrt(matrix) * catenoid), v_max",
-                             lambda p: sf.transformed_catenoid(
-                                 _square_matrix(p["matrix"]), v_max=float(p.get("v_max", 1.2)))),
-    "line": ("offset, extent", lambda p: sf.line(
-        offset=float(p.get("offset", 0.5)), extent=float(p.get("extent", 4.0)))),
-    "circle": ("radius, center", lambda p: sf.circle(
-        radius=float(p.get("radius", 1.0)), center=p.get("center", (0.0, 0.0)))),
-    "graph": ("coeffs (poly coefficients; nested rows give a graph surface), extent",
-              lambda p: _graph(np.asarray(p.get("coeffs", [0.0]), dtype=float),
-                               extent=float(p.get("extent", 1.0)))),
-    "enneper": ("scale, extent", lambda p: sf.enneper(
-        scale=float(p.get("scale", 0.8)), extent=float(p.get("extent", 1.5)))),
-}
-
 
 def _integer(value) -> int:
     """value as an int, where it is one: a float without a fraction counts,
@@ -75,6 +45,16 @@ def _integer(value) -> int:
             isinstance(value, int) or isinstance(value, float) and value.is_integer()):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
+
+
+def _real(lo: float = -np.inf):
+    """The parse of a finite JSON number >= lo (true and false are not numbers)."""
+    def parse(value) -> float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not (np.isfinite(value) and value >= lo):
+            raise ValueError(f"{value!r} is not a finite number >= {lo}")
+        return float(value)
+    return parse
 
 
 def _at_least(lo: int):
@@ -121,14 +101,27 @@ def _text(value) -> str:
 
 def _radii(value) -> list:
     """A JSON array of at least two strictly increasing numbers."""
-    radii = [float(x) for x in value] if isinstance(value, list) else []
+    radii = [_real()(x) for x in value] if isinstance(value, list) else []
     if len(radii) < 2 or any(a >= b for a, b in zip(radii, radii[1:])):
         raise ValueError(f"not a JSON array of two or more strictly increasing radii: {value!r}")
     return radii
 
 
+def _square_matrix(entries) -> np.ndarray:
+    """A matrix given as nested rows or as a row-major flat list."""
+    matrix = np.asarray(entries, dtype=float)
+    if matrix.ndim == 1:
+        d = int(round(matrix.size ** 0.5))
+        matrix = matrix.reshape(d, d)
+    return matrix
+
+
+def _graph(coeffs=np.zeros(1), extent: float = 1.0) -> sf.ParametricPatch:
+    return (sf.graph_curve if coeffs.ndim <= 1 else sf.graph_surface)(coeffs, extent=extent)
+
+
 # the transversal field: "normal", "constant" (the vector "constant") or a norm
-_XI = {"xi": (_text, "normal"), "constant": (_listed(float), (0.3, -0.7, 0.55))}
+_XI = {"xi": (_text, "normal"), "constant": (_listed(_real()), (0.3, -0.7, 0.55))}
 
 # check kind: (the fields a check of that kind must name, as {key: parse}, and
 # its optional parameters, as {key: (parse, default)}); it runs as the module
@@ -136,21 +129,43 @@ _XI = {"xi": (_text, "normal"), "constant": (_listed(float), (0.3, -0.7, 0.55))}
 # no other key but its kind and name.
 CHECKS = {
     "norm-identities": ({"norm": _text}, {"samples": (_at_least(1), 1000),
-                                          "tolerance": (float, 1e-8)}),
+                                          "tolerance": (_real(0.0), 1e-8)}),
     "condition-s": ({"norm": _text}, {"samples": (_at_least(1), 10_000),
                                       "worst_k": (_at_least(0), 10),
                                       "expect": (_one_of("pass", "fail"), "pass")}),
-    "lemmas": ({"surface": _text}, {"tolerance": (float, 1e-4), "grid": (_at_least(1), 9),
-                                    "min_support": (float, 0.05), **_XI}),
+    "lemmas": ({"surface": _text}, {"tolerance": (_real(0.0), 1e-4), "grid": (_at_least(1), 9),
+                                    "min_support": (_real(0.0), 0.05), **_XI}),
     "monotonicity": ({"surface": _text, "norm": _text}, {
         "radii": (_radii, None), "count": (_at_least(2), 8),
-        "assert_constant_rel": (float, None), "assert_monotone": (_boolean, True)}),
-    "equiaffine": ({"surface": _text, "gauge": _text, "s": float, "r": float}, _XI),
+        "assert_constant_rel": (_real(0.0), None), "assert_monotone": (_boolean, True)}),
+    "equiaffine": ({"surface": _text, "gauge": _text, "s": _real(0.0), "r": _real(0.0)}, _XI),
     "corollary": ({"surface": _text, "norm": _text}, {
-        "rel_tol": (float, 1e-4), "expect": (_one_of("bound", "equality", "strict"), "bound"),
-        "origin_param": (_listed(float), None)}),
+        "rel_tol": (_real(0.0), 1e-4), "expect": (_one_of("bound", "equality", "strict"), "bound"),
+        "origin_param": (_listed(_real()), None)}),
     "minkowski": ({"surface": _text}, {"k": (_listed(_integer), [0]), **_XI}),
     "symfunc": ({}, {"sizes": (_listed(_at_least(1)), [3, 4, 5]), "count": (_at_least(1), 20)}),
+}
+
+
+# norm family or surface kind: (the keys it must name and those it may name, as
+# {key: parse}, and its builder, which takes them parsed, with its own defaults)
+NORM_FAMILIES = {
+    "euclidean": ({}, {"dim": _integer}, lambda dim=3: MinkowskiNorm.euclidean(dim)),
+    "quadratic": ({"matrix": _square_matrix}, {}, MinkowskiNorm.quadratic),
+    "quartic-regularized": ({}, {"dim": _integer, "eps": _real()}, MinkowskiNorm.quartic),
+}
+_VECTOR = _listed(_real())
+SURFACE_KINDS = {
+    "hyperplane": ({}, {"normal": _VECTOR, "origin": _VECTOR, "extent": _real()}, sf.hyperplane),
+    "sphere": ({}, {"radius": _real(), "center": _VECTOR}, sf.sphere),
+    "ellipsoid": ({}, {"semiaxes": _VECTOR}, sf.ellipsoid),
+    "catenoid": ({}, {"v_max": _real()}, sf.catenoid),
+    "transformed-catenoid": ({"matrix": _square_matrix}, {"v_max": _real()},
+                             sf.transformed_catenoid),
+    "line": ({}, {"offset": _real(), "extent": _real()}, sf.line),
+    "circle": ({}, {"radius": _real(), "center": _VECTOR}, sf.circle),
+    "graph": ({}, {"coeffs": lambda c: np.asarray(c, dtype=float), "extent": _real()}, _graph),
+    "enneper": ({}, {"scale": _real(), "extent": _real()}, sf.enneper),
 }
 
 
@@ -173,19 +188,6 @@ def _fmt(x) -> str:
     if isinstance(x, np.ndarray):
         return " ".join(repr(float(v)) for v in x.ravel())
     return str(x)
-
-
-def _square_matrix(entries) -> np.ndarray:
-    """A matrix given as nested rows or as a row-major flat list."""
-    matrix = np.asarray(entries, dtype=float)
-    if matrix.ndim == 1:
-        d = int(round(matrix.size ** 0.5))
-        matrix = matrix.reshape(d, d)
-    return matrix
-
-
-def _graph(coeffs: np.ndarray, extent: float) -> sf.ParametricPatch:
-    return (sf.graph_curve if coeffs.ndim <= 1 else sf.graph_surface)(coeffs, extent=extent)
 
 
 def _json(value, kind: type, what: str):
@@ -215,12 +217,25 @@ def _config_errors(what: str, name: str):
         raise ConfigError(f"{what} {name!r}: missing or invalid parameter: {exc}") from exc
 
 
+def _read_keys(what: str, spec: dict, own: tuple, fields: dict, optional: dict) -> None:
+    """A ConfigError unless spec names all of fields, and nothing but those, own and optional."""
+    missing = [key for key in fields if key not in spec]
+    if missing:
+        raise ConfigError(f"{what} needs {', '.join(missing)}")
+    unread = [key for key in spec if key not in (*own, *fields, *optional)]
+    if unread:
+        raise ConfigError(f"{what} does not read {', '.join(map(repr, unread))}")
+
+
 def _build(table: dict, what: str, key: str, spec, name: str):
     with _config_errors(what, name):
         choice = _json(spec, dict, f"{what} {name!r}").get(key)
         if choice not in table:
             raise ConfigError(f"{what} {name!r}: unknown {key} {choice!r}")
-        return table[choice][1](spec)
+        fields, optional, build = table[choice]
+        _read_keys(f"{what} {name!r}: a {choice} {what}", spec, (key,), fields, optional)
+        return build(**{k: parse(spec[k]) for k, parse in {**fields, **optional}.items()
+                        if k in spec})
 
 
 def build_norm(spec: dict, name: str) -> MinkowskiNorm:
@@ -283,14 +298,7 @@ class Scenario:
         kind = chk.get("kind")
         if kind not in CHECKS:
             raise ConfigError(f"check {name!r}: unknown kind {kind!r}")
-        fields, optional = CHECKS[kind]
-        missing = [key for key in fields if key not in chk]
-        if missing:
-            raise ConfigError(f"check {name!r}: a {kind} check needs {', '.join(missing)}")
-        unread = [key for key in chk if key not in ("kind", "name", *fields, *optional)]
-        if unread:
-            raise ConfigError(f"check {name!r}: a {kind} check does not read "
-                              f"{', '.join(map(repr, unread))}")
+        _read_keys(f"check {name!r}: a {kind} check", chk, ("kind", "name"), *CHECKS[kind])
         opt = _options(kind, chk)   # a value that does not parse fails here, not in the run
         for key, what, known in (("norm", "norm", self.norms), ("gauge", "norm", self.norms),
                                  ("surface", "surface", self.surfaces),
@@ -335,8 +343,7 @@ def _check_norm_identities(scn, name, chk) -> CheckOutcome:
     norm = scn.norms[chk["norm"]]
     opt = _options("norm-identities", chk)
     samples = opt["samples"]
-    rng = np.random.default_rng(scn.seed)
-    U = rng.standard_normal((samples, norm.dim))
+    U = np.random.default_rng(scn.seed).standard_normal((samples, norm.dim))
     U = U[np.linalg.norm(U, axis=1) > 1e-6]
     euler = float(np.max(norm.euler_residual(U)))
     radial = float(np.max(norm.radial_kernel_residual(U)))
@@ -358,8 +365,7 @@ def _check_condition_s(scn, name, chk) -> CheckOutcome:
     norm = scn.norms[chk["norm"]]
     opt = _options("condition-s", chk)
     samples = opt["samples"]
-    dual = norm.dual()
-    verdict = cs.check_condition_s(norm, samples, seed=scn.seed, dual=dual,
+    verdict = cs.check_condition_s(norm, samples, seed=scn.seed, dual=norm.dual(),
                                    worst_k=opt["worst_k"])
     rows = [{"name": name, "norm": chk["norm"], "rank": i,
              "u": rep.u, "v": rep.v, "lhs": rep.lhs, "rhs": rep.rhs_sign_ref,
@@ -442,13 +448,8 @@ def _check_corollary(scn, name, chk) -> CheckOutcome:
                                    max_depth=scn.max_depth,
                                    origin_param=opt["origin_param"])
     expect = opt["expect"]
-    if expect == "equality":
-        ok = rep.equality_within <= opt["rel_tol"]
-    elif expect == "strict":
-        ok = rep.strictly_above
-    else:
-        ok = rep.ratio >= 1.0 - 5.0 * rep.tolerance
-    ok = ok and not rep.flags
+    ok = {"equality": rep.equality_within <= opt["rel_tol"], "strict": rep.strictly_above,
+          "bound": rep.ratio >= 1.0 - 5.0 * rep.tolerance}[expect] and not rep.flags
     row = {"name": name, "surface": chk["surface"], "norm": chk["norm"],
            "energy": rep.energy, "bound": rep.bound, "ratio": rep.ratio,
            "tolerance": rep.tolerance, "strict": rep.strictly_above, "pass": ok}
@@ -533,10 +534,8 @@ def _write_csvs(outcomes: list[CheckOutcome], out_dir: Path) -> None:
             fh.write(",".join(cols) + "\n")
             for row in rows:
                 fh.write(",".join(_fmt(row.get(c, "")) for c in cols) + "\n")
-    for oc in outcomes:
-        if oc.plot is not None:
-            fname, body = oc.plot
-            (out_dir / fname).write_text(body, encoding="utf-8")
+    for fname, body in (oc.plot for oc in outcomes if oc.plot is not None):
+        (out_dir / fname).write_text(body, encoding="utf-8")
 
 
 def run_scenario(scn: Scenario, out_dir: Path) -> int:
@@ -576,14 +575,12 @@ def load_config(path: str) -> dict:
 
 
 def list_builtins() -> None:
-    for title, table in (("norm families", NORM_FAMILIES), ("surfaces", SURFACE_KINDS)):
+    for title, table in (("norm families", NORM_FAMILIES), ("surfaces", SURFACE_KINDS),
+                         ("checks", CHECKS)):
         print(f"{title}:")
-        for key, (params, _) in table.items():
-            print(f"  {key:22s} params: {params}")
-    print("checks:")
-    for kind, (fields, optional) in CHECKS.items():
-        print(f"  {kind:22s} needs: {', '.join(fields) or '-'}; "
-              f"optional: {', '.join(optional) or '-'}")
+        for kind, (fields, optional, *_) in table.items():
+            print(f"  {kind:22s} needs: {', '.join(fields) or '-'}; "
+                  f"optional: {', '.join(optional) or '-'}")
     bundled = sorted(
         p.name[:-5] for p in resources.files("wulffkit").joinpath("scenarios").iterdir()
         if p.name.endswith(".json"))
@@ -626,7 +623,9 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "condition-s":
-            spec = {"family": args.norm, "dim": args.dim, "eps": args.eps}
+            optional = NORM_FAMILIES[args.norm][1]      # the flags that the family reads
+            spec = {"family": args.norm, **{k: v for k, v in (("dim", args.dim), ("eps", args.eps))
+                                            if k in optional}}
             if args.matrix is not None:
                 spec["matrix"] = json.loads(args.matrix)
             scn = Scenario({"seed": args.seed, "norms": {"target": spec}, "checks": [

@@ -313,7 +313,10 @@ def _orthonormal_complement(Uh: np.ndarray) -> np.ndarray:
     """(m, d, d-1): the columns of slice i are an orthonormal basis of
     Uh[i]^perp, for unit rows Uh (m, d) (Householder frame)."""
     W = Uh.copy()
-    W[:, 0] -= np.where(Uh[:, 0] >= 0, 1.0, -1.0)     # uh - e0, or uh + e0
+    # uh - e0, or uh + e0: its first entry uh_0 - sign(uh_0) in Parlett's
+    # form -|uh_1..|^2 / (uh_0 + sign(uh_0)), which does not cancel near ±e0
+    W[:, 0] = -np.einsum("md,md->m", Uh[:, 1:], Uh[:, 1:]) \
+        / (Uh[:, 0] + np.where(Uh[:, 0] >= 0, 1.0, -1.0))
     wn2 = np.einsum("md,md->m", W, W)
     # w = 0 (the identity frame) where uh = e0
     W /= np.sqrt(np.where(wn2 < 1e-28, np.inf, wn2))[:, None]

@@ -18,8 +18,13 @@ A993-A1019):
 
 - on each k-face of a surface cell, the roots of psi = l for every level
   the cell crosses split the cross-section axis into segments on which the
-  bands' bounds are smooth; neighbouring cells share a face, and each face
-  segment is solved once for all of them;
+  bands' bounds are smooth.  One rule serves each interval between two
+  adjacent samples on a face: where psi - l changes sign it has one root;
+  where it does not, but the slope along the face turns toward l, a search
+  for a point across l, stopped once the variation bound clears the
+  interval, gives one root on each side of that point; and an end sample
+  within round-off of l is itself the root.  A level set that only touches
+  a face needs no breakpoint: the bands' bounds stay smooth through it;
 - Gauss-Legendre nodes on each segment give lines along k, on which a
   safeguarded Newton iteration finds the one root per level, and the sorted
   roots split the line into one interval per band, each carrying the
@@ -205,9 +210,9 @@ _FACE_ROWS = np.array([[np.flatnonzero(_OFFSETS[2][:, k] == side) for side in (0
 # where _CORNERS[n][c, i]
 _CORNERS = {n: _OFFSETS[n][np.all(_OFFSETS[n] != 0.5, axis=1)] > 0.0 for n in (1, 2)}
 
-_FACE_DEPTH = 30           # bisections of a k-face segment before a kink is placed mid-segment
 _NEWTON_ITERS = 100        # safeguarded steps: Newton where it stays in the bracket, else bisection
 _NEWTON_TOL = 1e-10        # a Newton step this small (times the bracket) ends the iteration
+_LEVEL_TOL = 1e-14         # |psi - level| this small (times the level) lies on the level
 _ROUNDOFF = 1e-14          # round-off floor of the estimate, relative to the absolute mass
 _CHUNK = 2048              # leaf nodes whose frames and integrand are held at a time
 _AREA_TOL = 1e-12          # largest gap between the two rules' region areas in a kept cut cell,
@@ -432,8 +437,9 @@ def _line_intervals(patch: ParametricPatch, gauge, levels: np.ndarray, P0: np.nd
     # one root problem per line and level whose ends do not lie on one side
     lev, line = np.nonzero(((below_a != below_b) | (above_a != above_b)).T)
     T = np.full((m, len(L)), np.nan)
-    T[line, lev] = _roots(patch, gauge, P0[line], k[line], a[line], b[line],
-                          psi_ends[line] - L[lev], psi_ends[m + line] - L[lev], L[lev])
+    row, T_row = _roots(patch, gauge, P0[line], k[line], a[line], b[line],
+                        psi_ends[line] - L[lev], psi_ends[m + line] - L[lev], L[lev])
+    T[line[row], lev[row]] = T_row
     a, b = a[:, None], b[:, None]
     # below the upper level of each band (the last K of L)
     up = slice(len(L) - (len(levels) - 1), None)
@@ -452,80 +458,27 @@ def _face_segments(patch: ParametricPatch, gauge, levels: np.ndarray, crossed: n
                    lo: np.ndarray, hi: np.ndarray, axis: np.ndarray, psi: np.ndarray,
                    G: np.ndarray):
     """Segments (cell, a, b) of the cross-section axis j = 1 - k of each
-    surface cut cell, split where a level set crosses one of its two k-faces.
-
-    Each face of a cell and each level the cell crosses start as one face
-    segment with the cell's three samples on that face.  Neighbouring cells
-    with one height axis share a face: a segment is keyed by its height
-    axis, face coordinate, ends and level, and each distinct one is solved
-    once.  A segment whose derivative along j keeps one sign holds a root
-    exactly when its ends straddle the level; a segment whose samples all
-    lie farther from the level than its variation bound holds none; any
-    other is bisected, and at the depth limit its midpoint becomes the
-    breakpoint.
+    surface cut cell, split at the roots of psi = level on its two k-faces,
+    for each level the cell crosses: each interval between two of the
+    face's three samples goes to _roots with their values and slopes along j.
     """
-    c = lo.shape[0]
-    j = 1 - axis
-    cells = np.arange(c)
+    j, cells = 1 - axis, np.arange(len(lo))
     # one face segment per (face, level, cell) with a level the cell crosses
     face, lev_row, row_cell = np.nonzero(np.broadcast_to(crossed.T, (2,) + crossed.T.shape))
-    k_row, j_row = axis[row_cell], j[row_cell]
+    jj = j[row_cell]
+    sample_rows = _FACE_ROWS[axis[row_cell], face]                 # (p, 3)
+    lev = levels[lev_row]
+    v = psi[row_cell[:, None], sample_rows] - lev[:, None]
+    d = G[row_cell[:, None], sample_rows, jj[:, None]]
+    u0, u1 = lo[row_cell, jj], hi[row_cell, jj]
+    u = np.column_stack([u0, 0.5 * (u0 + u1), u1])
+    # rows 2 s and 2 s + 1: the two intervals between adjacent samples of segment s
     P = np.where(face[:, None] == 0, lo[row_cell], hi[row_cell])
-    key = np.column_stack([k_row, P[np.arange(len(P)), k_row], lo[row_cell, j_row],
-                           hi[row_cell, j_row], levels[lev_row]])
-    # the distinct segments: runs of equal keys in key order
-    by_key = np.lexsort(key.T[::-1])
-    new = np.ones(len(key), dtype=bool)
-    np.any(key[by_key[1:]] != key[by_key[:-1]], axis=1, out=new[1:])
-    seg_of_row = np.empty(len(key), dtype=int)
-    seg_of_row[by_key] = np.cumsum(new) - 1
-    first = by_key[new]                     # the first row of each distinct segment
-    seg = np.arange(len(first))
-    sample_rows = _FACE_ROWS[k_row[first], face[first]]                 # (p, 3)
-    v = psi[row_cell[first][:, None], sample_rows]
-    d = G[row_cell[first][:, None], sample_rows, j_row[first][:, None]]
-    P, jj, lev = P[first], j_row[first], levels[lev_row[first]]
-    u0, u1 = key[first, 2], key[first, 3]
-
-    breaks = []
-    solve = []                # (segment, P, j, a, b, psi(a), psi(b), level) of segments with one root
-    for depth in range(_FACE_DEPTH + 1):
-        monotone = _sign_margin(d) > 0.0
-        V = 0.375 * (u1 - u0) * np.abs(d).max(axis=1)
-        cleared = (v.min(axis=1) - V > lev) | (v.max(axis=1) + V < lev)
-        one_root = monotone & ((v[:, 0] < lev) != (v[:, 2] < lev))
-        solve.append(tuple(x[one_root] for x in (seg, P, jj, u0, u1, v[:, 0], v[:, 2], lev)))
-        open_ = ~(monotone | cleared)
-        seg, P, jj, u0, u1, v, d, lev = (x[open_] for x in (seg, P, jj, u0, u1, v, d, lev))
-        if depth == _FACE_DEPTH:
-            breaks.append((seg, 0.5 * (u0 + u1)))
-        if depth == _FACE_DEPTH or seg.size == 0:
-            break
-        # bisect: the two new samples of each segment are its quarter points
-        um = 0.5 * (u0 + u1)
-        Q = np.concatenate([P, P])
-        Q[np.arange(len(Q)), np.tile(jj, 2)] = np.concatenate([0.5 * (u0 + um), 0.5 * (um + u1)])
-        vq, Gq = _psi(patch, gauge, Q)
-        dq = Gq[np.arange(len(Q)), np.tile(jj, 2)]
-        p = len(u0)
-        v = np.concatenate([np.column_stack([v[:, 0], vq[:p], v[:, 1]]),
-                            np.column_stack([v[:, 1], vq[p:], v[:, 2]])])
-        d = np.concatenate([np.column_stack([d[:, 0], dq[:p], d[:, 1]]),
-                            np.column_stack([d[:, 1], dq[p:], d[:, 2]])])
-        u0, u1 = np.concatenate([u0, um]), np.concatenate([um, u1])
-        seg, P, jj, lev = (np.concatenate([x, x]) for x in (seg, P, jj, lev))
-
-    rs, rP, rj, ra, rb, rva, rvb, rlev = (np.concatenate(x) for x in zip(*solve))
-    roots = _roots(patch, gauge, rP, rj, ra, rb, rva - rlev, rvb - rlev, rlev)
-    # scatter each segment's breakpoints to every cell that has the segment
-    bseg = np.concatenate([rs] + [x[0] for x in breaks])
-    bval = np.concatenate([roots] + [x[1] for x in breaks])
-    owners = np.argsort(seg_of_row, kind="stable")
-    count = np.bincount(seg_of_row, minlength=len(first))[bseg]
-    pick = np.repeat(np.searchsorted(seg_of_row[owners], bseg) - np.cumsum(count) + count,
-                     count) + np.arange(count.sum())
-    bcell = np.concatenate([cells, cells, row_cell[owners[pick]]])
-    bu = np.concatenate([lo[cells, j], hi[cells, j], np.repeat(bval, count)])
+    interval, bu = _roots(patch, gauge, np.repeat(P, 2, axis=0), np.repeat(jj, 2),
+                          u[:, :2].ravel(), u[:, 1:].ravel(), v[:, :2].ravel(), v[:, 1:].ravel(),
+                          np.repeat(lev, 2), d[:, :2].ravel(), d[:, 1:].ravel())
+    bcell = np.concatenate([cells, cells, row_cell[interval // 2]])
+    bu = np.concatenate([lo[cells, j], hi[cells, j], bu])
     order = np.lexsort((bu, bcell))
     bcell, bu = bcell[order], bu[order]
     keep = (bcell[1:] == bcell[:-1]) & (bu[1:] > bu[:-1])
@@ -534,43 +487,87 @@ def _face_segments(patch: ParametricPatch, gauge, levels: np.ndarray, crossed: n
 
 def _roots(patch: ParametricPatch, gauge, P: np.ndarray, axis: np.ndarray,
            a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray,
-           level: np.ndarray) -> np.ndarray:
-    """For each row, the root t in [a, b] of psi(P with coordinate `axis` set
-    to t) = level, where fa and fb (psi - level at a and b) differ in sign.
+           level: np.ndarray, da: np.ndarray | None = None,
+           db: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The roots t in [a, b] of psi(P with coordinate `axis` set to t) =
+    level, as arrays (row, t), one entry per root.  fa and fb are psi - level
+    at a and b; da and db, if given, the slopes of psi along `axis` there.
 
-    All rows iterate in lockstep: a Newton step where it stays inside the
-    row's bracket, a bisection where it does not.  A row stops at an exact
-    zero, at a Newton step below _NEWTON_TOL of its initial bracket (the next
-    step would be below round-off), or when the bracket can shrink no more.
+    An end within round-off of the level is the row's root.  Else a row has
+    one root where fa and fb differ in sign, and none where they share a sign
+    s, unless its slopes turn toward the level (s da < 0 < s db): then secant
+    steps on the slope, in a bracket whose end slopes still turn, search for
+    a point across the level, and the row has one root on each side of it.
+    The search ends with no root at a touching point (within round-off of
+    the level) or once the variation bound clears its bracket.  All rows
+    iterate in lockstep: a root row takes a Newton step where it stays inside
+    its bracket, else a bisection, and stops at an exact zero, at a Newton
+    step below _NEWTON_TOL of its initial bracket (the next would be below
+    round-off), or when the bracket can shrink no more.
     """
     m = len(a)
-    out = np.empty(m)
-    idx = np.arange(m)
-    P = P.copy()
-    lo, hi, flo = a, b, fa
-    tol = _NEWTON_TOL * (b - a)
+    snap = np.abs(np.concatenate([fa, fb])) <= _LEVEL_TOL * np.concatenate([level, level])
+    found = [(np.flatnonzero(snap) % m, np.concatenate([a, b])[snap])]
+    if da is None:
+        da = db = np.zeros(m)
+    s = np.sign(fa)
+    search = (np.sign(fb) == s) & (s * da < 0.0) & (s * db > 0.0)
+    # a search row has a twin: once a point across the level is found, the
+    # row keeps the bracket left of that point and the twin the one right of it
+    rows = np.concatenate([np.arange(m), np.flatnonzero(search)])
+    right = np.arange(len(rows)) >= m
+    keep = (~(snap[:m] | snap[m:]) & (search | (np.sign(fb) != s)))[rows]
+    idx, P, axis, lo, hi, flo, fhi, dlo, dhi, level, search = (
+        x[rows] for x in (np.arange(m), P, axis, a, b, fa, fb, da, db, level, search))
+    tol = _NEWTON_TOL * (hi - lo)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.clip(a - fa * (b - a) / (fb - fa), a, b)      # regula falsi start
-        for _ in range(_NEWTON_ITERS):
-            if idx.size == 0:
+        t = np.clip(lo - flo * (hi - lo) / (fhi - flo), lo, hi)      # regula falsi start
+        for it in range(_NEWTON_ITERS + 1):
+            if search.any():
+                # a search row steps to the secant root of its slopes, and ends
+                # with no root where that point cannot shrink its bracket, or
+                # where the variation bound keeps psi - level off the level: the
+                # bounds from the ends, s flo - wa (x - lo) and s fhi - wb (hi - x),
+                # are least where they meet
+                s, wa, wb = np.sign(flo), 1.5 * np.abs(dlo), 1.5 * np.abs(dhi)
+                ts = lo + (hi - lo) * dlo / (dlo - dhi)
+                keep &= ~search | ((ts > lo) & (ts < hi)
+                                   & (wb * s * flo + wa * s * fhi <= wa * wb * (hi - lo)))
+                t = np.where(search, ts, t)
+            idx, P, axis, lo, hi, flo, fhi, dlo, dhi, level, search, right, tol, t = (
+                x[keep] for x in (idx, P, axis, lo, hi, flo, fhi, dlo, dhi, level, search,
+                                  right, tol, t))
+            if idx.size == 0 or it == _NEWTON_ITERS:
+                found.append((idx[~search], t[~search]))
                 break
             rows = np.arange(idx.size)
             P[rows, axis] = t
             val, grad = _psi(patch, gauge, P)
-            g = val - level
-            low = np.sign(g) == np.sign(flo)
-            lo, flo, hi = np.where(low, t, lo), np.where(low, g, flo), np.where(low, hi, t)
-            tn = t - g / grad[rows, axis]
+            g, dg = val - level, grad[rows, axis]
+            s = np.sign(flo)
+            # t replaces the end whose sign g shares in a root row
+            left = np.sign(g) == s
+            touch = np.zeros(idx.size, dtype=bool)
+            if search.any():
+                # a search point within round-off of the level is a touching
+                # root; one across the level ends the search; else t replaces
+                # the end whose slope sign dg shares
+                touch = search & (np.abs(g) <= _LEVEL_TOL * level)
+                across = search & ~touch & (s * g < 0.0)
+                left = np.where(across, right, np.where(search, s * dg < 0.0, left))
+                search = search & ~across
+            lo, flo, dlo = (np.where(left, new, old) for new, old in ((t, lo), (g, flo), (dg, dlo)))
+            hi, fhi, dhi = (np.where(left, old, new) for new, old in ((t, hi), (g, fhi), (dg, dhi)))
+            tn = t - g / dg
             bisect = ~((tn > lo) & (tn < hi))
             tn = np.where(bisect, 0.5 * (lo + hi), tn)
-            done = ((g == 0.0) | (~bisect & (np.abs(tn - t) <= tol))
-                    | (hi - lo <= 4e-16 * (np.abs(lo) + np.abs(hi)) + 1e-300))
-            out[idx[done]] = np.where(g == 0.0, t, tn)[done]
-            keep = ~done
-            idx, P, axis, lo, hi, flo, level, tol, t = (
-                x[keep] for x in (idx, P, axis, lo, hi, flo, level, tol, tn))
-    out[idx] = t
-    return out
+            done = ~search & ~touch & (
+                (g == 0.0) | (~bisect & (np.abs(tn - t) <= tol))
+                | (hi - lo <= 4e-16 * (np.abs(lo) + np.abs(hi)) + 1e-300))
+            found.append((idx[done], np.where(g == 0.0, t, tn)[done]))
+            keep, t = ~(done | touch), tn
+    row, t = (np.concatenate(x) for x in zip(*found))
+    return row, t
 
 
 def sublevel_energy(patch: ParametricPatch, norm, r: float, dual=None,

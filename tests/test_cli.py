@@ -487,6 +487,17 @@ CONFIG_FAULTS = {
     "constant-not-numbers": (lambda d: _with_checks(d, [
         {"kind": "lemmas", "name": "lm", "surface": "plane", "xi": "constant",
          "constant": ["a", "b", "c"]}]), "'lm'"),
+    # a norm or surface key its family or kind does not read was ignored (a
+    # misspelled radius built the unit sphere), a bool was read as a number,
+    # and a negative tolerance ran its check, which then failed
+    "sphere-radius-misspelled": (lambda d: {**d, "surfaces": {
+        **d["surfaces"], "sph": {"kind": "sphere", "raduis": 2}}}, "'sph'"),
+    "norm-dim-misspelled": (lambda d: {**d, "norms": {
+        **d["norms"], "e": {"family": "euclidean", "dimm": 3}}}, "'e'"),
+    "catenoid-v-max-bool": (lambda d: {**d, "surfaces": {
+        **d["surfaces"], "cat": {"kind": "catenoid", "v_max": True}}}, "'cat'"),
+    "assert-constant-rel-negative": (lambda d: _with_checks(d, [
+        {**MONO, "assert_constant_rel": -1}]), "'m'"),
 }
 
 

@@ -206,6 +206,21 @@ def test_restricted_hessian_quadratic_regression():
     assert val > 0
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_householder_frame_near_the_first_axis(d):
+    # rows 1e-12 to 1e-6 from ±e0: uh_0 - sign(uh_0) cancels there, and the
+    # columns built from it were orthogonal to uh only to about 1e-8; they
+    # stay orthonormal to round-off
+    rng = np.random.default_rng(d)
+    tilt = rng.standard_normal((400, d - 1))
+    tilt *= 10.0 ** rng.uniform(-12, -6, (400, 1)) / np.linalg.norm(tilt, axis=1, keepdims=True)
+    U = np.column_stack([np.where(np.arange(400) % 2, 1.0, -1.0), tilt])
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    Q = norms._orthonormal_complement(U)
+    assert np.abs(np.einsum("mdj,md->mj", Q, U)).max() <= 1e-15
+    assert np.abs(np.swapaxes(Q, 1, 2) @ Q - np.eye(d - 1)).max() <= 4e-15
+
+
 def test_nonconvex_gauge_detected():
     # 1-homogeneous extension of a star-shaped, non-convex profile
     def star(U):

@@ -275,6 +275,44 @@ def test_cut_cells_meet_closed_forms(name, monkeypatch):
     assert sum(nodes) <= 0.1 * 31_112 * 36
 
 
+def near_tangent_regions(count=40, seed=2):
+    """(gauge, centre, exact area) of disks and ellipses on z = 0 whose
+    boundary lies 1e-10 to 1e-2 from a grid line of the extent-2, grid-16
+    plane, beyond or short of it: every fourth the unit disk of the
+    Euclidean gauge, the others sections of random quadratic gauges."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        A = np.eye(3)
+        if i % 4:
+            M = rng.standard_normal((3, 3))
+            A = M @ M.T + 0.3 * np.eye(3)
+            # the larger half-width of the section between 0.4 and 1
+            widest = np.linalg.inv(np.linalg.inv(A)[:2, :2]).diagonal().max()
+            A *= rng.uniform(0.16, 1.0) / widest
+        B = np.linalg.inv(A)[:2, :2]                  # the section is {p B p < 1}
+        half = np.sqrt(np.linalg.inv(B).diagonal())   # its half-widths along the axes
+        axis, side = i % 2, (-1.0) ** (i // 2)
+        gap = (-1.0) ** (i // 4) * 10.0 ** -rng.uniform(2, 10)
+        centre = rng.uniform(-0.3, 0.3, size=2)
+        edge = centre[axis] + side * half[axis]
+        centre[axis] += 0.25 * np.round(edge / 0.25) + side * gap - edge
+        gauge = wk.MinkowskiNorm.quadratic(A).dual() if i % 4 else \
+            wk.MinkowskiNorm.euclidean(3).dual()
+        yield gauge, centre, np.pi / math.sqrt(np.linalg.det(B))
+
+
+def test_near_tangent_faces_meet_their_estimates():
+    # a boundary just beyond a grid line cuts a sliver from a cell face: two
+    # roots between two face samples, with no sign change between them, that
+    # the nodes of both rules can miss; the face step must still find them
+    for gauge, centre, exact in near_tangent_regions():
+        res = integrate_clipped(sf.hyperplane(origin=(-centre[0], -centre[1], 0.0), extent=2.0),
+                                one, ClippedRegionRule(gauge, 0.0, 1.0, 8),
+                                ParamQuadrature(order=6, base_grid=16))
+        assert abs(res.value - exact) <= res.error_estimate
+        assert res.fallback_cells == 0
+
+
 def test_cut_cells_refine_small_circles():
     # a radius-0.3 circle is curved too tightly for cut cells of side 1/3:
     # they are halved until the rules of order q and q - 1 agree on the area
