@@ -21,10 +21,10 @@ A993-A1019):
   bands' bounds are smooth.  One rule serves each interval between two
   adjacent samples on a face: where psi - l changes sign it has one root;
   where it does not, but the slope along the face turns toward l, a search
-  for a point across l, stopped once the variation bound clears the
-  interval, gives one root on each side of that point; and an end sample
-  within round-off of l is itself the root.  A level set that only touches
-  a face needs no breakpoint: the bands' bounds stay smooth through it;
+  for a point across l finds one root on each side of that point, or none
+  once the variation bound clears the interval; and an end sample within
+  round-off of l is itself the root.  A level set that only touches a face
+  needs no breakpoint: the bands' bounds stay smooth through it;
 - Gauss-Legendre nodes on each segment give lines along k, on which a
   safeguarded Newton iteration finds the one root per level, and the sorted
   roots split the line into one interval per band, each carrying the
