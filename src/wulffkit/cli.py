@@ -93,9 +93,10 @@ def _listed(parse):
 
 
 def _text(value) -> str:
-    """value, if it is a string: the name of a norm or surface, or a field."""
-    if not isinstance(value, str):
-        raise ValueError(f"{value!r} is not a string")
+    """value, if it is a non-empty string: the name of a norm or surface, a
+    field, or the output directory."""
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{value!r} is not a non-empty string")
     return value
 
 
@@ -107,9 +108,15 @@ def _radii(value) -> list:
     return radii
 
 
+def _reals(value) -> np.ndarray:
+    """A number or nested lists of numbers as a float array, each entry read by _real()."""
+    entries = np.asarray(value, dtype=object)
+    return np.array([_real()(x) for x in entries.ravel()], dtype=float).reshape(entries.shape)
+
+
 def _square_matrix(entries) -> np.ndarray:
     """A matrix given as nested rows or as a row-major flat list."""
-    matrix = np.asarray(entries, dtype=float)
+    matrix = _reals(entries)
     if matrix.ndim == 1:
         d = int(round(matrix.size ** 0.5))
         matrix = matrix.reshape(d, d)
@@ -164,7 +171,7 @@ SURFACE_KINDS = {
                              sf.transformed_catenoid),
     "line": ({}, {"offset": _real(), "extent": _real()}, sf.line),
     "circle": ({}, {"radius": _real(), "center": _VECTOR}, sf.circle),
-    "graph": ({}, {"coeffs": lambda c: np.asarray(c, dtype=float), "extent": _real()}, _graph),
+    "graph": ({}, {"coeffs": _reals, "extent": _real()}, _graph),
     "enneper": ({}, {"scale": _real(), "extent": _real()}, sf.enneper),
 }
 
@@ -268,17 +275,21 @@ class Scenario:
     def __init__(self, doc: dict, *, seed: int | None = None,
                  quad_overrides: dict | None = None):
         _json(doc, dict, "config root")
+        _read_keys("scenario", doc, ("seed", "quadrature", "out", "norms", "surfaces", "checks"),
+                   {}, {})
         with _config_errors("scenario", "seed"):
             self.seed = _at_least(0)(doc.get("seed", 0) if seed is None else seed)
         with _config_errors("scenario", "quadrature"):
             quad = dict(_json(doc.get("quadrature", {}), dict, "quadrature"))
+            _read_keys("scenario 'quadrature'", quad, ("order", "grid", "max_depth"), {}, {})
             quad.update({k: v for k, v in (quad_overrides or {}).items() if v is not None})
             self.rule = ParamQuadrature(order=_integer(quad.get("order", 6)),
                                         base_grid=_integer(quad.get("grid", 16)))
             self.max_depth = _integer(quad.get("max_depth", 8))
             if self.max_depth < 0:
                 raise ValueError(f"max_depth must be >= 0, not {self.max_depth}")
-        self.out = doc.get("out", "wulffkit-out")
+        with _config_errors("scenario", "out"):
+            self.out = _text(doc.get("out", "wulffkit-out"))
 
         self.norms = {_name("norm", name): build_norm(spec, name)
                       for name, spec in _json(doc.get("norms", {}), dict, "norms").items()}

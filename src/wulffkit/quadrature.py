@@ -26,15 +26,20 @@ A993-A1019):
   round-off of l is itself the root.  A level set that only touches a face
   needs no breakpoint: the bands' bounds stay smooth through it;
 - Gauss-Legendre nodes on each segment give lines along k, on which a
-  safeguarded Newton iteration finds the one root per level, and the sorted
-  roots split the line into one interval per band, each carrying the
-  Gauss-Legendre nodes of that band.
+  safeguarded Newton iteration finds the one root per level.  Along a line
+  come its start, its roots in the order psi meets their levels (ascending
+  where psi rises along k, descending where it falls), and its end; the
+  start opens the band that holds psi(start), a root of level l_i band i
+  where psi rises and band i - 1 where it falls.
 
-A curve cell is its own line.  The rules of order q and q - 1 are both
-built; a cut cell where they disagree on the parameter area of any band is
-too coarse for the curvature of its level sets and is halved along every
-axis, as is a straddling cell without a height axis.  At the depth limit
-such a cell is a fallback cell.
+Both levels end in one piece step: from breakpoints in order along a
+segment it keeps the non-empty pieces between neighbours, each with the
+label of the breakpoint that opens it; a line's piece in a band gets the
+Gauss-Legendre nodes of that band.  A curve cell is its own line.  The
+rules of order q and q - 1 are both built; a cut cell where they disagree
+on the parameter area of any band is too coarse for the curvature of its
+level sets and is halved along every axis, as is a straddling cell without
+a height axis.  At the depth limit such a cell is a fallback cell.
 
 Every leaf cell is a node set, each node in a slot: an inside cell's
 Gauss-Legendre nodes in the slot b of its band, a cut cell's nodes on
@@ -62,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .norms import _number
-from .surfaces import ParametricPatch
+from .surfaces import ParametricPatch, _tensor_grid
 
 
 @dataclass(frozen=True)
@@ -157,12 +162,6 @@ def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
     t, w = 0.5 * (x + 1.0), 0.5 * w
     t.flags.writeable = w.flags.writeable = False
     return t, w
-
-
-def _tensor_grid(axes) -> np.ndarray:
-    """The points of the tensor product of 1-D arrays, one per row (m, n),
-    the last axis running fastest."""
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 def _base_cells(patch: ParametricPatch, base_grid: int) -> tuple[np.ndarray, np.ndarray]:
@@ -263,7 +262,10 @@ def integrate_clipped(patch: ParametricPatch, f, region: ClippedRegionRule | Non
         straddle = ~(is_inside | is_outside)
         inside.append((lo[is_inside], hi[is_inside], band[is_inside]))
 
-        margin = _sign_margin(G)                      # (k, n)
+        # how far the samples of each derivative keep one sign (k, n): their
+        # least magnitude on the side they share, minus their spread
+        gmin, gmax = G.min(axis=1), G.max(axis=1)
+        margin = np.maximum(gmin, -gmax) - (gmax - gmin)
         axis = np.argmax(margin, axis=1)
         rest = straddle & (margin[np.arange(k), axis] <= 0.0)
         c = np.flatnonzero(straddle & ~rest)
@@ -351,14 +353,6 @@ def _leaf_sums(patch: ParametricPatch, f, P: np.ndarray, W: np.ndarray, leaf: np
     return np.concatenate(sums, axis=-1), np.concatenate(masses, axis=-1), cols
 
 
-def _sign_margin(D: np.ndarray) -> np.ndarray:
-    """How far samples of a derivative (axis 1 of D) keep one sign: the
-    smallest magnitude, on the side of the sign they share, minus their
-    spread; positive only if every sample has that sign with margin."""
-    dmin, dmax = D.min(axis=1), D.max(axis=1)
-    return np.maximum(dmin, -dmax) - (dmax - dmin)
-
-
 def _halve(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The 2^n children of each cell, halved along every axis."""
     n = lo.shape[1]
@@ -376,82 +370,86 @@ def _cut_nodes(patch: ParametricPatch, gauge, levels: np.ndarray, order: int,
     ascending cell order: band b of the rule of order q in slot b, of the
     rule of order q - 1 in slot K + b.  W includes the parameter measure but
     not the area element.  psi and G are the classification samples of each
-    cell, crossed (c, K + 1) marks the levels those samples do not clear."""
+    cell, crossed (c, K + 1) marks the levels those samples do not clear.
+    The face step and the line step both end in the piece step _pieces."""
     c, n = lo.shape
     nb = len(levels) - 1
     orders = (order, order - 1)
     # outer nodes: points of the cross-section (the axes other than k), each
-    # the foot of a line along k
+    # the foot of a line along k, those of the rule of order q first
     if n == 1:
-        outer = [(np.arange(c), lo.copy(), np.ones(c))] * 2
+        line_cell, P0, w_line, n_first = np.tile(np.arange(c), 2), np.tile(lo, (2, 1)), \
+            np.ones(2 * c), c
     else:
         seg_cell, seg_a, seg_b = _face_segments(patch, gauge, levels, crossed,
                                                 lo, hi, axis, psi, G)
-        outer = []
-        for q in orders:
-            t, w = _gl(q)
-            cell = np.repeat(seg_cell, q)
-            span = seg_b - seg_a
-            P0 = lo[cell]
-            P0[np.arange(len(cell)), 1 - axis[cell]] = (seg_a[:, None] + span[:, None] * t).ravel()
-            outer.append((cell, P0, (span[:, None] * w).ravel()))
-    line_cell = np.concatenate([o[0] for o in outer])
-    P0 = np.concatenate([o[1] for o in outer])
+        span = seg_b - seg_a
+        line_cell = np.concatenate([np.repeat(seg_cell, q) for q in orders])
+        P0, w_line = (np.concatenate(x) for x in zip(*(
+            _gl_nodes(lo[seg_cell], 1 - axis[seg_cell], seg_a, span, span, q) for q in orders)))
+        n_first = len(seg_cell) * order
     k = axis[line_cell]
-    t_lo, t_hi = _line_intervals(patch, gauge, levels, P0, k,
-                                 lo[line_cell, k], hi[line_cell, k])
+    line, t0, t1, band = _line_pieces(patch, gauge, levels, P0, k,
+                                      lo[line_cell, k], hi[line_cell, k])
+    split = np.searchsorted(line, n_first)      # the pieces come in line order
     nodes = []
-    start = 0
-    for shift, q, (cell, _, w_outer) in zip((0, nb), orders, outer):
-        # the (line, band) pairs of this rule that meet the region
-        line, band = np.nonzero(t_hi[start:start + len(cell)] > t_lo[start:start + len(cell)])
-        sl = line + start
-        start += len(cell)
-        cell, w_outer = cell[line], w_outer[line]
-        t, w = _gl(q)
-        length = t_hi[sl, band] - t_lo[sl, band]
-        P = np.repeat(P0[sl], q, axis=0)
-        P[np.arange(len(P)), np.repeat(k[sl], q)] = \
-            (t_lo[sl, band, None] + length[:, None] * t).ravel()
-        nodes.append((P, (w_outer[:, None] * length[:, None] * w).ravel(),
-                      np.repeat(cell, q), np.repeat(shift + band, q)))
+    for shift, q, part in zip((0, nb), orders, (slice(split), slice(split, None))):
+        sl, length = line[part], (t1 - t0)[part]
+        nodes.append((*_gl_nodes(P0[sl], k[sl], t0[part], length, w_line[sl] * length, q),
+                      np.repeat(line_cell[sl], q), np.repeat(shift + band[part], q)))
     P, W, cell, slot = (np.concatenate(x) for x in zip(*nodes))
     by_cell = np.argsort(cell, kind="stable")
     return P[by_cell], W[by_cell], cell[by_cell], slot[by_cell]
 
 
-def _line_intervals(patch: ParametricPatch, gauge, levels: np.ndarray, P0: np.ndarray,
-                    k: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Per line P0 + (t - P0_k) e_k, psi being monotone along it, and per band
-    b, the interval [t_lo, t_hi] of [a, b] where levels[b] < psi <
-    levels[b + 1]: two (m, K) arrays.  A lower level of 0 bounds nothing."""
-    m = len(k)
+def _gl_nodes(P: np.ndarray, axis: np.ndarray, a: np.ndarray, span: np.ndarray,
+              weight: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The q Gauss-Legendre nodes of each piece [a, a + span] of the lines
+    P + (t - P_axis) e_axis, q rows per piece, and their weights times the
+    piece's `weight`."""
+    t, w = _gl(q)
+    P = np.repeat(P, q, axis=0)
+    P[np.arange(len(P)), np.repeat(axis, q)] = (a[:, None] + span[:, None] * t).ravel()
+    return P, (weight[:, None] * w).ravel()
+
+
+def _pieces(seg: np.ndarray, u: np.ndarray, label: np.ndarray):
+    """The non-empty pieces (seg, u0, u1, label) between neighbouring
+    breakpoints (seg, u, label) of one segment, given in order along each
+    segment; a piece carries the label of the breakpoint that opens it."""
+    keep = (seg[1:] == seg[:-1]) & (u[1:] > u[:-1])
+    return seg[:-1][keep], u[:-1][keep], u[1:][keep], label[:-1][keep]
+
+
+def _line_pieces(patch: ParametricPatch, gauge, levels: np.ndarray, P0: np.ndarray,
+                 k: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """The pieces (line, t0, t1, band), in line order, of the lines P0 +
+    (t - P0_k) e_k, t in [a, b], psi monotone along each, where levels[band]
+    < psi < levels[band + 1]: only the bands a line meets, ordered and
+    labelled as the module docstring says (a lower level of 0 has no roots)."""
+    m, nb, step = len(k), len(levels) - 1, len(levels) + 2
     rows = np.arange(m)
     ends = np.concatenate([P0, P0])
     ends[rows, k], ends[m + rows, k] = a, b
     psi_ends, _ = _gauge_safe(gauge, patch.chart(ends))
-    psi_a, psi_b = psi_ends[:m, None], psi_ends[m:, None]
-    L = levels[levels > 0.0]           # the levels that bound a band
-    below_a, below_b = psi_a < L, psi_b < L
-    above_a, above_b = psi_a > L, psi_b > L
+    psi_a, psi_b = psi_ends[:m], psi_ends[m:]
     # one root problem per line and level whose ends do not lie on one side
-    lev, line = np.nonzero(((below_a != below_b) | (above_a != above_b)).T)
-    T = np.full((m, len(L)), np.nan)
-    row, T_row = _roots(patch, gauge, P0[line], k[line], a[line], b[line],
-                        psi_ends[line] - L[lev], psi_ends[m + line] - L[lev], L[lev])
-    T[line[row], lev[row]] = T_row
-    a, b = a[:, None], b[:, None]
-    # below the upper level of each band (the last K of L)
-    up = slice(len(L) - (len(levels) - 1), None)
-    t_lo = np.maximum(a, np.where(below_a[:, up], a, np.where(below_b[:, up], T[:, up], b)))
-    t_hi = np.minimum(b, np.where(below_b[:, up], b, np.where(below_a[:, up], T[:, up], a)))
-    # above the lower level of each band that has one (L without its last)
-    has = slice(len(levels) - len(L), None)
-    t_lo[:, has] = np.maximum(t_lo[:, has], np.where(
-        above_a[:, :-1], a, np.where(above_b[:, :-1], T[:, :-1], b)))
-    t_hi[:, has] = np.minimum(t_hi[:, has], np.where(
-        above_b[:, :-1], b, np.where(above_a[:, :-1], T[:, :-1], a)))
-    return t_lo, np.maximum(t_hi, t_lo)
+    lev, line = np.nonzero((levels[:, None] > 0.0) & (np.sign(psi_a - levels[:, None])
+                                                      != np.sign(psi_b - levels[:, None])))
+    row, T = _roots(patch, gauge, P0[line], k[line], a[line], b[line],
+                    psi_a[line] - levels[lev], psi_b[line] - levels[lev], levels[lev])
+    line, lev = line[row], lev[row]
+    rise = (psi_b > psi_a)[line]
+    # the place of each breakpoint along its line, as an integer key: the
+    # start first and the end last, so a root on an end opens the next piece
+    key = np.concatenate([rows * step, line * step + np.where(rise, 1 + lev, nb + 1 - lev),
+                          rows * step + step - 1])
+    label = np.concatenate([np.searchsorted(levels, psi_a, side="right") - 1,
+                            np.where(rise, lev, lev - 1), np.full(m, -1)])
+    by = np.argsort(key, kind="stable")
+    line, t0, t1, band = _pieces(key[by] // step, np.concatenate([a, T, b])[by], label[by])
+    meets = (band >= 0) & (band < nb)
+    return line[meets], t0[meets], t1[meets], band[meets]
 
 
 def _face_segments(patch: ParametricPatch, gauge, levels: np.ndarray, crossed: np.ndarray,
@@ -480,9 +478,7 @@ def _face_segments(patch: ParametricPatch, gauge, levels: np.ndarray, crossed: n
     bcell = np.concatenate([cells, cells, row_cell[interval // 2]])
     bu = np.concatenate([lo[cells, j], hi[cells, j], bu])
     order = np.lexsort((bu, bcell))
-    bcell, bu = bcell[order], bu[order]
-    keep = (bcell[1:] == bcell[:-1]) & (bu[1:] > bu[:-1])
-    return bcell[:-1][keep], bu[:-1][keep], bu[1:][keep]
+    return _pieces(bcell[order], bu[order], bcell[order])[:3]
 
 
 def _roots(patch: ParametricPatch, gauge, P: np.ndarray, axis: np.ndarray,
@@ -501,9 +497,10 @@ def _roots(patch: ParametricPatch, gauge, P: np.ndarray, axis: np.ndarray,
     The search ends with no root at a touching point (within round-off of
     the level) or once the variation bound clears its bracket.  All rows
     iterate in lockstep: a root row takes a Newton step where it stays inside
-    its bracket, else a bisection, and stops at an exact zero, at a Newton
-    step below _NEWTON_TOL of its initial bracket (the next would be below
-    round-off), or when the bracket can shrink no more.
+    its bracket, else a bisection, and stops at an exact zero, at a point
+    within round-off of the level whose Newton step leaves the bracket, at a
+    Newton step below _NEWTON_TOL of its initial bracket (the next would be
+    below round-off), or when the bracket can shrink no more.
     """
     m = len(a)
     snap = np.abs(np.concatenate([fa, fb])) <= _LEVEL_TOL * np.concatenate([level, level])
@@ -561,10 +558,11 @@ def _roots(patch: ParametricPatch, gauge, P: np.ndarray, axis: np.ndarray,
             tn = t - g / dg
             bisect = ~((tn > lo) & (tn < hi))
             tn = np.where(bisect, 0.5 * (lo + hi), tn)
+            at_t = (g == 0.0) | (bisect & (np.abs(g) <= _LEVEL_TOL * level))
             done = ~search & ~touch & (
-                (g == 0.0) | (~bisect & (np.abs(tn - t) <= tol))
+                at_t | (~bisect & (np.abs(tn - t) <= tol))
                 | (hi - lo <= 4e-16 * (np.abs(lo) + np.abs(hi)) + 1e-300))
-            found.append((idx[done], np.where(g == 0.0, t, tn)[done]))
+            found.append((idx[done], np.where(at_t, t, tn)[done]))
             keep, t = ~(done | touch), tn
     row, t = (np.concatenate(x) for x in zip(*found))
     return row, t

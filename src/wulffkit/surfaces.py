@@ -37,6 +37,12 @@ TEST_VECTOR = (0.3, -0.7, 0.55)   # the constant vector b of the divergence iden
 _BOUNDARY_SAMPLES, _RANGE_GRID = 256, 64
 
 
+def _tensor_grid(axes) -> np.ndarray:
+    """The points of the tensor product of 1-D arrays, one per row (m, n),
+    the last axis running fastest."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
 # --------------------------------------------------------------------------
 # patches
 
@@ -119,32 +125,16 @@ class ParametricPatch:
             else:
                 inset = max(margin * (b - a), self.axis_insets[i])
                 axes.append(np.linspace(a + inset, b - inset, k))
-        if self.n == 1:
-            return axes[0][:, None]
-        A, B = np.meshgrid(axes[0], axes[1], indexing="ij")
-        return np.column_stack([A.ravel(), B.ravel()])
+        return _tensor_grid(axes)
 
     def boundary_samples(self) -> np.ndarray:
         """Parameter points on the non-periodic edges, _BOUNDARY_SAMPLES per
         edge of a surface; empty for closed patches."""
         if self.closed:
             return np.empty((0, self.n))
-        pts = []
-        for i in range(self.n):
-            if self.periodic[i]:
-                continue
-            a, b = self.domain[i]
-            for edge in (a, b):
-                if self.n == 1:
-                    pts.append([[edge]])
-                else:
-                    j = 1 - i
-                    qa, qb = self.domain[j]
-                    tt = np.linspace(qa, qb, _BOUNDARY_SAMPLES)
-                    block = np.empty((_BOUNDARY_SAMPLES, 2))
-                    block[:, i] = edge
-                    block[:, j] = tt
-                    pts.append(block)
+        pts = [_tensor_grid([[edge] if j == i else np.linspace(*self.domain[j], _BOUNDARY_SAMPLES)
+                             for j in range(self.n)])
+               for i in range(self.n) if not self.periodic[i] for edge in self.domain[i]]
         return np.vstack(pts) if pts else np.empty((0, self.n))
 
     def gauge_range(self, gauge) -> tuple[float, float]:

@@ -498,6 +498,22 @@ CONFIG_FAULTS = {
         **d["surfaces"], "cat": {"kind": "catenoid", "v_max": True}}}, "'cat'"),
     "assert-constant-rel-negative": (lambda d: _with_checks(d, [
         {**MONO, "assert_constant_rel": -1}]), "'m'"),
+    # a scenario key nothing reads was ignored (a misspelled checks ran no
+    # check and exited 0, a misspelled order ran at order 6), and an out that
+    # is not a path escaped as a traceback
+    "checks-misspelled": (lambda d: {"chekcs": d.pop("checks"), **d}, "'chekcs'"),
+    "quadrature-order-misspelled": (lambda d: {**d, "quadrature": {"ordr": 3}}, "'ordr'"),
+    "out-number": (lambda d: {**d, "out": 5}, "'out'"),
+    "out-empty": (lambda d: {**d, "out": ""}, "'out'"),
+    # a bool was read as 1 or 0 in a matrix or in graph coefficients
+    "quadratic-matrix-bools": (lambda d: {**d, "norms": {
+        **d["norms"], "qb": {"family": "quadratic",
+                             "matrix": [[True, 0, 0], [0, True, 0], [0, 0, True]]}}}, "'qb'"),
+    "catenoid-matrix-bools": (lambda d: {**d, "surfaces": {
+        **d["surfaces"], "tc": {"kind": "transformed-catenoid",
+                                "matrix": [[True, 0, 0], [0, True, 0], [0, 0, True]]}}}, "'tc'"),
+    "graph-coeffs-bool": (lambda d: {**d, "surfaces": {
+        **d["surfaces"], "g": {"kind": "graph", "coeffs": [True, 0]}}}, "'g'"),
 }
 
 

@@ -27,13 +27,16 @@ from hypothesis.extra.numpy import arrays
 
 import wulffkit as wk
 from wulffkit import condition_s as cs
+from wulffkit import surfaces as sf
 from wulffkit import symfunc as sym
+from wulffkit.quadrature import ClippedRegionRule, ParamQuadrature, integrate_clipped
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=25, deadline=None)
 NUMERIC_SETTINGS = settings(derandomize=True, database=None, max_examples=6,
                             deadline=None)
 SYMFUNC_SETTINGS = settings(derandomize=True, database=None, max_examples=50,
                             deadline=None)
+BAND_SETTINGS = settings(SETTINGS, max_examples=20)
 NUMERIC_AGREE = 1e-12
 QUADRATIC_D4_REL = 1e-14
 # |sigma_k - minors| <= SIGMA_REL C(n, k) max(1, |A|_F)^k; over 3 000 random
@@ -271,3 +274,35 @@ def test_symfunc_stack_is_its_matrices_and_matches_the_minors(A):
             assert _same_as_per_matrix(fn, A, k), fn.__name__
         err = np.abs(sym.sigma_k(A, k) - sym.sigma_k_minors_oracle(A, k))
         assert np.all(err <= SIGMA_REL * math.comb(n, k) * scale ** k)
+
+
+@st.composite
+def banded_sections(draw):
+    """A quadratic gauge A whose r = 1 section of z = 0 has its larger
+    half-width in [0.3, 1], levels s < ... < 1 of 1 to 5 bands, with s = 0 or
+    s in [0.05, 0.3], and a centre offset in [-0.6, 0.6]^2, so that the
+    gauge rises along some grid lines and falls along others."""
+    A, _ = draw(spd_and_rows(dims=(3,), rows=1))
+    widest = np.linalg.inv(np.linalg.inv(A)[:2, :2]).diagonal().max()
+    A = A * draw(st.floats(0.3, 1.0)) ** 2 / widest
+    s = draw(st.one_of(st.just(0.0), st.floats(0.05, 0.3)))
+    inner = sorted(draw(st.lists(st.floats(0.05, 0.95), max_size=4, unique=True)))
+    levels = np.array([s, *(s + (1.0 - s) * np.array(inner)), 1.0])
+    centre = draw(arrays(float, 2, elements=st.floats(-0.6, 0.6)))
+    return A, levels, centre
+
+
+@BAND_SETTINGS
+@given(banded_sections(), st.integers(3, 7), st.integers(4, 16))
+def test_bands_of_a_random_section_meet_their_areas(case, order, grid):
+    # band b of the section {p B p < 1}, B = (A^-1)[:2, :2], is the ring of
+    # area pi (l_(b+1)^2 - l_b^2) / sqrt(det B)
+    A, levels, centre = case
+    res = integrate_clipped(sf.hyperplane(origin=(*centre, 0.0), extent=2.0),
+                            lambda fb: np.ones(len(fb.x)),
+                            ClippedRegionRule(wk.MinkowskiNorm.quadratic(A).dual(), levels[0],
+                                              levels[-1], 8, splits=levels[1:-1]),
+                            ParamQuadrature(order=order, base_grid=grid))
+    exact = np.pi * np.diff(levels ** 2) / math.sqrt(np.linalg.det(np.linalg.inv(A)[:2, :2]))
+    assert np.all(np.abs(res.value - exact) <= res.error_estimate)
+    assert np.all(np.abs(np.cumsum(res.value) - np.cumsum(exact)) <= res.prefix_estimate)
