@@ -57,11 +57,12 @@ def _real(lo: float = -np.inf):
     return parse
 
 
-def _at_least(lo: int):
-    """The parse of an integer >= lo."""
+def _at_least(lo: int, most: float = np.inf):
+    """The parse of an integer >= lo and <= most."""
     def parse(value) -> int:
-        if _integer(value) < lo:
-            raise ValueError(f"must be >= {lo}, not {value}")
+        if not lo <= _integer(value) <= most:
+            ceiling = f" and <= {most}" if most < np.inf else ""
+            raise ValueError(f"must be >= {lo}{ceiling}, not {value}")
         return int(value)
     return parse
 
@@ -127,6 +128,12 @@ def _graph(coeffs=np.zeros(1), extent: float = 1.0) -> sf.ParametricPatch:
     return (sf.graph_curve if coeffs.ndim <= 1 else sf.graph_surface)(coeffs, extent=extent)
 
 
+# size ceilings: a larger value is a config error, raised before anything is
+# allocated, so that a run fits in memory (README, "Size ceilings")
+MAX_ORDER, MAX_GRID, MAX_DEPTH = 16, 64, 16
+MAX_SAMPLES, MAX_DIM = 100_000, 8
+MAX_MATRIX_SIZE, MAX_MATRIX_COUNT = 10, 10_000
+
 # the transversal field: "normal", "constant" (the vector "constant") or a norm
 _XI = {"xi": (_text, "normal"), "constant": (_listed(_real()), (0.3, -0.7, 0.55))}
 
@@ -135,12 +142,13 @@ _XI = {"xi": (_text, "normal"), "constant": (_listed(_real()), (0.3, -0.7, 0.55)
 # function _check_<kind>, which reads both through _options.  A check may name
 # no other key but its kind and name.
 CHECKS = {
-    "norm-identities": ({"norm": _text}, {"samples": (_at_least(1), 1000),
+    "norm-identities": ({"norm": _text}, {"samples": (_at_least(1, MAX_SAMPLES), 1000),
                                           "tolerance": (_real(0.0), 1e-8)}),
-    "condition-s": ({"norm": _text}, {"samples": (_at_least(1), 10_000),
+    "condition-s": ({"norm": _text}, {"samples": (_at_least(1, MAX_SAMPLES), 10_000),
                                       "worst_k": (_at_least(0), 10),
                                       "expect": (_one_of("pass", "fail"), "pass")}),
-    "lemmas": ({"surface": _text}, {"tolerance": (_real(0.0), 1e-4), "grid": (_at_least(1), 9),
+    "lemmas": ({"surface": _text}, {"tolerance": (_real(0.0), 1e-4),
+                                    "grid": (_at_least(1, MAX_GRID), 9),
                                     "min_support": (_real(0.0), 0.05), **_XI}),
     "monotonicity": ({"surface": _text, "norm": _text}, {
         "radii": (_radii, None), "count": (_at_least(2), 8),
@@ -150,16 +158,19 @@ CHECKS = {
         "rel_tol": (_real(0.0), 1e-4), "expect": (_one_of("bound", "equality", "strict"), "bound"),
         "origin_param": (_listed(_real()), None)}),
     "minkowski": ({"surface": _text}, {"k": (_listed(_integer), [0]), **_XI}),
-    "symfunc": ({}, {"sizes": (_listed(_at_least(1)), [3, 4, 5]), "count": (_at_least(1), 20)}),
+    "symfunc": ({}, {"sizes": (_listed(_at_least(1, MAX_MATRIX_SIZE)), [3, 4, 5]),
+                     "count": (_at_least(1, MAX_MATRIX_COUNT), 20)}),
 }
 
 
 # norm family or surface kind: (the keys it must name and those it may name, as
 # {key: parse}, and its builder, which takes them parsed, with its own defaults)
 NORM_FAMILIES = {
-    "euclidean": ({}, {"dim": _integer}, lambda dim=3: MinkowskiNorm.euclidean(dim)),
+    "euclidean": ({}, {"dim": _at_least(1, MAX_DIM)},
+                  lambda dim=3: MinkowskiNorm.euclidean(dim)),
     "quadratic": ({"matrix": _square_matrix}, {}, MinkowskiNorm.quadratic),
-    "quartic-regularized": ({}, {"dim": _integer, "eps": _real()}, MinkowskiNorm.quartic),
+    "quartic-regularized": ({}, {"dim": _at_least(1, MAX_DIM), "eps": _real()},
+                            MinkowskiNorm.quartic),
 }
 _VECTOR = _listed(_real())
 SURFACE_KINDS = {
@@ -283,11 +294,14 @@ class Scenario:
             quad = dict(_json(doc.get("quadrature", {}), dict, "quadrature"))
             _read_keys("scenario 'quadrature'", quad, ("order", "grid", "max_depth"), {}, {})
             quad.update({k: v for k, v in (quad_overrides or {}).items() if v is not None})
-            self.rule = ParamQuadrature(order=_integer(quad.get("order", 6)),
-                                        base_grid=_integer(quad.get("grid", 16)))
-            self.max_depth = _integer(quad.get("max_depth", 8))
-            if self.max_depth < 0:
-                raise ValueError(f"max_depth must be >= 0, not {self.max_depth}")
+        parsed = {}
+        for key, parse, default in (("order", _at_least(2, MAX_ORDER), 6),
+                                    ("grid", _at_least(1, MAX_GRID), 16),
+                                    ("max_depth", _at_least(0, MAX_DEPTH), 8)):
+            with _config_errors("quadrature", key):
+                parsed[key] = parse(quad.get(key, default))
+        self.rule = ParamQuadrature(order=parsed["order"], base_grid=parsed["grid"])
+        self.max_depth = parsed["max_depth"]
         with _config_errors("scenario", "out"):
             self.out = _text(doc.get("out", "wulffkit-out"))
 

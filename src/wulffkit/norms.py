@@ -14,8 +14,9 @@ Every family evaluates F, grad F and D^2 F in one pass (`_jet`); the dual's
 numeric ascent takes one such jet per step, at its Newton candidate (none
 where the Newton solve rejects the step).  A numeric dual takes the jet of
 its whole start grid once, when it is built.  An ascent in d >= 3 starts
-from its grid row's jet; in d = 2 it takes one jet at the interpolated root
-of q' next to its grid row.
+from its best grid row's jet.  In d = 2 the dual tabulates the inverse Gauss
+map of the curve {F = 1} on its grid, and an ascent takes one jet at the
+direction that table gives for the angle of v.
 
 The dual gauge F°(v) = sup_{u != 0} <u, v> / F(u) is available in closed
 form for the Euclidean and quadratic families and through constrained
@@ -333,12 +334,12 @@ class WulffPoint:
 
 @dataclass(frozen=True)
 class NumericDualOptions:
-    grid_size: int | None = None   # default: 2^12 directions in every dimension
+    grid_size: int | None = None   # default: 2^13 directions in d = 2, 2^12 in d >= 3
     grad_tol: float = 1e-10
     max_iter: int = 400
 
     def __post_init__(self):
-        # the d = 2 start interpolates between a grid row and its neighbours
+        # the d = 2 table needs grid directions that enclose the origin
         if self.grid_size is not None and not (_number(self.grid_size, integer=True)
                                                and self.grid_size >= 3):
             raise ValueError(f"grid_size must be None or an integer >= 3, not {self.grid_size!r}")
@@ -367,25 +368,23 @@ class DualNorm:
 
     mode "closed" evaluates the Euclidean gauge, or for a quadratic base
     sqrt(<A u, u>) the quadratic gauge of A^-1; mode "numeric"
-    maximizes over the unit sphere (coarse grid scan, then safeguarded
+    maximizes over the unit sphere (a start from the grid, then safeguarded
     spherical Newton with an Armijo gradient fallback).  "auto" picks
     closed form when one exists.
 
-    The numeric ascent runs a whole batch (m, d) in lockstep.  Each row
-    first takes the grid direction that scores best, with that direction's
-    F, grad F and D^2 F, which the constructor takes for the whole grid in
-    one base jet; it also divides the grid by F once, so the scan scores a
-    block of rows with one product.  In d >= 3 (Fibonacci or random grids,
-    with no ordered neighbours) the row starts there.  In d = 2 the grid is
-    the ordered circle theta_i = 2 pi i / n, and the constructor also
-    tabulates, per grid interval, the cubic Hermite interpolant of
-    q'(theta), the slope of q = <u(theta), v>/F(u(theta)) (`_hermite_table`).
-    The row starts at the root of that cubic on the interval q' points into
-    from its grid row, within about 5e-12 rad of the maximizer on the
-    default 2^12 grid, and takes one base jet there; a row whose root is
-    non-finite, outside its interval or scores below its grid row starts
-    from the grid row.  Every iteration solves the bordered
-    Newton systems of all rows still iterating in one batched call,
+    The numeric ascent runs a whole batch (m, d) in lockstep.  In d >= 3
+    (Fibonacci or random grids of 2^12 directions by default) each row
+    starts at the grid direction that scores best, with that direction's F,
+    grad F and D^2 F, which the constructor takes for the whole grid in one
+    base jet; it also divides the grid by F once, so the scan scores a block
+    of rows with one product.  In d = 2 the maximizer u* is where grad F(u*)
+    points along v: the inverse Gauss map of the convex curve {F = 1}, which
+    the constructor tabulates from one base jet of 2^13 directions by
+    default (`_gauss_map_table`; ValueError if F is not convex there).  A row
+    reads its start with one arctan2, one searchsorted and one Horner cubic,
+    within about 3e-12 rad of u*, and takes one base jet there.  Every
+    iteration solves the bordered Newton systems of all rows still iterating
+    in one batched call,
     evaluates F, grad F and D^2 F of the base gauge once, at the Newton
     candidates of the rows whose step the solve did not reject (an accepted
     row keeps its candidate's jet), backtracks only the rows whose step is
@@ -393,9 +392,9 @@ class DualNorm:
     line search moves takes a fresh jet), and retires each row when its
     projected gradient falls below grad_tol.  So a step costs one base jet.
     A 2D direction of the quartic or of a quadratic gauge of moderate
-    anisotropy retires at its start, with no Newton step (2.3 from a
-    grid-row start); a strongly anisotropic one, such as diag(1, 100),
-    takes at most one.  A single direction is a batch of one.
+    anisotropy retires at its start, with no Newton step; a strongly
+    anisotropic one, such as diag(1, 100), takes at most one.  A single
+    direction is a batch of one.
     """
 
     def __init__(self, base: MinkowskiNorm, mode: str = "auto",
@@ -416,14 +415,14 @@ class DualNorm:
         self._closed = None
         if self.mode == "closed":
             self._closed = MinkowskiNorm(self.dim, base.family, matrix=base.matrix_inv)
+        elif self.dim == 2:
+            self._table = _gauss_map_table(base, self.options.grid_size or 1 << 13)
         else:
             self._grid = _hypersphere_grid(self.dim, self.options.grid_size or 1 << 12)
             # every ascent scans this grid, and a grid-row start takes its jet from here
             self._grid_jet = _jet_rows(base, self._grid)
             # the scan scores <u, v>/F(u) as <u/F(u), v>: one product per block
             self._grid_scaled = self._grid / self._grid_jet[0][:, None]
-            if self.dim == 2:
-                self._hermite = _hermite_table(self._grid, self._grid_jet)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -477,7 +476,7 @@ class DualNorm:
 
     def _ascend(self, V: np.ndarray) -> Ascent:
         """Maximize <u, v>/F(u) on the unit sphere for every row v of V (m, d):
-        grid scan and start (`_start`), then safeguarded spherical Newton with
+        a start (`_start`), then safeguarded spherical Newton with
         an Armijo gradient fallback, all rows in lockstep."""
         opt = self.options
         base = self.base
@@ -557,10 +556,21 @@ class DualNorm:
             f"dual ascent did not reach tol {opt.grad_tol:g} in {opt.max_iter} iters")
 
     def _start(self, V: np.ndarray) -> tuple:
-        """(U, q, F, grad F, D^2 F) at the start of every row v of V (m, d): the
-        grid row that scores best, with the jet the constructor took there; in
-        d = 2, the interpolated root of q' next to it instead, with one jet
-        taken there, unless that start scores below the grid row."""
+        """(U, q, F, grad F, D^2 F) at the start of every row v of V (m, d).  In
+        d = 2, the direction the constructor's table maps the angle of v to,
+        with one jet taken there; in d >= 3, the grid row that scores best,
+        with the jet the constructor took there."""
+        if self.dim == 2:
+            T = self._table
+            a = T[0, 0] + np.mod(np.arctan2(V[:, 1], V[:, 0]) - T[0, 0], 2.0 * np.pi)
+            i = np.searchsorted(T[0], a, "right") - 1
+            phi, inv, c1, c2, c3 = T[:, i]
+            x = (a - phi) * inv
+            s = np.minimum(np.maximum(((c3 * x + c2) * x + c1) * x, 0.0), 1.0)
+            theta = (2.0 * np.pi / T.shape[1]) * (i + s)
+            U = np.column_stack([np.cos(theta), np.sin(theta)])
+            F, gF, HF = _jet_rows(self.base, U)
+            return U, np.einsum("md,md->m", U, V) / F, F, gF, HF
         grid, scaled_T = self._grid, self._grid_scaled.T
         m = len(V)
         start = np.empty(m, dtype=np.intp)
@@ -570,37 +580,7 @@ class DualNorm:
         # the iterates are unit rows, so the base gauge skips its checks
         U = grid[start]
         F, gF, HF = (x[start] for x in self._grid_jet)
-        q = np.einsum("md,md->m", U, V) / F
-        if self.dim == 2:    # the grid is the ordered circle
-            at, Ui = self._interpolated_start(V, start)
-            if at.size:
-                Fi, gFi, HFi = _jet_rows(self.base, Ui)
-                qi = np.einsum("md,md->m", Ui, V[at]) / Fi
-                up = qi >= q[at]
-                if at.size == m and up.all():    # every row starts interpolated
-                    return Ui, qi, Fi, gFi, HFi
-                at = at[up]
-                U[at], q[at], F[at], gF[at], HF[at] = Ui[up], qi[up], Fi[up], gFi[up], HFi[up]
-        return U, q, F, gF, HF
-
-    def _interpolated_start(self, V, start) -> tuple:
-        """For d = 2: (rows, directions), the direction of each row at the root
-        of the cubic Hermite interpolant of q'(theta) on the grid interval
-        that q' points into from its start row.  The linear root of the
-        interval starts two Newton steps on the cubic.  Rows whose root is
-        non-finite or outside its interval are left out."""
-        C = self._hermite
-        # q' at the start row is c0 of the interval that begins there
-        i = start - (np.einsum("md,md->m", C[start, 0], V) <= 0.0)
-        c0, c1, c2, c3 = np.einsum("mkd,md->km", C[i], V)
-        with np.errstate(all="ignore"):    # a degenerate cubic gives a non-finite root
-            x = c0 / (c0 - (c0 + c1 + c2 + c3))
-            d2, d3 = 2.0 * c2, 3.0 * c3
-            for _ in range(2):
-                x -= (((c3 * x + c2) * x + c1) * x + c0) / ((d3 * x + d2) * x + c1)
-        at = np.flatnonzero((x >= 0.0) & (x <= 1.0))    # False if non-finite
-        theta = (2.0 * np.pi / len(C)) * (i[at] + x[at])
-        return at, np.column_stack([np.cos(theta), np.sin(theta)])
+        return U, np.einsum("md,md->m", U, V) / F, F, gF, HF
 
     def _armijo(self, U, V, q, step, gt, gn, rows) -> np.ndarray:
         """Armijo backtracking along the projected gradient gt for the active
@@ -626,27 +606,42 @@ class DualNorm:
         return np.concatenate(stalled) if stalled else rows
 
 
-def _hermite_table(grid: np.ndarray, jet: tuple) -> np.ndarray:
-    """(n, 4, 2): for the ordered circle grid theta_i = 2 pi i / n and its jet
-    (F, grad F, D^2 F), row i holds the power-basis coefficients, in
-    x = (theta - theta_i) n / (2 pi) on [0, 1], of the cubic that matches
-    q'(theta) = d/dtheta <u(theta), v> / F(u(theta)) and its x-derivative at
-    theta_i and theta_{i+1}; each coefficient is linear in v, so it is stored
-    as the vector to dot with v.  With u = (cos, sin), t = u' and
-    s = <grad F, t>, q' = <alpha, v> and q'' = <beta, v> for
-
-        alpha = t / F - u s / F^2,
-        beta = u (-1/F - (t^T D^2 F t - F) / F^2 + 2 s^2 / F^3) - t 2 s / F^2."""
-    F, gF, HF = jet
-    T = np.column_stack([-grid[:, 1], grid[:, 0]])
-    s = np.einsum("md,md->m", gF, T)
-    tHt = np.einsum("md,mde,me->m", T, HF, T)
-    alpha = T / F[:, None] - grid * (s / F**2)[:, None]
-    beta = (grid * (-1.0 / F - (tHt - F) / F**2 + 2.0 * s**2 / F**3)[:, None]
-            - T * (2.0 * s / F**2)[:, None])
-    y0, m0 = alpha, (2.0 * np.pi / len(grid)) * beta
-    y1, m1 = np.roll(y0, -1, axis=0), np.roll(m0, -1, axis=0)
-    return np.stack([y0, m0, 3.0 * (y1 - y0) - 2.0 * m0 - m1, 2.0 * (y0 - y1) + m0 + m1], axis=1)
+def _gauss_map_table(base: MinkowskiNorm, n: int) -> np.ndarray:
+    """(5, n): the inverse Gauss map theta(phi) of a planar gauge on the grid
+    theta_i = 2 pi i / n, for phi the angle of grad F(u(theta)), which rises
+    by 2 pi around a convex gauge.  Column i holds phi_i (summed from
+    increments mod 2 pi), 1 / (phi_{i+1} - phi_i), and c1, c2, c3 of the
+    cubic Hermite H(x) = ((c3 x + c2) x + c1) x on [0, 1] from H(1) = 1 and
+    the scaled slopes of theta(phi) at both ends (H(x) = x where one is not
+    finite).  phi' = <J grad F, D^2 F t> / |grad F|^2 for t = u', or, if the
+    grid's Hessian raises, the periodic fourth-order difference of phi - theta."""
+    grid = _hypersphere_grid(2, n)
+    h = 2.0 * np.pi / n
+    try:
+        gF, HF = base._jet(grid)[1:]
+    except Exception:
+        gF, HF = base._jet(grid, 1)[1], None
+    ang = np.arctan2(gF[:, 1], gF[:, 0])
+    dphi = np.mod(np.diff(ang, append=ang[0]), 2.0 * np.pi)
+    # a multiple of 2 pi (or NaN): more than one turn where the angle falls
+    if not dphi.sum() < 3.0 * np.pi:
+        raise ValueError(f"the gradient angle of gauge {base.label!r} does not rise once "
+                         f"around the circle on {n} directions: it is not convex")
+    phi = ang[0] + np.concatenate([[0.0], np.cumsum(dphi[:-1])])
+    if HF is None:
+        psi = phi - h * np.arange(n)    # periodic
+        slope = 1.0 + (8.0 * (np.roll(psi, -1) - np.roll(psi, 1))
+                       - (np.roll(psi, -2) - np.roll(psi, 2))) / (12.0 * h)
+    else:
+        JgF = np.column_stack([-gF[:, 1], gF[:, 0]])
+        T = np.column_stack([-grid[:, 1], grid[:, 0]])
+        slope = np.einsum("md,mde,me->m", JgF, HF, T) / np.einsum("md,md->m", gF, gF)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m0, m1 = dphi / (h * slope), dphi / (h * np.roll(slope, -1))
+    cubic = np.isfinite(m0) & np.isfinite(m1)
+    m0, m1 = np.where(cubic, m0, 1.0), np.where(cubic, m1, 1.0)
+    inv = np.divide(1.0, dphi, out=np.zeros(n), where=dphi > 0.0)
+    return np.stack([phi, inv, m0, 3.0 - 2.0 * m0 - m1, m0 + m1 - 2.0])
 
 
 def _jet_rows(base: MinkowskiNorm, U: np.ndarray) -> tuple:

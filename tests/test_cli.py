@@ -457,6 +457,28 @@ CONFIG_FAULTS = {
         {"kind": "monotonicity", "name": "m", "surface": "plane", "norm": "euclid",
          "count": 1}]), "'m'"),
     "seed-negative": (lambda d: {**d, "seed": -1}, "seed"),
+    # sizes above their ceilings: each exits 2 before it is used, where 10^6
+    # asked NumPy for GiB to TiB (or ran a scan of 10^6 rows)
+    "quadrature-order-huge": (lambda d: {**d, "quadrature": {**FAST_QUAD, "order": 10**6}},
+                              "quadrature 'order'"),
+    "quadrature-grid-huge": (lambda d: {**d, "quadrature": {**FAST_QUAD, "grid": 10**6}},
+                             "quadrature 'grid'"),
+    "max-depth-huge": (lambda d: {**d, "quadrature": {**FAST_QUAD, "max_depth": 10**6}},
+                       "quadrature 'max_depth'"),
+    "condition-s-samples-huge": (lambda d: _with_checks(d, [
+        {"kind": "condition-s", "name": "cs", "norm": "euclid", "samples": 10**6}]), "'cs'"),
+    "norm-identities-samples-huge": (lambda d: _with_checks(d, [
+        {"kind": "norm-identities", "name": "ni", "norm": "euclid", "samples": 10**6}]), "'ni'"),
+    "lemmas-grid-huge": (lambda d: _with_checks(d, [
+        {"kind": "lemmas", "name": "lm", "surface": "plane", "grid": 10**6}]), "'lm'"),
+    "sizes-huge": (lambda d: _with_checks(d, [
+        {"kind": "symfunc", "name": "sy", "sizes": [3, 10**6], "count": 1}]), "'sy'"),
+    "symfunc-count-huge": (lambda d: _with_checks(d, [
+        {"kind": "symfunc", "name": "sy", "sizes": [3], "count": 10**6}]), "'sy'"),
+    "euclidean-dim-huge": (lambda d: {**d, "norms": {
+        **d["norms"], "e": {"family": "euclidean", "dim": 10**6}}}, "'e'"),
+    "quartic-dim-huge": (lambda d: {**d, "norms": {
+        **d["norms"], "q": {"family": "quartic-regularized", "dim": 10**6}}}, "'q'"),
     # a verdict key with a typo would silently flip or default the verdict
     "condition-s-expect-typo": (lambda d: _with_checks(d, [
         {"kind": "condition-s", "name": "cs", "norm": "euclid", "samples": 50,

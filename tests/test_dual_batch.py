@@ -1,13 +1,17 @@
 """The lockstep numeric dual against the per-row reference.
 
-The reference below is the per-row ascent the lockstep one replaced: a grid
-scan, then safeguarded spherical Newton with an Armijo gradient fallback,
-one direction at a time.  The lockstep ascent takes the same steps with the
-same rejection and acceptance rules and the same stopping test, so the two
-reach the same maximizer; they differ only by round-off in the Newton
-system, far below grad_tol.
+The reference below is the per-row ascent the lockstep one replaced, one
+direction at a time: in d = 2 a start read from an inverse Gauss-map table
+that it builds itself, one grid direction and one gauge call at a time, and
+in d >= 3 a grid scan; then safeguarded spherical Newton with an Armijo
+gradient fallback.  The lockstep ascent takes the same steps with the same
+rejection and acceptance rules and the same stopping test, so the two reach
+the same maximizer; they differ only by round-off in the table and the
+Newton system, far below grad_tol.
 """
 
+import bisect
+import math
 import os
 import subprocess
 import sys
@@ -65,64 +69,79 @@ def _newton_step(base, u, v, q, F, gF, g):
 
 
 def _q_slopes(base, v, theta):
-    """q'(theta) and q''(theta) of q = <u, v>/F(u) along u = (cos, sin): NaN
-    where the Hessian of F raises."""
+    """q'(theta) and q''(theta) of q = <u, v>/F(u) along u = (cos, sin)."""
     u, t = np.array([np.cos(theta), np.sin(theta)]), np.array([-np.sin(theta), np.cos(theta)])
     F, s = base.value(u), float(np.dot(base.grad(u), t))
-    try:
-        tHt = float(t @ np.asarray(base.hess(u)) @ t)
-    except Exception:
-        return np.nan, np.nan
+    tHt = float(t @ np.asarray(base.hess(u)) @ t)
     uv, tv = float(np.dot(u, v)), float(np.dot(t, v))
     # F' = s and F'' = t^T D^2 F t - F along the circle (Euler: <grad F, u> = F)
     return (tv / F - uv * s / F**2,
             -uv / F - 2.0 * tv * s / F**2 - uv * ((tHt - F) / F**2 - 2.0 * s**2 / F**3))
 
 
-def _interpolated_start(base, v, k, n):
-    """The d = 2 start of a row whose grid maximum is row k of n: the root of
-    the cubic Hermite interpolant of q' on the interval q' points into from
-    row k, by two Newton steps from the interval's linear root; None if that
-    root is not finite or not in the interval."""
-    h = 2.0 * np.pi / n
-    i = k if _q_slopes(base, v, h * k)[0] > 0.0 else k - 1
-    (y0, m0), (y1, m1) = (_q_slopes(base, v, h * j) for j in (i, i + 1))
-    m0, m1 = h * m0, h * m1
+_TABLES = {}
 
-    def cubic(x):
-        return ((2 * x**3 - 3 * x**2 + 1) * y0 + (x**3 - 2 * x**2 + x) * m0
-                + (3 * x**2 - 2 * x**3) * y1 + (x**3 - x**2) * m1)
 
-    def slope(x):
-        return ((6 * x**2 - 6 * x) * (y0 - y1) + (3 * x**2 - 4 * x + 1) * m0
-                + (3 * x**2 - 2 * x) * m1)
+def _per_row_table(dual):
+    """Per grid direction theta_j = 2 pi j / n of a planar numeric dual: the
+    angle phi_j of grad F, unwrapped, and its slope <J grad F, D^2 F t> /
+    |grad F|^2, or, if any Hessian raises, the periodic fourth-order
+    difference of phi - theta for every slope.  One gauge call per direction."""
+    if id(dual) not in _TABLES:
+        n, base = dual._table.shape[1], dual.base
+        h = 2.0 * math.pi / n
+        phi, slope = [], []
+        for j in range(n):
+            u = np.array([math.cos(h * j), math.sin(h * j)])
+            g = np.asarray(base.grad(u))
+            a = math.atan2(g[1], g[0])
+            phi.append(a if not phi else phi[-1] + (a - phi[-1]) % (2.0 * math.pi))
+            try:
+                gd = np.asarray(base.hess(u)) @ np.array([-u[1], u[0]])
+                slope.append((g[0] * gd[1] - g[1] * gd[0]) / (g[0] ** 2 + g[1] ** 2))
+            except NonConvergence:
+                slope.append(None)
+        if None in slope:
+            psi = [p - h * j for j, p in enumerate(phi)]
+            slope = [1.0 + (8.0 * (psi[(j + 1) % n] - psi[j - 1])
+                            - (psi[(j + 2) % n] - psi[j - 2])) / (12.0 * h) for j in range(n)]
+        phi.append(phi[-1] + (phi[0] - phi[-1]) % (2.0 * math.pi))
+        _TABLES[id(dual)] = dual, phi, slope
+    return _TABLES[id(dual)][1:]
 
+
+def _table_start(dual, v):
+    """The d = 2 start of row v: the grid interval whose gradient angles
+    bracket the angle of v, and on it the cubic Hermite interpolant of theta
+    as a function of phi (linear where a slope is not finite)."""
+    phi, slope = _per_row_table(dual)
+    n = len(slope)
+    a = phi[0] + (math.atan2(v[1], v[0]) - phi[0]) % (2.0 * math.pi)
+    i = bisect.bisect_right(phi[:n], a) - 1
+    dphi, h = phi[i + 1] - phi[i], 2.0 * math.pi / n
+    x = (a - phi[i]) / dphi if dphi > 0.0 else 0.0
     with np.errstate(all="ignore"):
-        x = np.float64(y0) / (y0 - y1)
-        for _ in range(2):
-            x -= cubic(x) / slope(x)
-    if not 0.0 <= x <= 1.0:
-        return None
-    return np.array([np.cos(h * (i + x)), np.sin(h * (i + x))])
+        m0, m1 = np.float64(dphi) / (h * slope[i]), np.float64(dphi) / (h * slope[(i + 1) % n])
+    if np.isfinite(m0) and np.isfinite(m1):
+        s = (3 * x**2 - 2 * x**3) + m0 * (x**3 - 2 * x**2 + x) + m1 * (x**3 - x**2)
+    else:
+        s = x
+    theta = h * (i + min(max(s, 0.0), 1.0))
+    return np.array([np.cos(theta), np.sin(theta)])
 
 
 def _ascend_row(dual, v):
     opt = dual.options
     base = dual.base
-    q_grid = (dual._grid @ v) / dual._grid_jet[0]
-    k = int(np.argmax(q_grid))
-    u = dual._grid[k].copy()
+    if len(v) == 2:
+        u = _table_start(dual, v)
+    else:
+        u = dual._grid[int(np.argmax((dual._grid @ v) / dual._grid_jet[0]))].copy()
 
     def q_of(w):
         return float(np.dot(w, v)) / base.value(w)
 
     q = q_of(u)
-    if len(v) == 2:
-        # the ordered circle grid: start at the interpolated root of q' unless
-        # it scores below the grid row
-        w = _interpolated_start(base, v, k, len(dual._grid))
-        if w is not None and q_of(w) >= q:
-            u, q = w, q_of(w)
     step = norms._INITIAL_STEP
     fell_back = False
     for it in range(opt.max_iter):
@@ -179,9 +198,8 @@ def _duals():
     out.append(("as_norm-2", wk.DualNorm(inner.as_norm(), mode="numeric", options=opts)))
     # a coarse grid starts rows far from the maximizer, where the Newton step
     # is rejected and the Armijo fallback takes over.  In d = 3 that is an
-    # 8-direction grid; in d = 2 the interpolated start leaves an 8-direction
-    # grid no rejected step, and a 5-direction grid still has them (and one
-    # start of the 40 below falls outside its interval)
+    # 8-direction grid; in d = 2 the table start leaves an 8-direction grid
+    # no rejected step, and a 5-direction grid still has them
     out += [(f"coarse-quartic-{d}", wk.DualNorm(wk.MinkowskiNorm.quartic(d, eps=0.01),
                                                  options=wk.NumericDualOptions(grid_size=n)))
             for d, n in ((2, 5), (3, 8))]
@@ -210,25 +228,39 @@ def test_batch_matches_per_row_reference(label, dual):
     assert np.max(np.abs(u0 - U[0])) <= AGREE
 
 
-def _capped_dual():
+def _capped_dual(grid_size=None, calls=None):
     """The numeric dual of a custom quartic gauge whose Hessian raises on the
-    cap u_0 > 0.8 |u|, and 12 directions, some with their maximizer there."""
+    cap u_0 > 0.8 |u|, and 12 directions, some with their maximizer there.
+    Each Hessian call appends its row count to `calls`."""
     Q = wk.MinkowskiNorm.quartic(2, eps=0.05)
 
     def hessian(U):
+        if calls is not None:
+            calls.append(len(U))
         if np.any(U[:, 0] > 0.8 * np.linalg.norm(U, axis=1)):
             raise NonConvergence("no Hessian on this cap")
         return Q.hess(U)
 
     F = wk.MinkowskiNorm.custom(2, Q.value, Q.grad, hessian, label="capped")
     ang = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False) + 0.1
-    return wk.DualNorm(F, mode="numeric"), np.column_stack([np.cos(ang), np.sin(ang)])
+    return (wk.DualNorm(F, mode="numeric", options=wk.NumericDualOptions(grid_size=grid_size)),
+            np.column_stack([np.cos(ang), np.sin(ang)]))
+
+
+def test_capped_dual_builds_with_one_hessian_call():
+    # the grid's Hessian batch raises on the cap, so the table takes its
+    # slopes from the gradient angles: no Hessian call per row or half
+    calls = []
+    _capped_dual(calls=calls)
+    assert len(calls) <= 2
 
 
 def test_hessian_that_raises_rejects_only_its_rows():
     # a custom gauge whose Hessian raises on a cap of the sphere: only the rows
-    # iterating there take the Armijo fallback, the others keep their Newton steps
-    dual, V = _capped_dual()
+    # iterating there take the Armijo fallback, the others keep their Newton
+    # steps.  On the default grid every row retires at its start, so a
+    # 16-direction table leaves them iterating
+    dual, V = _capped_dual(16)
     ascent = dual._ascend(V)
     ref = [_ascend_row(dual, v) for v in V]
     assert 0 < sum(r[3] for r in ref) < len(V)
@@ -256,7 +288,7 @@ def _dual_scan_duals(seed):
 
 def _root_of_q_slope(base, v, theta):
     """theta with q'(theta) = 0, by six Newton steps on the per-row slopes
-    from theta (a grid row next to the maximizer)."""
+    from theta (a start next to the maximizer)."""
     for _ in range(6):
         s1, s2 = _q_slopes(base, v, theta)
         theta -= s1 / s2
@@ -265,19 +297,18 @@ def _root_of_q_slope(base, v, theta):
 
 @pytest.mark.parametrize("label", ["quartic", "quadratic"])
 def test_interpolated_start_lies_at_the_maximizer(label):
-    # the grid rows lie up to half a grid step (7.7e-4 rad) from the maximizer;
-    # the root of the interpolated q' lies within 1e-11 rad of it (4.3e-12 at
-    # most here), inside the stopping rule, so every row retires at its start
+    # the table start lies within 1e-11 rad of the maximizer (3.2e-12 at most
+    # here), inside the stopping rule, so every row retires at its start
     duals, V = _dual_scan_duals(1)
     dual = duals[label]
     U0 = dual._start(V)[0]
     _, Us = dual.eval_with_maximizer(V)
     gap = np.abs(np.angle((U0[:, 0] + 1j * U0[:, 1]) / (Us[:, 0] + 1j * Us[:, 1])))
     assert gap.max() <= 1e-15
-    start = ((V @ dual._grid.T) / dual._grid_jet[0]).argmax(axis=1)
-    assert not (U0 == dual._grid[start]).all(axis=1).any()     # no row kept its grid row
-    h = 2.0 * np.pi / len(dual._grid)
-    roots = np.array([_root_of_q_slope(dual.base, v, h * k) for v, k in zip(V, start)])
+    ref = np.array([_table_start(dual, v) for v in V])
+    assert np.max(np.abs(U0 - ref)) <= AGREE
+    roots = np.array([_root_of_q_slope(dual.base, v, np.arctan2(u[1], u[0]))
+                      for v, u in zip(V, ref)])
     assert np.abs(np.angle((U0[:, 0] + 1j * U0[:, 1]) * np.exp(-1j * roots))).max() <= 1e-11
     iterations = [dual._ascend(v[None, :]).iterations for v in V]
     assert set(iterations) == {1}
@@ -285,12 +316,11 @@ def test_interpolated_start_lies_at_the_maximizer(label):
 
 @pytest.mark.parametrize("label", ["quartic", "quadratic"])
 def test_default_grid_ascents_retire_at_their_start(monkeypatch, label):
-    # the 2^12-direction grid, scanned against the grid divided by F once:
-    # each one-direction ascent takes one base jet, at its start, and no
-    # Newton solve, and the scan picks the row that dividing each score picks
+    # the 2^13-direction table: each one-direction ascent takes one base jet,
+    # at its start, and no Newton solve
     duals, V = _dual_scan_duals(1)
     dual = duals[label]
-    assert len(dual._grid) == 1 << 12
+    assert dual._table.shape == (5, 1 << 13)
     jets = []
     jet_rows = norms._jet_rows
 
@@ -304,8 +334,6 @@ def test_default_grid_ascents_retire_at_their_start(monkeypatch, label):
     monkeypatch.setattr(norms, "_spherical_newton", no_newton)
     assert all(dual._ascend(v[None, :]).iterations == 1 for v in V)
     assert jets == [1] * len(V)
-    divided = ((V @ dual._grid.T) / dual._grid_jet[0]).argmax(axis=1)
-    assert np.array_equal((V @ dual._grid_scaled.T).argmax(axis=1), divided)
 
 
 def _fallback_cases():
@@ -313,10 +341,9 @@ def _fallback_cases():
     V = rng.standard_normal((40, 2)) * rng.uniform(0.2, 3.0, (40, 1))
     inner = wk.DualNorm(wk.MinkowskiNorm.quadratic(np.diag([1.0, 4.0])), mode="numeric",
                         options=wk.NumericDualOptions(grid_size=256))
-    # the capped gauge's grid rows on the cap have NaN Hessians, so the
-    # interpolants there are NaN; on 5-direction grids some roots fall
-    # outside their interval, and on the bidual's one start scores below
-    # its grid row
+    # the capped gauge's grid Hessian raises, so its table takes every slope
+    # from differences of the gradient angles; on 5-direction grids many rows
+    # start where the Newton step is rejected
     return {"capped": _capped_dual(), "coarse": (dict(DUALS)["coarse-quartic-2"], V),
             "bidual": (wk.DualNorm(inner.as_norm(), mode="numeric",
                                    options=wk.NumericDualOptions(grid_size=5)), V)}
@@ -327,21 +354,14 @@ FALLBACKS = _fallback_cases()
 
 @pytest.mark.parametrize("case", sorted(FALLBACKS))
 def test_fallback_rows_start_from_their_grid_row(case):
+    # every row starts from the table, as the per-row start reads it, and
+    # ascends from there as the per-row reference does
     dual, V = FALLBACKS[case]
-    grid, grid_F, n = dual._grid, dual._grid_jet[0], len(dual._grid)
     U0 = dual._start(V)[0]
-    fallbacks = 0
-    for v, u0 in zip(V, U0):
-        k = int(np.argmax((grid @ v) / grid_F))
-        w = _interpolated_start(dual.base, v, k, n)
-        if w is None or np.dot(w, v) / dual.base.value(w) < np.dot(grid[k], v) / grid_F[k]:
-            fallbacks += 1
-            assert np.array_equal(u0, grid[k])
-        else:
-            assert np.max(np.abs(u0 - w)) <= AGREE
-    assert fallbacks > 0
+    assert np.max(np.abs(U0 - np.array([_table_start(dual, v) for v in V]))) <= AGREE
     ascent = dual._ascend(V)
     ref = [_ascend_row(dual, v) for v in V]
+    assert (ascent.fallbacks > 0) == (case != "capped")
     assert ascent.iterations == max(r[2] for r in ref)
     assert ascent.fallbacks == sum(r[3] for r in ref)
     assert np.max(np.abs(ascent.value - [r[0] for r in ref]) / ascent.value) <= AGREE

@@ -233,6 +233,11 @@ def test_nonconvex_gauge_detected():
     eigs = [F.restricted_hessian_min_eig([np.cos(a), np.sin(a)]) for a in angs]
     assert min(eigs) < 0  # fails ellipticity somewhere
     assert max(eigs) > 0  # but not everywhere
+    # its gradient turns back on the concave arcs, so its numeric dual would
+    # ascend to a local maximum there: building it raises instead
+    for grid_size in (None, 64):
+        with pytest.raises(ValueError, match="not convex"):
+            F.dual(options=wk.NumericDualOptions(grid_size=grid_size))
 
 
 def test_dual_closed_forms():
@@ -376,11 +381,10 @@ def test_bidual_makes_two_inner_ascents_per_outer_iteration(monkeypatch):
 def test_bidual_makes_one_inner_ascent_per_outer_step(monkeypatch, outer_grid):
     # each outer step takes one jet of the dual gauge, at its Newton
     # candidate: one inner ascent, none if the Newton solve rejects the step.
-    # An outer ascent's start takes one more where it is interpolated, none
-    # where it keeps a grid row, whose jet the dual took when it was built;
-    # its last iteration only finds it converged and takes none.  A row the
-    # Armijo fallback moves takes one more for its fresh jet, besides the
-    # value ascents of its line search.  A 5-direction outer grid starts
+    # An outer ascent's start takes one more, at the direction its table
+    # gives; its last iteration only finds it converged and takes none.  A
+    # row the Armijo fallback moves takes one more for its fresh jet, besides
+    # the value ascents of its line search.  A 5-direction outer table starts
     # rows where the fallback takes over.
     opts = wk.NumericDualOptions(grid_size=256)
     F = wk.MinkowskiNorm.quadratic(A_DIAG)
@@ -390,7 +394,7 @@ def test_bidual_makes_one_inner_ascent_per_outer_step(monkeypatch, outer_grid):
     counts = {"inner": 0, "line_search": 0, "outer": 0, "iterations": 0, "fallbacks": 0,
               "moved": 0, "rejected": 0, "starts": 0}
     ascend, armijo, newton = wk.DualNorm._ascend, wk.DualNorm._armijo, norms._spherical_newton
-    interpolated = wk.DualNorm._interpolated_start
+    start = wk.DualNorm._start
     in_line_search, ascending = [], []
 
     def counted(self, V):
@@ -417,14 +421,13 @@ def test_bidual_makes_one_inner_ascent_per_outer_step(monkeypatch, outer_grid):
         counts["rejected"] += ascending[-1] is bidual and not ok.any()
         return un, ok
 
-    def counted_start(self, V, start):
-        at, U = interpolated(self, V, start)
-        counts["starts"] += (self is bidual) * len(at)
-        return at, U
+    def counted_start(self, V):
+        counts["starts"] += (self is bidual) * len(V)
+        return start(self, V)
     monkeypatch.setattr(wk.DualNorm, "_ascend", counted)
     monkeypatch.setattr(wk.DualNorm, "_armijo", counted_armijo)
     monkeypatch.setattr(norms, "_spherical_newton", counted_newton)
-    monkeypatch.setattr(wk.DualNorm, "_interpolated_start", counted_start)
+    monkeypatch.setattr(wk.DualNorm, "_start", counted_start)
     W = np.random.default_rng(15).standard_normal((8, 2))
     values = [bidual.value(w) for w in W]
     assert counts["outer"] == len(W)
@@ -440,8 +443,8 @@ def test_bidual_makes_one_inner_ascent_per_outer_step(monkeypatch, outer_grid):
 def test_custom_gauge_makes_one_set_of_callback_calls_per_ascent_step(monkeypatch):
     # value, gradient and Hessian are called together, once per step, at the
     # Newton candidate: the candidate takes no separate value call.  A start
-    # takes them once where it is interpolated, and none where it keeps a grid
-    # row, whose jet is the grid's, taken once by the dual
+    # takes them once, at the direction the table gives, which the dual built
+    # from one jet of its grid
     Q = wk.MinkowskiNorm.quartic(2, eps=0.05)
     calls = {"value": 0, "gradient": 0, "hessian": 0}
 
@@ -457,13 +460,12 @@ def test_custom_gauge_makes_one_set_of_callback_calls_per_ascent_step(monkeypatc
     assert calls == {"value": 1, "gradient": 1, "hessian": 1}     # the grid's jet
     calls.update(value=0, gradient=0, hessian=0)
     V = np.random.default_rng(16).standard_normal((12, 2))
-    interpolated, starts = wk.DualNorm._interpolated_start, []
+    start, starts = wk.DualNorm._start, []
 
-    def counted_start(self, V, start):
-        at, U = interpolated(self, V, start)
-        starts.append(len(at))
-        return at, U
-    monkeypatch.setattr(wk.DualNorm, "_interpolated_start", counted_start)
+    def counted_start(self, V):
+        starts.append(len(V))
+        return start(self, V)
+    monkeypatch.setattr(wk.DualNorm, "_start", counted_start)
     iterations = fallbacks = 0
     for v in V:
         ascent = dual._ascend(v[None, :])
@@ -558,17 +560,26 @@ def _custom_quartic(hessian=None):
     _custom_quartic,
 ], ids=["quartic", "quadratic", "dual", "custom"])
 def test_grid_scan_values_are_the_base_gauge_values(make):
-    # the scan scores against the grid divided by the F of the constructor's
-    # grid jet: the same bits as the base gauge's value
+    # in d >= 3 the scan scores against the grid divided by the F of the
+    # constructor's grid jet: the same bits as the base gauge's value.  In
+    # d = 2 the table's angles are those of the base gauge's gradient on the
+    # grid, each increment taken mod 2 pi
     base = make()
     dual = wk.DualNorm(base, mode="numeric", options=wk.NumericDualOptions(grid_size=128))
+    if base.dim == 2:
+        theta = 2.0 * np.pi * np.arange(128) / 128
+        g = base.grad(np.column_stack([np.cos(theta), np.sin(theta)]))
+        turns = np.mod(dual._table[0] - np.arctan2(g[:, 1], g[:, 0]) + np.pi, 2.0 * np.pi) - np.pi
+        assert np.abs(turns).max() <= 1e-13
+        assert np.all(np.diff(dual._table[0]) > 0.0)
+        return
     F = base.value(dual._grid)
     np.testing.assert_array_equal(dual._grid_jet[0], F)
     np.testing.assert_array_equal(dual._grid_scaled, dual._grid / F[:, None])
 
 
 def test_grid_jet_of_a_capped_hessian_is_nan_on_the_cap():
-    # a custom Hessian that raises on a cap of the circle: the grid's jet
+    # a custom Hessian that raises on a cap of the circle: a jet of the grid
     # falls back to halves of the batch, and only the rows on the cap get a
     # NaN Hessian, in fewer calls than one per row
     Q = wk.MinkowskiNorm.quartic(2, eps=0.05)
@@ -580,9 +591,8 @@ def test_grid_jet_of_a_capped_hessian_is_nan_on_the_cap():
             raise NonConvergence("no Hessian on this cap")
         return Q.hess(U)
 
-    dual = wk.DualNorm(_custom_quartic(hessian), mode="numeric")
-    grid = dual._grid
-    F, gF, HF = dual._grid_jet
+    grid = norms._hypersphere_grid(2, 1 << 12)
+    F, gF, HF = norms._jet_rows(_custom_quartic(hessian), grid)
     cap = grid[:, 0] > 0.8 * np.linalg.norm(grid, axis=1)
     assert 0 < cap.sum() < len(grid)
     assert len(calls) < len(grid) / 2

@@ -139,6 +139,35 @@ def test_numeric_dual_single_row_is_a_batch_row(case, eps):
 
 
 @SETTINGS
+@given(spd_and_rows(dims=(2,), rows=8))
+def test_planar_numeric_dual_is_the_closed_dual(case):
+    A, U = case
+    q, W = wk.MinkowskiNorm.quadratic(A).dual(mode="numeric").eval_with_maximizer(U)
+    q_ref, W_ref = wk.MinkowskiNorm.quadratic(A).dual().eval_with_maximizer(U)
+    assert np.max(np.abs(q - q_ref) / q_ref) <= 1e-12
+    assert np.max(np.abs(W - W_ref)) <= 1e-10 * np.max(np.abs(W_ref))
+
+
+@SETTINGS
+@given(arrays(float, (8, 2), elements=entries), st.floats(0.01, 1.0))
+def test_planar_table_start_is_the_gauss_map_root(V, eps):
+    # each start lies at the direction u where grad F(u) points along v: six
+    # Newton steps per row on the angle of u, on <J grad F(u), v> = 0
+    V[np.linalg.norm(V, axis=1) < 1e-3, 0] = 1.0
+    Q = wk.MinkowskiNorm.quartic(2, eps=eps)
+    U0 = Q.dual()._start(V)[0]
+    for u0, v in zip(U0, V):
+        theta = math.atan2(u0[1], u0[0])
+        for _ in range(6):
+            u, t = np.array([math.cos(theta), math.sin(theta)]), np.array([-math.sin(theta),
+                                                                            math.cos(theta)])
+            g, gt = Q.grad(u), Q.hess(u) @ t
+            theta -= (g[0] * v[1] - g[1] * v[0]) / (gt[0] * v[1] - gt[1] * v[0])
+        assert np.dot(Q.grad(u), v) > 0.0
+        assert abs(math.remainder(theta - math.atan2(u0[1], u0[0]), 2.0 * math.pi)) <= 1e-10
+
+
+@SETTINGS
 @given(spd_and_rows())
 def test_closed_dual_is_the_quadratic_gauge_of_the_inverse(case):
     A, U = case
