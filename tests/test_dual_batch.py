@@ -79,7 +79,7 @@ def _q_slopes(base, v, theta):
             -uv / F - 2.0 * tv * s / F**2 - uv * ((tHt - F) / F**2 - 2.0 * s**2 / F**3))
 
 
-_TABLES = {}
+_TABLES = {}    # id(dual) -> (dual, phi, slope); holding the dual keeps its id unique
 
 
 def _per_row_table(dual):
