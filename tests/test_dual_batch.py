@@ -317,23 +317,56 @@ def test_interpolated_start_lies_at_the_maximizer(label):
 @pytest.mark.parametrize("label", ["quartic", "quadratic"])
 def test_default_grid_ascents_retire_at_their_start(monkeypatch, label):
     # the 2^13-direction table: each one-direction ascent takes one base jet,
-    # at its start, and no Newton solve
+    # at its start, of F and grad F alone, and no Newton solve
     duals, V = _dual_scan_duals(1)
     dual = duals[label]
     assert dual._table.shape == (5, 1 << 13)
     jets = []
     jet_rows = norms._jet_rows
 
-    def counted_jet(base, U):
-        jets.append(len(U))
-        return jet_rows(base, U)
+    def counted_jet(base, U, order=2):
+        jets.append((len(U), order))
+        return jet_rows(base, U, order)
 
     def no_newton(*args):
         raise AssertionError("a row took a Newton solve")
     monkeypatch.setattr(norms, "_jet_rows", counted_jet)
     monkeypatch.setattr(norms, "_spherical_newton", no_newton)
     assert all(dual._ascend(v[None, :]).iterations == 1 for v in V)
-    assert jets == [1] * len(V)
+    assert jets == [(1, 1)] * len(V)
+
+
+@pytest.mark.parametrize("label", ["quartic", "quadratic"])
+def test_a_batch_that_retires_at_its_start_returns_there(monkeypatch, label):
+    # the 400 directions as one batch: one jet of F and grad F at the 400
+    # starts, no Newton solve or line search, and the per-row values
+    duals, V = _dual_scan_duals(1)
+    dual = duals[label]
+    jets = []
+    jet_rows = norms._jet_rows
+
+    def counted_jet(base, U, order=2):
+        jets.append((len(U), order))
+        return jet_rows(base, U, order)
+
+    def forbidden(*args):
+        raise AssertionError("a row iterated")
+    monkeypatch.setattr(norms, "_jet_rows", counted_jet)
+    monkeypatch.setattr(norms, "_spherical_newton", forbidden)
+    monkeypatch.setattr(wk.DualNorm, "_armijo", forbidden)
+    ascent = dual._ascend(V)
+    assert jets == [(len(V), 1)]
+    assert (ascent.iterations, ascent.fallbacks) == (1, 0)
+    ref = [_ascend_row(dual, v) for v in V]
+    assert all(r[2:] == (1, False) for r in ref)
+    assert np.max(np.abs(ascent.value - [r[0] for r in ref]) / ascent.value) <= AGREE
+    assert np.max(np.abs(ascent.maximizer - np.array([r[1] for r in ref]))) <= AGREE
+    # one iteration is budget enough, for the batch and for each row
+    capped = wk.DualNorm(dual.base, mode="numeric", options=wk.NumericDualOptions(max_iter=1))
+    once = capped._ascend(V)
+    assert np.array_equal(once.value, ascent.value)
+    assert np.array_equal(once.maximizer, ascent.maximizer)
+    assert all(capped.value(v) == q for v, q in zip(V[:20], ascent.value))
 
 
 def _fallback_cases():
@@ -377,9 +410,9 @@ def test_rejected_newton_steps_take_no_jet(monkeypatch):
     counts = {"jet": 0, "kept": 0, "rejected": 0, "moved": 0}
     jet_rows, newton, armijo = norms._jet_rows, norms._spherical_newton, wk.DualNorm._armijo
 
-    def counted_jet(base, U):
+    def counted_jet(base, U, order=2):
         counts["jet"] += len(U)
-        return jet_rows(base, U)
+        return jet_rows(base, U, order)
 
     def counted_newton(*args):
         un, ok = newton(*args)

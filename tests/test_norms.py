@@ -76,6 +76,38 @@ def test_one_direction_is_checked_as_a_batch_row(gauge):
     assert np.isnan(batch[0]) and np.isfinite(batch[1])
 
 
+def _every_kind_of_gauge(d):
+    """The four families, a closed and a numeric dual, and a dual as a gauge, in R^d."""
+    A = np.diag(np.arange(1.0, d + 1.0))
+    Q = wk.MinkowskiNorm.quartic(d, eps=0.05)
+    return {"euclidean": wk.MinkowskiNorm.euclidean(d), "quadratic": wk.MinkowskiNorm.quadratic(A),
+            "quartic": Q, "custom": wk.MinkowskiNorm.custom(d, Q.value, Q.grad, Q.hess),
+            "closed-dual": wk.MinkowskiNorm.quadratic(A).dual(),
+            "numeric-dual": Q.dual(options=wk.NumericDualOptions(grid_size=64)),
+            "as_norm": Q.dual(options=wk.NumericDualOptions(grid_size=64)).as_norm()}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_direction_of_the_wrong_shape_is_rejected(d):
+    # quartic(2).value([1, 2, 3]) gave 3.222, euclidean(2).grad([1, 2, 3]) a
+    # 3-vector, and a numeric dual a broadcasting or einsum error
+    bad = [np.ones(d + 1), np.ones(d - 1), np.ones((4, d + 1)), np.ones((4, d - 1)),
+           np.float64(1.0), np.ones((2, 3, d)), np.empty((0, d + 1))]
+    for label, gauge in _every_kind_of_gauge(d).items():
+        methods = [gauge.value, gauge.grad, gauge.eval_with_maximizer]
+        if isinstance(gauge, wk.MinkowskiNorm):
+            methods += [gauge.hess, gauge.euler_residual, gauge.radial_kernel_residual,
+                        gauge.restricted_hessian_min_eig, gauge.wulff_point]
+        for method in methods:
+            for u in bad:
+                shape = str(np.shape(u)).replace("(", r"\(").replace(")", r"\)")
+                with pytest.raises(ValueError, match=rf"dim {d} .*shape {shape}"):
+                    method(u)
+            # the right shapes still evaluate, as one direction and as a batch
+            method(np.arange(1.0, d + 1.0))
+            method(np.arange(1.0, 2.0 * d + 1.0).reshape(2, d))
+
+
 def test_gradient_trivial_cases():
     E = wk.MinkowskiNorm.euclidean(2)
     assert np.allclose(E.grad([0.0, 2.0]), [0.0, 1.0], atol=1e-15)
@@ -628,6 +660,17 @@ def test_wulff_points_on_unit_dual_level():
     U /= np.linalg.norm(U, axis=1, keepdims=True)
     pts = np.array([F.wulff_point(u).point for u in U])
     assert np.max(np.abs(np.asarray(D.value(pts)) - 1.0)) < 1e-6
+
+
+def test_wulff_point_of_a_batch_is_one_point_per_row():
+    # a batch was scaled by its Frobenius norm, not row by row
+    F = wk.MinkowskiNorm.quartic(3, eps=0.05)
+    U = np.random.default_rng(13).standard_normal((16, 3))
+    wp = F.wulff_point(U)
+    for u, direction, point in zip(U, wp.direction, wp.point):
+        alone = F.wulff_point(u)
+        np.testing.assert_allclose(direction, alone.direction, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(point, alone.point, rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("options", [
