@@ -59,7 +59,7 @@ print(f"\nquartic gauge: F°(0.7,-0.3) = {val:.8f}, maximizer has "
 print("\nbiduality: the dual of the dual recovers the gauge")
 opts = wk.NumericDualOptions(grid_size=256, grad_tol=1e-8)
 D1 = wk.DualNorm(F, mode="numeric", options=opts)
-D2 = wk.DualNorm(D1.as_norm(), mode="numeric", options=opts)
+D2 = D1.dual(options=opts)  # a dual is a gauge: its own dual is numeric
 for v in rng.standard_normal((3, 2)):
     print(f"  v = {np.round(v, 3)}   F(v) = {F.value(v):.8f}   "
           f"(F°)°(v) = {D2.value(v):.8f}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .norms import DualNorm, MinkowskiNorm, _check_direction, _orthonormal_complement
+from .norms import DualNorm, MinkowskiNorm, _check_direction, _orthonormal_complement, _shaped
 
 EPS_SIGN = 1e-8     # |x| below this has sign 0 (the dead band)
 DELTA_ZERO = 1e-6   # the largest |pairing| a pair inside the dead band may have
@@ -129,7 +129,7 @@ def unit_pair_samples(dim: int, count: int, seed: int = 0) -> tuple[np.ndarray, 
 
 def pair_report(norm: MinkowskiNorm, u, v, dual: DualNorm | None = None) -> PairReport:
     """Pairing diagnostics of one pair (u, v): the scan of a batch of one."""
-    U, V = (np.asarray(x, dtype=float)[None, :] for x in (u, v))
+    U, V = (_shaped(x, norm.dim)[None, :] for x in (u, v))
     lhs, rhs, fk, margin, _ = _scan(norm, dual or norm.dual(), U, V)
     return _ranked(U, V, lhs, rhs, fk, margin, 1)[0]
 
@@ -149,7 +149,7 @@ def _scan(norm: MinkowskiNorm, dual: DualNorm, U: np.ndarray, V: np.ndarray):
         FV, GV = dual.eval_with_maximizer(V)
         counts = {}
     else:
-        FV, GV, iterations, fallbacks = dual._ascend(_check_direction(V))
+        FV, GV, iterations, fallbacks = dual._ascend(_check_direction(_shaped(V, norm.dim)))
         counts = {"dual_iterations": iterations, "dual_fallbacks": fallbacks}
     lhs = np.einsum("mi,mi->m", GU, GV)
     rhs = np.einsum("mi,mi->m", U, V)

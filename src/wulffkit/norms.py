@@ -27,9 +27,9 @@ ascent on the unit sphere otherwise.  The ascent also returns the
 maximizer u* normalized to F(u*) = 1, which is exactly grad F°(v), and
 Legendre duality gives D^2 F°(v) from D^2 F(u*).  The Newton step and the
 Legendre Hessian both solve a bordered system [[H, u], [u^T, 0]], which keeps
-the unknown in u^perp without a tangent frame.  `DualNorm.as_norm` makes
-the dual a gauge (family "dual") whose value, gradient and Hessian come
-from one ascent per batch, so the bidual F°° is one more ascent over it.
+the unknown in u^perp without a tangent frame.  A `DualNorm` is itself a
+gauge (family "dual") whose value, gradient and Hessian come from one
+ascent per batch, so the bidual F°° is one more ascent over it.
 """
 
 from __future__ import annotations
@@ -123,8 +123,8 @@ class MinkowskiNorm:
     """Positively 1-homogeneous elliptic gauge on R^d.
 
     Construct through the factory classmethods :meth:`euclidean`,
-    :meth:`quadratic`, :meth:`quartic`, or :meth:`custom`, or from a dual
-    through :meth:`DualNorm.as_norm`.  Instances are immutable and safe to
+    :meth:`quadratic`, :meth:`quartic`, or :meth:`custom`, or as the dual
+    of a gauge (:class:`DualNorm`).  Instances are immutable and safe to
     share between threads.
     """
 
@@ -133,7 +133,6 @@ class MinkowskiNorm:
                  value_fn: Callable | None = None,
                  grad_fn: Callable | None = None,
                  hess_fn: Callable | None = None,
-                 dual: "DualNorm | None" = None,
                  label: str | None = None):
         self.dim = int(dim)
         if self.dim < 1:
@@ -142,11 +141,11 @@ class MinkowskiNorm:
         self._value_fn = value_fn
         self._grad_fn = grad_fn
         self._hess_fn = hess_fn
-        self._dual = dual
         self.quartic_eps = quartic_eps
         self.label = label or family
         self.matrix = matrix
-        self.matrix_inv = None if matrix is None else np.linalg.inv(matrix)
+        inv = None if matrix is None else np.linalg.inv(matrix)
+        self.matrix_inv = None if inv is None else 0.5 * (inv + inv.T)   # symmetric, as A is
 
     # ----------------------------------------------------------------- factories
 
@@ -156,12 +155,14 @@ class MinkowskiNorm:
 
     @classmethod
     def quadratic(cls, matrix) -> "MinkowskiNorm":
-        """sqrt(<A u, u>) for a symmetric positive definite matrix A."""
+        """sqrt(<A u, u>) for a symmetric positive definite matrix A, kept as
+        its symmetric part S (F's only part), so grad F and the dual use S."""
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
             raise ValueError("quadratic matrix must be square and not empty")
         if not np.allclose(matrix, matrix.T, atol=1e-12):
             raise ValueError("quadratic matrix must be symmetric")
+        matrix = 0.5 * (matrix + matrix.T)
         if np.linalg.eigvalsh(matrix)[0] <= 0:
             raise ValueError("quadratic matrix must be positive definite")
         return cls(matrix.shape[0], "quadratic", matrix=matrix)
@@ -243,8 +244,6 @@ class MinkowskiNorm:
             gg *= (3.0 / F)[:, None, None]
             H -= gg
             return F, gF, H
-        if self.family == "dual":
-            return self._dual._jet(U, order)
         # custom: one call of a callback per batch, or per stencil of a fallback
         F = np.asarray(self._value_fn(U), dtype=float)
         if order == 0:
@@ -284,8 +283,9 @@ class MinkowskiNorm:
 
     @_per_direction
     def eval_with_maximizer(self, U):
-        """(F(u), grad F(u)), as DualNorm.eval_with_maximizer gives them for
-        F°: grad F(u) maximizes <u, v> over F°(v) <= 1 (F is its bidual)."""
+        """(F(u), grad F(u)): grad F(u) maximizes <u, v> over F°(v) <= 1 (F
+        is its bidual).  For a dual F°, (F°(v), u*) with F(u*) = 1 and
+        <u*, v> = F°(v)."""
         return self._jet(U, 1)
 
     # ----------------------------------------------------------------- diagnostics
@@ -378,8 +378,10 @@ class Ascent(NamedTuple):
     fallbacks: int          # rows that took at least one Armijo step
 
 
-class DualNorm:
-    """Dual gauge F°(v) = sup_{u != 0} <u, v>/F(u).
+class DualNorm(MinkowskiNorm):
+    """Dual gauge F°(v) = sup_{u != 0} <u, v>/F(u), a gauge of family "dual"
+    labelled dual[<base label>] whose gauge methods all work over its `_jet`;
+    grad F°(v) is the maximizer u* with F(u*) = 1 (envelope theorem).
 
     mode "closed" evaluates the Euclidean gauge, or for a quadratic base
     sqrt(<A u, u>) the quadratic gauge of A^-1; mode "numeric"
@@ -398,16 +400,15 @@ class DualNorm:
     default (`_gauss_map_table`; ValueError if F is not convex there).  A row
     reads its start with one arctan2, one searchsorted and one Horner cubic,
     within about 3e-12 rad of u*, and takes one base jet there (F and grad F
-    for a closed-form base; D^2 F follows, for the batch, if a row
-    iterates).  Every
-    iteration solves the bordered Newton systems of all rows still iterating
-    in one batched call,
-    evaluates F, grad F and D^2 F of the base gauge once, at the Newton
-    candidates of the rows whose step the solve did not reject (an accepted
-    row keeps its candidate's jet), backtracks only the rows whose step is
-    rejected (a row whose Hessian raises rejects its step alone; a row the
-    line search moves takes a fresh jet), and retires each row when its
-    projected gradient falls below grad_tol.  So a step costs one base jet.
+    for a closed-form base; D^2 F follows, for the batch, if a row iterates).
+    Every iteration solves the bordered Newton systems of all rows still
+    iterating in one batched call, evaluates F, grad F and D^2 F of the base
+    gauge once, at the Newton candidates of the rows whose step the solve did
+    not reject (an accepted row keeps its candidate's jet), backtracks only
+    the rows whose step is rejected (a row whose Hessian raises rejects its
+    step alone; a row the line search moves takes a fresh jet), and retires
+    each row when its projected gradient falls below grad_tol.  So a step
+    costs one base jet.
     A 2D direction of the quartic or of a quadratic gauge of moderate
     anisotropy retires at its start, with no Newton step; a strongly
     anisotropic one, such as diag(1, 100), takes at most one.  The first
@@ -425,9 +426,9 @@ class DualNorm:
             mode = "closed" if base.family in ("euclidean", "quadratic") else "numeric"
         if mode == "closed" and base.family not in ("euclidean", "quadratic"):
             raise ValueError("closed-form dual exists only for euclidean/quadratic")
+        super().__init__(base.dim, "dual", label=f"dual[{base.label}]")
         self.base = base
         self.mode = mode
-        self.dim = base.dim
         self.options = options or NumericDualOptions()
         # the dual of the Euclidean norm is itself; of sqrt(<A u, u>), it is
         # sqrt(<A^-1 v, v>): a closed dual evaluates that gauge (A^-1 is SPD
@@ -468,29 +469,13 @@ class DualNorm:
         S = np.eye(self.dim) - Us[:, :, None] * (V / q[:, None])[:, None, :]
         return q, Us, S @ N @ np.swapaxes(S, 1, 2) / q[:, None, None]
 
-    @_per_direction
-    def value(self, V):
-        """F°(v)."""
-        return self._jet(V, 0)[0]
+    # the tracer of perfbench/ wraps these names in this class's own namespace
+    value, grad, eval_with_maximizer = (
+        MinkowskiNorm.value, MinkowskiNorm.grad, MinkowskiNorm.eval_with_maximizer)
 
-    @_per_direction
-    def grad(self, V):
-        """grad F°(v): the maximizer u* with F(u*) = 1 (envelope theorem)."""
-        return self._jet(V, 1)[1]
-
-    @_per_direction
-    def eval_with_maximizer(self, V):
-        """(F°(v), u*) with F(u*) = 1 and <u*, v> = F°(v); for a batch (m, d),
-        the arrays (m,) and (m, d)."""
-        return self._jet(V, 1)
-
-    def as_norm(self, label: str | None = None) -> MinkowskiNorm:
-        """The dual as a gauge usable wherever a MinkowskiNorm is, evaluated
-        in batches by this DualNorm: its value is F°, its gradient the
-        maximizer u*, and its Hessian the Legendre one of `_jet`, so a numeric
-        dual gives all three from one ascent per batch."""
-        return MinkowskiNorm(self.dim, "dual", dual=self,
-                             label=label or f"dual[{self.base.label}]")
+    def as_norm(self) -> "DualNorm":
+        """The dual as a gauge: the dual itself."""
+        return self
 
     # -- numeric path -------------------------------------------------------
 

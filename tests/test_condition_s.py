@@ -169,6 +169,19 @@ def test_sample_count_validation():
         cs.check_condition_s(wk.MinkowskiNorm.euclidean(2), 0)
 
 
+@pytest.mark.parametrize("norm", [wk.MinkowskiNorm.euclidean(2), wk.MinkowskiNorm.quartic(2)],
+                         ids=["closed-dual", "numeric-dual"])
+def test_a_direction_of_the_wrong_length_is_rejected(norm):
+    # a v of length 3 reached the numeric ascent unchecked (a broadcasting
+    # error), and a u of length 3 was reported as shape (1, 3)
+    ok, bad = [1.0, 0.2], [0.3, 1.0, 2.0]
+    for u, v in ((ok, bad), (bad, ok)):
+        with pytest.raises(ValueError, match=r"dim 2 .*shape \(3,\)"):
+            cs.pair_report(norm, u, v)
+    with pytest.raises(ValueError, match=r"dim 2 .*shape \(1, 3\)"):
+        cs._scan(norm, norm.dual(), np.array([ok]), np.array([bad]))
+
+
 @pytest.mark.parametrize("d", [2, 4])
 @pytest.mark.parametrize("seed", [0, 3, 7])
 def test_halton_matches_scipy_bit_for_bit(d, seed):

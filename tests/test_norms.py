@@ -728,13 +728,54 @@ def test_quadratic_values_match_three_operand_einsum(seed):
             assert np.max(np.abs(got - ref) / ref) <= 1e-14
 
 
+# symmetric to the factory's tolerance (condition 632), while its inverse is not
+NEARLY_SYMMETRIC = np.array([[53.625, 26.962, -29.733], [26.962027, 14.19, -14.628],
+                             [-29.733, -14.628, 16.934]])
+
+
 def test_closed_dual_of_a_nearly_symmetric_matrix():
-    # symmetric to the factory's tolerance, while its inverse is not: the
-    # closed dual evaluates sqrt(<A^-1 v, v>) without checking A^-1 again
-    A = np.array([[53.625, 26.962, -29.733], [26.962027, 14.19, -14.628],
-                  [-29.733, -14.628, 16.934]])
+    # the closed dual evaluates sqrt(<S^-1 v, v>), S the symmetric part of A,
+    # without checking S^-1 again
+    A = NEARLY_SYMMETRIC
     with pytest.raises(ValueError, match="symmetric"):
         wk.MinkowskiNorm.quadratic(np.linalg.inv(A))
     D = wk.MinkowskiNorm.quadratic(A).dual()
     v = np.array([0.3, -1.0, 0.5])
-    assert D.value(v) == pytest.approx(np.sqrt(v @ np.linalg.inv(A) @ v), rel=1e-12)
+    S = 0.5 * (A + A.T)
+    assert D.value(v) == pytest.approx(np.sqrt(v @ np.linalg.inv(S) @ v), rel=1e-12)
+
+
+def test_a_nearly_symmetric_gauge_is_the_gauge_of_its_symmetric_part():
+    # F = sqrt(<A u, u>) depends on S alone: a gradient A u / F was 3.0e-6 off
+    # a central difference of F, and both duals 1.6e-10 below sup <u, v>/F(u)
+    F = wk.MinkowskiNorm.quadratic(NEARLY_SYMMETRIC)
+    U = np.random.default_rng(0).standard_normal((200, 3))
+    h = 1e-6
+    fd = np.column_stack([(F.value(U + e) - F.value(U - e)) / (2 * h) for e in h * np.eye(3)])
+    G = F.grad(U)
+    assert np.max(np.abs(G - fd)) <= 1e-8 * np.max(np.abs(G))
+    S = 0.5 * (NEARLY_SYMMETRIC + NEARLY_SYMMETRIC.T)
+    v = np.array([0.3, -1.0, 0.5])
+    for D in (F.dual(), F.dual(mode="numeric")):
+        assert D.value(v) == pytest.approx(np.sqrt(v @ np.linalg.inv(S) @ v), rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_dual_goes_wherever_a_gauge_goes(d):
+    # a dual, closed or numeric, is a gauge: its Hessian, its diagnostics, the
+    # curvature of a surface under it and its own dual need no adapter
+    A = A_DIAG if d == 2 else A_FULL
+    V = np.random.default_rng(d).standard_normal((16, d))
+    W = norms._hypersphere_grid(d, 256)
+    for D in (wk.MinkowskiNorm.quadratic(A).dual(), wk.MinkowskiNorm.quartic(d, 0.05).dual()):
+        assert isinstance(D, wk.MinkowskiNorm) and D.as_norm() is D
+        assert np.array_equal(D.hess(V), D._jet(V)[2])
+        assert np.all(D.restricted_hessian_min_eig(V) > 0.0)
+        bidual = D.dual(options=wk.NumericDualOptions(grid_size=256))
+        assert np.max(np.abs(bidual.value(W) / D.base.value(W) - 1.0)) <= 1e-12
+    if d == 3:
+        sphere, P = wk.sphere(), wk.sphere().sample_grid(5)
+        ref = wk.anisotropic_mean_curvature_batch(wk.MinkowskiNorm.quadratic(np.linalg.inv(A)),
+                                                  sphere, P)
+        got = wk.anisotropic_mean_curvature_batch(wk.MinkowskiNorm.quadratic(A).dual(), sphere, P)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -6,9 +6,12 @@ cell counts, and `json.dumps` writes a non-finite float as NaN or Infinity,
 which is not JSON; so the line is parsed with non-finite constants rejected.
 The pointwise workload calls the CLI's lemma check directly, so it runs with
 and without the tracer.  The traced dual-scan run goes through the DualNorm
-methods the tracer wraps.
+methods the tracer wraps.  The tracer replaces each method it names in the
+named class's own namespace, and each CLI check by name; a method moved to
+a base class, or a renamed check, is caught without a run.
 """
 
+import importlib
 import json
 import subprocess
 import sys
@@ -48,3 +51,17 @@ def test_pointwise_run_prints_strict_json(trace):
 
 def test_traced_dual_scan_run_prints_strict_json():
     _assert_strict_result("dual-scan", 1)
+
+
+def test_tracer_names_what_each_class_and_the_cli_define():
+    # tracer.py is compiled from its source, so nothing is written under perfbench/
+    path = ROOT / "perfbench" / "tracer.py"
+    tracer = {"__name__": "tracer"}
+    exec(compile(path.read_text(), str(path), "exec"), tracer)
+    cli = importlib.import_module("wulffkit.cli")
+    for layer, classes in tracer["CLASS_METHODS"].items():
+        module = importlib.import_module(f"wulffkit.{layer}")
+        for name, methods in classes.items():
+            own = vars(getattr(module, name))
+            assert [m for m in methods if m not in own] == [], name
+    assert [f for f in tracer["CLI_CHECKS"].values() if not callable(getattr(cli, f, None))] == []
