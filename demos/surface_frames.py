@@ -39,10 +39,10 @@ patch = sf.ellipsoid((1.0, 1.3, 1.7))
 xi = sf.anisotropic_normal_field(F)
 p = np.array([1.05, 0.8])
 eb = sf.equiaffine_batch(patch, xi, [p])   # the decomposition at one point
-frame, div = sf.tangential_derivative_residuals(xi, sf.position_field(), eb)
+frame, div = sf.tangential_derivative_residuals(sf.position_field(), eb)
 print(f"  derivative of x^(top_xi), frame form : {frame[0]:.2e}")
 print(f"  same identity, divergence form       : {div[0]:.2e}")
-rb, rx = sf.divergence_residuals_constant_position(xi, eb)
+rb, rx = sf.divergence_residuals_constant_position(eb)
 print(f"  div of b^(top_xi) vs <b,nu> tr S      : {rb[0]:.2e}")
 print(f"  div of x^(top_xi) vs n<xi,nu> + ...   : {rx[0]:.2e}")
 
@@ -51,7 +51,7 @@ def linear_weight(fb):
     return fb.x @ np.array([0.2, 0.5, -0.4])
 
 
-pr = sf.product_rule_residual(xi, linear_weight, sf.position_field(), eb)
+pr = sf.product_rule_residual(linear_weight, sf.position_field(), eb)
 print(f"  product rule for f x^(top_xi)         : {pr[0]:.2e}")
 s1, s2 = sf.shape_products_asymmetry(eb)
 print(f"  self-adjointness of II*S, II*S^2      : {s1[0]:.2e}, {s2[0]:.2e}")

@@ -150,8 +150,9 @@ def _gauge_safe(gauge, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _psi(patch: ParametricPatch, gauge, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """psi = phi(chart(p)) and its parameter gradient (m, n) at points P (m, n)."""
-    phi, grad = _gauge_safe(gauge, patch.chart(P))
-    return phi, np.einsum("mnd,md->mn", patch.dchart(P), grad)
+    X, T = patch.jet(P)
+    phi, grad = _gauge_safe(gauge, X)
+    return phi, np.einsum("mnd,md->mn", T, grad)
 
 
 @functools.lru_cache(maxsize=None)

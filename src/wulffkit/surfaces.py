@@ -1,9 +1,11 @@
 """Parametric hypersurfaces in R^{n+1} for n in {1, 2}.
 
-A patch is a smooth chart over a parameter rectangle together with first
-and second parameter derivatives (analytic for built-ins, central
-differences for custom charts).  Frames carry the orthonormalized tangent
-basis, the oriented unit normal, and the second fundamental form under the
+A patch is a smooth chart over a parameter rectangle, evaluated as a jet:
+one call gives the points, the tangents and, on request, the second
+parameter derivatives (analytic for built-ins, which share their terms
+between the orders; central differences for custom charts given by their
+points alone).  Frames carry the orthonormalized tangent basis, the
+oriented unit normal, and the second fundamental form under the
 shape-operator convention X -> -D_X nu; transversal decompositions split
 the ambient derivative of a transversal field xi into the affine shape
 operator and the connection one-form,
@@ -12,7 +14,9 @@ operator and the connection one-form,
 
 The divergence/derivative checks at the bottom compare frame-based
 right-hand sides against finite-difference left-hand sides, so the two
-routes stay independent.
+routes stay independent.  Each frames its stencil in one call, and the
+Codazzi check frames all the points it needs, both Richardson levels and
+their stencils, in one call too.
 """
 
 from __future__ import annotations
@@ -31,7 +35,9 @@ GRAM_FLOOR = 1e-12
 TRANSVERSAL_FLOOR = 1e-8
 PARAM_STEP = 1e-5        # the central-difference step of the frame derivatives
 CODAZZI_STEP = 1e-4      # the outer, Richardson-extrapolated step of the Codazzi check
-CHART_FD_STEP = 1e-6    # the central-difference step of a chart without dchart
+_CODAZZI_STEPS = (CODAZZI_STEP, 0.5 * CODAZZI_STEP)
+CHART_FD_STEP = 1e-6    # the central-difference step of a chart given by its points alone
+CHART_FD2_STEP = 1e-4   # and its second-difference step, which balances roundoff
 TEST_VECTOR = (0.3, -0.7, 0.55)   # the constant vector b of the divergence identities
 # boundary samples per edge, and the grid per axis, of the patch's gauge range
 _BOUNDARY_SAMPLES, _RANGE_GRID = 256, 64
@@ -50,26 +56,26 @@ def _tensor_grid(axes) -> np.ndarray:
 class ParametricPatch:
     """Immersion of an n-dimensional parameter rectangle into R^{n+1}.
 
-    chart_fn maps parameter batches (m, n) to points (m, n+1); derivative
-    callbacks return (m, n, n+1) and (m, n, n, n+1).  Missing derivatives
-    fall back to central finite differences.  Instances are immutable.
+    chart_fn maps parameter batches (m, n) to points (m, n+1); its
+    derivatives are then central differences.  With jet=True, chart_fn is a
+    jet function instead: chart_fn(P, k) returns float arrays of the points,
+    the tangents (m, n, n+1) and, for k = 2, the second derivatives
+    (m, n, n, n+1), a tuple of k + 1 of them from one call.  Instances are
+    immutable.
     """
 
     def __init__(self, n: int, chart_fn: Callable, domain,
-                 dchart_fn: Callable | None = None,
-                 d2chart_fn: Callable | None = None,
                  periodic: tuple[bool, ...] | None = None,
                  closed: bool = False,
                  orientation: float = 1.0,
                  name: str = "custom",
-                 axis_insets: tuple[float, ...] | None = None):
+                 axis_insets: tuple[float, ...] | None = None,
+                 jet: bool = False):
         if n not in (1, 2):
             raise ValueError("only curve (n=1) and surface (n=2) patches are supported")
         self.n = n
         self.dim = n + 1
-        self._chart_fn = chart_fn
-        self._dchart_fn = dchart_fn
-        self._d2chart_fn = d2chart_fn
+        self._jet_fn = chart_fn if jet else _differenced(chart_fn)
         self.domain = np.asarray(domain, dtype=float).reshape(n, 2)
         self.periodic = tuple(periodic) if periodic is not None else (False,) * n
         self.closed = bool(closed)
@@ -81,33 +87,25 @@ class ParametricPatch:
 
     # -- chart evaluation ---------------------------------------------------
 
+    def jet(self, P, order: int = 1) -> tuple:
+        """The chart's points, tangents and second derivatives at P (m, n),
+        the first order + 1 of them, from one callback call."""
+        return self._jet_fn(np.atleast_2d(np.asarray(P, dtype=float)), order)
+
     def chart(self, P) -> np.ndarray:
-        P = np.atleast_2d(np.asarray(P, dtype=float))
-        return np.asarray(self._chart_fn(P), dtype=float)
+        return self.jet(P, 0)[0]
 
     def dchart(self, P) -> np.ndarray:
-        P = np.atleast_2d(np.asarray(P, dtype=float))
-        if self._dchart_fn is not None:
-            return np.asarray(self._dchart_fn(P), dtype=float)
-        return _central_diffs(self.chart, P, _coordinate_axes(P), (CHART_FD_STEP,))
+        return self.jet(P, 1)[1]
 
     def d2chart(self, P) -> np.ndarray:
-        P = np.atleast_2d(np.asarray(P, dtype=float))
-        if self._d2chart_fn is not None:
-            return np.asarray(self._d2chart_fn(P), dtype=float)
-        if self._dchart_fn is None:
-            # from chart values, at a step that balances roundoff
-            return _hessians(self.chart, P, (1e-4,), self.chart(P))
-        out = _central_diffs(self.dchart, P, _coordinate_axes(P), (CHART_FD_STEP,))
-        return 0.5 * (out + np.swapaxes(out, 1, 2))
+        return self.jet(P, 2)[2]
 
     # -- frames ---------------------------------------------------------------
 
     def frames(self, P) -> "FrameBatch":
         P = np.atleast_2d(np.asarray(P, dtype=float))
-        X = self.chart(P)
-        T = self.dchart(P)
-        return _build_frames(self, P, X, T)
+        return _build_frames(self, P, *self._jet_fn(P, 1))
 
     def frame_at(self, p) -> "FrameBatch":
         """Frames at one parameter point (n,): a FrameBatch of one row."""
@@ -148,6 +146,23 @@ class ParametricPatch:
         if B.shape[0] == 0:
             return math.inf
         return float(np.min(np.asarray(gauge.value(self.chart(B)))))
+
+
+def _differenced(chart_fn: Callable) -> Callable:
+    """The jet function of a chart given by its points alone: tangents by
+    central differences at CHART_FD_STEP, second derivatives by second
+    differences along the axes and diagonals at CHART_FD2_STEP."""
+    def chart(P):
+        return np.asarray(chart_fn(P), dtype=float)
+
+    def jet(P, order):
+        X = chart(P)
+        if order == 0:
+            return (X,)
+        T = _central_diffs(chart, P, _coordinate_axes(P), (CHART_FD_STEP,))
+        return (X, T) if order == 1 else (X, T, _hessians(chart, P, (CHART_FD2_STEP,), X))
+
+    return jet
 
 
 class FrameBatch:
@@ -217,10 +232,17 @@ class FrameBatch:
     def mean_curvature(self) -> np.ndarray:
         return np.trace(self.sec_form, axis1=1, axis2=2)
 
+    @property
+    def _eager(self) -> tuple:
+        return self.P, self.x, self.tangents, self.nu, self.metric, self.sqrt_g
+
     def rows(self, keep) -> "FrameBatch":
         """The frames at the rows `keep` (an index or boolean array) alone."""
-        return FrameBatch(self.patch, self.P[keep], self.x[keep], self.tangents[keep],
-                          self.nu[keep], self.metric[keep], self.sqrt_g[keep])
+        return FrameBatch(self.patch, *(a[keep] for a in self._eager))
+
+    def then(self, other: "FrameBatch") -> "FrameBatch":
+        """The frames at the rows of self followed by those of other."""
+        return FrameBatch(self.patch, *map(np.concatenate, zip(self._eager, other._eager)))
 
 
 def _build_frames(patch: ParametricPatch, P, X, T) -> FrameBatch:
@@ -290,38 +312,27 @@ def sphere(radius: float = 1.0, center=(0.0, 0.0, 0.0)) -> ParametricPatch:
     R = _positive(radius, "sphere radius")
     c = _array(center, (3,), "sphere center")
 
-    def chart(P):
+    def jet(P, order):
         th, ph = P[:, 0], P[:, 1]
-        return c + R * np.column_stack(
-            [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
-
-    def dchart(P):
-        th, ph = P[:, 0], P[:, 1]
-        Xt = R * np.column_stack(
-            [np.cos(th) * np.cos(ph), np.cos(th) * np.sin(ph), -np.sin(th)])
-        Xp = R * np.column_stack(
-            [-np.sin(th) * np.sin(ph), np.sin(th) * np.cos(ph), np.zeros_like(th)])
-        return np.stack([Xt, Xp], axis=1)
-
-    def d2chart(P):
-        th, ph = P[:, 0], P[:, 1]
-        zero = np.zeros_like(th)
-        Xtt = R * np.column_stack(
-            [-np.sin(th) * np.cos(ph), -np.sin(th) * np.sin(ph), -np.cos(th)])
-        Xtp = R * np.column_stack(
-            [-np.cos(th) * np.sin(ph), np.cos(th) * np.cos(ph), zero])
-        Xpp = R * np.column_stack(
-            [-np.sin(th) * np.cos(ph), -np.sin(th) * np.sin(ph), zero])
-        out = np.empty((P.shape[0], 2, 2, 3))
-        out[:, 0, 0] = Xtt
-        out[:, 0, 1] = out[:, 1, 0] = Xtp
-        out[:, 1, 1] = Xpp
-        return out
+        st, ct, sp, cp = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
+        RU = R * np.column_stack([st * cp, st * sp, ct])
+        if order == 0:
+            return (c + RU,)
+        T = np.zeros((len(P), 2, 3))
+        T[:, 0] = R * np.column_stack([ct * cp, ct * sp, -st])
+        T[:, 1, 0], T[:, 1, 1] = -RU[:, 1], RU[:, 0]
+        if order == 1:
+            return c + RU, T
+        H = np.zeros((len(P), 2, 2, 3))
+        H[:, 0, 0] = -RU
+        H[:, 0, 1, 0], H[:, 0, 1, 1] = -T[:, 0, 1], T[:, 0, 0]
+        H[:, 1, 0] = H[:, 0, 1]
+        H[:, 1, 1, :2] = -RU[:, :2]
+        return c + RU, T, H
 
     return ParametricPatch(
-        2, chart, [(0.0, np.pi), (0.0, 2 * np.pi)], dchart_fn=dchart,
-        d2chart_fn=d2chart, periodic=(False, True), closed=True,
-        orientation=1.0, name=f"sphere(r={R:g})", axis_insets=(1e-3, 0.0))
+        2, jet, [(0.0, np.pi), (0.0, 2 * np.pi)], periodic=(False, True), closed=True,
+        orientation=1.0, name=f"sphere(r={R:g})", axis_insets=(1e-3, 0.0), jet=True)
 
 
 def linear_image(patch: ParametricPatch, L, name: str | None = None) -> ParametricPatch:
@@ -330,67 +341,51 @@ def linear_image(patch: ParametricPatch, L, name: str | None = None) -> Parametr
     if np.linalg.det(L) <= 0:
         raise ValueError("linear_image expects det L > 0")
 
-    def apply(Y):
-        # one (rows, d) product: NumPy's stacked matmul on (m, n, d) and
-        # (m, n, n, d) arrays is several times slower
-        return (Y.reshape(-1, Y.shape[-1]) @ L.T).reshape(Y.shape)
-
-    def chart(P):
-        return apply(patch.chart(P))
-
-    def dchart(P):
-        return apply(patch.dchart(P))
-
-    def d2chart(P):
-        return apply(patch.d2chart(P))
+    def jet(P, order):
+        # one (rows, d) product per order: NumPy's stacked matmul on (m, n, d)
+        # and (m, n, n, d) arrays is several times slower
+        return tuple((Y.reshape(-1, Y.shape[-1]) @ L.T).reshape(Y.shape)
+                     for Y in patch._jet_fn(P, order))
 
     return ParametricPatch(
-        patch.n, chart, patch.domain, dchart_fn=dchart, d2chart_fn=d2chart,
-        periodic=patch.periodic, closed=patch.closed, orientation=patch.orientation,
-        name=name or f"linear[{patch.name}]", axis_insets=patch.axis_insets)
+        patch.n, jet, patch.domain, periodic=patch.periodic, closed=patch.closed,
+        orientation=patch.orientation, name=name or f"linear[{patch.name}]",
+        axis_insets=patch.axis_insets, jet=True)
 
 
 def ellipsoid(semiaxes=(1.0, 1.3, 1.7)) -> ParametricPatch:
     s = _array(semiaxes, (3,), "ellipsoid semiaxes")
     if not (s > 0).all():
         raise ValueError(f"ellipsoid semiaxes must be positive, not {semiaxes}")
-    out = linear_image(sphere(), np.diag(s),
-                       name=f"ellipsoid({s[0]:g},{s[1]:g},{s[2]:g})")
-    return out
+    return linear_image(sphere(), np.diag(s), name=f"ellipsoid({s[0]:g},{s[1]:g},{s[2]:g})")
 
 
 def catenoid(v_max: float = 1.2) -> ParametricPatch:
     """Catenoid with unit neck; normal points away from the axis."""
     v_max = _positive(v_max, "catenoid v_max")
 
-    def chart(P):
+    def jet(P, order):
         u, v = P[:, 0], P[:, 1]
-        return np.column_stack([np.cosh(v) * np.cos(u), np.cosh(v) * np.sin(u), v])
-
-    def dchart(P):
-        u, v = P[:, 0], P[:, 1]
-        Xu = np.column_stack(
-            [-np.cosh(v) * np.sin(u), np.cosh(v) * np.cos(u), np.zeros_like(u)])
-        Xv = np.column_stack(
-            [np.sinh(v) * np.cos(u), np.sinh(v) * np.sin(u), np.ones_like(u)])
-        return np.stack([Xu, Xv], axis=1)
-
-    def d2chart(P):
-        u, v = P[:, 0], P[:, 1]
-        zero = np.zeros_like(u)
-        Xuu = np.column_stack([-np.cosh(v) * np.cos(u), -np.cosh(v) * np.sin(u), zero])
-        Xuv = np.column_stack([-np.sinh(v) * np.sin(u), np.sinh(v) * np.cos(u), zero])
-        Xvv = np.column_stack([np.cosh(v) * np.cos(u), np.cosh(v) * np.sin(u), zero])
-        out = np.empty((P.shape[0], 2, 2, 3))
-        out[:, 0, 0] = Xuu
-        out[:, 0, 1] = out[:, 1, 0] = Xuv
-        out[:, 1, 1] = Xvv
-        return out
+        ch, cu, su = np.cosh(v), np.cos(u), np.sin(u)
+        X = np.column_stack([ch * cu, ch * su, v])
+        if order == 0:
+            return (X,)
+        sh = np.sinh(v)
+        T = np.zeros((len(P), 2, 3))
+        T[:, 0, 0], T[:, 0, 1] = -X[:, 1], X[:, 0]
+        T[:, 1, 0], T[:, 1, 1], T[:, 1, 2] = sh * cu, sh * su, 1.0
+        if order == 1:
+            return X, T
+        H = np.zeros((len(P), 2, 2, 3))
+        H[:, 0, 0, :2] = -X[:, :2]
+        H[:, 0, 1, 0], H[:, 0, 1, 1] = -T[:, 1, 1], T[:, 1, 0]
+        H[:, 1, 0] = H[:, 0, 1]
+        H[:, 1, 1, :2] = X[:, :2]
+        return X, T, H
 
     return ParametricPatch(
-        2, chart, [(0.0, 2 * np.pi), (-v_max, v_max)], dchart_fn=dchart,
-        d2chart_fn=d2chart, periodic=(True, False), closed=False,
-        orientation=1.0, name=f"catenoid(v<={v_max:g})")
+        2, jet, [(0.0, 2 * np.pi), (-v_max, v_max)], periodic=(True, False), closed=False,
+        orientation=1.0, name=f"catenoid(v<={v_max:g})", jet=True)
 
 
 def sqrtm_spd(A) -> np.ndarray:
@@ -430,60 +425,47 @@ def hyperplane(normal=(0.0, 0.0, 1.0), origin=(0.0, 0.0, 0.0),
         a, bvec = bvec, a
     basis = np.array([a, bvec])
 
-    def chart(P):
-        return P @ basis + origin
-
-    def dchart(P):
-        return np.broadcast_to(basis, (P.shape[0], 2, 3)).copy()
-
-    def d2chart(P):
-        return np.zeros((P.shape[0], 2, 2, 3))
+    def jet(P, order):
+        X = P @ basis + origin
+        if order == 0:
+            return (X,)
+        T = np.broadcast_to(basis, (len(P), 2, 3)).copy()
+        return (X, T) if order == 1 else (X, T, np.zeros((len(P), 2, 2, 3)))
 
     return ParametricPatch(
-        2, chart, [(-extent, extent), (-extent, extent)], dchart_fn=dchart,
-        d2chart_fn=d2chart, name=f"hyperplane(n={tuple(np.round(nrm, 3))})")
+        2, jet, [(-extent, extent), (-extent, extent)],
+        name=f"hyperplane(n={tuple(np.round(nrm, 3))})", jet=True)
 
 
 def line(offset: float = 0.5, extent: float = 4.0) -> ParametricPatch:
     """Horizontal line y = offset in the plane, normal (0, -1)."""
     offset, extent = _finite(offset, "line offset"), _positive(extent, "line extent")
 
-    def chart(P):
-        t = P[:, 0]
-        return np.column_stack([t, np.full_like(t, offset)])
+    def jet(P, order):
+        X = np.column_stack([P[:, 0], np.full(len(P), offset)])
+        if order == 0:
+            return (X,)
+        T = np.zeros((len(P), 1, 2))
+        T[:, 0, 0] = 1.0
+        return (X, T) if order == 1 else (X, T, np.zeros((len(P), 1, 1, 2)))
 
-    def dchart(P):
-        m = P.shape[0]
-        out = np.zeros((m, 1, 2))
-        out[:, 0, 0] = 1.0
-        return out
-
-    def d2chart(P):
-        return np.zeros((P.shape[0], 1, 1, 2))
-
-    return ParametricPatch(1, chart, [(-extent, extent)], dchart_fn=dchart,
-                           d2chart_fn=d2chart, name=f"line(y={offset:g})")
+    return ParametricPatch(1, jet, [(-extent, extent)], name=f"line(y={offset:g})", jet=True)
 
 
 def circle(radius: float = 1.0, center=(0.0, 0.0)) -> ParametricPatch:
     R = _positive(radius, "circle radius")
     c = _array(center, (2,), "circle center")
 
-    def chart(P):
+    def jet(P, order):
         t = P[:, 0]
-        return c + R * np.column_stack([np.cos(t), np.sin(t)])
+        RU = R * np.column_stack([np.cos(t), np.sin(t)])
+        if order == 0:
+            return (c + RU,)
+        T = np.column_stack([-RU[:, 1], RU[:, 0]])[:, None, :]
+        return (c + RU, T) if order == 1 else (c + RU, T, -RU[:, None, None, :])
 
-    def dchart(P):
-        t = P[:, 0]
-        return (R * np.column_stack([-np.sin(t), np.cos(t)]))[:, None, :]
-
-    def d2chart(P):
-        t = P[:, 0]
-        return (-R * np.column_stack([np.cos(t), np.sin(t)]))[:, None, None, :]
-
-    return ParametricPatch(1, chart, [(0.0, 2 * np.pi)], dchart_fn=dchart,
-                           d2chart_fn=d2chart, periodic=(True,), closed=True,
-                           orientation=1.0, name=f"circle(r={R:g})")
+    return ParametricPatch(1, jet, [(0.0, 2 * np.pi)], periodic=(True,), closed=True,
+                           orientation=1.0, name=f"circle(r={R:g})", jet=True)
 
 
 def graph_curve(coeffs, extent: float = 1.0) -> ParametricPatch:
@@ -496,20 +478,17 @@ def graph_curve(coeffs, extent: float = 1.0) -> ParametricPatch:
     c2 = np.polynomial.polynomial.polyder(c, 2)
     pv = np.polynomial.polynomial.polyval
 
-    def chart(P):
+    def jet(P, order):
         t = P[:, 0]
-        return np.column_stack([t, pv(t, c)])
+        X = np.column_stack([t, pv(t, c)])
+        if order == 0:
+            return (X,)
+        T = np.column_stack([np.ones_like(t), pv(t, c1)])[:, None, :]
+        if order == 1:
+            return X, T
+        return X, T, np.column_stack([np.zeros_like(t), pv(t, c2)])[:, None, None, :]
 
-    def dchart(P):
-        t = P[:, 0]
-        return np.column_stack([np.ones_like(t), pv(t, c1)])[:, None, :]
-
-    def d2chart(P):
-        t = P[:, 0]
-        return np.column_stack([np.zeros_like(t), pv(t, c2)])[:, None, None, :]
-
-    return ParametricPatch(1, chart, [(-extent, extent)], dchart_fn=dchart,
-                           d2chart_fn=d2chart, name="graph-curve")
+    return ParametricPatch(1, jet, [(-extent, extent)], name="graph-curve", jet=True)
 
 
 def graph_surface(coeffs, extent: float = 1.0) -> ParametricPatch:
@@ -522,28 +501,24 @@ def graph_surface(coeffs, extent: float = 1.0) -> ParametricPatch:
     Cu, Cv = pp.polyder(C, axis=0), pp.polyder(C, axis=1)
     Cuu, Cuv, Cvv = pp.polyder(Cu, axis=0), pp.polyder(Cu, axis=1), pp.polyder(Cv, axis=1)
 
-    def chart(P):
+    def jet(P, order):
         u, v = P[:, 0], P[:, 1]
-        return np.column_stack([u, v, pp.polyval2d(u, v, C)])
+        X = np.column_stack([u, v, pp.polyval2d(u, v, C)])
+        if order == 0:
+            return (X,)
+        T = np.zeros((len(P), 2, 3))
+        T[:, 0, 0] = T[:, 1, 1] = 1.0
+        T[:, 0, 2], T[:, 1, 2] = pp.polyval2d(u, v, Cu), pp.polyval2d(u, v, Cv)
+        if order == 1:
+            return X, T
+        H = np.zeros((len(P), 2, 2, 3))
+        H[:, 0, 0, 2] = pp.polyval2d(u, v, Cuu)
+        H[:, 0, 1, 2] = H[:, 1, 0, 2] = pp.polyval2d(u, v, Cuv)
+        H[:, 1, 1, 2] = pp.polyval2d(u, v, Cvv)
+        return X, T, H
 
-    def dchart(P):
-        u, v = P[:, 0], P[:, 1]
-        one, zero = np.ones_like(u), np.zeros_like(u)
-        Xu = np.column_stack([one, zero, pp.polyval2d(u, v, Cu)])
-        Xv = np.column_stack([zero, one, pp.polyval2d(u, v, Cv)])
-        return np.stack([Xu, Xv], axis=1)
-
-    def d2chart(P):
-        u, v = P[:, 0], P[:, 1]
-        zero = np.zeros_like(u)
-        out = np.empty((P.shape[0], 2, 2, 3))
-        out[:, 0, 0] = np.column_stack([zero, zero, pp.polyval2d(u, v, Cuu)])
-        out[:, 0, 1] = out[:, 1, 0] = np.column_stack([zero, zero, pp.polyval2d(u, v, Cuv)])
-        out[:, 1, 1] = np.column_stack([zero, zero, pp.polyval2d(u, v, Cvv)])
-        return out
-
-    return ParametricPatch(2, chart, [(-extent, extent), (-extent, extent)],
-                           dchart_fn=dchart, d2chart_fn=d2chart, name="graph-surface")
+    return ParametricPatch(2, jet, [(-extent, extent), (-extent, extent)],
+                           name="graph-surface", jet=True)
 
 
 def enneper(scale: float = 0.8, extent: float = 1.5) -> ParametricPatch:
@@ -552,31 +527,26 @@ def enneper(scale: float = 0.8, extent: float = 1.5) -> ParametricPatch:
     if s == 0.0:
         raise ValueError("enneper scale must be nonzero")
 
-    def chart(P):
+    def jet(P, order):
         u, v = P[:, 0], P[:, 1]
-        return s * np.column_stack([
-            u - u**3 / 3 + u * v**2,
-            -v + v**3 / 3 - u**2 * v,
-            u**2 - v**2])
+        u2, v2 = u**2, v**2
+        X = s * np.column_stack([u - u**3 / 3 + u * v2, -v + v**3 / 3 - u2 * v, u2 - v2])
+        if order == 0:
+            return (X,)
+        T = np.empty((len(P), 2, 3))
+        T[:, 0] = s * np.column_stack([1 - u2 + v2, -2 * u * v, 2 * u])
+        T[:, 1] = s * np.column_stack([2 * u * v, -1 + v2 - u2, -2 * v])
+        if order == 1:
+            return X, T
+        two = np.full_like(u, 2.0)
+        H = np.empty((len(P), 2, 2, 3))
+        H[:, 0, 0] = s * np.column_stack([-2 * u, -2 * v, two])
+        H[:, 0, 1] = H[:, 1, 0] = s * np.column_stack([2 * v, -2 * u, 0 * two])
+        H[:, 1, 1] = s * np.column_stack([2 * u, 2 * v, -two])
+        return X, T, H
 
-    def dchart(P):
-        u, v = P[:, 0], P[:, 1]
-        Xu = s * np.column_stack([1 - u**2 + v**2, -2 * u * v, 2 * u])
-        Xv = s * np.column_stack([2 * u * v, -1 + v**2 - u**2, -2 * v])
-        return np.stack([Xu, Xv], axis=1)
-
-    def d2chart(P):
-        u, v = P[:, 0], P[:, 1]
-        one = np.ones_like(u)
-        out = np.empty((P.shape[0], 2, 2, 3))
-        out[:, 0, 0] = s * np.column_stack([-2 * u, -2 * v, 2 * one])
-        out[:, 0, 1] = out[:, 1, 0] = s * np.column_stack([2 * v, -2 * u, 0 * one])
-        out[:, 1, 1] = s * np.column_stack([2 * u, 2 * v, -2 * one])
-        return out
-
-    return ParametricPatch(2, chart, [(-extent, extent), (-extent, extent)],
-                           dchart_fn=dchart, d2chart_fn=d2chart,
-                           name=f"enneper(s={s:g})")
+    return ParametricPatch(2, jet, [(-extent, extent), (-extent, extent)],
+                           name=f"enneper(s={s:g})", jet=True)
 
 
 # --------------------------------------------------------------------------
@@ -637,7 +607,7 @@ def affine_tangential(V, xi, nu) -> np.ndarray:
 
 
 class EquiaffineBatch:
-    def __init__(self, xi, support, shape_op, tau, affine_mean, frames, stencil):
+    def __init__(self, xi, support, shape_op, tau, affine_mean, frames, stencil, stencil_xi):
         self.xi = xi                 # (m, d)
         self.support = support       # (m,)  <xi, nu>
         self.shape_op = shape_op     # (m, n, n), column a = components of S(e_a)
@@ -645,8 +615,10 @@ class EquiaffineBatch:
         self.affine_mean = affine_mean  # (m,) trace of the shape operator
         self.frames = frames
         # frames at the stencil P +- PARAM_STEP * c_a of the derivatives
-        # D_{e_a}; the pointwise identity checks difference their fields on it too
+        # D_{e_a}, and xi there; the pointwise identity checks difference
+        # their fields on it too
         self.stencil = stencil
+        self.stencil_xi = stencil_xi
 
     @property
     def fundamental(self) -> np.ndarray:
@@ -660,20 +632,24 @@ def equiaffine_batch(patch: ParametricPatch, xi_field: TransversalField,
     return _equiaffine(xi_field, patch.frames(P))
 
 
-def _equiaffine(xi_field: TransversalField, fb: FrameBatch) -> EquiaffineBatch:
-    """equiaffine_batch at the points of fb."""
+def _equiaffine(xi_field: TransversalField, fb: FrameBatch,
+                stencil: FrameBatch | None = None) -> EquiaffineBatch:
+    """equiaffine_batch at the points of fb; stencil, the frames at
+    _stencil_points(fb), is framed here if not given."""
     xi = xi_field.at(fb)
     support = np.einsum("md,md->m", xi, fb.nu)
     if np.any(np.abs(support) < TRANSVERSAL_FLOOR):
         raise NotTransversal(
             f"|<xi, nu>| below {TRANSVERSAL_FLOOR:g} for field {xi_field.name}")
-    stencil = _frame_stencil(fb)
-    W = _frame_derivs(xi_field.at(stencil), fb)      # W[:, a] = D_{e_a} xi
+    if stencil is None:
+        stencil = fb.patch.frames(_stencil_points(fb))
+    stencil_xi = xi_field.at(stencil)
+    W = _frame_derivs(stencil_xi, fb)      # W[:, a] = D_{e_a} xi
     tau = np.einsum("mad,md->ma", W, fb.nu) / support[:, None]
     S = np.einsum("mid,mad->mia", fb.e, tau[:, :, None] * xi[:, None, :] - W)
     return EquiaffineBatch(xi=xi, support=support, shape_op=S, tau=tau,
                            affine_mean=np.trace(S, axis1=1, axis2=2), frames=fb,
-                           stencil=stencil)
+                           stencil=stencil, stencil_xi=stencil_xi)
 
 
 def anisotropic_mean_curvature_batch(norm: MinkowskiNorm, patch: ParametricPatch,
@@ -706,13 +682,13 @@ def _unbatch(values: np.ndarray, single: bool):
     return float(values[0]) if single else values
 
 
-def _frame_stencil(fb: FrameBatch) -> FrameBatch:
-    """Frames at P +- PARAM_STEP * c_a, the stencil of D_{e_a} at every point of fb."""
-    return fb.patch.frames(_stencil(fb.P, fb.param_dirs, (PARAM_STEP,)))
+def _stencil_points(fb: FrameBatch) -> np.ndarray:
+    """P +- PARAM_STEP * c_a, the stencil of D_{e_a} at every point of fb."""
+    return _stencil(fb.P, fb.param_dirs, (PARAM_STEP,))
 
 
 def _frame_derivs(vals, fb: FrameBatch) -> np.ndarray:
-    """D_{e_a} at every point of fb from values on _frame_stencil(fb): (m, n, ...)."""
+    """D_{e_a} at every point of fb from values on _stencil_points(fb): (m, n, ...)."""
     return _differences(vals, fb.param_dirs, (PARAM_STEP,))
 
 
@@ -728,12 +704,12 @@ def surface_divergence(patch: ParametricPatch, W, p):
     """
     P, single = _as_batch(p)
     fb = patch.frames(P)
-    dW = _frame_derivs(W(_frame_stencil(fb)), fb)
+    dW = _frame_derivs(W(patch.frames(_stencil_points(fb))), fb)
     return _unbatch(_divergence(dW, fb), single)
 
 
-def tangential_derivative_residuals(xi_field: TransversalField, X_field: TransversalField,
-                                    eb: EquiaffineBatch) -> tuple[np.ndarray, np.ndarray]:
+def tangential_derivative_residuals(X_field: TransversalField, eb: EquiaffineBatch
+                                    ) -> tuple[np.ndarray, np.ndarray]:
     """Compare FD derivatives of X^{top_xi} with the frame-side expansion at
     the points of eb = equiaffine_batch(patch, xi_field, P): the residuals
     (m,) of the frame identity and of its trace.
@@ -746,7 +722,7 @@ def tangential_derivative_residuals(xi_field: TransversalField, X_field: Transve
     """
     fb, st, d = eb.frames, eb.stencil, eb.xi.shape[1]
     X = X_field.at(st)   # X^{top_xi}, X and <X, nu> side by side on the stencil
-    dF = _frame_derivs(np.column_stack([affine_tangential(X, xi_field.at(st), st.nu), X,
+    dF = _frame_derivs(np.column_stack([affine_tangential(X, eb.stencil_xi, st.nu), X,
                                         np.einsum("md,md->m", X, st.nu)]), fb)
     dY, dX, grad_xnu = dF[..., :d], dF[..., d:2 * d], dF[..., 2 * d]
     lhs = np.einsum("mjd,mid->mij", dY, fb.e)
@@ -771,13 +747,13 @@ def tangential_derivative_residuals(xi_field: TransversalField, X_field: Transve
     return frame_res, np.abs(div_lhs - div_rhs)
 
 
-def divergence_residuals_constant_position(xi_field: TransversalField, eb: EquiaffineBatch
+def divergence_residuals_constant_position(eb: EquiaffineBatch
                                            ) -> tuple[np.ndarray, np.ndarray]:
     """Residuals (m,) of div_M b^{top_xi} = <b,nu> H_xi, b = TEST_VECTOR, and
     div_M x^{top_xi} = n <xi,nu> + <x,nu> H_xi at the points of eb."""
     fb, st, d = eb.frames, eb.stencil, eb.xi.shape[1]
     b = np.asarray(TEST_VECTOR, dtype=float)[:d]
-    xi = xi_field.at(st)   # b^{top_xi} and x^{top_xi} side by side on the stencil
+    xi = eb.stencil_xi   # b^{top_xi} and x^{top_xi} side by side on the stencil
     dF = _frame_derivs(np.column_stack([affine_tangential(b, xi, st.nu),
                                         affine_tangential(st.x, xi, st.nu)]), fb)
     res_b = np.abs(_divergence(dF[..., :d], fb) - (fb.nu @ b) * eb.affine_mean)
@@ -786,8 +762,8 @@ def divergence_residuals_constant_position(xi_field: TransversalField, eb: Equia
     return res_b, res_x
 
 
-def product_rule_residual(xi_field: TransversalField, f_field, X_field: TransversalField,
-                          eb: EquiaffineBatch) -> np.ndarray:
+def product_rule_residual(f_field, X_field: TransversalField, eb: EquiaffineBatch
+                          ) -> np.ndarray:
     """Residuals (m,) of div_M(f X^{top_xi}) = f div_M X^{top_xi}
     + <xi,nu><grad_M f, X> - <X,nu><grad_M f, xi> at the points of eb.
 
@@ -795,7 +771,7 @@ def product_rule_residual(xi_field: TransversalField, f_field, X_field: Transver
     """
     fb, st, d = eb.frames, eb.stencil, eb.xi.shape[1]
     f = np.asarray(f_field(st))   # f X^{top_xi}, X^{top_xi} and f side by side
-    Y = affine_tangential(X_field.at(st), xi_field.at(st), st.nu)
+    Y = affine_tangential(X_field.at(st), eb.stencil_xi, st.nu)
     dF = _frame_derivs(np.column_stack([f[:, None] * Y, Y, f]), fb)
     grad_f = np.einsum("ma,mad->md", dF[..., 2 * d], fb.e)
     f0 = np.asarray(f_field(fb))
@@ -818,13 +794,14 @@ def shape_products_asymmetry(eb: EquiaffineBatch) -> tuple[np.ndarray, np.ndarra
 # Codazzi check for the affine shape operator
 
 
-def _shape_op_coord(xi_field: TransversalField, fb: FrameBatch) -> np.ndarray:
-    """Affine shape operator components S^i_j in the coordinate basis."""
+def _shape_op_coord(xi_field: TransversalField, fb: FrameBatch,
+                    stencil: FrameBatch) -> np.ndarray:
+    """Affine shape operator components S^i_j in the coordinate basis at the
+    points of fb, from the frames `stencil` at fb.P +- PARAM_STEP along the axes."""
     xi = xi_field.at(fb)
     support = np.einsum("md,md->m", xi, fb.nu)
     # W[:, j] = d_j xi
-    W = _central_diffs(lambda Q: xi_field(fb.patch, Q), fb.P, _coordinate_axes(fb.P),
-                       (PARAM_STEP,))
+    W = _differences(xi_field.at(stencil), _coordinate_axes(fb.P), (PARAM_STEP,))
     tau = np.einsum("mjd,md->mj", W, fb.nu) / support[:, None]
     S_X = tau[:, :, None] * xi[:, None, :] - W
     # solve <S(X_j), X_k> = sum_i S^i_j g_ik
@@ -839,26 +816,45 @@ def codazzi_residual(patch: ParametricPatch, xi_field: TransversalField, p):
     finite-differenced Christoffel symbols and a Richardson-extrapolated
     derivative of the shape-operator components, at the steps CODAZZI_STEP
     and half of it; the components themselves differentiate xi at PARAM_STEP.
+    Besides the frames at p, one frames call evaluates every point the check
+    needs: the 4n outer points per point of both levels along the coordinate
+    axes, and the PARAM_STEP stencils of p and of each outer point.
     """
     P, single = _as_batch(p)
     return _unbatch(_codazzi(xi_field, patch.frames(P)), single)
 
 
-def _codazzi(xi_field: TransversalField, fb: FrameBatch) -> np.ndarray:
-    """codazzi_residual at the points of fb (zero on curves)."""
+def _codazzi_points(P) -> np.ndarray:
+    """The points the Codazzi check at P (m, n) frames, all known from P: the
+    outer points of both Richardson levels, then the coordinate PARAM_STEP
+    stencils of P and of the outer points (none on curves)."""
+    if P.shape[1] == 1:
+        return np.empty((0, 1))
+    axes = _coordinate_axes(P)
+    Q = _stencil(P, axes, _CODAZZI_STEPS)
+    return np.concatenate([Q, _stencil(np.concatenate([P, Q]), axes, (PARAM_STEP,))])
+
+
+def _codazzi(xi_field: TransversalField, fb: FrameBatch,
+             framed: FrameBatch | None = None) -> np.ndarray:
+    """codazzi_residual at the points of fb (zero on curves); framed, the
+    frames at _codazzi_points(fb.P), is framed here in one call if not given."""
     P = fb.P
     if fb.patch.n == 1:
         return np.zeros(len(P))
-    axes, steps = _coordinate_axes(P), (CODAZZI_STEP, 0.5 * CODAZZI_STEP)
-    outer = fb.patch.frames(_stencil(P, axes, steps))   # both Richardson levels
+    if framed is None:
+        framed = fb.patch.frames(_codazzi_points(P))
+    axes, steps = _coordinate_axes(P), _CODAZZI_STEPS
+    n_outer = 2 * len(steps) * P.size     # 2 signs, 2 steps, n axes per point
+    outer, inner = framed.rows(slice(n_outer)), framed.rows(slice(n_outer, None))
     dg = _differences(outer.metric, axes, steps)  # dg[p, k, m, l] = d_k g_{ml}
     # Gamma[p, i, k, l] = 1/2 g^{im} (d_k g_{ml} + d_l g_{mk} - d_m g_{kl})
     Gamma = 0.5 * np.einsum("pim,pkml->pikl", fb.metric_inv,
                             dg + np.transpose(dg, (0, 3, 2, 1))
                             - np.transpose(dg, (0, 2, 1, 3)))
 
-    S0 = _shape_op_coord(xi_field, fb)
-    dS = _differences(_shape_op_coord(xi_field, outer), axes, steps)
+    S = _shape_op_coord(xi_field, fb.then(outer), inner)   # base rows, then outer
+    S0, dS = S[:len(P)], _differences(S[len(P):], axes, steps)
     # dS[p, k, i, j] = d_k S^i_j
 
     def cov(k, j):  # components of [D^M_{X_k} S](X_j)

@@ -21,7 +21,8 @@ from .norms import DualNorm, MinkowskiNorm
 from .quadrature import (ClippedRegionRule, ParamQuadrature, _gauge_safe, integrate_clipped,
                          sublevel_energy)
 from .surfaces import (TEST_VECTOR, ParametricPatch, TransversalField, _as_batch, _codazzi,
-                       _divergence, _equiaffine, _frame_derivs, _unbatch, affine_tangential,
+                       _codazzi_points, _divergence, _equiaffine, _frame_derivs,
+                       _stencil_points, _unbatch, affine_tangential,
                        anisotropic_mean_curvature_batch,
                        constant_field, divergence_residuals_constant_position,
                        equiaffine_batch, hyperplane, line, linear_image, position_field,
@@ -198,7 +199,7 @@ def pointwise_divergence_residual(patch: ParametricPatch, xi_field: TransversalF
         raise GaugeZero("gauge vanishes at the evaluation point")
 
     # the field x^{top_xi} / (n phi^n) on the decomposition's stencil
-    V = (affine_tangential(st.x, xi_field.at(st), st.nu)
+    V = (affine_tangential(st.x, eb.stencil_xi, st.nu)
          / (n * np.asarray(gauge.value(st.x))**n)[:, None])
     lhs = _divergence(_frame_derivs(V, fb), fb)
     xn = np.einsum("md,md->m", fb.x, fb.nu)
@@ -236,8 +237,8 @@ def _locate_origin(patch: ParametricPatch, origin_param) -> np.ndarray:
         p0 = G[int(np.argmin(np.sum(patch.chart(G) ** 2, axis=1)))]
         for _ in range(50):
             # least-squares step of dchart(p0)^T dp = -chart(p0)
-            dp = np.linalg.lstsq(patch.dchart(p0[None])[0].T, -patch.chart(p0[None])[0],
-                                 rcond=None)[0]
+            X, T = patch.jet(p0[None])
+            dp = np.linalg.lstsq(T[0].T, -X[0], rcond=None)[0]
             p0 = p0 + dp
             if np.linalg.norm(dp) <= 1e-15 * (1.0 + np.linalg.norm(p0)):
                 break
@@ -448,15 +449,19 @@ def frame_identity_suite(patch: ParametricPatch, xi_field: TransversalField, *,
     b = np.asarray(TEST_VECTOR, dtype=float)[: patch.dim]
     c = np.asarray(TEST_COVECTOR, dtype=float)[: patch.dim]
 
-    # one decomposition for every kept point, from the grid's frames; the
-    # checks below difference their fields on its stencil, framed once for all
-    eb = _equiaffine(xi_field, fb.rows(keep))
-    pos = tangential_derivative_residuals(xi_field, position_field(), eb)
-    const = tangential_derivative_residuals(xi_field, constant_field(b), eb)
-    div_b, div_x = divergence_residuals_constant_position(xi_field, eb)
-    product = product_rule_residual(xi_field, lambda f: f.x @ c, position_field(), eb)
+    # one decomposition for every kept point, from the grid's frames; its
+    # stencil, on which the checks below difference their fields, is framed
+    # in one call with the points of the Codazzi check
+    kept = fb.rows(keep)
+    st = _stencil_points(kept)
+    framed = patch.frames(np.concatenate([st, _codazzi_points(kept.P)]))
+    eb = _equiaffine(xi_field, kept, framed.rows(slice(len(st))))
+    pos = tangential_derivative_residuals(position_field(), eb)
+    const = tangential_derivative_residuals(constant_field(b), eb)
+    div_b, div_x = divergence_residuals_constant_position(eb)
+    product = product_rule_residual(lambda f: f.x @ c, position_field(), eb)
     sym_1, sym_2 = shape_products_asymmetry(eb)
-    codazzi = _codazzi(xi_field, eb.frames)
+    codazzi = _codazzi(xi_field, kept, framed.rows(slice(len(st), None)))
     residuals = {"tangential_derivative": (pos[0], const[0]),
                  "tangential_divergence": (pos[1], const[1]),
                  "div_constant": div_b, "div_position": div_x, "product_rule": product,

@@ -241,3 +241,59 @@ def test_batch_matches_single_points(surface):
         single = [check(p) for p in P]
         assert all(isinstance(s, float) for s in single)
         assert np.max(np.abs(batch - single)) <= AGREE
+
+
+# ------------------------------------------------------------ framing budget
+# the Codazzi check frames every point it needs in one call (its base frames
+# come from the caller), and the suite frames that batch together with its
+# decomposition's stencil
+
+
+def _count_frames(monkeypatch):
+    """The list of batch sizes that ParametricPatch.frames receives from here on."""
+    calls = []
+    frames = sf.ParametricPatch.frames
+
+    def counted(patch, P):
+        calls.append(len(np.atleast_2d(P)))
+        return frames(patch, P)
+
+    monkeypatch.setattr(sf.ParametricPatch, "frames", counted)
+    return calls
+
+
+def _rotated(surface):
+    R = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]
+    R *= np.sign(np.linalg.det(R))
+    patch = SURFACES[surface]()
+    return patch if patch.n == 1 else sf.linear_image(patch, R)
+
+
+@pytest.mark.parametrize("surface", ["ellipsoid", "catenoid", "circle"])
+def test_one_point_codazzi_frames_at_most_twice(monkeypatch, surface):
+    patch = _rotated(surface)
+    xi = _field("anisotropic", patch.dim)
+    p = patch.sample_grid(3)[4 if patch.n == 2 else 1]
+    calls = _count_frames(monkeypatch)
+    assert sf.codazzi_residual(patch, xi, p) < 1e-4
+    assert len(calls) <= 2
+    assert calls[0] == 1
+
+
+@pytest.mark.parametrize("surface", ["ellipsoid", "catenoid", "circle"])
+def test_pointwise_divergence_frames_twice(monkeypatch, surface):
+    patch = _rotated(surface)
+    xi = _field("anisotropic", patch.dim)
+    gauge = (F3 if patch.dim == 3 else F2).dual()
+    calls = _count_frames(monkeypatch)
+    vf.pointwise_divergence_residual(patch, xi, gauge, patch.sample_grid(3)[1])
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("field", ["normal", "anisotropic", "constant"])
+@pytest.mark.parametrize("surface", ["ellipsoid", "catenoid", "circle"])
+def test_frame_identity_suite_frames_at_most_three_times(monkeypatch, surface, field):
+    patch = _rotated(surface)
+    calls = _count_frames(monkeypatch)
+    vf.frame_identity_suite(patch, _field(field, patch.dim), grid=3)
+    assert len(calls) <= 3

@@ -158,6 +158,89 @@ def test_hyperplane_chart_matches_sum_of_basis_rows(seed):
     assert np.array_equal(plane.dchart(P), np.broadcast_to([a, b], (3000, 2, 3)))
 
 
+# ---------------------------------------------------------------- chart jets
+# a built-in patch evaluates its chart through one jet function; chart,
+# dchart and d2chart are views on it, and frames read x and the tangents
+# from one first-order call, so every order must agree bit for bit
+
+_R7 = _rotation(np.random.default_rng(7))
+JET_PATCHES = {
+    "sphere": lambda: sf.sphere(1.3, (0.1, -0.2, 0.3)),
+    "ellipsoid": lambda: sf.ellipsoid((1.0, 1.3, 1.7)),
+    "rotated-ellipsoid": lambda: sf.linear_image(sf.ellipsoid((1.0, 1.3, 1.7)), _R7),
+    "catenoid": sf.catenoid,
+    "transformed-catenoid": lambda: sf.transformed_catenoid(A_MIX + 0.2),
+    "hyperplane": lambda: sf.hyperplane((0.3, -0.4, 1.0), (0.1, 0.2, 0.0)),
+    "line": sf.line,
+    "circle": lambda: sf.circle(1.2, (0.1, -0.3)),
+    "graph-curve": lambda: sf.graph_curve([0.0, 0.2, 0.5, -0.3]),
+    "graph-surface": lambda: sf.graph_surface([[0.0, 0.1, 0.3], [0.2, -0.4, 0.1]]),
+    "enneper": sf.enneper,
+}
+
+
+def _jet_points(patch, m, seed=0):
+    """m interior parameter points, in a random order."""
+    grid = patch.sample_grid(400 if patch.n == 1 else 20)
+    return grid[np.random.default_rng(seed).permutation(len(grid))[:m]]
+
+
+@pytest.mark.parametrize("m", [1, 300])
+@pytest.mark.parametrize("name", sorted(JET_PATCHES))
+def test_jet_orders_agree_bit_for_bit(name, m):
+    patch = JET_PATCHES[name]()
+    n, d = patch.n, patch.dim
+    P = _jet_points(patch, m)
+    X, T, H = patch.jet(P, 2)
+    assert (X.shape, T.shape, H.shape) == ((m, d), (m, n, d), (m, n, n, d))
+    X1, T1 = patch.jet(P, 1)
+    (X0,) = patch.jet(P, 0)
+    fb = patch.frames(P)
+    for got, want in ((X0, X), (X1, X), (T1, T), (patch.chart(P), X),
+                      (patch.dchart(P), T), (patch.d2chart(P), H),
+                      (fb.x, X), (fb.tangents, T), (fb.second, H)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(JET_PATCHES))
+def test_jet_derivatives_match_differences_of_the_chart(name):
+    patch = JET_PATCHES[name]()
+    P = _jet_points(patch, 50)
+    fd = sf.ParametricPatch(patch.n, patch.chart, patch.domain)
+    X, T, H = patch.jet(P, 2)
+    scale = 1.0 + np.max(np.abs(X))
+    assert np.max(np.abs(T - fd.dchart(P))) <= 1e-8 * scale
+    assert np.max(np.abs(H - fd.d2chart(P))) <= 1e-5 * scale
+
+
+@pytest.mark.parametrize("m", [1, 300])
+def test_a_chart_without_a_jet_is_differenced(m):
+    # tangents by central differences at CHART_FD_STEP, second derivatives
+    # by second differences at 1e-4 along the axes and the diagonal
+    def chart(P):
+        u, v = P[:, 0], P[:, 1]
+        return np.column_stack([np.exp(2 * u) * v, np.sin(3 * v) + u * v, u**3])
+
+    patch = sf.ParametricPatch(2, chart, [(0.0, 1.0), (0.0, 1.0)])
+    P = np.random.default_rng(m).random((m, 2))
+    X, T, H = patch.jet(P, 2)
+    h, k, e = sf.CHART_FD_STEP, 1e-4, np.eye(2)
+    T_ref = np.stack([(chart(P + h * e[a]) - chart(P - h * e[a])) / (2 * h)
+                      for a in range(2)], axis=1)
+
+    def second(c):
+        return (chart(P + k * c) - 2 * X + chart(P - k * c)) / k**2
+
+    Huu, Hvv = second(e[0]), second(e[1])
+    Huv = second((e[0] + e[1]) / np.sqrt(2)) - 0.5 * (Huu + Hvv)
+    H_ref = np.stack([np.stack([Huu, Huv], axis=1), np.stack([Huv, Hvv], axis=1)], axis=1)
+    assert np.array_equal(X, chart(P))
+    assert np.max(np.abs(T - T_ref)) <= 1e-12
+    assert np.max(np.abs(H - H_ref)) <= 1e-10
+    for got, want in ((patch.jet(P, 1), (X, T)), (patch.jet(P, 0), (X,))):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
 # ------------------------------------------------- transversal decompositions
 
 
@@ -319,7 +402,7 @@ def test_tangential_derivative_identity(xi_name, xi_maker):
     for patch in (sf.sphere(), sf.ellipsoid((1.0, 1.3, 1.7)), sf.catenoid()):
         xi = xi_maker()
         eb = sf.equiaffine_batch(patch, xi, _transversal_points(patch, xi)[:3])
-        frame, div = sf.tangential_derivative_residuals(xi, sf.position_field(), eb)
+        frame, div = sf.tangential_derivative_residuals(sf.position_field(), eb)
         assert np.all(frame < 1e-5)
         assert np.all(div < 1e-5)
 
@@ -328,7 +411,7 @@ def test_tangential_derivative_constant_field_on_plane():
     plane = sf.hyperplane()
     xi = sf.constant_field([0.1, -0.2, 1.0])
     eb = sf.equiaffine_batch(plane, xi, [[0.3, -0.2]])
-    frame, _ = sf.tangential_derivative_residuals(xi, sf.position_field(), eb)
+    frame, _ = sf.tangential_derivative_residuals(sf.position_field(), eb)
     assert frame[0] < 1e-8
 
 
@@ -337,7 +420,7 @@ def test_divergence_of_constant_and_position(xi_name, xi_maker):
     for patch in (sf.sphere(), sf.ellipsoid((1.0, 1.3, 1.7)), sf.catenoid()):
         xi = xi_maker()
         eb = sf.equiaffine_batch(patch, xi, _transversal_points(patch, xi)[:3])
-        rb, rx = sf.divergence_residuals_constant_position(xi, eb)
+        rb, rx = sf.divergence_residuals_constant_position(eb)
         assert np.all(rb < 1e-5)
         assert np.all(rx < 1e-5)
 
@@ -347,7 +430,7 @@ def test_divergence_identities_sphere_arithmetic():
     S = sf.sphere()
     xi = sf.normal_field()
     _, rx = sf.divergence_residuals_constant_position(
-        xi, sf.equiaffine_batch(S, xi, [[1.1, 0.7]]))
+        sf.equiaffine_batch(S, xi, [[1.1, 0.7]]))
     assert rx[0] < 1e-8
 
 
@@ -361,7 +444,7 @@ def test_product_rule(xi_name, xi_maker):
     for patch in (sf.sphere(), sf.ellipsoid((1.0, 1.3, 1.7)), sf.catenoid()):
         xi = xi_maker()
         eb = sf.equiaffine_batch(patch, xi, _transversal_points(patch, xi)[:3])
-        res = sf.product_rule_residual(xi, f_linear, sf.position_field(), eb)
+        res = sf.product_rule_residual(f_linear, sf.position_field(), eb)
         assert np.all(res < 1e-5)
 
 
@@ -373,7 +456,7 @@ def test_product_rule_with_gauge_weight():
 
     xi = sf.anisotropic_normal_field(F_MIX)
     eb = sf.equiaffine_batch(sf.ellipsoid((1.0, 1.3, 1.7)), xi, [[1.2, 0.6]])
-    res = sf.product_rule_residual(xi, f_gauge, sf.position_field(), eb)
+    res = sf.product_rule_residual(f_gauge, sf.position_field(), eb)
     assert res[0] < 1e-5
 
 

@@ -229,9 +229,8 @@ def test_corollary_finds_an_off_grid_origin():
     # between the points of the search grid
     En = sf.enneper(scale=0.8, extent=1.5)
     c = np.array([0.13, -0.21])
-    shifted = sf.ParametricPatch(2, lambda P: En.chart(P - c), En.domain,
-                                 dchart_fn=lambda P: En.dchart(P - c),
-                                 d2chart_fn=lambda P: En.d2chart(P - c), name="shifted-enneper")
+    shifted = sf.ParametricPatch(2, lambda P, k: En.jet(P - c, k), En.domain,
+                                 name="shifted-enneper", jet=True)
     grid = shifted.sample_grid(17)
     assert np.min(np.linalg.norm(grid - c, axis=1)) > 0.01
     rep = vf.corollary_lower_bound(shifted, E3, rule=Q12, max_depth=6)
