@@ -636,20 +636,28 @@ def _equiaffine(xi_field: TransversalField, fb: FrameBatch,
                 stencil: FrameBatch | None = None) -> EquiaffineBatch:
     """equiaffine_batch at the points of fb; stencil, the frames at
     _stencil_points(fb), is framed here if not given."""
-    xi = xi_field.at(fb)
-    support = np.einsum("md,md->m", xi, fb.nu)
-    if np.any(np.abs(support) < TRANSVERSAL_FLOOR):
-        raise NotTransversal(
-            f"|<xi, nu>| below {TRANSVERSAL_FLOOR:g} for field {xi_field.name}")
     if stencil is None:
         stencil = fb.patch.frames(_stencil_points(fb))
-    stencil_xi = xi_field.at(stencil)
-    W = _frame_derivs(stencil_xi, fb)      # W[:, a] = D_{e_a} xi
-    tau = np.einsum("mad,md->ma", W, fb.nu) / support[:, None]
-    S = np.einsum("mid,mad->mia", fb.e, tau[:, :, None] * xi[:, None, :] - W)
+    xi, stencil_xi = xi_field.at(fb), xi_field.at(stencil)
+    # D_{e_a} xi, split into S(e_a) and tau(e_a)
+    support, tau, S_e = _transversal_split(xi_field, xi, fb.nu, _frame_derivs(stencil_xi, fb))
+    S = np.einsum("mid,mad->mia", fb.e, S_e)
     return EquiaffineBatch(xi=xi, support=support, shape_op=S, tau=tau,
                            affine_mean=np.trace(S, axis1=1, axis2=2), frames=fb,
                            stencil=stencil, stencil_xi=stencil_xi)
+
+
+def _transversal_split(xi_field: TransversalField, xi, nu, W) -> tuple:
+    """The split D_X xi = -S(X) + tau(X) xi of the derivatives W (m, k, d) of
+    xi (m, d) along k tangent vectors X at points of unit normal nu (m, d):
+    <xi, nu> (m,), tau(X) (m, k) and S(X) (m, k, d).  Raises NotTransversal
+    where |<xi, nu>| < TRANSVERSAL_FLOOR, where the split is singular."""
+    support = np.einsum("md,md->m", xi, nu)
+    if np.any(np.abs(support) < TRANSVERSAL_FLOOR):
+        raise NotTransversal(
+            f"|<xi, nu>| below {TRANSVERSAL_FLOOR:g} for field {xi_field.name}")
+    tau = np.einsum("mkd,md->mk", W, nu) / support[:, None]
+    return support, tau, tau[:, :, None] * xi[:, None, :] - W
 
 
 def anisotropic_mean_curvature_batch(norm: MinkowskiNorm, patch: ParametricPatch,
@@ -798,12 +806,9 @@ def _shape_op_coord(xi_field: TransversalField, fb: FrameBatch,
                     stencil: FrameBatch) -> np.ndarray:
     """Affine shape operator components S^i_j in the coordinate basis at the
     points of fb, from the frames `stencil` at fb.P +- PARAM_STEP along the axes."""
-    xi = xi_field.at(fb)
-    support = np.einsum("md,md->m", xi, fb.nu)
-    # W[:, j] = d_j xi
+    # W[:, j] = d_j xi, split into S(X_j) and tau(X_j)
     W = _differences(xi_field.at(stencil), _coordinate_axes(fb.P), (PARAM_STEP,))
-    tau = np.einsum("mjd,md->mj", W, fb.nu) / support[:, None]
-    S_X = tau[:, :, None] * xi[:, None, :] - W
+    S_X = _transversal_split(xi_field, xi_field.at(fb), fb.nu, W)[2]
     # solve <S(X_j), X_k> = sum_i S^i_j g_ik
     rhs = np.einsum("mjd,mkd->mjk", S_X, fb.tangents)
     return np.einsum("mik,mjk->mij", fb.metric_inv, rhs)

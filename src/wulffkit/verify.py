@@ -88,11 +88,8 @@ def monotonicity_identity(patch: ParametricPatch, norm: MinkowskiNorm,
     lhs: E(r)/r^n - E(s)/s^n with E(t) the gauge energy inside {F° < t};
     rhs: integral of <grad F°(x), grad F(nu)> <x, nu> / F°(x)^{n+1} over the
     annulus.  Equality requires vanishing anisotropic mean curvature, which
-    is verified by sampling, not assumed.  The scan of the two radii s, r:
-    one clipped pass over the bands {F° < s} and {s < F° < r}.
+    is verified by sampling, not assumed.  monotonicity_scan of the radii s, r.
     """
-    if not 0.0 < s < r:
-        raise ValueError("need 0 < s < r")
     return monotonicity_scan(patch, norm, (s, r), dual=dual, rule=rule,
                              max_depth=max_depth).reports[0]
 
@@ -105,42 +102,56 @@ def _minimality_flags(patch: ParametricPatch, norm: MinkowskiNorm) -> tuple[floa
     return maxH, [f"not-minimal(max|H|={maxH:.3g})"] if maxH > MINIMALITY_TOL else []
 
 
-def _annulus_pass(patch: ParametricPatch, gauge, density, kernel, radii, *,
-                  rule: ParamQuadrature, max_depth: int):
-    """One clipped pass of the columns (density, kernel) over the bands
-    {0 < gauge < r_1}, {r_1 < gauge < r_2}, ... of radii r_1 < ... < r_K.
+def _annulus_scan(name: str, patch: ParametricPatch, gauge, radii, field_at, curvature, *,
+                  rule: ParamQuadrature, max_depth: int) -> MonotonicityScan:
+    """The annulus identity on each annulus (s, r) of radii r_1 < ... < r_K,
 
-    Returns the density integrals E(r_i) inside each radius (prefix sums of
-    the bands) with their estimates, the identity (lhs, rhs, tolerance) on
-    each annulus (r_i, r_(i+1)), and the cell counts of the pass.  The kernel
-    is not used on the innermost band, which may hold the gauge's cone point
-    x = 0: there kernel(fb, phi, grad) sees phi = 0 and a zero gradient, and
-    must stay finite.
+        E(r)/r^n - E(s)/s^n = integral over {s < phi < r} of
+                              <x, nu> <grad phi(x), v> / phi(x)^{n+1},
+
+    with E(t) the integral of a density over {phi < t}; field_at(fb) gives the
+    density and the vector v at the points of fb from one evaluation.  After
+    the radii and the patch boundary are checked, curvature() samples the
+    patch and gives the reports' flags and shared metadata.  One clipped pass
+    over the bands {0 < phi < r_1}, {r_1 < phi < r_2}, ... then gives each
+    E(r_i) as a prefix sum of the bands and each annulus's rhs as the kernel
+    over its own band.  The kernel is not used on the innermost band, which
+    may hold the gauge's cone point x = 0: there phi = 0 with a zero
+    gradient, and the kernel reads 0.
     """
-    radii = [float(t) for t in radii]
+    radii = np.asarray(radii, dtype=float)
+    if radii.ndim != 1 or radii.size < 2 or np.any(np.diff(radii) <= 0):
+        raise ValueError("radii must be strictly increasing with length >= 2")
+    if radii[0] <= 0:
+        raise ValueError("radii must be positive")
+    _require_boundary_outside(patch, gauge, float(radii[-1]))
+    flags, shared = curvature()
     n = patch.n
 
     def columns(fb):
+        density, v = field_at(fb)
         phi, grad = _gauge_safe(gauge, fb.x)   # one ascent for a numeric dual
-        return np.column_stack([density(fb), kernel(fb, phi, grad)])
+        num = np.einsum("md,md->m", fb.x, fb.nu) * np.einsum("md,md->m", grad, v)
+        return np.column_stack([density, np.divide(num, phi ** (n + 1), out=np.zeros_like(num),
+                                                   where=phi > 0.0)])
 
     res = integrate_clipped(
         patch, columns,
         ClippedRegionRule(gauge=gauge, s=0.0, r=radii[-1], max_depth=max_depth,
-                          splits=radii[:-1]), rule)
+                          splits=radii[:-1].tolist()), rule)
     E, E_est = np.cumsum(res.value[:, 0]), res.prefix_estimate[:, 0]
-    sides = []
-    for i, (s, r) in enumerate(zip(radii[:-1], radii[1:])):
+    cells = _cell_counts(bands=res)
+    reports = []
+    for i, (s, r) in enumerate(zip(radii[:-1].tolist(), radii[1:].tolist())):
         lhs = E[i + 1] / r**n - E[i] / s**n
         tol = E_est[i + 1] / r**n + E_est[i] / s**n
         tol += res.error_estimate[i + 1, 1] + 1e-14 * (abs(lhs) + 1.0)
-        sides.append((float(lhs), float(res.value[i + 1, 1]), float(tol)))
-    return E, E_est, sides, _cell_counts(bands=res)
-
-
-def _kernel_over(num: np.ndarray, phi: np.ndarray, n: int) -> np.ndarray:
-    """num / phi^(n+1), and 0 at the cone point phi = 0."""
-    return np.divide(num, phi ** (n + 1), out=np.zeros_like(num), where=phi > 0.0)
+        reports.append(_finish_report(
+            name, float(lhs), float(res.value[i + 1, 1]), float(tol), list(flags),
+            {"surface": patch.name, **shared, "s": s, "r": r, "E_r": float(E[i + 1]),
+             "E_s": float(E[i]), "depth": max_depth, "cells": cells}))
+    return MonotonicityScan(radii=radii, normalized=E / radii**n, estimates=E_est / radii**n,
+                            reports=reports)
 
 
 def equiaffine_identity(patch: ParametricPatch, xi_field: TransversalField,
@@ -154,31 +165,18 @@ def equiaffine_identity(patch: ParametricPatch, xi_field: TransversalField,
     curvature below MINIMALITY_TOL for an asserted verdict.  Both sides come from
     one clipped pass over the bands {phi < s} and {s < phi < r}.
     """
-    if not 0.0 < s < r:
-        raise ValueError("need 0 < s < r")
-    _require_boundary_outside(patch, gauge, r)
+    def curvature():
+        eb = equiaffine_batch(patch, xi_field, patch.sample_grid(SAMPLE_GRID))
+        maxH = float(np.max(np.abs(eb.affine_mean)))
+        flags = [f"not-affine-minimal(max|H|={maxH:.3g})"] if maxH > MINIMALITY_TOL else []
+        return flags, {"xi": xi_field.name, "max_abs_H_xi": maxH}
 
-    flags = []
-    eb = equiaffine_batch(patch, xi_field, patch.sample_grid(SAMPLE_GRID))
-    maxH = float(np.max(np.abs(eb.affine_mean)))
-    if maxH > MINIMALITY_TOL:
-        flags.append(f"not-affine-minimal(max|H|={maxH:.3g})")
+    def field_at(fb):
+        xi = xi_field.at(fb)
+        return np.einsum("md,md->m", xi, fb.nu), xi
 
-    n = patch.n
-
-    def density(fb):
-        return np.einsum("md,md->m", xi_field.at(fb), fb.nu)
-
-    def kernel(fb, phi, gx):
-        xn = np.einsum("md,md->m", fb.x, fb.nu)
-        return _kernel_over(xn * np.einsum("md,md->m", gx, xi_field.at(fb)), phi, n)
-
-    _, _, [(lhs, rhs, tol)], cells = _annulus_pass(patch, gauge, density, kernel, (s, r),
-                                                   rule=rule, max_depth=max_depth)
-    return _finish_report(
-        "equiaffine-monotonicity", lhs, rhs, tol, flags,
-        {"surface": patch.name, "xi": xi_field.name, "s": s, "r": r,
-         "max_abs_H_xi": maxH, "depth": max_depth, "cells": cells})
+    return _annulus_scan("equiaffine-monotonicity", patch, gauge, (s, r), field_at, curvature,
+                         rule=rule, max_depth=max_depth).reports[0]
 
 
 def pointwise_divergence_residual(patch: ParametricPatch, xi_field: TransversalField,
@@ -390,42 +388,22 @@ def monotonicity_scan(patch: ParametricPatch, norm: MinkowskiNorm, radii, *,
                       max_depth: int = 10) -> MonotonicityScan:
     """Normalized energies at each radius plus identity reports per annulus,
     all from one clipped pass over the bands between consecutive radii."""
-    radii = np.asarray(radii, dtype=float)
-    if radii.ndim != 1 or radii.size < 2 or np.any(np.diff(radii) <= 0):
-        raise ValueError("radii must be strictly increasing with length >= 2")
-    if radii[0] <= 0:
-        raise ValueError("radii must be positive")
-    dual = dual or norm.dual()
-    _require_boundary_outside(patch, dual, float(radii[-1]))
-    maxH, flags = _minimality_flags(patch, norm)
-    n = patch.n
+    def curvature():
+        maxH, flags = _minimality_flags(patch, norm)
+        return flags, {"norm": norm.label, "max_abs_H": maxH}
 
-    def density(fb):
-        return np.asarray(norm.value(fb.nu))
-
-    def kernel(fb, phi, gx):
-        xn = np.einsum("md,md->m", fb.x, fb.nu)
-        return _kernel_over(np.einsum("md,md->m", gx, norm.grad(fb.nu)) * xn, phi, n)
-
-    E, E_est, sides, cells = _annulus_pass(patch, dual, density, kernel, radii, rule=rule,
-                                           max_depth=max_depth)
-    reports = [
-        _finish_report("monotonicity", lhs, rhs, tol, list(flags),
-                       {"surface": patch.name, "norm": norm.label, "s": float(radii[i]),
-                        "r": float(radii[i + 1]), "max_abs_H": maxH, "E_r": float(E[i + 1]),
-                        "E_s": float(E[i]), "depth": max_depth, "cells": cells})
-        for i, (lhs, rhs, tol) in enumerate(sides)]
-    return MonotonicityScan(radii=radii, normalized=E / radii**n, estimates=E_est / radii**n,
-                            reports=reports)
+    return _annulus_scan("monotonicity", patch, dual or norm.dual(), radii,
+                         lambda fb: norm.eval_with_maximizer(fb.nu), curvature,
+                         rule=rule, max_depth=max_depth)
 
 
 def geometric_radii(patch: ParametricPatch, gauge, count: int = 8) -> np.ndarray:
     """Geometrically spaced radii between the surface's smallest gauge value
     and the boundary gauge radius."""
-    rmin, _ = patch.gauge_range(gauge)
+    rmin, rmax = patch.gauge_range(gauge)
     rbnd = patch.boundary_gauge_radius(gauge)
     if not math.isfinite(rbnd):
-        _, rbnd = patch.gauge_range(gauge)
+        rbnd = rmax
     lo, hi = _INNER_FACTOR * rmin, _OUTER_FACTOR * rbnd
     if lo >= hi:
         raise ValueError("patch has no usable annulus for a radii scan")

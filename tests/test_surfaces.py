@@ -270,6 +270,13 @@ def test_transversality_guard():
     with pytest.raises(NotTransversal):
         sf.equiaffine_batch(sf.sphere(), sf.constant_field([0.0, 0.0, 1.0]),
                             [[np.pi / 2, 0.0]])
+    # the Codazzi check refuses the fields the decomposition refuses: on a
+    # plane through the origin, the position field and a constant field
+    # along the plane (no NaN, no perfect residual)
+    for xi in (sf.position_field(), sf.constant_field([1.0, 0.0, 0.0])):
+        for check in (sf.equiaffine_batch, sf.codazzi_residual):
+            with pytest.raises(NotTransversal):
+                check(sf.hyperplane(), xi, [[0.1, 0.2]])
 
 
 def test_fundamental_form_support_relation():

@@ -117,12 +117,24 @@ def test_monotonicity_radius_validation():
 
 
 def test_equiaffine_specializes_to_monotonicity():
-    T = sf.transformed_catenoid(A_MIX, v_max=1.2)
-    a = vf.monotonicity_identity(T, F_MIX, 1.15, 2.0, rule=Q12, max_depth=8)
-    b = vf.equiaffine_identity(T, sf.anisotropic_normal_field(F_MIX), F_MIX.dual(),
-                               1.15, 2.0, rule=Q12, max_depth=8)
-    assert a.lhs == pytest.approx(b.lhs, abs=1e-12)
-    assert a.rhs == pytest.approx(b.rhs, abs=1e-12)
+    # xi = grad F(nu) with phi = F° is the monotonicity identity: the same
+    # kernel, the density <grad F(nu), nu> = F(nu) up to roundoff, and the
+    # same cells.  The planar quartic cases clip with a non-quadratic gauge
+    Q4 = wk.MinkowskiNorm.quartic(2, eps=0.05)
+    cases = [(sf.transformed_catenoid(A_MIX, v_max=1.2), F_MIX, 1.15, 2.0),
+             (sf.line(offset=0.5), Q4, 0.7, 1.2),
+             (sf.circle(radius=0.5, center=(1.0, 0.2)), Q4, 0.8, 1.2)]
+    reports = []
+    for patch, F, s, r in cases:
+        dual = F.dual()
+        a = vf.monotonicity_identity(patch, F, s, r, dual=dual, rule=Q12, max_depth=8)
+        b = vf.equiaffine_identity(patch, sf.anisotropic_normal_field(F), dual, s, r,
+                                   rule=Q12, max_depth=8)
+        assert a.rhs == b.rhs
+        assert a.lhs == pytest.approx(b.lhs, rel=1e-14, abs=0.0)
+        assert a.metadata["cells"] == b.metadata["cells"]
+        reports.append(a)
+    assert reports[1].status == "pass"   # the quartic line is anisotropically minimal
 
 
 def test_equiaffine_catenoid_classical_monotonicity():
@@ -302,13 +314,26 @@ def test_frame_identity_suite_keys_and_tolerances():
         assert val < 1e-4, key
 
 
-def test_geometric_radii_bounds():
+def test_geometric_radii_bounds(monkeypatch):
     C = sf.catenoid(v_max=1.3)
     radii = vf.geometric_radii(C, E3.dual(), count=8)
     assert len(radii) == 8
     assert radii[0] > 1.0  # neck gauge distance
     assert radii[-1] < C.boundary_gauge_radius(E3.dual())
     assert np.all(np.diff(radii) > 0)
+    # a closed patch takes both ends from one sample of its gauge range
+    gauge_range, calls = sf.ParametricPatch.gauge_range, []
+
+    def counted(patch, gauge):
+        calls.append(gauge)
+        return gauge_range(patch, gauge)
+
+    monkeypatch.setattr(sf.ParametricPatch, "gauge_range", counted)
+    S = sf.sphere(center=(0.3, 0.0, 0.0))
+    radii = vf.geometric_radii(S, E3.dual(), count=4)
+    assert len(calls) == 1
+    lo, hi = gauge_range(S, E3.dual())
+    assert radii[0] == pytest.approx(1.05 * lo) and radii[-1] == pytest.approx(0.98 * hi)
 
 
 @pytest.mark.parametrize("xi", [sf.normal_field(), sf.anisotropic_normal_field(F_MIX),
@@ -412,6 +437,43 @@ def test_annulus_checks_make_one_clipped_call(check, monkeypatch):
         vf.equiaffine_identity(T, sf.anisotropic_normal_field(F_MIX), F_MIX.dual(),
                                1.15, 2.0, rule=Q12, max_depth=8)
     assert len(calls) == 1
+
+
+def test_annulus_checks_evaluate_their_field_once_per_integrand_call(monkeypatch):
+    # each integrand call of the banded pass evaluates xi once, or the jet of
+    # F at nu once, for both the density and the kernel.  Besides, the
+    # curvature sample evaluates xi on its grid and its stencil, and takes
+    # the Hessian of F on its grid
+    integrand_calls, clipped = [], vf.integrate_clipped
+
+    def counted(patch, f, region, rule):
+        def integrand(fb):
+            integrand_calls.append(len(fb.x))
+            return f(fb)
+        return clipped(patch, integrand, region, rule)
+
+    monkeypatch.setattr(vf, "integrate_clipped", counted)
+    C, rule = sf.catenoid(v_max=1.2), ParamQuadrature(order=5, base_grid=12)
+
+    at_calls = []
+    xi = sf.TransversalField(lambda fb: at_calls.append(len(fb.x)) or fb.nu, "normal")
+    vf.equiaffine_identity(C, xi, E3.dual(), 1.15, 1.6, rule=rule, max_depth=6)
+    assert integrand_calls and len(at_calls) - 2 == len(integrand_calls)
+
+    F, jet_orders = wk.MinkowskiNorm.quadratic(A_MIX), []
+    jet = F._jet
+
+    def counted_jet(U, order=2):
+        jet_orders.append(order)
+        return jet(U, order)
+
+    F._jet = counted_jet
+    dual = F.dual()
+    integrand_calls.clear()
+    vf.monotonicity_scan(C, F, vf.geometric_radii(C, dual, count=3), dual=dual, rule=rule,
+                         max_depth=6)
+    assert integrand_calls
+    assert sorted(jet_orders) == [1] * len(integrand_calls) + [2]
 
 
 @pytest.mark.parametrize("case", ["bundled", "node-at-origin"])
