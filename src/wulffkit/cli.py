@@ -166,10 +166,10 @@ CHECKS = {
 # norm family or surface kind: (the keys it must name and those it may name, as
 # {key: parse}, and its builder, which takes them parsed, with its own defaults)
 NORM_FAMILIES = {
-    "euclidean": ({}, {"dim": _at_least(1, MAX_DIM)},
+    "euclidean": ({}, {"dim": _at_least(2, MAX_DIM)},
                   lambda dim=3: MinkowskiNorm.euclidean(dim)),
     "quadratic": ({"matrix": _square_matrix}, {}, MinkowskiNorm.quadratic),
-    "quartic-regularized": ({}, {"dim": _at_least(1, MAX_DIM), "eps": _real()},
+    "quartic-regularized": ({}, {"dim": _at_least(2, MAX_DIM), "eps": _real()},
                             MinkowskiNorm.quartic),
 }
 _VECTOR = _listed(_real())

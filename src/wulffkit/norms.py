@@ -135,8 +135,8 @@ class MinkowskiNorm:
                  hess_fn: Callable | None = None,
                  label: str | None = None):
         self.dim = int(dim)
-        if self.dim < 1:
-            raise ValueError(f"a gauge needs dim >= 1, not {self.dim}")
+        if self.dim < 2:
+            raise ValueError(f"a gauge needs dim >= 2, not {self.dim}")
         self.family = family
         self._value_fn = value_fn
         self._grad_fn = grad_fn

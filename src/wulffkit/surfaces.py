@@ -842,10 +842,12 @@ def _codazzi_points(P) -> np.ndarray:
 
 def _codazzi(xi_field: TransversalField, fb: FrameBatch,
              framed: FrameBatch | None = None) -> np.ndarray:
-    """codazzi_residual at the points of fb (zero on curves); framed, the
-    frames at _codazzi_points(fb.P), is framed here in one call if not given."""
+    """codazzi_residual at the points of fb (zero on curves, for a transversal
+    field); framed, the frames at _codazzi_points(fb.P), is framed here in one
+    call if not given."""
     P = fb.P
     if fb.patch.n == 1:
+        _transversal_split(xi_field, xi_field.at(fb), fb.nu, np.empty((len(P), 0, fb.x.shape[1])))
         return np.zeros(len(P))
     if framed is None:
         framed = fb.patch.frames(_codazzi_points(P))

@@ -373,6 +373,9 @@ CONFIG_FAULTS = {
         **d["norms"], "q": {"family": "quartic-regularized", "dim": True}}}, "'q'"),
     "euclidean-dim-zero": (lambda d: {**d, "norms": {
         **d["norms"], "e": {"family": "euclidean", "dim": 0}}}, "'e'"),
+    # no check kind can use a gauge in d = 1, even one that no check names
+    "euclidean-dim-one": (lambda d: {**d, "norms": {
+        **d["norms"], "e": {"family": "euclidean", "dim": 1}}}, "'e'"),
     "quadratic-matrix-empty": (lambda d: {**d, "norms": {
         **d["norms"], "q": {"family": "quadratic", "matrix": []}}}, "'q'"),
     # surface vectors and matrices of the wrong shape, and a zero normal

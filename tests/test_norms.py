@@ -707,6 +707,16 @@ def test_quartic_eps_must_be_positive_and_finite(eps):
         wk.MinkowskiNorm.quartic(2, eps=eps)
 
 
+@pytest.mark.parametrize("make", [lambda: wk.MinkowskiNorm.euclidean(1),
+                                  lambda: wk.MinkowskiNorm.quadratic([[2.0]]),
+                                  lambda: wk.MinkowskiNorm.quartic(1, eps=0.05)],
+                         ids=["euclidean", "quadratic", "quartic"])
+def test_a_gauge_needs_two_dimensions(make):
+    # u^perp = {0} in d = 1, where no surface lives and condition S is vacuous
+    with pytest.raises(ValueError, match="dim >= 2"):
+        make()
+
+
 def test_invalid_quadratic_matrices_rejected():
     with pytest.raises(ValueError):
         wk.MinkowskiNorm.quadratic(np.array([[1.0, 2.0], [0.0, 1.0]]))

@@ -272,11 +272,19 @@ def test_transversality_guard():
                             [[np.pi / 2, 0.0]])
     # the Codazzi check refuses the fields the decomposition refuses: on a
     # plane through the origin, the position field and a constant field
-    # along the plane (no NaN, no perfect residual)
-    for xi in (sf.position_field(), sf.constant_field([1.0, 0.0, 0.0])):
+    # along the plane (no NaN, no perfect residual); on curves, where the
+    # equation is vacuous, the position field on a line through the origin
+    # and a constant field tangent to the unit circle
+    cases = [(sf.hyperplane(), sf.position_field(), [[0.1, 0.2]]),
+             (sf.hyperplane(), sf.constant_field([1.0, 0.0, 0.0]), [[0.1, 0.2]]),
+             (sf.line(offset=0.0), sf.position_field(), [[0.3]]),
+             (sf.circle(), sf.constant_field([0.0, 1.0]), [[0.0]])]
+    for patch, xi, P in cases:
         for check in (sf.equiaffine_batch, sf.codazzi_residual):
             with pytest.raises(NotTransversal):
-                check(sf.hyperplane(), xi, [[0.1, 0.2]])
+                check(patch, xi, P)
+    # a transversal field on a curve keeps its zero residual
+    assert sf.codazzi_residual(sf.circle(), sf.normal_field(), [[0.0]]).tolist() == [0.0]
 
 
 def test_fundamental_form_support_relation():

@@ -424,6 +424,49 @@ def test_monotonicity_scan_reuses_energies(monkeypatch):
     assert all(rep.flags for rep in single)   # F_MIX does not make C critical
 
 
+def test_corollary_makes_one_clipped_call(monkeypatch):
+    # the energy; the section measure is a polar integral
+    calls = _count_clipped(monkeypatch)
+    vf.corollary_lower_bound(sf.hyperplane(extent=2.2), E3, rule=Q12, max_depth=8,
+                             origin_param=[0.0, 0.0])
+    assert len(calls) == 1
+
+
+def test_corollary_detects_a_uniform_clipped_fault(monkeypatch):
+    # the bound does not share the energy's quadrature: scaling every clipped
+    # integral by 1 + 1e-6 moves the plane's ratio by as much
+    import wulffkit.quadrature as qd
+    clipped = qd.integrate_clipped
+
+    def scaled(*args):
+        res = clipped(*args)
+        res.value *= 1.0 + 1e-6
+        return res
+
+    monkeypatch.setattr(qd, "integrate_clipped", scaled)
+    monkeypatch.setattr(vf, "integrate_clipped", scaled)
+    rep = vf.corollary_lower_bound(sf.hyperplane(extent=2.2), E3, rule=Q12, max_depth=8,
+                                   origin_param=[0.0, 0.0])
+    assert rep.equality_within >= 5e-7 > 1e3 * rep.tolerance
+
+
+@pytest.mark.parametrize("radii", [[0.4, np.nan], [np.nan, 0.5], [0.4, np.inf]],
+                         ids=["nan-outer", "nan-inner", "inf-outer"])
+def test_bad_radii_fail_before_any_sampling(radii, monkeypatch):
+    # the region rule rejects them before the boundary check and the
+    # curvature sample look at the patch
+    def sampled(*args, **kwargs):
+        raise AssertionError("the patch was sampled before the radii were checked")
+
+    plane = sf.hyperplane(extent=2.0)
+    for method in ("boundary_gauge_radius", "sample_grid", "frames"):
+        monkeypatch.setattr(sf.ParametricPatch, method, sampled)
+    with pytest.raises(ValueError, match="region radii|band levels"):
+        vf.monotonicity_scan(plane, E3, radii)
+    with pytest.raises(ValueError, match="region radii|band levels"):
+        vf.equiaffine_identity(plane, sf.normal_field(), E3.dual(), *radii)
+
+
 @pytest.mark.parametrize("check", ["scan", "identity", "equiaffine"])
 def test_annulus_checks_make_one_clipped_call(check, monkeypatch):
     T = sf.transformed_catenoid(A_MIX, v_max=1.2)
@@ -611,7 +654,7 @@ def test_corrupted_minkowski_side_fails(monkeypatch, surface, xi):
 
 def test_reports_carry_cell_counts():
     # the inside, cut and fallback cells of the one banded pass of each
-    # identity, and of the corollary's two clipped integrals
+    # identity, and of the corollary's one clipped pass, its energy
     T = sf.transformed_catenoid(A_MIX, v_max=1.2)
     mono = vf.monotonicity_identity(T, F_MIX, 1.15, 2.0, rule=Q12, max_depth=8)
     equi = vf.equiaffine_identity(T, sf.anisotropic_normal_field(F_MIX), F_MIX.dual(),
@@ -620,7 +663,7 @@ def test_reports_carry_cell_counts():
                                    origin_param=[0.0, 0.0])
     for cells, names in ((mono.metadata["cells"], {"bands"}),
                          (equi.metadata["cells"], {"bands"}),
-                         (cor.metadata["cells"], {"energy", "section"})):
+                         (cor.metadata["cells"], {"energy"})):
         assert set(cells) == names
         for counts in cells.values():
             assert counts["inside"] > 0 and counts["cut"] > 0 and counts["fallback"] == 0
