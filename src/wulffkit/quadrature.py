@@ -98,7 +98,7 @@ class ClippedRegionRule:
         if not 0.0 <= self.s < self.r < math.inf:
             raise ValueError("region radii must satisfy 0 <= s < r < inf")
         if not np.all(np.diff(self.levels) > 0.0):
-            raise ValueError(f"band levels {self.levels.tolist()} must increase strictly")
+            raise ValueError(f"band splits must increase strictly: levels {self.levels.tolist()}")
         if not (_number(self.max_depth, integer=True) and self.max_depth >= 0):
             raise ValueError(f"max_depth must be an integer >= 0, not {self.max_depth!r}")
 

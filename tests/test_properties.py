@@ -369,9 +369,9 @@ def test_polar_section_of_a_quadratic_gauge_meets_its_closed_form(case):
 
 @pytest.mark.parametrize("eps", [0.05, 1.0])
 def test_polar_section_of_the_quartic_agrees_with_a_clipped_section(eps):
-    # the clipped section is the old route to the measure, kept as an oracle:
-    # one clipped pass of 1 over the tangent plane inside the unit dual ball
-    # (a fixed normal; a clipped pass of a numeric dual takes 0.1-0.3 s)
+    # the oracle: one clipped pass of 1 over the tangent plane inside the
+    # unit dual ball, an independent route to the measure (a fixed normal: a
+    # clipped pass with a numeric dual in d = 3 takes 0.1-0.3 s)
     nu = np.random.default_rng(35).standard_normal(3)
     nu /= np.linalg.norm(nu)
     dual = wk.MinkowskiNorm.quartic(3, eps=eps).dual()

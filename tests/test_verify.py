@@ -425,7 +425,7 @@ def test_monotonicity_scan_reuses_energies(monkeypatch):
 
 
 def test_corollary_makes_one_clipped_call(monkeypatch):
-    # the energy; the section measure is a polar integral
+    # for the energy alone: the section measure is a polar integral
     calls = _count_clipped(monkeypatch)
     vf.corollary_lower_bound(sf.hyperplane(extent=2.2), E3, rule=Q12, max_depth=8,
                              origin_param=[0.0, 0.0])
@@ -461,9 +461,9 @@ def test_bad_radii_fail_before_any_sampling(radii, monkeypatch):
     plane = sf.hyperplane(extent=2.0)
     for method in ("boundary_gauge_radius", "sample_grid", "frames"):
         monkeypatch.setattr(sf.ParametricPatch, method, sampled)
-    with pytest.raises(ValueError, match="region radii|band levels"):
+    with pytest.raises(ValueError, match="region radii|band splits"):
         vf.monotonicity_scan(plane, E3, radii)
-    with pytest.raises(ValueError, match="region radii|band levels"):
+    with pytest.raises(ValueError, match="region radii|band splits"):
         vf.equiaffine_identity(plane, sf.normal_field(), E3.dual(), *radii)
 
 
